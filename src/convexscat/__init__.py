@@ -37,8 +37,6 @@ from .objective import (
     CarlemanWeight,
     ObjectiveParams,
     evaluate_and_gradient,
-    evaluate_J,
-    gradient_J,
     residual_Q,
 )
 from .inversion import (

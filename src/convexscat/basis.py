@@ -30,7 +30,6 @@ __all__ = [
     "BasisSet",
     "make_kgrid",
     "build_basis",
-    "matrices_DSB",
     "project",
     "synthesize",
 ]
@@ -65,10 +64,6 @@ class KGrid:
     @property
     def k0(self) -> float:
         return 0.5 * (self.k_min + self.k_max)
-
-    def quad_integrate(self, samples: np.ndarray) -> np.ndarray:
-        """Integrate samples given on quad_nodes (last axis) over the interval."""
-        return np.tensordot(samples, self.quad_weights, axes=(-1, 0))
 
 
 def make_kgrid(
@@ -208,11 +203,6 @@ def _matrices_from_samples(phi, dphi, k, w):
     mat_S = -2j * np.einsum("mq,nq,q->mn", phi, g, w)
     tensor_B = np.einsum("mq,nq,lq,q->mnl", phi, phi, g, 2.0 * k * w)
     return mat_D, mat_S, tensor_B
-
-
-def matrices_DSB(bs: BasisSet, kg: KGrid):
-    """Recompute (D, S, B) from the stored basis samples on kg's quadrature."""
-    return _matrices_from_samples(bs.phi, bs.dphi, kg.quad_nodes, kg.quad_weights)
 
 
 def project(samples: np.ndarray, bs: BasisSet) -> np.ndarray:

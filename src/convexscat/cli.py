@@ -4,7 +4,9 @@ Every data-producing command writes a JSON manifest next to its outputs with
 input/output hashes, the effective config, and the seed, so a run can be
 checked and reproduced.  Exit codes: 0 on success (for invert: tolerance
 met), 2 on usage or format errors, 3 when an inversion hits the iteration
-cap without meeting the tolerance.
+cap without meeting the tolerance, 4 when a forward solve fails
+(IllConditionedSystem) or its field comes too close to zero for the log
+transform (NearZeroTotalField).
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from dataclasses import asdict
 import numpy as np
 import yaml
 
-from .forward import IncidentWave
+from .fieldtransform import NearZeroTotalField
+from .forward import IllConditionedSystem, IncidentWave
 from .inversion import ablation_no_weight, run_inversion
 from .io import (
     read_cauchy,
@@ -195,6 +198,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError, TypeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (IllConditionedSystem, NearZeroTotalField) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

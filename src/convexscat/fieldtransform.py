@@ -56,8 +56,8 @@ class LogField:
 class CoeffVectorField:
     """The n_modes complex scalar fields (V, W, F, ...) of the elliptic system.
 
-    data[r, i, j] is field r at node (x1_j, x2_i); lined() gives the single
-    flat vector in the lined ordering (i fastest, then j, then r).
+    data[r, i, j] is field r at node (x1_j, x2_i); grid.flatten gives the
+    single flat vector in the lined ordering (i fastest, then j, then r).
     """
 
     grid: Grid2D
@@ -66,13 +66,6 @@ class CoeffVectorField:
     @property
     def n_modes(self) -> int:
         return self.data.shape[0]
-
-    def lined(self) -> np.ndarray:
-        return self.grid.flatten(self.data)
-
-    @classmethod
-    def from_lined(cls, grid: Grid2D, flat: np.ndarray) -> "CoeffVectorField":
-        return cls(grid=grid, data=grid.unflatten(np.asarray(flat)))
 
 
 def _check_floor(p: np.ndarray, what: str) -> None:
@@ -152,8 +145,8 @@ def _second_diff(f: np.ndarray, h: float, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis) / (h * h)
 
 
-def recover_coefficient(V: CoeffVectorField, bs: BasisSet, k_eval: float | None = None) -> Coefficient:
-    """Read the coefficient off v at one wavenumber (lowest by default).
+def recover_coefficient(V: CoeffVectorField, bs: BasisSet) -> Coefficient:
+    """Read the coefficient off v at the lowest wavenumber.
 
     v(., k) = sum_n V_n Phi_n(k), then a = -Re[Lap v + k^2 (grad v . grad v)
     - 2ik dv/dx2] for the downward incident direction; derivatives are second
@@ -163,7 +156,7 @@ def recover_coefficient(V: CoeffVectorField, bs: BasisSet, k_eval: float | None 
     grid = V.grid
     if grid.n_nodes < 4:
         raise ValueError("recovery stencils need at least 4 nodes per side")
-    k = bs.kgrid.k_min if k_eval is None else float(k_eval)
+    k = bs.kgrid.k_min
     v = np.tensordot(bs.eval_phi(k), V.data, axes=(0, 0))
     h = grid.h
     v1 = np.gradient(v, h, axis=1, edge_order=2)

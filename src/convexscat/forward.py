@@ -89,9 +89,6 @@ class Grid2D:
         X2, X1 = np.meshgrid(x, x, indexing="ij")
         return X1, X2
 
-    def lined_index(self, i, j, r=0):
-        return np.asarray(i) + np.asarray(j) * self.n_nodes + np.asarray(r) * self.n_points
-
     def flatten(self, field: np.ndarray) -> np.ndarray:
         """Map [i, j] or [r, i, j] arrays to the lined ordering."""
         a = np.asarray(field)

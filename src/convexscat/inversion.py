@@ -22,7 +22,6 @@ order term and the recovery formula are derived for straight-down incidence.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -89,7 +88,6 @@ class IterationRecord:
     J_value: float
     gradient_norm: float
     a_max: float
-    wall_time: float
 
 
 @dataclass(frozen=True)
@@ -140,9 +138,13 @@ def _restrict_support(coeff: Coefficient) -> Coefficient:
     return Coefficient(grid=coeff.grid, values=v, shapes=coeff.shapes)
 
 
-def _run_loop(cd: CauchyData, wave: IncidentWave, cfg: InversionConfig, fixed_iterations: int | None):
-    """Shared loop.  fixed_iterations disables the tolerance stop and tracks
-    the smallest-J iterate instead of the last one."""
+def _run_loop(cd: CauchyData, wave: IncidentWave, cfg: InversionConfig, keep_best: bool):
+    """The descent loop of both public runs.
+
+    keep_best disables the tolerance stop, returns the smallest-J iterate
+    instead of the last one, and ends the run early instead of raising when
+    a re-solve fails.
+    """
     _check_setup(cd, wave, cfg)
     grid = cd.grid
     kg = cd.kgrid
@@ -163,21 +165,17 @@ def _run_loop(cd: CauchyData, wave: IncidentWave, cfg: InversionConfig, fixed_it
         F=F,
     )
 
-    n_iter_cap = cfg.max_iterations if fixed_iterations is None else fixed_iterations
     V = CoeffVectorField(grid=grid, data=F.data.copy())
     records: list[IterationRecord] = []
     warnings: list[str] = []
-    n_grad = n_solve = 0
+    n_solve = 0
     J_prev = None
     rising = 0
-    converged = False
     best = (np.inf, V)
-    t0 = time.perf_counter()
 
-    for n in range(n_iter_cap + 1):
+    for n in range(cfg.max_iterations + 1):
         W = CoeffVectorField(grid=grid, data=V.data - F.data)
         J, grad = evaluate_and_gradient(W, params)
-        n_grad += 1
 
         if J_prev is not None:
             rising = rising + 1 if J > J_prev else 0
@@ -186,54 +184,40 @@ def _run_loop(cd: CauchyData, wave: IncidentWave, cfg: InversionConfig, fixed_it
         if J < best[0]:
             best = (J, V)
 
-        stop_by_tolerance = (
-            fixed_iterations is None and J_prev is not None and abs(J - J_prev) < cfg.tolerance
-        )
-        last = stop_by_tolerance or n == n_iter_cap
-        if last:
-            converged = stop_by_tolerance
-            a_now = _restrict_support(recover_coefficient(V, bs))
-            records.append(
-                IterationRecord(n, J, float(np.linalg.norm(grad.data)), float(a_now.values.max()),
-                                time.perf_counter() - t0)
-            )
-            break
-
-        W_step = CoeffVectorField(grid=grid, data=W.data - cfg.epsilon * grad.data)
-        V_step = CoeffVectorField(grid=grid, data=W_step.data + F.data)
-        a_n = _restrict_support(recover_coefficient(V_step, bs))
-        try:
-            fields = solve_forward_multi(a_n, wave, kg)
-            V_next = log_to_coeffs(total_to_log(fields, wave, grid, kg), bs)
-        except NearZeroTotalField:
-            # tolerance-mode runs treat a failed re-solve as a hard error;
-            # fixed-length comparison runs keep the best iterate seen so far
-            if fixed_iterations is None:
-                raise
-            warnings.append(
-                f"forward re-solve failed at n={n}; run cut short, best iterate kept"
-            )
-            records.append(
-                IterationRecord(n, J, float(np.linalg.norm(grad.data)), float(a_n.values.max()),
-                                time.perf_counter() - t0)
-            )
-            break
-        n_solve += 1
-        V = V_next
+        converged = not keep_best and J_prev is not None and abs(J - J_prev) < cfg.tolerance
+        stop = converged or n == cfg.max_iterations
+        if stop:
+            a_n = _restrict_support(recover_coefficient(V, bs))
+        else:
+            W_step = CoeffVectorField(grid=grid, data=W.data - cfg.epsilon * grad.data)
+            V_step = CoeffVectorField(grid=grid, data=W_step.data + F.data)
+            a_n = _restrict_support(recover_coefficient(V_step, bs))
+            try:
+                fields = solve_forward_multi(a_n, wave, kg)
+                V = log_to_coeffs(total_to_log(fields, wave, grid, kg), bs)
+                n_solve += 1
+            except NearZeroTotalField:
+                if not keep_best:
+                    raise
+                warnings.append(
+                    f"forward re-solve failed at n={n}; run cut short, best iterate kept"
+                )
+                stop = True
 
         records.append(
-            IterationRecord(n, J, float(np.linalg.norm(grad.data)), float(a_n.values.max()),
-                            time.perf_counter() - t0)
+            IterationRecord(n, J, float(np.linalg.norm(grad.data)), float(a_n.values.max()))
         )
+        if stop:
+            break
         J_prev = J
 
-    final_V = best[1] if fixed_iterations is not None else V
+    final_V = best[1] if keep_best else V
     a_final = _clamped(_restrict_support(recover_coefficient(final_V, bs)), cfg.clamp_negative)
     return InversionResult(
         coefficient=a_final,
         records=tuple(records),
         converged=converged,
-        n_gradient_evals=n_grad,
+        n_gradient_evals=len(records),
         n_forward_solves=n_solve,
         warnings=tuple(warnings),
     )
@@ -241,7 +225,7 @@ def _run_loop(cd: CauchyData, wave: IncidentWave, cfg: InversionConfig, fixed_it
 
 def run_inversion(cd: CauchyData, wave: IncidentWave, cfg: InversionConfig) -> InversionResult:
     """Full reconstruction from measured Cauchy data; see module docstring."""
-    return _run_loop(cd, wave, cfg, fixed_iterations=None)
+    return _run_loop(cd, wave, cfg, keep_best=False)
 
 
 def ablation_no_weight(cd: CauchyData, wave: IncidentWave, cfg: InversionConfig) -> InversionResult:
@@ -251,4 +235,4 @@ def ablation_no_weight(cd: CauchyData, wave: IncidentWave, cfg: InversionConfig)
     iterate with the smallest functional value, which is the fairest reading
     of a run that never meets the stopping rule.
     """
-    return _run_loop(cd, wave, replace(cfg, lam=0.0), fixed_iterations=20)
+    return _run_loop(cd, wave, replace(cfg, lam=0.0, max_iterations=20), keep_best=True)

@@ -2,16 +2,19 @@
 
 All floats are written with repr, which round-trips doubles exactly, so a
 write-then-read cycle is bit-for-bit.  Grid and row/column indices are
-1-based in files, matching the lined-index convention; in memory everything
-stays 0-based.  A seed of -1 in a data header means "no seed recorded".
+1-based in files; in memory everything stays 0-based.  A seed of -1 in a
+data header means "no seed recorded".  The readers reject a data row whose
+index is out of range or repeats an earlier row, or whose value is not a
+finite number, and name its line.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -26,7 +29,6 @@ __all__ = [
     "read_coefficient",
     "write_history",
     "read_history",
-    "RunManifest",
     "write_manifest",
 ]
 
@@ -53,41 +55,71 @@ def write_cauchy(cd: CauchyData, path) -> None:
         f.write("\n".join(lines) + "\n")
 
 
-def read_cauchy(path) -> CauchyData:
+def _read_table(path, header_spec: str, labels):
+    """Header fields and (1-based line number, fields) data rows of a text file.
+
+    Comment lines whose first word is in labels name the columns; the other
+    comment line is the header, laid out as header_spec.
+    """
     with open(path) as f:
         lines = f.read().splitlines()
     header = None
     rows = []
-    for ln in lines:
+    for lineno, ln in enumerate(lines, start=1):
         ln = ln.strip()
         if not ln:
             continue
         if ln.startswith("#"):
             fields = ln[1:].split()
-            if fields and fields[0] != "R":
+            if fields and fields[0] not in labels:
                 header = fields
             continue
-        rows.append(ln.split())
-    if header is None:
-        raise ValueError(f"{path}: missing '# R Nx kmin kmax Nk delta seed' header")
+        rows.append((lineno, ln.split()))
+    if header is None or len(header) != len(header_spec.split()):
+        raise ValueError(f"{path}: missing '# {header_spec}' header")
+    return header, rows
+
+
+def _fill(path, rows, shape, layout: str):
+    """Yield (0-based index, finite values) per row, each index exactly once."""
+    n_fields = len(layout.split())
+    seen = np.zeros(shape, dtype=bool)
+    for lineno, row in rows:
+        where = f"{path}: line {lineno}"
+        if len(row) != n_fields:
+            raise ValueError(f"{where}: each row needs '{layout}', got {len(row)} fields")
+        try:
+            idx = tuple(int(x) - 1 for x in row[:len(shape)])
+            vals = [float(x) for x in row[len(shape):]]
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        if not all(0 <= i < n for i, n in zip(idx, shape)):
+            raise ValueError(f"{where}: index {' '.join(row[:len(shape)])} outside "
+                             f"1..{' x 1..'.join(map(str, shape))}")
+        if seen[idx]:
+            raise ValueError(f"{where}: duplicate row for index {' '.join(row[:len(shape)])}")
+        if not all(map(math.isfinite, vals)):
+            raise ValueError(f"{where}: non-finite value")
+        seen[idx] = True
+        yield idx, vals
+
+
+def read_cauchy(path) -> CauchyData:
+    header, rows = _read_table(path, "R Nx kmin kmax Nk delta seed", ("R",))
     R, n_cells, k_min, k_max, n_k, delta, seed = (
         float(header[0]), int(header[1]), float(header[2]), float(header[3]),
         int(header[4]), float(header[5]), int(header[6]),
     )
     grid = Grid2D(R, n_cells)
-    kg = make_kgrid(k_min, k_max, n_k)
     if len(rows) != grid.n_nodes * n_k:
         raise ValueError(f"{path}: expected {grid.n_nodes * n_k} data rows, found {len(rows)}")
+    kg = make_kgrid(k_min, k_max, n_k)
     g0 = np.zeros((grid.n_nodes, n_k), dtype=complex)
     g1 = np.zeros_like(g0)
-    for row in rows:
-        if len(row) != 6:
-            raise ValueError(
-                f"{path}: each row needs 'j k_index Re(g0) Im(g0) Re(g1) Im(g1)', got {len(row)} fields"
-            )
-        j, m = int(row[0]) - 1, int(row[1]) - 1
-        g0[j, m] = float(row[2]) + 1j * float(row[3])
-        g1[j, m] = float(row[4]) + 1j * float(row[5])
+    for jm, (re0, im0, re1, im1) in _fill(path, rows, g0.shape,
+                                          "j k_index Re(g0) Im(g0) Re(g1) Im(g1)"):
+        g0[jm] = re0 + 1j * im0
+        g1[jm] = re1 + 1j * im1
     return CauchyData(grid=grid, kgrid=kg, g0=g0, g1=g1, noise_level=delta,
                       seed=None if seed < 0 else seed)
 
@@ -103,28 +135,13 @@ def write_coefficient(coeff: Coefficient, path) -> None:
 
 
 def read_coefficient(path) -> Coefficient:
-    with open(path) as f:
-        lines = f.read().splitlines()
-    header = None
-    rows = []
-    for ln in lines:
-        ln = ln.strip()
-        if not ln:
-            continue
-        if ln.startswith("#"):
-            fields = ln[1:].split()
-            if fields and fields[0] not in ("R", "i"):
-                header = fields
-            continue
-        rows.append(ln.split())
-    if header is None:
-        raise ValueError(f"{path}: missing '# R Nx' header")
+    header, rows = _read_table(path, "R Nx", ("R", "i"))
     grid = Grid2D(float(header[0]), int(header[1]))
-    values = np.zeros((grid.n_nodes, grid.n_nodes))
     if len(rows) != grid.n_points:
         raise ValueError(f"{path}: expected {grid.n_points} rows, found {len(rows)}")
-    for row in rows:
-        values[int(row[0]) - 1, int(row[1]) - 1] = float(row[2])
+    values = np.zeros((grid.n_nodes, grid.n_nodes))
+    for ij, (a,) in _fill(path, rows, values.shape, "i j a"):
+        values[ij] = a
     return Coefficient(grid=grid, values=values)
 
 
@@ -144,19 +161,8 @@ def read_history(path):
             if not ln or ln.startswith("#"):
                 continue
             n, J, gn, am = ln.split()
-            records.append(IterationRecord(int(n), float(J), float(gn), float(am), wall_time=0.0))
+            records.append(IterationRecord(int(n), float(J), float(gn), float(am)))
     return records
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    inputs: dict
-    config: dict
-    seed: int | None
-    outputs: dict
-    started: str
-    finished: str
 
 
 def _sha256(path) -> str:
@@ -176,15 +182,15 @@ def write_manifest(command: str, inputs, config, seed, outputs, out_path, starte
     """
     if isinstance(config, InversionConfig):
         config = asdict(config)
-    manifest = RunManifest(
-        command=command,
-        inputs={str(p): _sha256(p) for p in inputs},
-        config=config,
-        seed=seed,
-        outputs={str(p): _sha256(p) for p in outputs},
-        started=time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(started)),
-        finished=time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-    )
+    manifest = {
+        "command": command,
+        "inputs": {str(p): _sha256(p) for p in inputs},
+        "config": config,
+        "seed": seed,
+        "outputs": {str(p): _sha256(p) for p in outputs},
+        "started": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(started)),
+        "finished": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
+    }
     with open(out_path, "w") as f:
-        json.dump(asdict(manifest), f, indent=2, sort_keys=True)
+        json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")

@@ -28,8 +28,6 @@ __all__ = [
     "CarlemanWeight",
     "ObjectiveParams",
     "residual_Q",
-    "evaluate_J",
-    "gradient_J",
     "evaluate_and_gradient",
 ]
 
@@ -97,7 +95,12 @@ def residual_Q(vhat: CoeffVectorField, bs: BasisSet) -> CoeffVectorField:
     return CoeffVectorField(grid=vhat.grid, data=out)
 
 
-def _assemble(W: CoeffVectorField, params: ObjectiveParams, want_gradient: bool):
+def evaluate_and_gradient(W: CoeffVectorField, params: ObjectiveParams):
+    """Value J(W) >= 0 and gradient 2 conj(dJ/dW) in one pass.
+
+    The gradient is assembled analytically (no differencing) and shares the
+    residual field with the value.
+    """
     grid = W.grid
     if params.F.data.shape != W.data.shape:
         raise ValueError("W and the carrier F must share shape and grid")
@@ -134,9 +137,6 @@ def _assemble(W: CoeffVectorField, params: ObjectiveParams, want_gradient: bool)
     t2 = (w[:, -1, 1:-1] - w[:, -2, 1:-1]) / h
     J += params.alpha1 * h * float(np.sum(np.abs(w[:, -1, :]) ** 2))
     J += params.alpha2 * h * float(np.sum(np.abs(t2) ** 2))
-
-    if not want_gradient:
-        return J, None
 
     # Residual part: y is the conjugation weight h^2 phi^2 Q; each stencil's
     # adjoint scatters it back, with the B multipliers evaluated at vhat.
@@ -194,19 +194,3 @@ def _assemble(W: CoeffVectorField, params: ObjectiveParams, want_gradient: bool)
     grad = CoeffVectorField(grid=grid, data=2 * g)
     return J, grad
 
-
-def evaluate_J(W: CoeffVectorField, params: ObjectiveParams) -> float:
-    """Value of the functional; always nonnegative."""
-    J, _ = _assemble(W, params, want_gradient=False)
-    return J
-
-
-def gradient_J(W: CoeffVectorField, params: ObjectiveParams) -> CoeffVectorField:
-    """Gradient 2 conj(dJ/dW), assembled analytically (no differencing)."""
-    _, grad = _assemble(W, params, want_gradient=True)
-    return grad
-
-
-def evaluate_and_gradient(W: CoeffVectorField, params: ObjectiveParams):
-    """Value and gradient in one pass; the residual field is shared."""
-    return _assemble(W, params, want_gradient=True)

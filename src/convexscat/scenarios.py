@@ -15,7 +15,6 @@ import yaml
 from .basis import make_kgrid
 from .forward import (
     CauchyData,
-    Coefficient,
     Disk,
     Grid2D,
     IncidentWave,

@@ -16,7 +16,7 @@ from .basis import BasisSet, build_basis, make_kgrid
 from .cylinder import disk_total_field
 from .fieldtransform import CoeffVectorField
 from .forward import Disk, Grid2D, IncidentWave, rasterize, solve_forward
-from .inversion import InversionConfig, run_inversion
+from .inversion import run_inversion
 from .objective import CarlemanWeight, ObjectiveParams, evaluate_and_gradient
 from .scenarios import get_scenario, simulate_scenario
 

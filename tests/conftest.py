@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from convexscat.basis import build_basis, make_kgrid

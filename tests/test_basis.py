@@ -16,7 +16,6 @@ from convexscat.basis import (
     BasisError,
     build_basis,
     make_kgrid,
-    matrices_DSB,
     project,
     synthesize,
 )
@@ -107,13 +106,6 @@ def test_structure_holds_on_any_interval(k_min, width, n_modes):
     assert np.abs(gram - np.eye(n_modes)).max() < 1e-8
     assert np.abs(np.diagonal(bs.mat_D) - 1.0).max() < 1e-8
     assert np.abs(np.tril(bs.mat_D, -1)).max() < 1e-8
-
-
-def test_matrices_recompute_identically(default_basis, default_kgrid):
-    D, S, B = matrices_DSB(default_basis, default_kgrid)
-    assert np.array_equal(D, default_basis.mat_D)
-    assert np.array_equal(S, default_basis.mat_S)
-    assert np.array_equal(B, default_basis.tensor_B)
 
 
 def test_project_synthesize_roundtrip_converges():

@@ -2,7 +2,9 @@
 
 The tests call main(argv) in-process and check exit codes, emitted files,
 and manifests.  Exit contract: 0 success (invert: tolerance met), 2 usage
-or format errors, 3 iteration cap reached without meeting the tolerance.
+or format errors, 3 iteration cap reached without meeting the tolerance,
+4 a forward solve failed or its field came too close to zero for the log
+transform.
 """
 
 import hashlib
@@ -17,7 +19,6 @@ from convexscat import (
     IncidentWave,
     InversionConfig,
     Scenario,
-    make_kgrid,
     read_cauchy,
     read_coefficient,
     read_history,
@@ -182,6 +183,18 @@ def test_invert_no_carleman_runs_the_comparison(sim_dir, config_file, tmp_path):
     assert "--no-carleman" in _manifest(tmp_path)["command"]
     coeff = read_coefficient(tmp_path / "coefficient.txt")
     assert np.isfinite(coeff.values).all()
+
+
+def test_invert_resolve_failure_is_exit_4(sim_dir, tmp_path, capsys):
+    # without the weight the descent blows up until a re-solved field
+    # reaches the log floor; that ends the run with one error line
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump({"n_cells": 16, "n_k": 10, "n_modes": 3, "lam": 0.0}))
+    rc = main(["invert", "--data", str(sim_dir / "cauchy_noisy.txt"),
+               "--config", str(cfg_path), "--out", str(tmp_path)])
+    assert rc == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: total_to_log: |u/u_in|")
 
 
 def test_invert_rejects_grid_mismatch(sim_dir, tmp_path, capsys):

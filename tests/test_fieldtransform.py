@@ -9,10 +9,8 @@ from convexscat import (
     Grid2D,
     IncidentWave,
     NearZeroTotalField,
-    build_basis,
     cauchy_to_v_data,
     log_to_coeffs,
-    make_kgrid,
     project,
     rasterize,
     recover_coefficient,
@@ -234,13 +232,12 @@ def test_lined_ordering_roundtrip():
     grid = Grid2D(0.8, 5)
     rng = np.random.default_rng(0)
     data = rng.standard_normal((3, 6, 6)) + 1j * rng.standard_normal((3, 6, 6))
-    W = CoeffVectorField(grid=grid, data=data)
-    flat = W.lined()
+    flat = grid.flatten(data)
     assert flat.shape == (3 * 36,)
-    back = CoeffVectorField.from_lined(grid, flat)
-    assert np.array_equal(back.data, data)
+    assert np.array_equal(grid.unflatten(flat), data)
+    # i fastest, then j, then the component r
     for i, j, r in ((0, 0, 0), (2, 4, 1), (5, 5, 2), (3, 1, 0)):
-        assert flat[grid.lined_index(i, j, r)] == data[r, i, j]
+        assert flat[i + 6 * j + 36 * r] == data[r, i, j]
 
 
 def test_smoothing_is_off_at_zero_width():

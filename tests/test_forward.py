@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from convexscat import (
-    CauchyData,
     Disk,
     Grid2D,
     IncidentWave,

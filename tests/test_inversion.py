@@ -11,7 +11,6 @@ from convexscat import (
     InversionConfig,
     Scenario,
     ablation_no_weight,
-    get_scenario,
     run_inversion,
     simulate_scenario,
 )
@@ -70,8 +69,6 @@ def test_small_run_converges_with_consistent_records(small_case):
     Js = [r.J_value for r in res.records]
     assert all(b <= a * 1.01 for a, b in zip(Js, Js[1:]))
     assert np.all(res.coefficient.values >= 0)
-    assert all(r.wall_time >= 0 for r in res.records)
-    assert all(b.wall_time >= a.wall_time for a, b in zip(res.records, res.records[1:]))
 
 
 def test_clamping_is_output_only(small_case):
@@ -117,6 +114,9 @@ def test_ablation_reports_rises_and_survives_solve_failure(small_case):
     Js = [r.J_value for r in res.records]
     # the run got worse after its best point, which is why best-iterate matters
     assert min(Js) < Js[-1]
+    # the failed step is recorded once; only the re-solves that succeeded count
+    assert res.n_gradient_evals == len(res.records)
+    assert res.n_forward_solves == len(res.records) - 1
 
 
 def test_mismatched_inputs_are_rejected(small_case):
@@ -129,16 +129,6 @@ def test_mismatched_inputs_are_rejected(small_case):
         run_inversion(noisy, WAVE, replace(cfg, n_k=12))
     with pytest.raises(ValueError):
         run_inversion(noisy, WAVE, replace(cfg, k_max=2.5))
-
-
-def test_null_scatterer_exits_immediately():
-    truth, clean, _ = simulate_scenario(get_scenario("null"))
-    cfg = get_scenario("null").config
-    res = run_inversion(clean, WAVE, cfg)
-    assert res.converged
-    assert len(res.records) <= 3
-    assert float(np.abs(res.coefficient.values).max()) < 0.05
-    assert np.array_equal(truth.values, np.zeros_like(truth.values))
 
 
 def test_reference_run_decreases_objective(example1_run):

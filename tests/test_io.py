@@ -96,6 +96,29 @@ def test_cauchy_reader_rejects_malformed_files(tmp_path):
     with pytest.raises(ValueError, match="fields"):
         read_cauchy(p)
 
+    _assert_bad_row_rejected(read_cauchy, tmp_path, lines, n_comments=2)
+
+
+def _assert_bad_row_rejected(reader, tmp_path, lines, n_comments):
+    """Corrupt the second data row in turn; the error must name its line."""
+    first = lines[n_comments].split()
+    second = lines[n_comments + 1].split()
+    bad_rows = {
+        "index 0": ["0"] + second[1:],  # would wrap onto the last row
+        "index past the grid": ["99"] + second[1:],
+        "duplicate": first,
+        "nan": second[:-1] + ["nan"],
+        "inf": second[:-1] + ["-inf"],
+        "not a number": second[:-1] + ["x"],
+    }
+    for case, row in bad_rows.items():
+        p = tmp_path / "corrupt.txt"
+        p.write_text("\n".join(lines[:n_comments + 1] + [" ".join(row)]
+                               + lines[n_comments + 2:]) + "\n")
+        with pytest.raises(ValueError, match=f"line {n_comments + 2}:") as info:
+            reader(p)
+        assert str(p) in str(info.value), case
+
 
 def test_coefficient_roundtrip_bitexact(tmp_path):
     grid = Grid2D(0.8, 7)
@@ -133,21 +156,28 @@ def test_coefficient_reader_rejects_malformed_files(tmp_path):
     with pytest.raises(ValueError, match="rows"):
         read_coefficient(p)
 
+    # the row count is checked before the header's grid is allocated
+    p = tmp_path / "huge_header.txt"
+    p.write_text("\n".join(lines[:1] + ["# 0.8 300000"] + lines[2:]) + "\n")
+    with pytest.raises(ValueError, match="rows"):
+        read_coefficient(p)
+
+    p = tmp_path / "narrow.txt"
+    p.write_text("\n".join(lines[:3] + [" ".join(ln.split()[:2]) for ln in lines[3:]]) + "\n")
+    with pytest.raises(ValueError, match="fields"):
+        read_coefficient(p)
+
+    _assert_bad_row_rejected(read_coefficient, tmp_path, lines, n_comments=3)
+
 
 def test_history_roundtrip(tmp_path):
     records = [
-        IterationRecord(0, 12.345678901234567, 1.2e-3, 0.0, wall_time=0.01),
-        IterationRecord(1, 7.0, 9.876543210987654e-05, 2.9999999999999996, wall_time=0.52),
+        IterationRecord(0, 12.345678901234567, 1.2e-3, 0.0),
+        IterationRecord(1, 7.0, 9.876543210987654e-05, 2.9999999999999996),
     ]
     path = tmp_path / "history.txt"
     write_history(records, path)
-    back = read_history(path)
-
-    assert [(r.n, r.J_value, r.gradient_norm, r.a_max) for r in back] == [
-        (r.n, r.J_value, r.gradient_norm, r.a_max) for r in records
-    ]
-    # wall clock is run-specific and deliberately not persisted
-    assert all(r.wall_time == 0.0 for r in back)
+    assert read_history(path) == records
 
 
 def test_history_reader_skips_comments_and_blanks(tmp_path):

@@ -2,8 +2,8 @@
 
 The main oracle is _loop_J: a deliberately slow node-by-node transcription
 of the discretized functional that addresses the unknowns only through the
-lined (flat) indexing.  Agreement with evaluate_J therefore pins both the
-arithmetic and the index bookkeeping at once.
+lined (flat) indexing.  Agreement with evaluate_and_gradient therefore pins
+both the arithmetic and the index bookkeeping at once.
 """
 
 import math
@@ -21,8 +21,6 @@ from convexscat import (
     ObjectiveParams,
     build_basis,
     evaluate_and_gradient,
-    evaluate_J,
-    gradient_J,
     make_kgrid,
     residual_Q,
 )
@@ -54,6 +52,10 @@ def _params(bs, F, rho=1e-5, alpha1=1e-3, alpha2=1e-5, lam=5.0, shift=1.0):
     )
 
 
+def _J(W, params):
+    return evaluate_and_gradient(W, params)[0]
+
+
 def _loop_J(W, F, params):
     """Node-by-node transcription of the functional over the lined vector.
 
@@ -67,8 +69,8 @@ def _loop_J(W, F, params):
     N = W.n_modes
     h = grid.h
     nodes = grid.nodes
-    w = W.lined()
-    wh = w + F.lined()
+    w = grid.flatten(W.data)
+    wh = w + grid.flatten(F.data)
     lam, shift = params.weight.lam, params.weight.shift
     D, S, B = params.bs.mat_D, params.bs.mat_S, params.bs.tensor_B
 
@@ -130,7 +132,7 @@ def test_value_matches_loop_oracle_tiny():
     rng = np.random.default_rng(3)
     W = _rand_field(grid, 1, rng, scale=0.5)
     params = _params(bs, _zero_field(grid, 1))
-    J = evaluate_J(W, params)
+    J = _J(W, params)
     J_loop = _loop_J(W, _zero_field(grid, 1), params)
     assert abs(J - J_loop) <= 1e-12 * max(1.0, abs(J_loop))
 
@@ -143,7 +145,7 @@ def test_value_matches_loop_oracle_with_carrier():
     W = _rand_field(grid, 3, rng, scale=0.3)
     F = _rand_field(grid, 3, rng, scale=0.2)
     params = _params(bs, F, rho=3e-4, alpha1=2e-2, alpha2=7e-4, lam=2.5)
-    J = evaluate_J(W, params)
+    J = _J(W, params)
     J_loop = _loop_J(W, F, params)
     assert abs(J - J_loop) <= 1e-12 * max(1.0, abs(J_loop))
 
@@ -209,8 +211,9 @@ def test_zero_argument_is_stationary(small_basis):
     grid = Grid2D(0.8, 6)
     W = _zero_field(grid, 2)
     params = _params(small_basis, _zero_field(grid, 2))
-    assert evaluate_J(W, params) == 0.0
-    assert np.max(np.abs(gradient_J(W, params).data)) == 0.0
+    J, grad = evaluate_and_gradient(W, params)
+    assert J == 0.0
+    assert np.max(np.abs(grad.data)) == 0.0
 
 
 def test_weight_closed_form_values():
@@ -225,10 +228,10 @@ def test_weight_closed_form_values():
 
 
 def _fd_pair(W, params, delta, t=1e-6):
-    Jp = evaluate_J(CoeffVectorField(grid=W.grid, data=W.data + t * delta), params)
-    Jm = evaluate_J(CoeffVectorField(grid=W.grid, data=W.data - t * delta), params)
+    Jp = _J(CoeffVectorField(grid=W.grid, data=W.data + t * delta), params)
+    Jm = _J(CoeffVectorField(grid=W.grid, data=W.data - t * delta), params)
     fd = (Jp - Jm) / (2 * t)
-    ip = float(np.real(np.vdot(gradient_J(W, params).data, delta)))
+    ip = float(np.real(np.vdot(evaluate_and_gradient(W, params)[1].data, delta)))
     return fd, ip
 
 
@@ -251,13 +254,13 @@ def test_gradient_consistent_along_descent(small_basis):
     W = _rand_field(grid, 2, rng, scale=0.05)
     params = _params(small_basis, _rand_field(grid, 2, rng, scale=0.05))
     visited = [W]
-    J_seen = [evaluate_J(W, params)]
+    J_seen = [_J(W, params)]
     for _ in range(2):
-        g = gradient_J(visited[-1], params)
+        g = evaluate_and_gradient(visited[-1], params)[1]
         visited.append(
             CoeffVectorField(grid=grid, data=visited[-1].data - 3e-4 * g.data)
         )
-        J_seen.append(evaluate_J(visited[-1], params))
+        J_seen.append(_J(visited[-1], params))
     assert all(b < a for a, b in zip(J_seen, J_seen[1:]))
     for Wn in visited:
         delta = rng.standard_normal(Wn.data.shape)
@@ -321,11 +324,11 @@ def test_pure_regularizer_gradient_matches_explicit_matrix():
     rng = np.random.default_rng(23)
     W = _rand_field(grid, 1, rng, scale=1.0)
     M = _h2_form_matrix(grid, rho, a1, a2)
-    flat = W.lined()
+    flat = grid.flatten(W.data)
     expected_grad = 2 * (M @ flat)
-    got = gradient_J(W, params).lined()
+    J, grad = evaluate_and_gradient(W, params)
+    got = grid.flatten(grad.data)
     assert np.max(np.abs(got - expected_grad)) <= 1e-12 * np.max(np.abs(expected_grad))
-    J = evaluate_J(W, params)
     J_form = float(np.real(np.vdot(flat, M @ flat)))
     assert abs(J - J_form) <= 1e-12 * J_form
 
@@ -344,22 +347,12 @@ def test_raising_weight_strength_never_raises_residual(default_basis, seed, lam_
             rho=0.0, alpha1=0.0, alpha2=0.0,
             weight=CarlemanWeight(lam=lam, shift=1.0), bs=default_basis, F=F,
         )
-        return evaluate_J(W, p)
+        return _J(W, p)
 
     J_lo = residual_term(lam_lo)
     J_hi = residual_term(lam_lo + step)
     assert J_lo >= 0 and J_hi >= 0
     assert J_hi <= J_lo * (1 + 1e-12) + 1e-15
-
-
-def test_evaluate_and_gradient_agree_with_separate_calls(small_basis):
-    grid = Grid2D(0.8, 6)
-    rng = np.random.default_rng(31)
-    W = _rand_field(grid, 2, rng)
-    params = _params(small_basis, _rand_field(grid, 2, rng))
-    J, grad = evaluate_and_gradient(W, params)
-    assert J == evaluate_J(W, params)
-    assert np.array_equal(grad.data, gradient_J(W, params).data)
 
 
 def test_invalid_parameters_rejected(small_basis):
@@ -375,4 +368,4 @@ def test_invalid_parameters_rejected(small_basis):
     params = _params(small_basis, F)
     bad = _zero_field(Grid2D(0.8, 8), 2)
     with pytest.raises(ValueError):
-        evaluate_J(bad, params)
+        evaluate_and_gradient(bad, params)

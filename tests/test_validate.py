@@ -8,8 +8,6 @@ gates, not re-run here.
 
 import dataclasses
 
-import numpy as np
-
 from convexscat import build_basis, make_kgrid
 from convexscat.validate import (
     CheckResult,
