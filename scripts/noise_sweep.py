@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from convexscat import IncidentWave, get_scenario, run_inversion, simulate_scenario
+from convexscat import get_scenario, run_inversion, simulate_scenario
 
 
 def main(argv=None):
@@ -28,7 +28,7 @@ def main(argv=None):
     for delta in args.deltas:
         sc = dataclasses.replace(base, noise_level=delta, seed=args.seed)
         _, _, noisy = simulate_scenario(sc)
-        result = run_inversion(noisy, IncidentWave(), sc.config)
+        result = run_inversion(noisy, sc.config)
 
         v = result.coefficient.values
         i, j = np.unravel_index(int(np.argmax(v)), v.shape)

@@ -74,8 +74,8 @@ def make_kgrid(
     nodes_per_panel: int = 16,
 ) -> KGrid:
     """Build a KGrid with n_sub midpoint nodes and a composite GL quadrature."""
-    if not (0 < k_min < k_max):
-        raise ValueError(f"need 0 < k_min < k_max, got [{k_min}, {k_max}]")
+    if not (0 < k_min < k_max < np.inf):
+        raise ValueError(f"need 0 < k_min < k_max < inf, got [{k_min}, {k_max}]")
     if n_sub < 1:
         raise ValueError("n_sub must be >= 1")
     h_k = (k_max - k_min) / n_sub

@@ -8,23 +8,12 @@ in the lower part of the domain where backscatter data cannot see well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .fieldtransform import CoeffVectorField
 from .forward import Grid2D
 
-__all__ = ["CutoffProfile", "build_cutoff", "build_carrier"]
-
-
-@dataclass(frozen=True)
-class CutoffProfile:
-    """chi sampled on the x2 grid line: 0 below -xi, 1 above half_width - xi."""
-
-    half_width: float
-    xi: float
-    values: np.ndarray
+__all__ = ["build_cutoff", "build_carrier"]
 
 
 def _chi0(t: np.ndarray, half_width: float, xi: float) -> np.ndarray:
@@ -35,12 +24,13 @@ def _chi0(t: np.ndarray, half_width: float, xi: float) -> np.ndarray:
     return out
 
 
-def build_cutoff(half_width: float, xi: float, grid: Grid2D) -> CutoffProfile:
+def build_cutoff(xi: float, grid: Grid2D) -> np.ndarray:
     """Sample chi(t) = chi0(t) / (chi0(t) + chi0(R - t - 2 xi)) on grid rows.
 
-    The two bump halves never vanish together on [-R, R], so the ratio is
-    well defined; this is asserted rather than patched.
+    chi is 0 below -xi and 1 above R - xi, R = grid.half_width.  The bump
+    halves never vanish together on [-R, R]; this is asserted, not patched.
     """
+    half_width = grid.half_width
     if not (0 < xi < half_width):
         raise ValueError("need 0 < xi < half_width")
     t = grid.nodes
@@ -49,13 +39,14 @@ def build_cutoff(half_width: float, xi: float, grid: Grid2D) -> CutoffProfile:
     den = c_lo + c_hi
     if np.any(den <= 0):
         raise ArithmeticError("cutoff denominator vanished on the grid line")
-    return CutoffProfile(half_width=half_width, xi=xi, values=c_lo / den)
+    return c_lo / den
 
 
-def build_carrier(G0: np.ndarray, G1: np.ndarray, cutoff: CutoffProfile, grid: Grid2D) -> CoeffVectorField:
+def build_carrier(G0: np.ndarray, G1: np.ndarray, chi: np.ndarray, grid: Grid2D) -> CoeffVectorField:
     """F_n(x) = [G0_n(x1) + (x2 - R) G1_n(x1)] chi(x2).
 
-    G0, G1 are the boundary coefficient arrays of shape (n_modes, n_nodes).
+    G0, G1 are the boundary coefficient arrays of shape (n_modes, n_nodes),
+    chi the build_cutoff samples.
     Because the x2-dependent factors do not involve k, combining the already
     projected data is identical to projecting the lifted scalar field; on the
     top row chi = 1 and the linear term vanishes, so F equals G0 there
@@ -67,4 +58,4 @@ def build_carrier(G0: np.ndarray, G1: np.ndarray, cutoff: CutoffProfile, grid: G
         raise ValueError("boundary coefficient arrays must be (n_modes, n_nodes)")
     x2 = grid.nodes
     lift = G0[:, None, :] + (x2[None, :, None] - grid.half_width) * G1[:, None, :]
-    return CoeffVectorField(grid=grid, data=lift * cutoff.values[None, :, None])
+    return CoeffVectorField(grid=grid, data=lift * chi[None, :, None])

@@ -6,7 +6,8 @@ checked and reproduced.  Exit codes: 0 on success (for invert: tolerance
 met), 2 on usage or format errors, 3 when an inversion hits the iteration
 cap without meeting the tolerance, 4 when a forward solve fails
 (IllConditionedSystem) or its field comes too close to zero for the log
-transform (NearZeroTotalField).
+transform (NearZeroTotalField); invert then still writes history.txt and
+manifest.json for the iterations that ran, but no coefficient.txt.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 import yaml
 
 from .fieldtransform import NearZeroTotalField
-from .forward import IllConditionedSystem, IncidentWave
+from .forward import IllConditionedSystem
 from .inversion import ablation_no_weight, run_inversion
 from .io import (
     read_cauchy,
@@ -73,6 +74,11 @@ def cmd_simulate(args) -> int:
         "scenario": sc.name,
         "noise_level": sc.noise_level,
         "refine": sc.refine,
+        "half_width": sc.half_width,
+        "n_cells": sc.n_cells,
+        "k_min": sc.k_min,
+        "k_max": sc.k_max,
+        "n_k": sc.n_k,
         "inversion": asdict(sc.config),
     }
     write_manifest("simulate", inputs, config, seed, list(paths.values()),
@@ -97,17 +103,23 @@ def cmd_invert(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     runner = ablation_no_weight if args.no_carleman else run_inversion
-    result = runner(cd, IncidentWave(), cfg)
-    for w in result.warnings:
-        print(f"warning: {w}", file=sys.stderr)
+    result = runner(cd, cfg)
 
     coeff_path = os.path.join(args.out, "coefficient.txt")
     hist_path = os.path.join(args.out, "history.txt")
-    write_coefficient(result.coefficient, coeff_path)
+    # the comparison run keeps its best iterate through a failed re-solve
+    failed = result.error is not None and not args.no_carleman
+    outputs = [hist_path] if failed else [coeff_path, hist_path]
+    if not failed:
+        write_coefficient(result.coefficient, coeff_path)
     write_history(result.records, hist_path)
     write_manifest("invert" + (" --no-carleman" if args.no_carleman else ""),
-                   inputs, cfg, cd.seed, [coeff_path, hist_path],
+                   inputs, cfg, cd.seed, outputs,
                    os.path.join(args.out, "manifest.json"), started)
+    if failed:
+        raise result.error
+    for w in result.warnings:
+        print(f"warning: {w}", file=sys.stderr)
 
     last = result.records[-1]
     peak = float(result.coefficient.values.max())

@@ -77,12 +77,12 @@ def _check_floor(p: np.ndarray, what: str) -> None:
         )
 
 
-def total_to_log(fields: np.ndarray, wave: IncidentWave, grid: Grid2D, kg: KGrid) -> LogField:
+def total_to_log(fields: np.ndarray, grid: Grid2D, kg: KGrid) -> LogField:
     """v = Log(u/u_in)/k^2 on the whole grid for every wavenumber midpoint."""
     fields = np.asarray(fields)
     X1, X2 = grid.mesh()
     ks = kg.midpoints
-    u_in = np.stack([wave.field(X1, X2, k) for k in ks])
+    u_in = np.stack([IncidentWave().field(X1, X2, k) for k in ks])
     p = fields / u_in
     _check_floor(p, "total_to_log")
     v = np.log(p) / (ks[:, None, None] ** 2)
@@ -96,7 +96,7 @@ def log_to_coeffs(lf: LogField, bs: BasisSet) -> CoeffVectorField:
     return CoeffVectorField(grid=lf.grid, data=np.moveaxis(coeffs, -1, 0))
 
 
-def cauchy_to_v_data(cd: CauchyData, wave: IncidentWave, bs: BasisSet):
+def cauchy_to_v_data(cd: CauchyData, bs: BasisSet):
     """Transform measured traces (g0, g1) into basis coefficients (G0, G1) on Gamma.
 
     g~0 = Log(g0/u_in)/k^2 and, by the chain rule through v = Log(u/u_in)/k^2,
@@ -108,6 +108,7 @@ def cauchy_to_v_data(cd: CauchyData, wave: IncidentWave, bs: BasisSet):
         raise ValueError("basis and data live on different wavenumber grids")
     ks = kg.midpoints
     x1 = cd.grid.nodes
+    wave = IncidentWave()
     u_in = wave.field(x1[:, None], cd.grid.half_width, ks[None, :])
     p0 = cd.g0 / u_in
     _check_floor(p0, "cauchy_to_v_data")

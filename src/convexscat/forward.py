@@ -14,6 +14,7 @@ evaluated at every node; this is an exact reduction of the full system.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -56,8 +57,8 @@ class Grid2D:
     n_cells: int
 
     def __post_init__(self):
-        if self.half_width <= 0:
-            raise ValueError("half_width must be positive")
+        if not (self.half_width > 0 and math.isfinite(2 * self.half_width)):
+            raise ValueError(f"half_width must be positive and finite, got {self.half_width}")
         if self.n_cells < 2:
             raise ValueError("need at least two cells per side")
 
@@ -151,7 +152,6 @@ class Coefficient:
 
     grid: Grid2D
     values: np.ndarray
-    shapes: tuple = ()
     cell_mean: np.ndarray | None = None
 
     def quadrature_mean(self) -> np.ndarray:
@@ -208,21 +208,14 @@ def rasterize(shapes, grid: Grid2D, require_interior: bool = True) -> Coefficien
             raise ValueError(
                 f"support touches the domain boundary at {ii.size} nodes, first at {where}"
             )
-    return Coefficient(grid=grid, values=values, shapes=tuple(shapes), cell_mean=cell_mean)
+    return Coefficient(grid=grid, values=values, cell_mean=cell_mean)
 
 
-@dataclass(frozen=True)
 class IncidentWave:
-    """Downward plane wave exp(ik(d1 x1 + d2 x2)) with unit direction, d2 < 0."""
+    """Plane wave exp(ik(d1 x1 + d2 x2)) with the fixed direction d = (0, -1),
+    for which the log transform and the recovery formula are derived."""
 
-    direction: tuple[float, float] = (0.0, -1.0)
-
-    def __post_init__(self):
-        d1, d2 = self.direction
-        if abs(d1 * d1 + d2 * d2 - 1.0) > 1e-12:
-            raise ValueError("direction must be a unit vector")
-        if d2 >= 0:
-            raise ValueError("incident wave must travel downward (d2 < 0)")
+    direction = (0.0, -1.0)
 
     def field(self, x1, x2, k):
         d1, d2 = self.direction
@@ -268,7 +261,7 @@ def _kernel_table(grid: Grid2D, k: float) -> np.ndarray:
     return vals[inv]
 
 
-def solve_forward(coeff: Coefficient, wave: IncidentWave, k: float) -> np.ndarray:
+def solve_forward(coeff: Coefficient, k: float) -> np.ndarray:
     """Total field u on the grid for one wavenumber.
 
     Solves the collocated integral equation restricted to the support of a,
@@ -279,7 +272,7 @@ def solve_forward(coeff: Coefficient, wave: IncidentWave, k: float) -> np.ndarra
         raise ValueError("wavenumber must be positive")
     grid = coeff.grid
     X1, X2 = grid.mesh()
-    u_in = wave.field(X1, X2, k)
+    u_in = IncidentWave().field(X1, X2, k)
     a_flat = grid.flatten(coeff.quadrature_mean())
     sup = np.flatnonzero(a_flat)
     if sup.size == 0:
@@ -311,12 +304,12 @@ def solve_forward(coeff: Coefficient, wave: IncidentWave, k: float) -> np.ndarra
     return grid.unflatten(u_flat)
 
 
-def solve_forward_multi(coeff: Coefficient, wave: IncidentWave, kgrid: KGrid) -> np.ndarray:
+def solve_forward_multi(coeff: Coefficient, kgrid: KGrid) -> np.ndarray:
     """Fields for all wavenumber midpoints, stacked as (n_k, n_nodes, n_nodes)."""
-    return np.stack([solve_forward(coeff, wave, k) for k in kgrid.midpoints])
+    return np.stack([solve_forward(coeff, k) for k in kgrid.midpoints])
 
 
-def trace_cauchy(fields: np.ndarray, coeff: Coefficient, wave: IncidentWave, kgrid: KGrid) -> CauchyData:
+def trace_cauchy(fields: np.ndarray, coeff: Coefficient, kgrid: KGrid) -> CauchyData:
     """Cauchy traces (g0, g1) on the top boundary from solved fields.
 
     g1 comes from differentiating the integral representation in x2, which
@@ -334,6 +327,7 @@ def trace_cauchy(fields: np.ndarray, coeff: Coefficient, wave: IncidentWave, kgr
     sup = mean != 0
     y1, y2, a_s = X1[sup], X2[sup], mean[sup]
 
+    wave = IncidentWave()
     g1 = np.empty_like(g0)
     for m, k in enumerate(kgrid.midpoints):
         du_in = wave.dx2(x1, x2_top, k)

@@ -6,8 +6,9 @@ its gradient at Wn = Vn - F, takes one fixed-size descent step, reads the
 coefficient off the stepped field, re-solves the direct problem with it at
 every wavenumber, and maps the new fields back to Vn+1.  The loop stops when
 consecutive functional values differ by less than the tolerance, or at the
-iteration cap.  Negative values of the final coefficient are cut to zero
-only at output time; inner iterates keep their sign.
+iteration cap, or when a re-solve fails.  Negative values of the final
+coefficient are cut to zero only at output time; inner iterates keep their
+sign.  The grids come from the data, and the cutoff width is xi = R/10.
 
 Two ingredients keep the re-solve well posed.  Measured traces are smoothed
 along the line before the carrier is built (white noise at the grid scale
@@ -15,9 +16,6 @@ would otherwise reach the recovery's second differences at 1/h^2 strength),
 and every recovered coefficient is restricted to the admissible support,
 which clears the outer ring and the row adjacent to the measurement line;
 see _restrict_support.
-
-The incident direction is pinned to (0, -1): the coupled system's first
-order term and the recovery formula are derived for straight-down incidence.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from .fieldtransform import (
     smooth_traces,
     total_to_log,
 )
-from .forward import CauchyData, Coefficient, IncidentWave, solve_forward_multi
+from .forward import CauchyData, Coefficient, IllConditionedSystem, solve_forward_multi
 from .objective import CarlemanWeight, ObjectiveParams, evaluate_and_gradient
 
 __all__ = ["InversionConfig", "IterationRecord", "InversionResult", "run_inversion", "ablation_no_weight"]
@@ -45,7 +43,7 @@ __all__ = ["InversionConfig", "IterationRecord", "InversionResult", "run_inversi
 
 @dataclass(frozen=True)
 class InversionConfig:
-    """All tunables of the reconstruction; defaults are the reference setup."""
+    """Method parameters of the reconstruction; defaults are the reference setup."""
 
     epsilon: float = 1e-3
     rho: float = 1e-5
@@ -56,12 +54,6 @@ class InversionConfig:
     tolerance: float = 1e-3
     max_iterations: int = 25
     n_modes: int = 4
-    n_cells: int = 28
-    n_k: int = 50
-    k_min: float = 0.5
-    k_max: float = 2.0
-    half_width: float = 0.8
-    xi: float | None = None
     # width (in grid spacings) of the Gaussian applied to each measured mode
     # trace along the line before the carrier is assembled; 0 disables
     trace_sigma: float = 2.5
@@ -77,10 +69,6 @@ class InversionConfig:
         if self.trace_sigma < 0:
             raise ValueError("trace smoothing width must be nonnegative")
 
-    @property
-    def xi_value(self) -> float:
-        return self.half_width / 10 if self.xi is None else self.xi
-
 
 @dataclass(frozen=True)
 class IterationRecord:
@@ -92,35 +80,21 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class InversionResult:
+    """error holds the re-solve failure that ended the run early, if any."""
+
     coefficient: Coefficient
     records: tuple
     converged: bool
     n_gradient_evals: int
     n_forward_solves: int
     warnings: tuple = field(default_factory=tuple)
-
-
-def _check_setup(cd: CauchyData, wave: IncidentWave, cfg: InversionConfig) -> None:
-    d1, d2 = wave.direction
-    if abs(d1) > 1e-12 or abs(d2 + 1.0) > 1e-12:
-        raise ValueError("reconstruction requires the straight-down incident direction (0, -1)")
-    if cd.grid.n_cells != cfg.n_cells or abs(cd.grid.half_width - cfg.half_width) > 1e-12:
-        raise ValueError(
-            f"data grid (R={cd.grid.half_width}, Nx={cd.grid.n_cells}) does not match "
-            f"config (R={cfg.half_width}, Nx={cfg.n_cells})"
-        )
-    kg = cd.kgrid
-    if kg.n_sub != cfg.n_k or abs(kg.k_min - cfg.k_min) > 1e-12 or abs(kg.k_max - cfg.k_max) > 1e-12:
-        raise ValueError(
-            f"data wavenumber grid ([{kg.k_min}, {kg.k_max}], {kg.n_sub}) does not match "
-            f"config ([{cfg.k_min}, {cfg.k_max}], {cfg.n_k})"
-        )
+    error: Exception | None = None
 
 
 def _clamped(coeff: Coefficient, clamp: bool) -> Coefficient:
     if not clamp:
         return coeff
-    return Coefficient(grid=coeff.grid, values=np.maximum(coeff.values, 0.0), shapes=coeff.shapes)
+    return Coefficient(grid=coeff.grid, values=np.maximum(coeff.values, 0.0))
 
 
 def _restrict_support(coeff: Coefficient) -> Coefficient:
@@ -135,27 +109,25 @@ def _restrict_support(coeff: Coefficient) -> Coefficient:
     v = coeff.values.copy()
     v[0, :] = v[-1, :] = v[:, 0] = v[:, -1] = 0.0
     v[-2, :] = 0.0
-    return Coefficient(grid=coeff.grid, values=v, shapes=coeff.shapes)
+    return Coefficient(grid=coeff.grid, values=v)
 
 
-def _run_loop(cd: CauchyData, wave: IncidentWave, cfg: InversionConfig, keep_best: bool):
+def _run_loop(cd: CauchyData, cfg: InversionConfig, keep_best: bool):
     """The descent loop of both public runs.
 
-    keep_best disables the tolerance stop, returns the smallest-J iterate
-    instead of the last one, and ends the run early instead of raising when
-    a re-solve fails.
+    keep_best disables the tolerance stop and returns the smallest-J iterate
+    instead of the last one.  A failed re-solve ends either run early.
     """
-    _check_setup(cd, wave, cfg)
     grid = cd.grid
     kg = cd.kgrid
     bs = build_basis(kg, cfg.n_modes)
 
-    G0, G1 = cauchy_to_v_data(cd, wave, bs)
+    G0, G1 = cauchy_to_v_data(cd, bs)
     if cfg.trace_sigma > 0:
         G0 = smooth_traces(G0, cfg.trace_sigma)
         G1 = smooth_traces(G1, cfg.trace_sigma)
-    cutoff = build_cutoff(cfg.half_width, cfg.xi_value, grid)
-    F = build_carrier(G0, G1, cutoff, grid)
+    chi = build_cutoff(grid.half_width / 10, grid)
+    F = build_carrier(G0, G1, chi, grid)
     params = ObjectiveParams(
         rho=cfg.rho,
         alpha1=cfg.alpha1,
@@ -168,6 +140,7 @@ def _run_loop(cd: CauchyData, wave: IncidentWave, cfg: InversionConfig, keep_bes
     V = CoeffVectorField(grid=grid, data=F.data.copy())
     records: list[IterationRecord] = []
     warnings: list[str] = []
+    error = None
     n_solve = 0
     J_prev = None
     rising = 0
@@ -193,15 +166,12 @@ def _run_loop(cd: CauchyData, wave: IncidentWave, cfg: InversionConfig, keep_bes
             V_step = CoeffVectorField(grid=grid, data=W_step.data + F.data)
             a_n = _restrict_support(recover_coefficient(V_step, bs))
             try:
-                fields = solve_forward_multi(a_n, wave, kg)
-                V = log_to_coeffs(total_to_log(fields, wave, grid, kg), bs)
+                fields = solve_forward_multi(a_n, kg)
+                V = log_to_coeffs(total_to_log(fields, grid, kg), bs)
                 n_solve += 1
-            except NearZeroTotalField:
-                if not keep_best:
-                    raise
-                warnings.append(
-                    f"forward re-solve failed at n={n}; run cut short, best iterate kept"
-                )
+            except (NearZeroTotalField, IllConditionedSystem) as exc:
+                error = exc
+                warnings.append(f"forward re-solve failed at n={n}; run cut short")
                 stop = True
 
         records.append(
@@ -220,19 +190,20 @@ def _run_loop(cd: CauchyData, wave: IncidentWave, cfg: InversionConfig, keep_bes
         n_gradient_evals=len(records),
         n_forward_solves=n_solve,
         warnings=tuple(warnings),
+        error=error,
     )
 
 
-def run_inversion(cd: CauchyData, wave: IncidentWave, cfg: InversionConfig) -> InversionResult:
+def run_inversion(cd: CauchyData, cfg: InversionConfig) -> InversionResult:
     """Full reconstruction from measured Cauchy data; see module docstring."""
-    return _run_loop(cd, wave, cfg, keep_best=False)
+    return _run_loop(cd, cfg, keep_best=False)
 
 
-def ablation_no_weight(cd: CauchyData, wave: IncidentWave, cfg: InversionConfig) -> InversionResult:
+def ablation_no_weight(cd: CauchyData, cfg: InversionConfig) -> InversionResult:
     """Unweighted comparison run: lam forced to 0, exactly 20 iterations.
 
     The tolerance stop is disabled; the returned coefficient comes from the
     iterate with the smallest functional value, which is the fairest reading
     of a run that never meets the stopping rule.
     """
-    return _run_loop(cd, wave, replace(cfg, lam=0.0, max_iterations=20), keep_best=True)
+    return _run_loop(cd, replace(cfg, lam=0.0, max_iterations=20), keep_best=True)

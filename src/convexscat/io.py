@@ -5,7 +5,7 @@ write-then-read cycle is bit-for-bit.  Grid and row/column indices are
 1-based in files; in memory everything stays 0-based.  A seed of -1 in a
 data header means "no seed recorded".  The readers reject a data row whose
 index is out of range or repeats an earlier row, or whose value is not a
-finite number, and name its line.
+finite number, and name its line; a bad header value is named the same way.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import asdict
 
 import numpy as np
@@ -56,14 +57,14 @@ def write_cauchy(cd: CauchyData, path) -> None:
 
 
 def _read_table(path, header_spec: str, labels):
-    """Header fields and (1-based line number, fields) data rows of a text file.
+    """Header location and fields, and (1-based line number, fields) data rows.
 
     Comment lines whose first word is in labels name the columns; the other
     comment line is the header, laid out as header_spec.
     """
     with open(path) as f:
         lines = f.read().splitlines()
-    header = None
+    where = header = None
     rows = []
     for lineno, ln in enumerate(lines, start=1):
         ln = ln.strip()
@@ -72,12 +73,21 @@ def _read_table(path, header_spec: str, labels):
         if ln.startswith("#"):
             fields = ln[1:].split()
             if fields and fields[0] not in labels:
-                header = fields
+                where, header = f"{path}: line {lineno}", fields
             continue
         rows.append((lineno, ln.split()))
     if header is None or len(header) != len(header_spec.split()):
         raise ValueError(f"{path}: missing '# {header_spec}' header")
-    return header, rows
+    return where, header, rows
+
+
+@contextmanager
+def _located(where):
+    """Prefix any ValueError raised in the block with where."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def _fill(path, rows, shape, layout: str):
@@ -88,11 +98,9 @@ def _fill(path, rows, shape, layout: str):
         where = f"{path}: line {lineno}"
         if len(row) != n_fields:
             raise ValueError(f"{where}: each row needs '{layout}', got {len(row)} fields")
-        try:
+        with _located(where):
             idx = tuple(int(x) - 1 for x in row[:len(shape)])
             vals = [float(x) for x in row[len(shape):]]
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
         if not all(0 <= i < n for i, n in zip(idx, shape)):
             raise ValueError(f"{where}: index {' '.join(row[:len(shape)])} outside "
                              f"1..{' x 1..'.join(map(str, shape))}")
@@ -105,15 +113,19 @@ def _fill(path, rows, shape, layout: str):
 
 
 def read_cauchy(path) -> CauchyData:
-    header, rows = _read_table(path, "R Nx kmin kmax Nk delta seed", ("R",))
-    R, n_cells, k_min, k_max, n_k, delta, seed = (
-        float(header[0]), int(header[1]), float(header[2]), float(header[3]),
-        int(header[4]), float(header[5]), int(header[6]),
-    )
-    grid = Grid2D(R, n_cells)
+    where, header, rows = _read_table(path, "R Nx kmin kmax Nk delta seed", ("R",))
+    with _located(where):
+        R, n_cells, k_min, k_max, n_k, delta, seed = (
+            float(header[0]), int(header[1]), float(header[2]), float(header[3]),
+            int(header[4]), float(header[5]), int(header[6]),
+        )
+        grid = Grid2D(R, n_cells)
+        if not 0 <= delta < math.inf:
+            raise ValueError(f"noise level must be finite and nonnegative, got {delta}")
     if len(rows) != grid.n_nodes * n_k:
         raise ValueError(f"{path}: expected {grid.n_nodes * n_k} data rows, found {len(rows)}")
-    kg = make_kgrid(k_min, k_max, n_k)
+    with _located(where):
+        kg = make_kgrid(k_min, k_max, n_k)
     g0 = np.zeros((grid.n_nodes, n_k), dtype=complex)
     g1 = np.zeros_like(g0)
     for jm, (re0, im0, re1, im1) in _fill(path, rows, g0.shape,
@@ -135,8 +147,9 @@ def write_coefficient(coeff: Coefficient, path) -> None:
 
 
 def read_coefficient(path) -> Coefficient:
-    header, rows = _read_table(path, "R Nx", ("R", "i"))
-    grid = Grid2D(float(header[0]), int(header[1]))
+    where, header, rows = _read_table(path, "R Nx", ("R", "i"))
+    with _located(where):
+        grid = Grid2D(float(header[0]), int(header[1]))
     if len(rows) != grid.n_points:
         raise ValueError(f"{path}: expected {grid.n_points} rows, found {len(rows)}")
     values = np.zeros((grid.n_nodes, grid.n_nodes))

@@ -1,9 +1,10 @@
 """Builtin scenes and the synthetic measurement pipeline.
 
-A scenario bundles the true inclusions with the simulation and inversion
-settings.  Truth data is produced on a refine-times finer grid than the
-reconstruction grid and subsampled back, so the inversion never sees fields
-computed with its own discretization.
+A scenario bundles the true inclusions with the measurement grid and
+wavenumber range (top-level keys of its YAML) and the inversion's method
+parameters (its config mapping).  Truth data is produced on a refine-times
+finer grid than the reconstruction grid and subsampled back, so the
+inversion never sees fields computed with its own discretization.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from .forward import (
     CauchyData,
     Disk,
     Grid2D,
-    IncidentWave,
     Rectangle,
     add_noise,
     rasterize,
@@ -43,6 +43,11 @@ class Scenario:
     noise_level: float = 0.05
     seed: int | None = 0
     refine: int = 2
+    half_width: float = 0.8
+    n_cells: int = 28
+    k_min: float = 0.5
+    k_max: float = 2.0
+    n_k: int = 50
     config: InversionConfig = field(default_factory=InversionConfig)
 
     def __post_init__(self):
@@ -94,16 +99,14 @@ def simulate_scenario(sc: Scenario, seed: int | None = None):
     is validated on both grids, so inclusions must stay clear of the boundary
     even after refinement.
     """
-    cfg = sc.config
-    grid = Grid2D(cfg.half_width, cfg.n_cells)
-    kgrid = make_kgrid(cfg.k_min, cfg.k_max, cfg.n_k)
-    wave = IncidentWave()
+    grid = Grid2D(sc.half_width, sc.n_cells)
+    kgrid = make_kgrid(sc.k_min, sc.k_max, sc.n_k)
     truth = rasterize(sc.shapes, grid)
 
-    fine_grid = Grid2D(cfg.half_width, cfg.n_cells * sc.refine)
+    fine_grid = Grid2D(sc.half_width, sc.n_cells * sc.refine)
     fine = rasterize(sc.shapes, fine_grid) if sc.refine > 1 else truth
-    fields = solve_forward_multi(fine, wave, kgrid)
-    cd_fine = trace_cauchy(fields, fine, wave, kgrid)
+    fields = solve_forward_multi(fine, kgrid)
+    cd_fine = trace_cauchy(fields, fine, kgrid)
     clean = CauchyData(
         grid=grid,
         kgrid=kgrid,
@@ -157,6 +160,11 @@ def save_scenario(sc: Scenario, path) -> None:
         "noise_level": float(sc.noise_level),
         "seed": sc.seed,
         "refine": int(sc.refine),
+        "half_width": float(sc.half_width),
+        "n_cells": int(sc.n_cells),
+        "k_min": float(sc.k_min),
+        "k_max": float(sc.k_max),
+        "n_k": int(sc.n_k),
         "config": asdict(sc.config),
     }
     with open(path, "w") as f:
@@ -168,6 +176,9 @@ def load_scenario(path) -> Scenario:
         doc = yaml.safe_load(f)
     if not isinstance(doc, dict) or "shapes" not in doc:
         raise ValueError(f"{path}: expected a mapping with a 'shapes' list")
+    extra = set(doc) - set(Scenario.__dataclass_fields__)
+    if extra:
+        raise ValueError(f"{path}: unknown scenario keys: {', '.join(sorted(extra))}")
     cfg = config_from_dict(doc.get("config") or {})
     return Scenario(
         name=doc.get("name", "scenario"),
@@ -175,5 +186,7 @@ def load_scenario(path) -> Scenario:
         noise_level=doc.get("noise_level", 0.05),
         seed=doc.get("seed"),
         refine=doc.get("refine", 2),
+        **{key: doc[key] for key in ("half_width", "n_cells", "k_min", "k_max", "n_k")
+           if key in doc},
         config=cfg,
     )

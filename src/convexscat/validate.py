@@ -77,13 +77,13 @@ def check_forward_oracle(k: float = 2.0, n_cells: int = 28) -> CheckResult:
     """
     grid = Grid2D(0.8, n_cells)
     disk = Disk(center=(0.0, 0.45), radius=0.2, value=3.0)
-    wave = IncidentWave()
     coeff = rasterize([disk], grid)
-    u = solve_forward(coeff, wave, k)
+    u = solve_forward(coeff, k)
 
     X1, X2 = np.meshgrid(grid.nodes, grid.nodes)
     pts = np.stack([X1, X2], axis=-1)
-    exact = disk_total_field(pts, disk.center, disk.radius, disk.value, wave.direction, k)
+    exact = disk_total_field(pts, disk.center, disk.radius, disk.value,
+                             IncidentWave.direction, k)
     r = np.hypot(X1 - disk.center[0], X2 - disk.center[1])
     away = np.abs(r - disk.radius) >= grid.h
     err = float(np.linalg.norm((u - exact)[away]) / np.linalg.norm(exact[away]))
@@ -124,7 +124,7 @@ def check_null_scatterer() -> CheckResult:
     """Zero coefficient, clean data: the loop must exit at once with a ~ 0."""
     sc = get_scenario("null")
     _, clean, _ = simulate_scenario(sc)
-    res = run_inversion(clean, IncidentWave(), sc.config)
+    res = run_inversion(clean, sc.config)
     peak = float(np.abs(res.coefficient.values).max())
     quick = res.converged and len(res.records) <= 3
     return CheckResult("null scatterer", peak < 0.05 and quick, peak, 0.05,

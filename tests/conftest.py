@@ -1,7 +1,6 @@
 import pytest
 
 from convexscat.basis import build_basis, make_kgrid
-from convexscat.forward import IncidentWave
 from convexscat.inversion import ablation_no_weight, run_inversion
 from convexscat.scenarios import get_scenario, simulate_scenario
 
@@ -28,7 +27,7 @@ def example1_run(example1_sim):
     the loop-behavior tests and the acceptance gates."""
     _, _, noisy = example1_sim
     cfg = get_scenario("example1").config
-    return cfg, run_inversion(noisy, IncidentWave(), cfg)
+    return cfg, run_inversion(noisy, cfg)
 
 
 @pytest.fixture(scope="session")
@@ -36,4 +35,4 @@ def example1_ablation(example1_sim):
     """Unweighted 20-iteration comparison run on the same noisy data."""
     _, _, noisy = example1_sim
     cfg = get_scenario("example1").config
-    return cfg, ablation_no_weight(noisy, IncidentWave(), cfg)
+    return cfg, ablation_no_weight(noisy, cfg)

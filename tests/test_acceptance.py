@@ -15,7 +15,6 @@ import pytest
 
 from convexscat import (
     Disk,
-    IncidentWave,
     InversionConfig,
     build_basis,
     get_scenario,
@@ -143,7 +142,7 @@ def test_criterion_6_no_weight_run_is_worse(example1_run, example1_ablation):
 def example2b_run():
     sc = get_scenario("example2b")
     _, _, noisy = simulate_scenario(sc)
-    return run_inversion(noisy, IncidentWave(), sc.config)
+    return run_inversion(noisy, sc.config)
 
 
 def _local_maxima(values, nodes, floor):
@@ -196,14 +195,12 @@ def _emit(tmp, tag, truth, clean, noisy, result):
 def test_criterion_8_reruns_are_bit_identical(
     example1_sim, example1_run, example1_ablation, tmp_path
 ):
-    wave = IncidentWave()
-
     # criterion 4 pipeline, twice from scratch
     sc = get_scenario("null")
     runs = []
     for tag in ("a", "b"):
         truth, clean, noisy = simulate_scenario(sc)
-        result = run_inversion(clean, wave, sc.config)
+        result = run_inversion(clean, sc.config)
         runs.append(_emit(tmp_path, f"null_{tag}", truth, clean, noisy, result))
     assert runs[0] == runs[1]
 
@@ -216,11 +213,11 @@ def test_criterion_8_reruns_are_bit_identical(
     truth2, clean2, noisy2 = simulate_scenario(sc1)
     first = _emit(tmp_path, "ex1_a", truth, clean, noisy, weighted)
     second = _emit(tmp_path, "ex1_b", truth2, clean2, noisy2,
-                   run_inversion(noisy2, wave, cfg))
+                   run_inversion(noisy2, cfg))
     assert first == second
 
     first_abl = _emit(tmp_path, "abl_a", truth, clean, noisy, ablated)
     second_abl = _emit(tmp_path, "abl_b", truth2, clean2, noisy2,
-                       ablation_no_weight(noisy2, wave, cfg))
+                       ablation_no_weight(noisy2, cfg))
     assert first_abl == second_abl
     _report("criterion 8", files_compared=3 * len(first), identical=True)

@@ -4,7 +4,7 @@ The tests call main(argv) in-process and check exit codes, emitted files,
 and manifests.  Exit contract: 0 success (invert: tolerance met), 2 usage
 or format errors, 3 iteration cap reached without meeting the tolerance,
 4 a forward solve failed or its field came too close to zero for the log
-transform.
+transform (invert still writes the history and the manifest).
 """
 
 import hashlib
@@ -37,7 +37,9 @@ def scene_file(tmp_path_factory):
         (Disk(center=(0.0, 0.4), radius=0.25, value=1.5),),
         noise_level=0.05,
         seed=1,
-        config=InversionConfig(n_cells=16, n_k=10, n_modes=3),
+        n_cells=16,
+        n_k=10,
+        config=InversionConfig(n_modes=3),
     )
     path = tmp_path_factory.mktemp("scene") / "small.yaml"
     save_scenario(sc, path)
@@ -53,9 +55,9 @@ def sim_dir(scene_file, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def config_file(tmp_path_factory):
-    # grid settings in the config must match the data header
+    # method parameters only; the grid comes from the data header
     path = tmp_path_factory.mktemp("cfg") / "small.yaml"
-    path.write_text(yaml.safe_dump({"n_cells": 16, "n_k": 10, "n_modes": 3}))
+    path.write_text(yaml.safe_dump({"n_modes": 3}))
     return path
 
 
@@ -84,6 +86,7 @@ def test_simulate_outputs_and_manifest(sim_dir, scene_file):
     assert doc["command"] == "simulate"
     assert doc["seed"] == 1
     assert doc["config"]["scenario"] == "small-disk"
+    assert doc["config"]["n_cells"] == 16 and doc["config"]["n_k"] == 10
     assert doc["inputs"] == {str(scene_file): _sha(scene_file)}
     for path, digest in doc["outputs"].items():
         assert hashlib.sha256(open(path, "rb").read()).hexdigest() == digest
@@ -151,7 +154,7 @@ def test_invert_outputs_and_exit_code(inv_dir, sim_dir):
 
     doc = _manifest(inv_dir)
     assert doc["command"] == "invert"
-    assert doc["config"]["n_cells"] == 16
+    assert doc["config"]["n_modes"] == 3 and "n_cells" not in doc["config"]
     assert str(sim_dir / "cauchy_noisy.txt") in doc["inputs"]
 
 
@@ -165,8 +168,8 @@ def test_invert_is_deterministic(sim_dir, config_file, inv_dir, tmp_path):
 
 def test_invert_reads_config_overrides(sim_dir, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.yaml"
-    cfg_path.write_text(yaml.safe_dump({"n_cells": 16, "n_k": 10, "n_modes": 3,
-                                        "max_iterations": 1, "tolerance": 1e-12}))
+    cfg_path.write_text(yaml.safe_dump({"n_modes": 3, "max_iterations": 1,
+                                        "tolerance": 1e-12}))
     rc = main(["invert", "--data", str(sim_dir / "cauchy_noisy.txt"),
                "--config", str(cfg_path), "--out", str(tmp_path)])
     # cap reached without meeting the (unreachably small) tolerance
@@ -187,21 +190,32 @@ def test_invert_no_carleman_runs_the_comparison(sim_dir, config_file, tmp_path):
 
 def test_invert_resolve_failure_is_exit_4(sim_dir, tmp_path, capsys):
     # without the weight the descent blows up until a re-solved field
-    # reaches the log floor; that ends the run with one error line
+    # reaches the log floor; that ends the run with one error line, and the
+    # iterations that ran are still on record
     cfg_path = tmp_path / "cfg.yaml"
-    cfg_path.write_text(yaml.safe_dump({"n_cells": 16, "n_k": 10, "n_modes": 3, "lam": 0.0}))
+    cfg_path.write_text(yaml.safe_dump({"n_modes": 3, "lam": 0.0}))
+    out = tmp_path / "out"
     rc = main(["invert", "--data", str(sim_dir / "cauchy_noisy.txt"),
-               "--config", str(cfg_path), "--out", str(tmp_path)])
+               "--config", str(cfg_path), "--out", str(out)])
     assert rc == 4
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: total_to_log: |u/u_in|")
 
+    records = read_history(out / "history.txt")
+    assert [r.n for r in records] == list(range(6))
+    assert all(np.isfinite(r.J_value) for r in records)
+    assert not (out / "coefficient.txt").exists()
+    doc = _manifest(out)
+    assert doc["command"] == "invert" and doc["config"]["lam"] == 0.0
+    assert doc["outputs"] == {str(out / "history.txt"): _sha(out / "history.txt")}
 
-def test_invert_rejects_grid_mismatch(sim_dir, tmp_path, capsys):
-    # no config: defaults (28 cells) disagree with the 16-cell data header
+
+def test_invert_takes_the_grid_from_the_data(sim_dir, tmp_path):
+    # no config at all: the defaults hold only method parameters
     rc = main(["invert", "--data", str(sim_dir / "cauchy_noisy.txt"), "--out", str(tmp_path)])
-    assert rc == 2
-    assert "does not match config" in capsys.readouterr().err
+    assert rc in (0, 3)
+    coeff = read_coefficient(tmp_path / "coefficient.txt")
+    assert coeff.grid == read_cauchy(sim_dir / "cauchy_noisy.txt").grid
 
 
 def test_invert_rejects_malformed_data(tmp_path, capsys):
@@ -213,12 +227,14 @@ def test_invert_rejects_malformed_data(tmp_path, capsys):
 
 
 def test_invert_rejects_unknown_config_keys(sim_dir, tmp_path, capsys):
+    # the grid and the cutoff width are no config keys: they come from the data
     cfg_path = tmp_path / "cfg.yaml"
-    cfg_path.write_text(yaml.safe_dump({"stepsize": 1e-3}))
-    rc = main(["invert", "--data", str(sim_dir / "cauchy_noisy.txt"),
-               "--config", str(cfg_path), "--out", str(tmp_path)])
-    assert rc == 2
-    assert "stepsize" in capsys.readouterr().err
+    for key, value in (("stepsize", 1e-3), ("n_cells", 16), ("xi", 0.08)):
+        cfg_path.write_text(yaml.safe_dump({key: value}))
+        rc = main(["invert", "--data", str(sim_dir / "cauchy_noisy.txt"),
+                   "--config", str(cfg_path), "--out", str(tmp_path)])
+        assert rc == 2
+        assert f"unknown config keys: {key}" in capsys.readouterr().err
 
 
 def test_export_tables(inv_dir, tmp_path):

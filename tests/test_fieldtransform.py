@@ -32,9 +32,9 @@ def disk_data(default_kgrid, default_basis):
     # one mid-resolution solve of the reference disk shared by several tests
     grid = Grid2D(0.8, 56)
     truth = rasterize([Disk(center=(0.0, 0.45), radius=0.2, value=3.0)], grid)
-    fields = solve_forward_multi(truth, WAVE, default_kgrid)
-    lf = total_to_log(fields, WAVE, grid, default_kgrid)
-    cd = trace_cauchy(fields, truth, WAVE, default_kgrid)
+    fields = solve_forward_multi(truth, default_kgrid)
+    lf = total_to_log(fields, grid, default_kgrid)
+    cd = trace_cauchy(fields, truth, default_kgrid)
     return grid, truth, fields, lf, cd
 
 
@@ -46,7 +46,7 @@ def _incident_stack(grid, kg):
 def test_log_of_incident_field_is_zero(default_kgrid):
     grid = Grid2D(0.8, 10)
     u_in = _incident_stack(grid, default_kgrid)
-    lf = total_to_log(u_in, WAVE, grid, default_kgrid)
+    lf = total_to_log(u_in, grid, default_kgrid)
     assert np.max(np.abs(lf.v)) <= 1e-14
     assert lf.branch_jumps == 0
 
@@ -59,7 +59,7 @@ def test_log_roundtrip_on_manufactured_field(default_kgrid, default_basis):
     v0 = 0.01 * (X1**2 + X2)[None] * phi1[:, None, None]
     ks = default_kgrid.midpoints[:, None, None]
     u = _incident_stack(grid, default_kgrid) * np.exp(ks**2 * v0)
-    lf = total_to_log(u, WAVE, grid, default_kgrid)
+    lf = total_to_log(u, grid, default_kgrid)
     assert np.max(np.abs(lf.v - v0)) <= 1e-10 * np.max(np.abs(v0))
 
 
@@ -80,14 +80,14 @@ def test_near_zero_field_is_refused(default_kgrid):
     u = _incident_stack(grid, default_kgrid)
     u[3, 4, 4] *= 1e-9
     with pytest.raises(NearZeroTotalField):
-        total_to_log(u, WAVE, grid, default_kgrid)
+        total_to_log(u, grid, default_kgrid)
 
 
 def test_projection_of_zero_field(default_kgrid, default_basis):
     grid = Grid2D(0.8, 8)
     v = np.zeros((default_kgrid.n_sub, grid.n_nodes, grid.n_nodes), dtype=complex)
     lf = total_to_log(np.exp(default_kgrid.midpoints[:, None, None]**2 * v)
-                      * _incident_stack(grid, default_kgrid), WAVE, grid, default_kgrid)
+                      * _incident_stack(grid, default_kgrid), grid, default_kgrid)
     V = log_to_coeffs(lf, default_basis)
     assert np.max(np.abs(V.data)) <= 1e-14
 
@@ -121,7 +121,7 @@ def test_truncation_residual_small_on_reference_disk(default_basis, disk_data):
 
 def test_null_scatterer_data_transforms_to_zero(default_basis):
     _, clean, _ = simulate_scenario(get_scenario("null"))
-    G0, G1 = cauchy_to_v_data(clean, WAVE, default_basis)
+    G0, G1 = cauchy_to_v_data(clean, default_basis)
     assert np.max(np.abs(G0)) <= 1e-12
     assert np.max(np.abs(G1)) <= 1e-12
 
@@ -139,7 +139,7 @@ def test_trace_transform_is_the_substitution_formula(default_kgrid, default_basi
     g0 = u_in * np.exp(k2 * r[:, None])
     g1 = (k2 * q[:, None] - 1j * ks[None, :]) * g0
     cd = CauchyData(grid=grid, kgrid=default_kgrid, g0=g0, g1=g1)
-    G0, G1 = cauchy_to_v_data(cd, WAVE, default_basis)
+    G0, G1 = cauchy_to_v_data(cd, default_basis)
     ones = project(np.ones(default_kgrid.n_sub), default_basis)
     assert np.max(np.abs(G0 - np.outer(ones, r))) <= 1e-12
     assert np.max(np.abs(G1 - np.outer(ones, q))) <= 1e-12
@@ -153,14 +153,14 @@ def test_trace_transform_refuses_near_zero_trace(default_kgrid, default_basis):
     g0[2, 5] *= 1e-9
     cd = CauchyData(grid=grid, kgrid=default_kgrid, g0=g0, g1=np.zeros_like(g0))
     with pytest.raises(NearZeroTotalField):
-        cauchy_to_v_data(cd, WAVE, default_basis)
+        cauchy_to_v_data(cd, default_basis)
 
 
 def test_trace_transform_matches_volume_log_derivative(default_kgrid, default_basis, disk_data):
     # chain-rule formula against one-sided differencing of v near the line,
     # at two resolutions to confirm the gap shrinks at second order
     def gap(grid, truth, fields, lf, cd):
-        G0, G1 = cauchy_to_v_data(cd, WAVE, default_basis)
+        G0, G1 = cauchy_to_v_data(cd, default_basis)
         h = grid.h
         dv = (3 * lf.v[:, -1, :] - 4 * lf.v[:, -2, :] + lf.v[:, -3, :]) / (2 * h)
         FD1 = project(np.moveaxis(dv, 0, -1), default_basis).T
@@ -169,9 +169,9 @@ def test_trace_transform_matches_volume_log_derivative(default_kgrid, default_ba
     coarse = gap(*disk_data)
     grid2 = Grid2D(0.8, 112)
     truth2 = rasterize([Disk(center=(0.0, 0.45), radius=0.2, value=3.0)], grid2)
-    fields2 = solve_forward_multi(truth2, WAVE, default_kgrid)
-    lf2 = total_to_log(fields2, WAVE, grid2, default_kgrid)
-    cd2 = trace_cauchy(fields2, truth2, WAVE, default_kgrid)
+    fields2 = solve_forward_multi(truth2, default_kgrid)
+    lf2 = total_to_log(fields2, grid2, default_kgrid)
+    cd2 = trace_cauchy(fields2, truth2, default_kgrid)
     fine = gap(grid2, truth2, fields2, lf2, cd2)
     assert coarse < 6e-3
     assert coarse / fine > 3.0

@@ -11,6 +11,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from convexscat import (
     CauchyData,
@@ -97,6 +99,29 @@ def test_cauchy_reader_rejects_malformed_files(tmp_path):
         read_cauchy(p)
 
     _assert_bad_row_rejected(read_cauchy, tmp_path, lines, n_comments=2)
+    # header: R Nx kmin kmax Nk delta seed
+    _assert_bad_header_rejected(read_cauchy, tmp_path, lines, header_line=2, bad_fields={
+        "Nx not an integer": (1, "x"),
+        "R nan": (0, "nan"),
+        "R inf": (0, "inf"),
+        "kmax inf": (3, "inf"),
+        "delta nan": (5, "nan"),
+        "delta negative": (5, "-0.1"),
+        "seed not an integer": (6, "1.5"),
+    })
+
+
+def _assert_bad_header_rejected(reader, tmp_path, lines, header_line, bad_fields):
+    """Replace one header field in turn; the error must name the header's line."""
+    header = lines[header_line - 1].split()
+    for case, (i, token) in bad_fields.items():
+        fields = header[:i + 1] + [token] + header[i + 2:]  # header[0] is '#'
+        p = tmp_path / "bad_header.txt"
+        p.write_text("\n".join(lines[:header_line - 1] + [" ".join(fields)]
+                               + lines[header_line:]) + "\n")
+        with pytest.raises(ValueError, match=f"line {header_line}:") as info:
+            reader(p)
+        assert str(p) in str(info.value), case
 
 
 def _assert_bad_row_rejected(reader, tmp_path, lines, n_comments):
@@ -168,6 +193,78 @@ def test_coefficient_reader_rejects_malformed_files(tmp_path):
         read_coefficient(p)
 
     _assert_bad_row_rejected(read_coefficient, tmp_path, lines, n_comments=3)
+    # header: R Nx; a non-finite R used to yield a grid of nan nodes
+    _assert_bad_header_rejected(read_coefficient, tmp_path, lines, header_line=2, bad_fields={
+        "Nx not an integer": (1, "x"),
+        "R nan": (0, "nan"),
+        "R inf": (0, "inf"),
+        "R negative": (0, "-0.8"),
+    })
+
+
+# --- fuzzing: one random mutation of a small valid file -----------------------
+
+def _small_files():
+    grid = Grid2D(0.8, 2)
+    kg = make_kgrid(0.5, 2.0, 2)
+    rng = np.random.default_rng(1)
+    g = rng.standard_normal((2, grid.n_nodes, 2)) + 1j * rng.standard_normal((2, grid.n_nodes, 2))
+    return {
+        "cauchy": CauchyData(grid=grid, kgrid=kg, g0=g[0], g1=g[1], noise_level=0.05, seed=3),
+        "coefficient": Coefficient(grid=grid, values=rng.uniform(0, 2, (3, 3))),
+    }
+
+
+_WRITE = {"cauchy": write_cauchy, "coefficient": write_coefficient}
+_READ = {"cauchy": read_cauchy, "coefficient": read_coefficient}
+_TOKENS = st.one_of(
+    st.sampled_from(["", "x", "nan", "inf", "-1", "0", str(10**30)]),
+    st.floats().map(repr),
+)
+
+
+def _mutate(lines, op, line, token, new):
+    i = line % len(lines)
+    if op == "drop":
+        return lines[:i] + lines[i + 1:]
+    if op == "duplicate":
+        return lines[:i + 1] + lines[i:]
+    words = lines[i].split()
+    words[token % len(words)] = new
+    return lines[:i] + [" ".join(words)] + lines[i + 1:]
+
+
+def _all_finite(*arrays):
+    return all(np.isfinite(np.asarray(a)).all() for a in arrays)
+
+
+@pytest.mark.parametrize("kind", ["cauchy", "coefficient"])
+@given(op=st.sampled_from(["drop", "duplicate", "replace"]), line=st.integers(0, 40),
+       token=st.integers(0, 6), new=_TOKENS)
+@example(op="replace", line=1, token=1, new="nan")  # header R of both formats
+@example(op="replace", line=1, token=1, new="inf")
+@example(op="replace", line=1, token=4, new="inf")  # cauchy kmax
+@example(op="replace", line=1, token=6, new="-1")  # cauchy delta
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_readers_survive_one_mutation(kind, tmp_path, op, line, token, new):
+    """A mutated file either reads back entirely finite or is rejected with a
+    ValueError that names it; any other exception is a reader bug."""
+    good = tmp_path / "good.txt"
+    _WRITE[kind](_small_files()[kind], good)
+    p = tmp_path / "mutated.txt"
+    p.write_text("\n".join(_mutate(good.read_text().splitlines(), op, line, token, new)) + "\n")
+    try:
+        obj = _READ[kind](p)
+    except ValueError as exc:
+        assert str(p) in str(exc)
+        return
+    g = obj.grid
+    assert _all_finite(g.half_width, g.h, g.nodes)
+    if kind == "cauchy":
+        assert _all_finite(obj.kgrid.midpoints, obj.noise_level, obj.g0, obj.g1)
+    else:
+        assert _all_finite(obj.values)
 
 
 def test_history_roundtrip(tmp_path):
@@ -196,13 +293,13 @@ def test_manifest_records_hashes_and_config(tmp_path):
     out_b.write_text("result b\n")
 
     manifest_path = tmp_path / "manifest.json"
-    cfg = InversionConfig(n_cells=8, n_k=3, n_modes=2)
+    cfg = InversionConfig(n_modes=2)
     write_manifest("invert", [inp], cfg, 11, [out_a, out_b], manifest_path, started=0.0)
 
     doc = json.loads(manifest_path.read_text())
     assert doc["command"] == "invert"
     assert doc["seed"] == 11
-    assert doc["config"]["n_cells"] == 8 and doc["config"]["lam"] == 5.0
+    assert doc["config"]["n_modes"] == 2 and doc["config"]["lam"] == 5.0
     assert doc["started"] == "1970-01-01T00:00:00"
 
     for path, digest in {**doc["inputs"], **doc["outputs"]}.items():

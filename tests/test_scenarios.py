@@ -15,7 +15,6 @@ from convexscat import (
     CauchyData,
     Disk,
     Grid2D,
-    IncidentWave,
     InversionConfig,
     Rectangle,
     Scenario,
@@ -31,7 +30,7 @@ from convexscat import (
 )
 from convexscat.scenarios import BUILTIN_SCENARIOS
 
-SMALL = InversionConfig(n_cells=8, n_k=3, n_modes=2)
+SMALL = InversionConfig(n_modes=2)
 
 
 def _small_disk(noise=0.05, seed=1, refine=2):
@@ -41,6 +40,8 @@ def _small_disk(noise=0.05, seed=1, refine=2):
         noise_level=noise,
         seed=seed,
         refine=refine,
+        n_cells=8,
+        n_k=3,
         config=SMALL,
     )
 
@@ -93,6 +94,11 @@ def test_yaml_roundtrip_custom_fields(tmp_path):
         noise_level=0.03,
         seed=None,
         refine=3,
+        half_width=0.9,
+        n_cells=12,
+        k_min=0.4,
+        k_max=1.8,
+        n_k=7,
         config=dataclasses.replace(SMALL, epsilon=2e-4, lam=4.5),
     )
     path = tmp_path / "mixed.yaml"
@@ -100,6 +106,11 @@ def test_yaml_roundtrip_custom_fields(tmp_path):
     loaded = load_scenario(path)
     assert loaded == sc
     assert loaded.seed is None
+    # the measurement setup sits at the top level, method parameters under config
+    doc = yaml.safe_load(path.read_text())
+    assert (doc["half_width"], doc["n_cells"], doc["k_min"], doc["k_max"], doc["n_k"]) == (
+        0.9, 12, 0.4, 1.8, 7)
+    assert set(doc["config"]) == set(dataclasses.asdict(SMALL))
 
 
 def test_load_rejects_bad_documents(tmp_path):
@@ -114,9 +125,15 @@ def test_load_rejects_bad_documents(tmp_path):
     with pytest.raises(ValueError, match="shape type"):
         load_scenario(p)
 
-    doc = {"name": "x", "shapes": [], "config": {"stepsize": 1e-3}}
-    p.write_text(yaml.safe_dump(doc))
-    with pytest.raises(ValueError, match="unknown config keys"):
+    for config in ({"stepsize": 1e-3}, {"n_cells": 16}):
+        doc = {"name": "x", "shapes": [], "config": config}
+        p.write_text(yaml.safe_dump(doc))
+        with pytest.raises(ValueError, match="unknown config keys"):
+            load_scenario(p)
+
+    # a misspelt grid key must not fall back to the default grid
+    p.write_text(yaml.safe_dump({"name": "x", "shapes": [], "n_cell": 8}))
+    with pytest.raises(ValueError, match="unknown scenario keys: n_cell"):
         load_scenario(p)
 
 
@@ -136,11 +153,11 @@ def test_save_rejects_unknown_shape_objects(tmp_path):
 
 def test_simulate_null_scene_is_zero_and_noise_free():
     truth, clean, noisy = simulate_scenario(
-        Scenario("empty", (), noise_level=0.0, config=SMALL)
+        Scenario("empty", (), noise_level=0.0, n_cells=8, n_k=3, config=SMALL)
     )
     assert np.all(truth.values == 0.0)
     assert noisy is clean  # zero noise level returns the same object
-    assert clean.g0.shape == (truth.grid.n_nodes, SMALL.n_k)
+    assert clean.g0.shape == (truth.grid.n_nodes, 3)
 
 
 def test_simulate_is_deterministic_and_seed_overridable():
@@ -161,20 +178,18 @@ def test_simulate_traces_the_refined_solve():
     sc = _small_disk(noise=0.0, refine=2)
     truth, clean, _ = simulate_scenario(sc)
 
-    cfg = sc.config
-    fine_grid = Grid2D(cfg.half_width, cfg.n_cells * 2)
-    kgrid = make_kgrid(cfg.k_min, cfg.k_max, cfg.n_k)
-    wave = IncidentWave()
+    fine_grid = Grid2D(sc.half_width, sc.n_cells * 2)
+    kgrid = make_kgrid(sc.k_min, sc.k_max, sc.n_k)
     fine = rasterize(sc.shapes, fine_grid)
-    cd_fine = trace_cauchy(solve_forward_multi(fine, wave, kgrid), fine, wave, kgrid)
+    cd_fine = trace_cauchy(solve_forward_multi(fine, kgrid), fine, kgrid)
 
     assert np.array_equal(clean.g0, cd_fine.g0[::2])
     assert np.array_equal(clean.g1, cd_fine.g1[::2])
-    assert truth.grid.n_cells == cfg.n_cells
+    assert truth.grid.n_cells == sc.n_cells
 
     coarse = rasterize(sc.shapes, truth.grid)
     cd_coarse = trace_cauchy(
-        solve_forward_multi(coarse, wave, kgrid), coarse, wave, kgrid
+        solve_forward_multi(coarse, kgrid), coarse, kgrid
     )
     assert not np.allclose(clean.g0, cd_coarse.g0)
 
