@@ -11,7 +11,6 @@ gradient descent and in-loop re-solves.
 from .basis import BasisSet, KGrid, build_basis, make_kgrid, project, synthesize
 from .cylinder import disk_total_field
 from .fieldtransform import (
-    CoeffVectorField,
     NearZeroTotalField,
     cauchy_to_v_data,
     log_to_coeffs,
@@ -33,12 +32,7 @@ from .forward import (
     trace_cauchy,
 )
 from .carrier import build_carrier, build_cutoff
-from .objective import (
-    CarlemanWeight,
-    ObjectiveParams,
-    evaluate_and_gradient,
-    residual_Q,
-)
+from .objective import evaluate_and_gradient
 from .inversion import (
     InversionConfig,
     InversionResult,

@@ -38,6 +38,10 @@ __all__ = [
 # numerically dependent on its predecessors.
 GS_DEPENDENCE_TOL = 1e-12
 
+# Composite Gauss-Legendre rule for the basis-internal integrals.
+N_PANELS = 8
+NODES_PER_PANEL = 16
+
 
 class BasisError(ValueError):
     """Raised when the Gram-Schmidt process degenerates numerically."""
@@ -66,13 +70,7 @@ class KGrid:
         return 0.5 * (self.k_min + self.k_max)
 
 
-def make_kgrid(
-    k_min: float,
-    k_max: float,
-    n_sub: int,
-    n_panels: int = 8,
-    nodes_per_panel: int = 16,
-) -> KGrid:
+def make_kgrid(k_min: float, k_max: float, n_sub: int) -> KGrid:
     """Build a KGrid with n_sub midpoint nodes and a composite GL quadrature."""
     if not (0 < k_min < k_max < np.inf):
         raise ValueError(f"need 0 < k_min < k_max < inf, got [{k_min}, {k_max}]")
@@ -81,8 +79,8 @@ def make_kgrid(
     h_k = (k_max - k_min) / n_sub
     midpoints = k_min + (np.arange(n_sub) + 0.5) * h_k
 
-    xg, wg = leggauss(nodes_per_panel)
-    edges = np.linspace(k_min, k_max, n_panels + 1)
+    xg, wg = leggauss(NODES_PER_PANEL)
+    edges = np.linspace(k_min, k_max, N_PANELS + 1)
     nodes, weights = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         nodes.append(0.5 * (a + b) + 0.5 * (b - a) * xg)
@@ -116,9 +114,9 @@ class BasisSet:
     """Orthonormal basis truncated at n_modes, with its coupling matrices.
 
     coeff[n, p] holds the Gram-Schmidt combination Phi_n = sum_p coeff[n, p] psi_{p+1},
-    so Phi_n and Phi_n' can be evaluated at arbitrary k (the derivative always
-    goes through the analytic psi', never through differencing).  phi/dphi are
-    samples on the quadrature nodes, phi_mid/dphi_mid on the data midpoints.
+    so Phi_n can be evaluated at arbitrary k; D, S and B are built from the
+    analytic psi', never through differencing.  phi holds samples on the
+    quadrature nodes, phi_mid on the data midpoints.
 
     B[m, n, l] = b_{mn}^{(l)}.  Immutable after construction; safe to share.
     """
@@ -127,18 +125,15 @@ class BasisSet:
     n_modes: int
     coeff: np.ndarray
     phi: np.ndarray
-    dphi: np.ndarray
     phi_mid: np.ndarray
-    dphi_mid: np.ndarray
     mat_D: np.ndarray
     mat_S: np.ndarray
     tensor_B: np.ndarray
 
-    def eval_phi(self, k, derivative: bool = False) -> np.ndarray:
-        """Sample all Phi_n (or Phi_n') at the points k; shape (n_modes,) + k.shape."""
+    def eval_phi(self, k) -> np.ndarray:
+        """Sample all Phi_n at the points k; shape (n_modes,) + k.shape."""
         k = np.asarray(k, dtype=float)
-        raw = _dpsi if derivative else _psi
-        samples = np.stack([raw(n, k, self.kgrid.k0) for n in range(1, self.n_modes + 1)])
+        samples = np.stack([_psi(n, k, self.kgrid.k0) for n in range(1, self.n_modes + 1)])
         return np.tensordot(self.coeff, samples, axes=(1, 0))
 
 
@@ -176,19 +171,15 @@ def build_basis(kg: KGrid, n_modes: int) -> BasisSet:
         phi[n] = v / nrm
         coeff[n] = c / nrm
 
-    dphi = coeff @ dpsi
-    mat_D, mat_S, tensor_B = _matrices_from_samples(phi, dphi, k, w)
+    mat_D, mat_S, tensor_B = _matrices_from_samples(phi, coeff @ dpsi, k, w)
     mids = kg.midpoints
     phi_mid = coeff @ np.stack([_psi(n, mids, k0) for n in range(1, n_modes + 1)])
-    dphi_mid = coeff @ np.stack([_dpsi(n, mids, k0) for n in range(1, n_modes + 1)])
     return BasisSet(
         kgrid=kg,
         n_modes=n_modes,
         coeff=coeff,
         phi=phi,
-        dphi=dphi,
         phi_mid=phi_mid,
-        dphi_mid=dphi_mid,
         mat_D=mat_D,
         mat_S=mat_S,
         tensor_B=tensor_B,
@@ -220,10 +211,9 @@ def project(samples: np.ndarray, bs: BasisSet) -> np.ndarray:
     return np.einsum("...r,nr->...n", samples, bs.phi_mid) * bs.kgrid.h_k
 
 
-def synthesize(coeffs: np.ndarray, bs: BasisSet, use_derivative: bool = False) -> np.ndarray:
-    """Evaluate sum_n c_n Phi_n (or Phi_n') on the midpoints; inverse of project."""
+def synthesize(coeffs: np.ndarray, bs: BasisSet) -> np.ndarray:
+    """Evaluate sum_n c_n Phi_n on the midpoints; inverse of project."""
     coeffs = np.asarray(coeffs)
     if coeffs.shape[-1] != bs.n_modes:
         raise ValueError(f"expected {bs.n_modes} coefficients, got {coeffs.shape[-1]}")
-    table = bs.dphi_mid if use_derivative else bs.phi_mid
-    return np.einsum("...n,nr->...r", coeffs, table)
+    return np.einsum("...n,nr->...r", coeffs, bs.phi_mid)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fieldtransform import CoeffVectorField
 from .forward import Grid2D
 
 __all__ = ["build_cutoff", "build_carrier"]
@@ -42,11 +41,11 @@ def build_cutoff(xi: float, grid: Grid2D) -> np.ndarray:
     return c_lo / den
 
 
-def build_carrier(G0: np.ndarray, G1: np.ndarray, chi: np.ndarray, grid: Grid2D) -> CoeffVectorField:
+def build_carrier(G0: np.ndarray, G1: np.ndarray, chi: np.ndarray, grid: Grid2D) -> np.ndarray:
     """F_n(x) = [G0_n(x1) + (x2 - R) G1_n(x1)] chi(x2).
 
     G0, G1 are the boundary coefficient arrays of shape (n_modes, n_nodes),
-    chi the build_cutoff samples.
+    chi the build_cutoff samples; F has shape (n_modes, n_nodes, n_nodes).
     Because the x2-dependent factors do not involve k, combining the already
     projected data is identical to projecting the lifted scalar field; on the
     top row chi = 1 and the linear term vanishes, so F equals G0 there
@@ -58,4 +57,4 @@ def build_carrier(G0: np.ndarray, G1: np.ndarray, chi: np.ndarray, grid: Grid2D)
         raise ValueError("boundary coefficient arrays must be (n_modes, n_nodes)")
     x2 = grid.nodes
     lift = G0[:, None, :] + (x2[None, :, None] - grid.half_width) * G1[:, None, :]
-    return CoeffVectorField(grid=grid, data=lift * chi[None, :, None])
+    return lift * chi[None, :, None]

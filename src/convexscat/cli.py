@@ -7,16 +7,18 @@ met), 2 on usage or format errors, 3 when an inversion hits the iteration
 cap without meeting the tolerance, 4 when a forward solve fails
 (IllConditionedSystem) or its field comes too close to zero for the log
 transform (NearZeroTotalField); invert then still writes history.txt and
-manifest.json for the iterations that ran, but no coefficient.txt.
+manifest.json for the iterations that ran, and removes any coefficient.txt
+an earlier run left in --out.  Every --config value is checked before the
+data is read, so a bad one exits 2 before any output is written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import time
-import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -89,7 +91,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_invert(args) -> int:
     started = time.time()
-    cd = read_cauchy(args.data)
     inputs = [args.data]
     overrides = {}
     if args.config:
@@ -100,6 +101,7 @@ def cmd_invert(args) -> int:
         overrides = doc
         inputs.append(args.config)
     cfg = config_from_dict(overrides)
+    cd = read_cauchy(args.data)
 
     os.makedirs(args.out, exist_ok=True)
     runner = ablation_no_weight if args.no_carleman else run_inversion
@@ -110,7 +112,10 @@ def cmd_invert(args) -> int:
     # the comparison run keeps its best iterate through a failed re-solve
     failed = result.error is not None and not args.no_carleman
     outputs = [hist_path] if failed else [coeff_path, hist_path]
-    if not failed:
+    if failed:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(coeff_path)
+    else:
         write_coefficient(result.coefficient, coeff_path)
     write_history(result.records, hist_path)
     write_manifest("invert" + (" --no-carleman" if args.no_carleman else ""),
@@ -149,10 +154,8 @@ def cmd_export(args) -> int:
     i_row = int(np.argmin(np.abs(g.nodes - args.row)))
     actual = float(g.nodes[i_row])
     if abs(actual - args.row) > 1e-12:
-        warnings.warn(
-            f"x2={args.row} is not a grid node; using nearest row x2={actual:.6f}",
-            stacklevel=1,
-        )
+        print(f"warning: x2={args.row} is not a grid node; using nearest row x2={actual:.6f}",
+              file=sys.stderr)
 
     nodes = [repr(float(x)) for x in g.nodes]
     section_path = os.path.join(out_dir, "cross_section.txt")

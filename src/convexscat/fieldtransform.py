@@ -4,7 +4,9 @@ The pipeline is u -> p = u/u_in -> v = Log(p)/k^2 with the principal
 logarithm, then projection of v onto the wavenumber basis to get the vector
 field V, and finally the pointwise elimination formula that reads a(x) off
 the second derivatives of v at the lowest wavenumber.  Everything here is
-pure array work; no solver state.
+pure array work; no solver state.  Coefficient fields (V, W, F, ...) are
+complex arrays of shape (n_modes, n_nodes, n_nodes): entry [r, i, j] is mode r
+at node (x1_j, x2_i), and Grid2D.flatten gives the lined ordering.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ __all__ = [
     "NearZeroTotalField",
     "P_FLOOR",
     "LogField",
-    "CoeffVectorField",
     "total_to_log",
     "log_to_coeffs",
     "cauchy_to_v_data",
@@ -52,22 +53,6 @@ class LogField:
     branch_jumps: int
 
 
-@dataclass(frozen=True)
-class CoeffVectorField:
-    """The n_modes complex scalar fields (V, W, F, ...) of the elliptic system.
-
-    data[r, i, j] is field r at node (x1_j, x2_i); grid.flatten gives the
-    single flat vector in the lined ordering (i fastest, then j, then r).
-    """
-
-    grid: Grid2D
-    data: np.ndarray
-
-    @property
-    def n_modes(self) -> int:
-        return self.data.shape[0]
-
-
 def _check_floor(p: np.ndarray, what: str) -> None:
     mag = np.abs(p)
     if mag.min() <= P_FLOOR:
@@ -90,10 +75,9 @@ def total_to_log(fields: np.ndarray, grid: Grid2D, kg: KGrid) -> LogField:
     return LogField(grid=grid, kgrid=kg, v=v, branch_jumps=jumps)
 
 
-def log_to_coeffs(lf: LogField, bs: BasisSet) -> CoeffVectorField:
+def log_to_coeffs(lf: LogField, bs: BasisSet) -> np.ndarray:
     """Project v onto the basis: V[n] = int v(., k) Phi_n(k) dk, midpoint rule."""
-    coeffs = project(np.moveaxis(lf.v, 0, -1), bs)
-    return CoeffVectorField(grid=lf.grid, data=np.moveaxis(coeffs, -1, 0))
+    return np.moveaxis(project(np.moveaxis(lf.v, 0, -1), bs), -1, 0)
 
 
 def cauchy_to_v_data(cd: CauchyData, bs: BasisSet):
@@ -146,7 +130,7 @@ def _second_diff(f: np.ndarray, h: float, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis) / (h * h)
 
 
-def recover_coefficient(V: CoeffVectorField, bs: BasisSet) -> Coefficient:
+def recover_coefficient(V: np.ndarray, bs: BasisSet, grid: Grid2D) -> Coefficient:
     """Read the coefficient off v at the lowest wavenumber.
 
     v(., k) = sum_n V_n Phi_n(k), then a = -Re[Lap v + k^2 (grad v . grad v)
@@ -154,11 +138,12 @@ def recover_coefficient(V: CoeffVectorField, bs: BasisSet) -> Coefficient:
     order everywhere (one-sided at the boundary).  No sign clamping here;
     the caller decides when negatives get cut.
     """
-    grid = V.grid
     if grid.n_nodes < 4:
         raise ValueError("recovery stencils need at least 4 nodes per side")
+    if V.shape[1:] != (grid.n_nodes, grid.n_nodes):
+        raise ValueError(f"mode fields of shape {V.shape} do not live on the {grid.n_nodes}-node grid")
     k = bs.kgrid.k_min
-    v = np.tensordot(bs.eval_phi(k), V.data, axes=(0, 0))
+    v = np.tensordot(bs.eval_phi(k), V, axes=(0, 0))
     h = grid.h
     v1 = np.gradient(v, h, axis=1, edge_order=2)
     v2 = np.gradient(v, h, axis=0, edge_order=2)

@@ -187,27 +187,26 @@ def _cell_averages(shapes, grid: Grid2D, values: np.ndarray, n_sub: int = 128) -
     return mean
 
 
-def rasterize(shapes, grid: Grid2D, require_interior: bool = True) -> Coefficient:
+def rasterize(shapes, grid: Grid2D) -> Coefficient:
     """Sample shapes onto the grid by node-center membership, later shapes winning.
 
-    require_interior enforces the synthetic-truth contract: nonnegative values
-    and no support on the domain boundary.
+    Enforces the synthetic-truth contract: nonnegative values and no support
+    on the domain boundary.
     """
     X1, X2 = grid.mesh()
     values = _stack_values(shapes, X1, X2)
     cell_mean = _cell_averages(shapes, grid, values)
-    if require_interior:
-        if np.any(values < 0):
-            raise ValueError("synthetic coefficient must be nonnegative")
-        edge = np.zeros_like(values, dtype=bool)
-        edge[0, :] = edge[-1, :] = edge[:, 0] = edge[:, -1] = True
-        bad = edge & ((values != 0) | (cell_mean != 0))
-        if np.any(bad):
-            ii, jj = np.nonzero(bad)
-            where = ", ".join(f"(i={i + 1}, j={j + 1})" for i, j in zip(ii[:5], jj[:5]))
-            raise ValueError(
-                f"support touches the domain boundary at {ii.size} nodes, first at {where}"
-            )
+    if np.any(values < 0):
+        raise ValueError("synthetic coefficient must be nonnegative")
+    edge = np.zeros_like(values, dtype=bool)
+    edge[0, :] = edge[-1, :] = edge[:, 0] = edge[:, -1] = True
+    bad = edge & ((values != 0) | (cell_mean != 0))
+    if np.any(bad):
+        ii, jj = np.nonzero(bad)
+        where = ", ".join(f"(i={i + 1}, j={j + 1})" for i, j in zip(ii[:5], jj[:5]))
+        raise ValueError(
+            f"support touches the domain boundary at {ii.size} nodes, first at {where}"
+        )
     return Coefficient(grid=grid, values=values, cell_mean=cell_mean)
 
 

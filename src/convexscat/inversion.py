@@ -20,14 +20,15 @@ see _restrict_support.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+import numbers
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .basis import build_basis
 from .carrier import build_carrier, build_cutoff
 from .fieldtransform import (
-    CoeffVectorField,
     NearZeroTotalField,
     cauchy_to_v_data,
     log_to_coeffs,
@@ -36,14 +37,19 @@ from .fieldtransform import (
     total_to_log,
 )
 from .forward import CauchyData, Coefficient, IllConditionedSystem, solve_forward_multi
-from .objective import CarlemanWeight, ObjectiveParams, evaluate_and_gradient
+from .objective import evaluate_and_gradient
 
 __all__ = ["InversionConfig", "IterationRecord", "InversionResult", "run_inversion", "ablation_no_weight"]
 
 
 @dataclass(frozen=True)
 class InversionConfig:
-    """Method parameters of the reconstruction; defaults are the reference setup."""
+    """Method parameters of the reconstruction; defaults are the reference setup.
+
+    Every field is checked on construction: floats are finite, epsilon and
+    tolerance positive, the penalty weights, lam and trace_sigma nonnegative,
+    max_iterations and n_modes integers >= 1, clamp_negative a bool.
+    """
 
     epsilon: float = 1e-3
     rho: float = 1e-5
@@ -60,14 +66,25 @@ class InversionConfig:
     clamp_negative: bool = True
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("descent step must be positive")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if self.trace_sigma < 0:
-            raise ValueError("trace smoothing width must be nonnegative")
+        # f.type is the annotation string ("float", "int" or "bool")
+        for f in fields(self):
+            x = getattr(self, f.name)
+            if f.type == "bool":
+                if not isinstance(x, bool):
+                    raise ValueError(f"{f.name} must be true or false, got {x!r}")
+            elif isinstance(x, bool):
+                raise ValueError(f"{f.name} must be a number, got {x!r}")
+            elif f.type == "int":
+                if not isinstance(x, numbers.Integral) or x < 1:
+                    raise ValueError(f"{f.name} must be an integer >= 1, got {x!r}")
+            elif not isinstance(x, numbers.Real) or not math.isfinite(x):
+                raise ValueError(f"{f.name} must be a finite number, got {x!r}")
+        for name in ("epsilon", "tolerance"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        for name in ("rho", "alpha1", "alpha2", "lam", "trace_sigma"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -80,13 +97,16 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class InversionResult:
-    """error holds the re-solve failure that ended the run early, if any."""
+    """error holds the re-solve failure that ended the run early, if any.
+
+    Each record is one gradient evaluation; every record but the last was
+    followed by one multi-wavenumber re-solve (the last one's failed, if
+    error is set).
+    """
 
     coefficient: Coefficient
     records: tuple
     converged: bool
-    n_gradient_evals: int
-    n_forward_solves: int
     warnings: tuple = field(default_factory=tuple)
     error: Exception | None = None
 
@@ -128,27 +148,18 @@ def _run_loop(cd: CauchyData, cfg: InversionConfig, keep_best: bool):
         G1 = smooth_traces(G1, cfg.trace_sigma)
     chi = build_cutoff(grid.half_width / 10, grid)
     F = build_carrier(G0, G1, chi, grid)
-    params = ObjectiveParams(
-        rho=cfg.rho,
-        alpha1=cfg.alpha1,
-        alpha2=cfg.alpha2,
-        weight=CarlemanWeight(cfg.lam, cfg.shift),
-        bs=bs,
-        F=F,
-    )
 
-    V = CoeffVectorField(grid=grid, data=F.data.copy())
+    V = F.copy()
     records: list[IterationRecord] = []
     warnings: list[str] = []
     error = None
-    n_solve = 0
     J_prev = None
     rising = 0
     best = (np.inf, V)
 
     for n in range(cfg.max_iterations + 1):
-        W = CoeffVectorField(grid=grid, data=V.data - F.data)
-        J, grad = evaluate_and_gradient(W, params)
+        W = V - F
+        J, grad = evaluate_and_gradient(W, F, grid, bs, cfg)
 
         if J_prev is not None:
             rising = rising + 1 if J > J_prev else 0
@@ -160,35 +171,32 @@ def _run_loop(cd: CauchyData, cfg: InversionConfig, keep_best: bool):
         converged = not keep_best and J_prev is not None and abs(J - J_prev) < cfg.tolerance
         stop = converged or n == cfg.max_iterations
         if stop:
-            a_n = _restrict_support(recover_coefficient(V, bs))
+            a_n = _restrict_support(recover_coefficient(V, bs, grid))
         else:
-            W_step = CoeffVectorField(grid=grid, data=W.data - cfg.epsilon * grad.data)
-            V_step = CoeffVectorField(grid=grid, data=W_step.data + F.data)
-            a_n = _restrict_support(recover_coefficient(V_step, bs))
+            V_step = (W - cfg.epsilon * grad) + F
+            a_n = _restrict_support(recover_coefficient(V_step, bs, grid))
             try:
-                fields = solve_forward_multi(a_n, kg)
-                V = log_to_coeffs(total_to_log(fields, grid, kg), bs)
-                n_solve += 1
+                u = solve_forward_multi(a_n, kg)
+                V = log_to_coeffs(total_to_log(u, grid, kg), bs)
             except (NearZeroTotalField, IllConditionedSystem) as exc:
                 error = exc
                 warnings.append(f"forward re-solve failed at n={n}; run cut short")
                 stop = True
 
         records.append(
-            IterationRecord(n, J, float(np.linalg.norm(grad.data)), float(a_n.values.max()))
+            IterationRecord(n, J, float(np.linalg.norm(grad)), float(a_n.values.max()))
         )
         if stop:
             break
         J_prev = J
 
     final_V = best[1] if keep_best else V
-    a_final = _clamped(_restrict_support(recover_coefficient(final_V, bs)), cfg.clamp_negative)
+    a_final = _clamped(_restrict_support(recover_coefficient(final_V, bs, grid)),
+                       cfg.clamp_negative)
     return InversionResult(
         coefficient=a_final,
         records=tuple(records),
         converged=converged,
-        n_gradient_evals=len(records),
-        n_forward_solves=n_solve,
         warnings=tuple(warnings),
         error=error,
     )

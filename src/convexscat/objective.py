@@ -17,49 +17,18 @@ residual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .basis import BasisSet
-from .fieldtransform import CoeffVectorField
+from .forward import Grid2D
 
-__all__ = [
-    "CarlemanWeight",
-    "ObjectiveParams",
-    "residual_Q",
-    "evaluate_and_gradient",
-]
+__all__ = ["evaluate_and_gradient"]
 
 
-@dataclass(frozen=True)
-class CarlemanWeight:
-    """phi(x) = exp(-lam (x2 - shift)^2); lam = 0 turns the weighting off."""
-
-    lam: float
-    shift: float
-
-    def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
-
-    def profile(self, grid) -> np.ndarray:
-        t = grid.nodes - self.shift
-        return np.exp(-self.lam * t * t)
-
-
-@dataclass(frozen=True)
-class ObjectiveParams:
-    rho: float
-    alpha1: float
-    alpha2: float
-    weight: CarlemanWeight
-    bs: BasisSet
-    F: CoeffVectorField
-
-    def __post_init__(self):
-        if min(self.rho, self.alpha1, self.alpha2) < 0:
-            raise ValueError("regularization weights must be nonnegative")
+def _carleman_weight(grid: Grid2D, lam: float, shift: float) -> np.ndarray:
+    """phi(x2) = exp(-lam (x2 - shift)^2) on the grid rows; lam = 0 turns it off."""
+    t = grid.nodes - shift
+    return np.exp(-lam * t * t)
 
 
 def _interior_diffs(data: np.ndarray, h: float):
@@ -74,6 +43,12 @@ def _interior_diffs(data: np.ndarray, h: float):
 
 
 def _q_interior(vhat: np.ndarray, bs: BasisSet, h: float):
+    """Equation residual of the coupled system at the interior nodes.
+
+    Component m combines the Laplacian through D, the quadratic gradient
+    coupling through B (both coordinate directions), and the first-order
+    x2 term through S.  Also returns the forward differences it used.
+    """
     lap, dx1, dx2 = _interior_diffs(vhat, h)
     q = np.einsum("mr,rij->mij", bs.mat_D, lap)
     q = q + np.einsum("mrs,rij,sij->mij", bs.tensor_B, dx1, dx1)
@@ -82,36 +57,27 @@ def _q_interior(vhat: np.ndarray, bs: BasisSet, h: float):
     return q, dx1, dx2
 
 
-def residual_Q(vhat: CoeffVectorField, bs: BasisSet) -> CoeffVectorField:
-    """Equation residual of the coupled system at interior nodes, zero on the ring.
-
-    Component m combines the Laplacian through D, the quadratic gradient
-    coupling through B (both coordinate directions), and the first-order
-    x2 term through S.
-    """
-    q, _, _ = _q_interior(np.asarray(vhat.data, dtype=complex), bs, vhat.grid.h)
-    out = np.zeros(vhat.data.shape, dtype=complex)
-    out[:, 1:-1, 1:-1] = q
-    return CoeffVectorField(grid=vhat.grid, data=out)
-
-
-def evaluate_and_gradient(W: CoeffVectorField, params: ObjectiveParams):
+def evaluate_and_gradient(W: np.ndarray, F: np.ndarray, grid: Grid2D, bs: BasisSet, cfg):
     """Value J(W) >= 0 and gradient 2 conj(dJ/dW) in one pass.
 
-    The gradient is assembled analytically (no differencing) and shares the
-    residual field with the value.
+    W and the carrier F are (n_modes, n_nodes, n_nodes) arrays on grid; rho,
+    alpha1, alpha2, lam and shift are read from the InversionConfig cfg.  The
+    gradient is assembled analytically (no differencing), shares the residual
+    field with the value, and has the shape of W.
     """
-    grid = W.grid
-    if params.F.data.shape != W.data.shape:
-        raise ValueError("W and the carrier F must share shape and grid")
+    n = grid.n_nodes
+    if np.shape(W) != (bs.n_modes, n, n) or np.shape(F) != np.shape(W):
+        raise ValueError(
+            f"W {np.shape(W)} and the carrier F {np.shape(F)} must both be "
+            f"({bs.n_modes}, {n}, {n})"
+        )
     h = grid.h
     hh = h * h
-    bs = params.bs
-    w = np.asarray(W.data, dtype=complex)
-    vhat = w + params.F.data
+    w = np.asarray(W, dtype=complex)
+    vhat = w + F
 
     q, dx1, dx2 = _q_interior(vhat, bs, h)
-    phi2 = params.weight.profile(grid)[1:-1] ** 2
+    phi2 = _carleman_weight(grid, cfg.lam, cfg.shift)[1:-1] ** 2
     phi2 = phi2[None, :, None]
     J = hh * float(np.sum(phi2 * (q.real ** 2 + q.imag ** 2)))
 
@@ -122,7 +88,7 @@ def evaluate_and_gradient(W: CoeffVectorField, params: ObjectiveParams):
     w_c1 = (w[:, 1:-1, 2:] - 2 * c + w[:, 1:-1, :-2]) / hh
     w_c2 = (w[:, 2:, 1:-1] - 2 * c + w[:, :-2, 1:-1]) / hh
     w_mx = (w[:, 2:, 2:] - w[:, :-2, 2:] - w[:, 2:, :-2] + w[:, :-2, :-2]) / hh
-    J += params.rho * hh * float(
+    J += cfg.rho * hh * float(
         np.sum(np.abs(w) ** 2)
         + np.sum(
             np.abs(w_dx1) ** 2
@@ -135,8 +101,8 @@ def evaluate_and_gradient(W: CoeffVectorField, params: ObjectiveParams):
 
     # boundary penalties on the measurement row
     t2 = (w[:, -1, 1:-1] - w[:, -2, 1:-1]) / h
-    J += params.alpha1 * h * float(np.sum(np.abs(w[:, -1, :]) ** 2))
-    J += params.alpha2 * h * float(np.sum(np.abs(t2) ** 2))
+    J += cfg.alpha1 * h * float(np.sum(np.abs(w[:, -1, :]) ** 2))
+    J += cfg.alpha2 * h * float(np.sum(np.abs(t2) ** 2))
 
     # Residual part: y is the conjugation weight h^2 phi^2 Q; each stencil's
     # adjoint scatters it back, with the B multipliers evaluated at vhat.
@@ -164,7 +130,7 @@ def evaluate_and_gradient(W: CoeffVectorField, params: ObjectiveParams):
     g[:, 1:-1, 1:-1] -= z
 
     # Regularizer part: real stencils A give A^T(A w) pieces.
-    rw = params.rho * hh
+    rw = cfg.rho * hh
     g += rw * w
     z = rw * w_dx1 / h
     g[:, 1:-1, 2:] += z
@@ -186,11 +152,10 @@ def evaluate_and_gradient(W: CoeffVectorField, params: ObjectiveParams):
     g[:, :-2, 2:] -= z
     g[:, 2:, :-2] -= z
 
-    g[:, -1, :] += params.alpha1 * h * w[:, -1, :]
-    z = params.alpha2 * t2
+    g[:, -1, :] += cfg.alpha1 * h * w[:, -1, :]
+    z = cfg.alpha2 * t2
     g[:, -1, 1:-1] += z
     g[:, -2, 1:-1] -= z
 
-    grad = CoeffVectorField(grid=grid, data=2 * g)
-    return J, grad
+    return J, 2 * g
 

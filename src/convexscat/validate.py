@@ -14,10 +14,9 @@ import numpy as np
 
 from .basis import BasisSet, build_basis, make_kgrid
 from .cylinder import disk_total_field
-from .fieldtransform import CoeffVectorField
 from .forward import Disk, Grid2D, IncidentWave, rasterize, solve_forward
-from .inversion import run_inversion
-from .objective import CarlemanWeight, ObjectiveParams, evaluate_and_gradient
+from .inversion import InversionConfig, run_inversion
+from .objective import evaluate_and_gradient
 from .scenarios import get_scenario, simulate_scenario
 
 __all__ = [
@@ -100,21 +99,22 @@ def check_gradient(seed: int = 7, n_directions: int = 20) -> CheckResult:
     def crandn():
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    F = CoeffVectorField(grid=grid, data=0.1 * crandn())
-    W = CoeffVectorField(grid=grid, data=0.1 * crandn())
-    params = ObjectiveParams(rho=1e-5, alpha1=1e-3, alpha2=1e-5,
-                             weight=CarlemanWeight(5.0, 1.0), bs=bs, F=F)
-    _, grad = evaluate_and_gradient(W, params)
+    F = 0.1 * crandn()
+    W = 0.1 * crandn()
+    cfg = InversionConfig()
+
+    def J(x):
+        return evaluate_and_gradient(x, F, grid, bs, cfg)[0]
+
+    grad = evaluate_and_gradient(W, F, grid, bs, cfg)[1]
 
     t = 1e-6
     worst = 0.0
     for _ in range(n_directions):
         delta = crandn()
         delta /= np.linalg.norm(delta)
-        Jp = evaluate_and_gradient(CoeffVectorField(grid=grid, data=W.data + t * delta), params)[0]
-        Jm = evaluate_and_gradient(CoeffVectorField(grid=grid, data=W.data - t * delta), params)[0]
-        fd = (Jp - Jm) / (2 * t)
-        an = float(np.real(np.vdot(grad.data, delta)))
+        fd = (J(W + t * delta) - J(W - t * delta)) / (2 * t)
+        an = float(np.real(np.vdot(grad, delta)))
         worst = max(worst, abs(fd - an) / max(abs(fd), 1e-14))
     return CheckResult("objective gradient", worst < 1e-5, worst, 1e-5,
                        detail=f"{n_directions} directions")

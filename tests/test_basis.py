@@ -125,7 +125,6 @@ def test_project_synthesize_roundtrip_converges():
 def test_eval_phi_consistent_with_samples(default_basis):
     bs = default_basis
     assert np.allclose(bs.eval_phi(bs.kgrid.quad_nodes), bs.phi, atol=1e-12)
-    assert np.allclose(bs.eval_phi(bs.kgrid.midpoints, derivative=True), bs.dphi_mid, atol=1e-12)
 
 
 def test_invalid_inputs_rejected():

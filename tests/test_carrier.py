@@ -69,7 +69,7 @@ def test_carrier_zero_data_gives_zero_field():
     cutoff = build_cutoff(XI, grid)
     Z = np.zeros((3, grid.n_nodes), dtype=complex)
     F = build_carrier(Z, Z, cutoff, grid)
-    assert np.max(np.abs(F.data)) == 0.0
+    assert np.max(np.abs(F)) == 0.0
 
 
 def test_carrier_equals_dirichlet_trace_on_top_row():
@@ -77,7 +77,7 @@ def test_carrier_equals_dirichlet_trace_on_top_row():
     cutoff = build_cutoff(XI, grid)
     G0, G1 = _random_traces(grid, 4, seed=2)
     F = build_carrier(G0, G1, cutoff, grid)
-    assert np.array_equal(F.data[:, -1, :], G0)
+    assert np.array_equal(F[:, -1, :], G0)
 
 
 def test_carrier_discrete_neumann_is_exact_below_transition():
@@ -88,7 +88,7 @@ def test_carrier_discrete_neumann_is_exact_below_transition():
     cutoff = build_cutoff(XI, grid)
     G0, G1 = _random_traces(grid, 4, seed=3)
     F = build_carrier(G0, G1, cutoff, grid)
-    dn = (F.data[:, -1, :] - F.data[:, -2, :]) / grid.h
+    dn = (F[:, -1, :] - F[:, -2, :]) / grid.h
     assert np.max(np.abs(dn - G1)) <= 1e-12 * np.max(np.abs(G1))
 
 
@@ -99,7 +99,7 @@ def test_carrier_vanishes_below_cut():
     F = build_carrier(G0, G1, cutoff, grid)
     dead = grid.nodes <= -XI
     assert dead.any()
-    assert np.max(np.abs(F.data[:, dead, :])) == 0.0
+    assert np.max(np.abs(F[:, dead, :])) == 0.0
 
 
 def test_carrier_linear_in_boundary_data():
@@ -108,8 +108,8 @@ def test_carrier_linear_in_boundary_data():
     Ga0, Ga1 = _random_traces(grid, 2, seed=5)
     Gb0, Gb1 = _random_traces(grid, 2, seed=6)
     both = build_carrier(Ga0 + Gb0, Ga1 + Gb1, cutoff, grid)
-    parts = build_carrier(Ga0, Ga1, cutoff, grid).data + build_carrier(Gb0, Gb1, cutoff, grid).data
-    assert np.allclose(both.data, parts, rtol=0, atol=1e-14)
+    parts = build_carrier(Ga0, Ga1, cutoff, grid) + build_carrier(Gb0, Gb1, cutoff, grid)
+    assert np.allclose(both, parts, rtol=0, atol=1e-14)
 
 
 def test_carrier_rejects_mismatched_shapes():
@@ -129,6 +129,6 @@ def test_carrier_neumann_on_simulated_data(example1_sim, default_basis):
     grid = clean.grid
     cutoff = build_cutoff(grid.half_width / 10, grid)
     F = build_carrier(G0, G1, cutoff, grid)
-    dn = (F.data[:, -1, :] - F.data[:, -2, :]) / grid.h
+    dn = (F[:, -1, :] - F[:, -2, :]) / grid.h
     tol = max(1e-2, 5 * grid.h * float(np.max(np.abs(G1))))
     assert np.max(np.abs(dn - G1)) <= tol

@@ -27,8 +27,6 @@ from convexscat import (
 )
 from convexscat.cli import main
 
-pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
-
 
 @pytest.fixture(scope="module")
 def scene_file(tmp_path_factory):
@@ -192,9 +190,12 @@ def test_invert_resolve_failure_is_exit_4(sim_dir, tmp_path, capsys):
     # without the weight the descent blows up until a re-solved field
     # reaches the log floor; that ends the run with one error line, and the
     # iterations that ran are still on record
+    # (a coefficient.txt left by an earlier run must not survive next to it)
     cfg_path = tmp_path / "cfg.yaml"
     cfg_path.write_text(yaml.safe_dump({"n_modes": 3, "lam": 0.0}))
     out = tmp_path / "out"
+    out.mkdir()
+    (out / "coefficient.txt").write_text("stale\n")
     rc = main(["invert", "--data", str(sim_dir / "cauchy_noisy.txt"),
                "--config", str(cfg_path), "--out", str(out)])
     assert rc == 4
@@ -208,6 +209,19 @@ def test_invert_resolve_failure_is_exit_4(sim_dir, tmp_path, capsys):
     doc = _manifest(out)
     assert doc["command"] == "invert" and doc["config"]["lam"] == 0.0
     assert doc["outputs"] == {str(out / "history.txt"): _sha(out / "history.txt")}
+
+
+def test_invert_rejects_bad_config_values_before_any_output(sim_dir, tmp_path, capsys):
+    # lam = inf would zero the weight on every row; it must not reach the run
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text("lam: .inf\n")
+    out = tmp_path / "out"
+    rc = main(["invert", "--data", str(sim_dir / "cauchy_noisy.txt"),
+               "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: lam must be a finite number")
+    assert not out.exists()
 
 
 def test_invert_takes_the_grid_from_the_data(sim_dir, tmp_path):
@@ -259,11 +273,13 @@ def test_export_tables(inv_dir, tmp_path):
     assert len(heat) == g.n_points
 
 
-def test_export_snaps_to_nearest_row_with_warning(inv_dir, tmp_path):
-    with pytest.warns(UserWarning, match="nearest row"):
-        rc = main(["export", "--result", str(inv_dir / "coefficient.txt"),
-                   "--row", "0.43", "--out", str(tmp_path)])
+def test_export_snaps_to_nearest_row_with_warning(inv_dir, tmp_path, capsys):
+    rc = main(["export", "--result", str(inv_dir / "coefficient.txt"),
+               "--row", "0.43", "--out", str(tmp_path)])
     assert rc == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: x2=0.43 is not a grid node; using nearest row x2=0.400000"
+    ]
     header = (tmp_path / "cross_section.txt").read_text().splitlines()[0]
     assert "0.4" in header
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from convexscat import (
-    CoeffVectorField,
     Disk,
     Grid2D,
     IncidentWave,
@@ -89,7 +88,7 @@ def test_projection_of_zero_field(default_kgrid, default_basis):
     lf = total_to_log(np.exp(default_kgrid.midpoints[:, None, None]**2 * v)
                       * _incident_stack(grid, default_kgrid), grid, default_kgrid)
     V = log_to_coeffs(lf, default_basis)
-    assert np.max(np.abs(V.data)) <= 1e-14
+    assert np.max(np.abs(V)) <= 1e-14
 
 
 def test_projection_picks_out_single_mode(default_kgrid, default_basis):
@@ -102,7 +101,7 @@ def test_projection_picks_out_single_mode(default_kgrid, default_basis):
 
     lf = LogField(grid=grid, kgrid=default_kgrid,
                   v=c[None] * phi2[:, None, None], branch_jumps=0)
-    V = log_to_coeffs(lf, default_basis).data
+    V = log_to_coeffs(lf, default_basis)
     scale = np.max(np.abs(c))
     assert np.max(np.abs(V[1] - c)) <= 5e-3 * scale
     for n in (0, 2, 3):
@@ -113,7 +112,7 @@ def test_truncation_residual_small_on_reference_disk(default_basis, disk_data):
     # four modes carry the simulated log field to about one percent
     _, _, _, lf, _ = disk_data
     V = log_to_coeffs(lf, default_basis)
-    synth = synthesize(np.moveaxis(V.data, 0, -1), default_basis)
+    synth = synthesize(np.moveaxis(V, 0, -1), default_basis)
     v_mid = np.moveaxis(lf.v, 0, -1)
     resid = np.linalg.norm(synth - v_mid) / np.linalg.norm(v_mid)
     assert resid < 0.1
@@ -179,8 +178,8 @@ def test_trace_transform_matches_volume_log_derivative(default_kgrid, default_ba
 
 def test_recovery_of_zero_field(default_basis):
     grid = Grid2D(0.8, 8)
-    V = CoeffVectorField(grid=grid, data=np.zeros((4, 9, 9), dtype=complex))
-    a = recover_coefficient(V, default_basis)
+    V = np.zeros((4, 9, 9), dtype=complex)
+    a = recover_coefficient(V, default_basis, grid)
     assert np.max(np.abs(a.values)) == 0.0
 
 
@@ -194,8 +193,8 @@ def test_recovery_matches_elimination_formula_for_quadratic(default_kgrid, defau
         X1, X2 = grid.mesh()
         v = alpha * (X1**2 + X2**2)
         samples = np.repeat(v[..., None], default_kgrid.n_sub, axis=-1)
-        V = CoeffVectorField(grid=grid, data=np.moveaxis(project(samples, default_basis), -1, 0))
-        a = recover_coefficient(V, default_basis).values
+        V = np.moveaxis(project(samples, default_basis), -1, 0)
+        a = recover_coefficient(V, default_basis, grid).values
         target = -(4 * alpha + 4 * kk**2 * alpha**2 * (X1**2 + X2**2))
         rel = np.max(np.abs(a - target)) / np.max(np.abs(target))
         assert rel < 5e-3
@@ -212,7 +211,7 @@ def test_recovery_second_order_under_refinement(default_kgrid, default_basis):
         q = 0.05 * np.sin(2 * X1) * np.cos(X2) + 0.03j * np.cos(X1 + 0.3) * np.sin(2 * X2)
         data = np.zeros((default_basis.n_modes, grid.n_nodes, grid.n_nodes), dtype=complex)
         data[0] = q / phi1
-        a = recover_coefficient(CoeffVectorField(grid=grid, data=data), default_basis).values
+        a = recover_coefficient(data, default_basis, grid).values
         q1 = 0.1 * np.cos(2 * X1) * np.cos(X2) - 0.03j * np.sin(X1 + 0.3) * np.sin(2 * X2)
         q2 = -0.05 * np.sin(2 * X1) * np.sin(X2) + 0.06j * np.cos(X1 + 0.3) * np.cos(2 * X2)
         lap = -0.25 * np.sin(2 * X1) * np.cos(X2) - 0.15j * np.cos(X1 + 0.3) * np.sin(2 * X2)
@@ -223,9 +222,12 @@ def test_recovery_second_order_under_refinement(default_kgrid, default_basis):
 
 
 def test_recovery_refuses_tiny_grids(default_basis):
-    V = CoeffVectorField(grid=Grid2D(0.8, 2), data=np.zeros((4, 3, 3), dtype=complex))
+    V = np.zeros((4, 3, 3), dtype=complex)
     with pytest.raises(ValueError):
-        recover_coefficient(V, default_basis)
+        recover_coefficient(V, default_basis, Grid2D(0.8, 2))
+    # mode fields and grid must agree
+    with pytest.raises(ValueError):
+        recover_coefficient(np.zeros((4, 9, 9), dtype=complex), default_basis, Grid2D(0.8, 9))
 
 
 def test_lined_ordering_roundtrip():

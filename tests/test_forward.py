@@ -152,8 +152,6 @@ def test_rasterize_rejects_boundary_support():
     # and negative synthetic values
     with pytest.raises(ValueError):
         rasterize([Disk(center=(0.0, 0.0), radius=0.2, value=-1.0)], grid)
-    # both pass when the interior contract is waived
-    rasterize([Disk(center=(0.0, 0.7), radius=0.2, value=1.0)], grid, require_interior=False)
 
 
 def _small_cauchy():

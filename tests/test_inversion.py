@@ -1,5 +1,6 @@
 """Tests for the reconstruction loop: stepping, stopping, records, ablation."""
 
+import math
 from dataclasses import fields, replace
 
 import numpy as np
@@ -49,15 +50,39 @@ def test_config_defaults_are_the_reference_setup():
 
 
 def test_config_validation():
+    # every field is checked on construction, and the error names the field
     for bad in (
         dict(epsilon=0.0),
         dict(epsilon=-1e-3),
+        dict(epsilon=math.nan),
+        dict(epsilon="1e-3"),
         dict(tolerance=0.0),
+        dict(tolerance=math.nan),
         dict(max_iterations=0),
+        dict(max_iterations=2.5),
+        dict(max_iterations=True),
+        dict(n_modes=0),
+        dict(n_modes=False),
         dict(trace_sigma=-1.0),
+        dict(trace_sigma=math.nan),
+        dict(lam=math.inf),
+        dict(lam=-1.0),
+        dict(lam=-0.1),
+        dict(lam=True),
+        dict(rho=math.nan),
+        dict(rho=-1.0),
+        dict(rho=-1e-5),
+        dict(alpha1=-1e-3),
+        dict(alpha2=-math.inf),
+        dict(shift=math.inf),
+        dict(clamp_negative=0.5),
+        dict(clamp_negative=1),
     ):
-        with pytest.raises(ValueError):
+        (name,) = bad
+        with pytest.raises(ValueError, match=name):
             InversionConfig(**bad)
+    # integer values are valid floats, and zero weights are allowed
+    InversionConfig(lam=0, rho=0, alpha1=0, alpha2=0, trace_sigma=0, shift=-1)
 
 
 def test_small_run_converges_with_consistent_records(small_case):
@@ -65,9 +90,6 @@ def test_small_run_converges_with_consistent_records(small_case):
     res = run_inversion(noisy, cfg)
     assert res.converged and res.error is None
     assert [r.n for r in res.records] == list(range(len(res.records)))
-    assert res.n_gradient_evals == len(res.records)
-    # one gradient per iteration, one multi-k solve per step taken
-    assert res.n_gradient_evals == res.n_forward_solves + 1
     Js = [r.J_value for r in res.records]
     assert all(b <= a * 1.01 for a, b in zip(Js, Js[1:]))
     assert np.all(res.coefficient.values >= 0)
@@ -99,7 +121,6 @@ def test_ablation_runs_exactly_twenty_steps(small_case):
     res = ablation_no_weight(noisy, replace(cfg, epsilon=1e-5))
     assert not res.converged
     assert [r.n for r in res.records] == list(range(21))
-    assert res.n_forward_solves == 20 and res.n_gradient_evals == 21
     assert res.warnings == () and res.error is None
 
 
@@ -117,9 +138,6 @@ def test_ablation_reports_rises_and_survives_solve_failure(small_case):
     Js = [r.J_value for r in res.records]
     # the run got worse after its best point, which is why best-iterate matters
     assert min(Js) < Js[-1]
-    # the failed step is recorded once; only the re-solves that succeeded count
-    assert res.n_gradient_evals == len(res.records)
-    assert res.n_forward_solves == len(res.records) - 1
 
 
 def test_reference_run_decreases_objective(example1_run):
@@ -130,4 +148,3 @@ def test_reference_run_decreases_objective(example1_run):
     for a, b in zip(Js, Js[1:]):
         assert b <= a * 1.01
     assert np.all(res.coefficient.values >= 0)
-    assert res.n_gradient_evals == res.n_forward_solves + 1

@@ -15,15 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convexscat import (
-    CarlemanWeight,
-    CoeffVectorField,
     Grid2D,
-    ObjectiveParams,
+    InversionConfig,
     build_basis,
     evaluate_and_gradient,
     make_kgrid,
-    residual_Q,
 )
+from convexscat.objective import _carleman_weight, _q_interior
 
 
 @pytest.fixture(scope="module")
@@ -34,45 +32,40 @@ def small_basis():
 
 def _rand_field(grid, n_modes, rng, scale=0.1):
     shape = (n_modes, grid.n_nodes, grid.n_nodes)
-    return CoeffVectorField(
-        grid=grid, data=scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    )
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
 def _zero_field(grid, n_modes):
-    return CoeffVectorField(
-        grid=grid, data=np.zeros((n_modes, grid.n_nodes, grid.n_nodes), dtype=complex)
-    )
+    return np.zeros((n_modes, grid.n_nodes, grid.n_nodes), dtype=complex)
 
 
-def _params(bs, F, rho=1e-5, alpha1=1e-3, alpha2=1e-5, lam=5.0, shift=1.0):
-    return ObjectiveParams(
-        rho=rho, alpha1=alpha1, alpha2=alpha2,
-        weight=CarlemanWeight(lam=lam, shift=shift), bs=bs, F=F,
-    )
+def _params(bs, F, grid, rho=1e-5, alpha1=1e-3, alpha2=1e-5, lam=5.0, shift=1.0):
+    """Everything evaluate_and_gradient takes after W, in call order."""
+    cfg = InversionConfig(rho=rho, alpha1=alpha1, alpha2=alpha2, lam=lam, shift=shift)
+    return F, grid, bs, cfg
 
 
 def _J(W, params):
-    return evaluate_and_gradient(W, params)[0]
+    return evaluate_and_gradient(W, *params)[0]
 
 
-def _loop_J(W, F, params):
+def _loop_J(W, params):
     """Node-by-node transcription of the functional over the lined vector.
 
     Indices (i, j, r) are one-based, i the x2 row; the flat address is
     (i-1) + (j-1) n + (r-1) n^2 with n nodes per side.  No vectorization and
     no shared helpers with the implementation under test.
     """
-    grid = W.grid
+    F, grid, bs, cfg = params
     n = grid.n_nodes
     npts = n * n
-    N = W.n_modes
+    N = W.shape[0]
     h = grid.h
     nodes = grid.nodes
-    w = grid.flatten(W.data)
-    wh = w + grid.flatten(F.data)
-    lam, shift = params.weight.lam, params.weight.shift
-    D, S, B = params.bs.mat_D, params.bs.mat_S, params.bs.tensor_B
+    w = grid.flatten(W)
+    wh = w + grid.flatten(F)
+    lam, shift = cfg.lam, cfg.shift
+    D, S, B = bs.mat_D, bs.mat_S, bs.tensor_B
 
     def m(i, j, r):
         return (i - 1) + (j - 1) * n + (r - 1) * npts
@@ -105,10 +98,10 @@ def _loop_J(W, F, params):
     for r in range(1, N + 1):
         for j in range(1, n + 1):
             for i in range(1, n + 1):
-                J += params.rho * h**2 * abs(w[m(i, j, r)]) ** 2
+                J += cfg.rho * h**2 * abs(w[m(i, j, r)]) ** 2
         for j in range(2, n):
             for i in range(2, n):
-                J += params.rho * h**2 * (
+                J += cfg.rho * h**2 * (
                     abs((w[m(i, j + 1, r)] - w[m(i, j, r)]) / h) ** 2
                     + abs((w[m(i + 1, j, r)] - w[m(i, j, r)]) / h) ** 2
                     + abs((w[m(i, j + 1, r)] - 2 * w[m(i, j, r)] + w[m(i, j - 1, r)]) / h**2) ** 2
@@ -119,9 +112,9 @@ def _loop_J(W, F, params):
                     ) / h**2) ** 2
                 )
         for j in range(1, n + 1):
-            J += params.alpha1 * h * abs(w[m(n, j, r)]) ** 2
+            J += cfg.alpha1 * h * abs(w[m(n, j, r)]) ** 2
         for j in range(2, n):
-            J += params.alpha2 * h * abs((w[m(n, j, r)] - w[m(n - 1, j, r)]) / h) ** 2
+            J += cfg.alpha2 * h * abs((w[m(n, j, r)] - w[m(n - 1, j, r)]) / h) ** 2
     return J
 
 
@@ -131,9 +124,9 @@ def test_value_matches_loop_oracle_tiny():
     bs = build_basis(make_kgrid(0.5, 2.0, 12), 1)
     rng = np.random.default_rng(3)
     W = _rand_field(grid, 1, rng, scale=0.5)
-    params = _params(bs, _zero_field(grid, 1))
+    params = _params(bs, _zero_field(grid, 1), grid)
     J = _J(W, params)
-    J_loop = _loop_J(W, _zero_field(grid, 1), params)
+    J_loop = _loop_J(W, params)
     assert abs(J - J_loop) <= 1e-12 * max(1.0, abs(J_loop))
 
 
@@ -144,9 +137,9 @@ def test_value_matches_loop_oracle_with_carrier():
     rng = np.random.default_rng(11)
     W = _rand_field(grid, 3, rng, scale=0.3)
     F = _rand_field(grid, 3, rng, scale=0.2)
-    params = _params(bs, F, rho=3e-4, alpha1=2e-2, alpha2=7e-4, lam=2.5)
+    params = _params(bs, F, grid, rho=3e-4, alpha1=2e-2, alpha2=7e-4, lam=2.5)
     J = _J(W, params)
-    J_loop = _loop_J(W, F, params)
+    J_loop = _loop_J(W, params)
     assert abs(J - J_loop) <= 1e-12 * max(1.0, abs(J_loop))
 
 
@@ -154,17 +147,9 @@ def test_residual_zero_for_constant_field():
     grid = Grid2D(0.8, 6)
     bs = build_basis(make_kgrid(0.5, 2.0, 12), 2)
     data = np.ones((2, 7, 7), dtype=complex) * (1.3 - 0.4j)
-    q = residual_Q(CoeffVectorField(grid=grid, data=data), bs)
-    assert np.max(np.abs(q.data)) == 0.0
-
-
-def test_residual_ring_padding_is_zero():
-    grid = Grid2D(0.8, 6)
-    bs = build_basis(make_kgrid(0.5, 2.0, 12), 2)
-    rng = np.random.default_rng(5)
-    q = residual_Q(_rand_field(grid, 2, rng), bs).data
-    assert np.all(q[:, 0, :] == 0) and np.all(q[:, -1, :] == 0)
-    assert np.all(q[:, :, 0] == 0) and np.all(q[:, :, -1] == 0)
+    q = _q_interior(data, bs, grid.h)[0]
+    assert q.shape == (2, 5, 5)
+    assert np.max(np.abs(q)) == 0.0
 
 
 def test_residual_matches_hand_stencil_on_3x3():
@@ -179,7 +164,6 @@ def test_residual_matches_hand_stencil_on_3x3():
             [-1.0 + 0.6j, 0.7 - 0.1j, 0.2 + 0.8j],
         ]
     )
-    vhat = CoeffVectorField(grid=grid, data=vals[None])
     d = bs.mat_D[0, 0]
     b = bs.tensor_B[0, 0, 0]
     s = bs.mat_S[0, 0]
@@ -187,7 +171,7 @@ def test_residual_matches_hand_stencil_on_3x3():
     f1 = vals[1, 2] - vals[1, 1]
     f2 = vals[2, 1] - vals[1, 1]
     expected = d * lap / h**2 + b * (f1 * f1 + f2 * f2) / h**2 + s * f2 / h
-    got = residual_Q(vhat, bs).data[0, 1, 1]
+    got = _q_interior(vals[None], bs, h)[0][0, 0, 0]
     assert abs(got - expected) <= 1e-13 * abs(expected)
 
 
@@ -197,29 +181,28 @@ def test_residual_quadratic_in_x2_closed_form():
     bs = build_basis(make_kgrid(0.5, 2.0, 12), 1)
     h = grid.h
     _, X2 = grid.mesh()
-    vhat = CoeffVectorField(grid=grid, data=(X2**2).astype(complex)[None])
-    q = residual_Q(vhat, bs).data[0]
+    q = _q_interior((X2**2).astype(complex)[None], bs, h)[0][0]
     d = bs.mat_D[0, 0]
     b = bs.tensor_B[0, 0, 0]
     s = bs.mat_S[0, 0]
     x2 = X2[1:-1, 1:-1]
     expected = 2 * d + b * (2 * x2 + h) ** 2 + s * (2 * x2 + h)
-    assert np.max(np.abs(q[1:-1, 1:-1] - expected)) <= 1e-11 * np.max(np.abs(expected))
+    assert np.max(np.abs(q - expected)) <= 1e-11 * np.max(np.abs(expected))
 
 
 def test_zero_argument_is_stationary(small_basis):
     grid = Grid2D(0.8, 6)
     W = _zero_field(grid, 2)
-    params = _params(small_basis, _zero_field(grid, 2))
-    J, grad = evaluate_and_gradient(W, params)
+    params = _params(small_basis, _zero_field(grid, 2), grid)
+    J, grad = evaluate_and_gradient(W, *params)
     assert J == 0.0
-    assert np.max(np.abs(grad.data)) == 0.0
+    assert grad.shape == W.shape
+    assert np.max(np.abs(grad)) == 0.0
 
 
 def test_weight_closed_form_values():
-    weight = CarlemanWeight(lam=5.0, shift=1.0)
     grid = Grid2D(0.8, 8)
-    prof = weight.profile(grid)
+    prof = _carleman_weight(grid, lam=5.0, shift=1.0)
     i_top = grid.gamma_row
     assert math.isclose(prof[i_top], math.exp(-5 * (0.8 - 1.0) ** 2), rel_tol=1e-15)
     assert np.all(prof > 0) and np.all(prof <= 1)
@@ -228,10 +211,8 @@ def test_weight_closed_form_values():
 
 
 def _fd_pair(W, params, delta, t=1e-6):
-    Jp = _J(CoeffVectorField(grid=W.grid, data=W.data + t * delta), params)
-    Jm = _J(CoeffVectorField(grid=W.grid, data=W.data - t * delta), params)
-    fd = (Jp - Jm) / (2 * t)
-    ip = float(np.real(np.vdot(evaluate_and_gradient(W, params)[1].data, delta)))
+    fd = (_J(W + t * delta, params) - _J(W - t * delta, params)) / (2 * t)
+    ip = float(np.real(np.vdot(evaluate_and_gradient(W, *params)[1], delta)))
     return fd, ip
 
 
@@ -239,9 +220,9 @@ def test_gradient_matches_central_differences(small_basis):
     grid = Grid2D(0.8, 6)
     rng = np.random.default_rng(7)
     W = _rand_field(grid, 2, rng)
-    params = _params(small_basis, _rand_field(grid, 2, rng))
+    params = _params(small_basis, _rand_field(grid, 2, rng), grid)
     for _ in range(5):
-        delta = rng.standard_normal(W.data.shape)
+        delta = rng.standard_normal(W.shape)
         for d in (delta, 1j * delta):
             fd, ip = _fd_pair(W, params, d)
             assert abs(fd - ip) <= 1e-5 * max(1.0, abs(fd))
@@ -252,18 +233,16 @@ def test_gradient_consistent_along_descent(small_basis):
     grid = Grid2D(0.8, 6)
     rng = np.random.default_rng(19)
     W = _rand_field(grid, 2, rng, scale=0.05)
-    params = _params(small_basis, _rand_field(grid, 2, rng, scale=0.05))
+    params = _params(small_basis, _rand_field(grid, 2, rng, scale=0.05), grid)
     visited = [W]
     J_seen = [_J(W, params)]
     for _ in range(2):
-        g = evaluate_and_gradient(visited[-1], params)[1]
-        visited.append(
-            CoeffVectorField(grid=grid, data=visited[-1].data - 3e-4 * g.data)
-        )
+        g = evaluate_and_gradient(visited[-1], *params)[1]
+        visited.append(visited[-1] - 3e-4 * g)
         J_seen.append(_J(visited[-1], params))
     assert all(b < a for a, b in zip(J_seen, J_seen[1:]))
     for Wn in visited:
-        delta = rng.standard_normal(Wn.data.shape)
+        delta = rng.standard_normal(Wn.shape)
         fd, ip = _fd_pair(Wn, params, delta)
         assert abs(fd - ip) <= 1e-5 * max(1.0, abs(fd))
 
@@ -320,14 +299,14 @@ def test_pure_regularizer_gradient_matches_explicit_matrix():
         tensor_B=np.zeros_like(bs.tensor_B),
     )
     rho, a1, a2 = 0.7, 0.3, 0.11
-    params = _params(bs0, _zero_field(grid, 1), rho=rho, alpha1=a1, alpha2=a2)
+    params = _params(bs0, _zero_field(grid, 1), grid, rho=rho, alpha1=a1, alpha2=a2)
     rng = np.random.default_rng(23)
     W = _rand_field(grid, 1, rng, scale=1.0)
     M = _h2_form_matrix(grid, rho, a1, a2)
-    flat = grid.flatten(W.data)
+    flat = grid.flatten(W)
     expected_grad = 2 * (M @ flat)
-    J, grad = evaluate_and_gradient(W, params)
-    got = grid.flatten(grad.data)
+    J, grad = evaluate_and_gradient(W, *params)
+    got = grid.flatten(grad)
     assert np.max(np.abs(got - expected_grad)) <= 1e-12 * np.max(np.abs(expected_grad))
     J_form = float(np.real(np.vdot(flat, M @ flat)))
     assert abs(J - J_form) <= 1e-12 * J_form
@@ -343,11 +322,7 @@ def test_raising_weight_strength_never_raises_residual(default_basis, seed, lam_
     F = _zero_field(grid, default_basis.n_modes)
 
     def residual_term(lam):
-        p = ObjectiveParams(
-            rho=0.0, alpha1=0.0, alpha2=0.0,
-            weight=CarlemanWeight(lam=lam, shift=1.0), bs=default_basis, F=F,
-        )
-        return _J(W, p)
+        return _J(W, _params(default_basis, F, grid, rho=0.0, alpha1=0.0, alpha2=0.0, lam=lam))
 
     J_lo = residual_term(lam_lo)
     J_hi = residual_term(lam_lo + step)
@@ -356,16 +331,16 @@ def test_raising_weight_strength_never_raises_residual(default_basis, seed, lam_
 
 
 def test_invalid_parameters_rejected(small_basis):
+    # W, F, the grid and the basis must agree on (n_modes, n_nodes, n_nodes);
+    # the range checks of rho, alpha and lam live in InversionConfig
     grid = Grid2D(0.8, 6)
-    F = _zero_field(grid, 2)
-    with pytest.raises(ValueError):
-        CarlemanWeight(lam=-0.1, shift=1.0)
-    with pytest.raises(ValueError):
-        ObjectiveParams(
-            rho=-1e-5, alpha1=0.0, alpha2=0.0,
-            weight=CarlemanWeight(lam=5.0, shift=1.0), bs=small_basis, F=F,
-        )
-    params = _params(small_basis, F)
-    bad = _zero_field(Grid2D(0.8, 8), 2)
-    with pytest.raises(ValueError):
-        evaluate_and_gradient(bad, params)
+    W = _zero_field(grid, 2)
+    cfg = InversionConfig()
+    for bad in (
+        (_zero_field(Grid2D(0.8, 8), 2), W, grid),
+        (W, _zero_field(Grid2D(0.8, 8), 2), grid),
+        (W, W, Grid2D(0.8, 8)),
+        (_zero_field(grid, 3), _zero_field(grid, 3), grid),
+    ):
+        with pytest.raises(ValueError):
+            evaluate_and_gradient(bad[0], bad[1], bad[2], small_basis, cfg)
