@@ -6,7 +6,7 @@ field V, and finally the pointwise elimination formula that reads a(x) off
 the second derivatives of v at the lowest wavenumber.  Everything here is
 pure array work; no solver state.  Coefficient fields (V, W, F, ...) are
 complex arrays of shape (n_modes, n_nodes, n_nodes): entry [r, i, j] is mode r
-at node (x1_j, x2_i), and Grid2D.flatten gives the lined ordering.
+at node (x1_j, x2_i).
 """
 
 from __future__ import annotations

@@ -7,9 +7,10 @@ The total field satisfies the volume integral equation
 discretized by Nystrom collocation on the uniform node grid.  The weakly
 singular self cell is handled by integrating the small-argument expansion of
 the kernel over a disk of equal area, which keeps the scheme second order
-without periodization machinery.  Since a vanishes outside its support, the
-dense solve is restricted to support nodes and the representation is then
-evaluated at every node; this is an exact reduction of the full system.
+without periodization machinery.  The Nystrom matrix depends only on the
+index offset between two nodes, so it is applied as one FFT convolution and
+the system is solved on the whole grid by GMRES (Saad and Schultz, 1986), as
+in G. Vainikko, Fast solvers of the Lippmann-Schwinger equation (2000).
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.fft import fft2, ifft2, next_fast_len
+from scipy.sparse.linalg import LinearOperator, gmres
 from scipy.special import hankel1
 
 from .basis import KGrid
@@ -39,6 +42,11 @@ __all__ = [
 
 _EULER_GAMMA = float(np.euler_gamma)
 
+# GMRES iterations per solve, in restart cycles; the reference inversions
+# need 6 to 12, so a solve that reaches the cap has stalled.
+GMRES_MAX_ITER = 500
+GMRES_RESTART = 100
+
 
 class IllConditionedSystem(RuntimeError):
     """The discrete scattering system could not be solved reliably."""
@@ -50,7 +58,6 @@ class Grid2D:
 
     Fields live on arrays indexed [i, j] with i the x2 (vertical) index and
     j the x1 index; the measurement boundary is the top row i = n_cells.
-    The lined ordering runs i fastest, then j, then the component index.
     """
 
     half_width: float
@@ -89,20 +96,6 @@ class Grid2D:
         x = self.nodes
         X2, X1 = np.meshgrid(x, x, indexing="ij")
         return X1, X2
-
-    def flatten(self, field: np.ndarray) -> np.ndarray:
-        """Map [i, j] or [r, i, j] arrays to the lined ordering."""
-        a = np.asarray(field)
-        if a.ndim == 2:
-            return a.T.ravel()
-        return a.transpose(0, 2, 1).reshape(-1)
-
-    def unflatten(self, flat: np.ndarray) -> np.ndarray:
-        a = np.asarray(flat)
-        n = self.n_nodes
-        if a.size == self.n_points:
-            return a.reshape(n, n).T
-        return a.reshape(-1, n, n).transpose(0, 2, 1)
 
 
 @dataclass(frozen=True)
@@ -261,46 +254,50 @@ def _kernel_table(grid: Grid2D, k: float) -> np.ndarray:
 
 
 def solve_forward(coeff: Coefficient, k: float) -> np.ndarray:
-    """Total field u on the grid for one wavenumber.
+    """Total field u on every grid node for one wavenumber, by GMRES.
 
-    Solves the collocated integral equation restricted to the support of a,
-    then evaluates the representation everywhere.  Raises
-    IllConditionedSystem if the dense solve fails its residual check.
+    The kernel table fills offsets -(n-1)..n-1 of a zero-padded circulant of
+    side L >= 2n - 1, so its FFT product equals the Nystrom matrix product
+    exactly: no wrapped-around offset reaches the n x n corner read back.
+    Raises IllConditionedSystem if the solution fails its residual check.
     """
     if k <= 0:
         raise ValueError("wavenumber must be positive")
     grid = coeff.grid
     X1, X2 = grid.mesh()
     u_in = IncidentWave().field(X1, X2, k)
-    a_flat = grid.flatten(coeff.quadrature_mean())
-    sup = np.flatnonzero(a_flat)
-    if sup.size == 0:
+    a = coeff.quadrature_mean()
+    if not np.any(a):
         return u_in
 
     n = grid.n_nodes
-    m = np.arange(grid.n_points)
-    I, J = m % n, m // n
-    Is, Js = I[sup], J[sup]
+    L = next_fast_len(2 * n - 1)
     table = _kernel_table(grid, k)
-    G_ss = table[np.abs(Is[:, None] - Is[None, :]), np.abs(Js[:, None] - Js[None, :])]
+    circ = np.zeros((L, L), dtype=complex)
+    circ[:n, :n] = table
+    circ[L - n + 1:, :n] = table[:0:-1]
+    circ[:, L - n + 1:] = circ[:, n - 1:0:-1]
+    kernel_hat = fft2(circ)
+    scale = k * k * grid.h ** 2
 
-    w = grid.h ** 2
-    A = np.eye(sup.size, dtype=complex) - (k * k * w) * (G_ss * a_flat[sup][None, :])
-    rhs = grid.flatten(u_in)[sup]
-    try:
-        u_s = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise IllConditionedSystem(f"singular scattering system at k={k}") from exc
-    resid = np.linalg.norm(A @ u_s - rhs) / np.linalg.norm(rhs)
-    if not np.all(np.isfinite(u_s)) or resid >= 1e-10:
-        cond = float(np.linalg.cond(A))
+    def apply(v):
+        au = np.zeros((L, L), dtype=complex)
+        au[:n, :n] = a * v.reshape(n, n)
+        return v - scale * ifft2(fft2(au) * kernel_hat)[:n, :n].ravel()
+
+    op = LinearOperator((n * n, n * n), matvec=apply, dtype=complex)
+    rhs = u_in.ravel()
+    residuals = []
+    u, _ = gmres(op, rhs, rtol=1e-12, atol=0.0, restart=GMRES_RESTART,
+                 maxiter=GMRES_MAX_ITER // GMRES_RESTART,
+                 callback=residuals.append, callback_type="pr_norm")
+    resid = np.linalg.norm(apply(u) - rhs) / np.linalg.norm(rhs)
+    if not resid < 1e-10:  # also true for a non-finite u, whose residual is nan or inf
         raise IllConditionedSystem(
-            f"scattering solve at k={k}: relative residual {resid:.2e}, condition estimate {cond:.2e}"
+            f"scattering solve at k={k}: GMRES stopped after {len(residuals)} iterations "
+            f"with relative residual {resid:.2e}"
         )
-
-    G_all = table[np.abs(I[:, None] - Is[None, :]), np.abs(J[:, None] - Js[None, :])]
-    u_flat = grid.flatten(u_in) + (k * k * w) * (G_all @ (a_flat[sup] * u_s))
-    return grid.unflatten(u_flat)
+    return u.reshape(n, n)
 
 
 def solve_forward_multi(coeff: Coefficient, kgrid: KGrid) -> np.ndarray:

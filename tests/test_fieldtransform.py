@@ -230,18 +230,6 @@ def test_recovery_refuses_tiny_grids(default_basis):
         recover_coefficient(np.zeros((4, 9, 9), dtype=complex), default_basis, Grid2D(0.8, 9))
 
 
-def test_lined_ordering_roundtrip():
-    grid = Grid2D(0.8, 5)
-    rng = np.random.default_rng(0)
-    data = rng.standard_normal((3, 6, 6)) + 1j * rng.standard_normal((3, 6, 6))
-    flat = grid.flatten(data)
-    assert flat.shape == (3 * 36,)
-    assert np.array_equal(grid.unflatten(flat), data)
-    # i fastest, then j, then the component r
-    for i, j, r in ((0, 0, 0), (2, 4, 1), (5, 5, 2), (3, 1, 0)):
-        assert flat[i + 6 * j + 36 * r] == data[r, i, j]
-
-
 def test_smoothing_is_off_at_zero_width():
     rng = np.random.default_rng(1)
     G = rng.standard_normal((2, 20)) + 1j * rng.standard_normal((2, 20))

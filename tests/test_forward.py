@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from convexscat import (
+    Coefficient,
     Disk,
     Grid2D,
     IncidentWave,
@@ -16,6 +17,7 @@ from convexscat import (
     solve_forward_multi,
     trace_cauchy,
 )
+from convexscat.forward import IllConditionedSystem, _kernel_table
 
 WAVE = IncidentWave()
 DISK = Disk(center=(0.0, 0.45), radius=0.2, value=3.0)
@@ -60,6 +62,37 @@ def test_solver_error_shrinks_under_refinement():
     e28 = _oracle_error(28, 2.0)
     e56 = _oracle_error(56, 2.0)
     assert e56 < e28 / 2
+
+
+@pytest.mark.parametrize("k", [0.5, 2.0])
+def test_solver_matches_dense_nystrom_system(k):
+    # the full collocation matrix, assembled entry by entry from the kernel
+    # table; a flipped or shifted circulant embedding breaks the agreement
+    grid = Grid2D(0.8, 12)
+    n = grid.n_nodes
+    rng = np.random.default_rng(5)
+    a = np.zeros((n, n))
+    a[1:-1, 1:-1] = rng.uniform(0.2, 3.0, (n - 2, n - 2))
+    table = _kernel_table(grid, k)
+    I, J = np.divmod(np.arange(n * n), n)
+    G = table[np.abs(I[:, None] - I[None, :]), np.abs(J[:, None] - J[None, :])]
+    A = np.eye(n * n) - k * k * grid.h ** 2 * G * a.ravel()[None, :]
+    X1, X2 = grid.mesh()
+    dense = np.linalg.solve(A, WAVE.field(X1, X2, k).ravel()).reshape(n, n)
+    u = solve_forward(Coefficient(grid, a), k)
+    assert np.max(np.abs(u - dense)) <= 1e-10 * np.max(np.abs(dense))
+
+
+def test_stalled_solve_is_refused():
+    # a block rising from -1.3e7 to 1.1e8 along x2, the shape of a diverged
+    # unweighted iterate; GMRES stalls far above the residual bound
+    grid = Grid2D(0.8, 16)
+    n = grid.n_nodes
+    a = np.zeros((n, n))
+    a[1:-1, 1:-1] = np.linspace(-1.3e7, 1.1e8, n - 2)[:, None]
+    with pytest.raises(IllConditionedSystem,
+                       match=r"k=0\.5: GMRES stopped after \d+ iterations with relative residual"):
+        solve_forward(Coefficient(grid, a), 0.5)
 
 
 def test_solver_rejects_nonpositive_wavenumber():

@@ -39,6 +39,11 @@ def _zero_field(grid, n_modes):
     return np.zeros((n_modes, grid.n_nodes, grid.n_nodes), dtype=complex)
 
 
+def _lined(a):
+    """Flat vector of [r, i, j] fields with i fastest, then j, then r."""
+    return a.transpose(0, 2, 1).reshape(-1)
+
+
 def _params(bs, F, grid, rho=1e-5, alpha1=1e-3, alpha2=1e-5, lam=5.0, shift=1.0):
     """Everything evaluate_and_gradient takes after W, in call order."""
     cfg = InversionConfig(rho=rho, alpha1=alpha1, alpha2=alpha2, lam=lam, shift=shift)
@@ -62,8 +67,8 @@ def _loop_J(W, params):
     N = W.shape[0]
     h = grid.h
     nodes = grid.nodes
-    w = grid.flatten(W)
-    wh = w + grid.flatten(F)
+    w = _lined(W)
+    wh = w + _lined(F)
     lam, shift = cfg.lam, cfg.shift
     D, S, B = bs.mat_D, bs.mat_S, bs.tensor_B
 
@@ -303,10 +308,10 @@ def test_pure_regularizer_gradient_matches_explicit_matrix():
     rng = np.random.default_rng(23)
     W = _rand_field(grid, 1, rng, scale=1.0)
     M = _h2_form_matrix(grid, rho, a1, a2)
-    flat = grid.flatten(W)
+    flat = _lined(W)
     expected_grad = 2 * (M @ flat)
     J, grad = evaluate_and_gradient(W, *params)
-    got = grid.flatten(grad)
+    got = _lined(grad)
     assert np.max(np.abs(got - expected_grad)) <= 1e-12 * np.max(np.abs(expected_grad))
     J_form = float(np.real(np.vdot(flat, M @ flat)))
     assert abs(J - J_form) <= 1e-12 * J_form
