@@ -308,32 +308,50 @@ def solve_forward_multi(coeff: Coefficient, kgrid: KGrid) -> np.ndarray:
 def trace_cauchy(fields: np.ndarray, coeff: Coefficient, kgrid: KGrid) -> CauchyData:
     """Cauchy traces (g0, g1) on the top boundary from solved fields.
 
-    g1 comes from differentiating the integral representation in x2, which
-    needs only H1 evaluations at strictly positive distances because the
-    support never reaches the boundary; the incident part is exact.
+    g0 is the top row of each field.  g1 is the exact incident derivative
+    plus the x2-derivative of the integral representation,
+
+        k^2 h^2 sum_y dK(x - y) a(y) u(y),  dK = -(i/4) k H1^(1)(k r) (x2 - y2) / r.
+
+    On the uniform grid dK depends only on the lattice offset between a top
+    row node and a support node: the row offset di from the support row up to
+    the boundary and the column offset |dj| in 0..n-1.  The offset table is
+    filled by one H1 evaluation over (wavenumber, support row, |dj|), and
+    each wavenumber gathers it into per-row Toeplitz matrices applied to a*u
+    on the support rows only.  The support must stay below the boundary, so
+    di >= 1 and every r is strictly positive; support on the top row itself
+    would put the kernel's singularity on a measurement node and is refused.
     """
     grid = coeff.grid
+    n = grid.n_nodes
     fields = np.asarray(fields)
+    if fields.shape != (kgrid.n_sub, n, n):
+        raise ValueError(
+            f"fields must have shape (n_k, n_nodes, n_nodes) = {(kgrid.n_sub, n, n)}, "
+            f"got {fields.shape}"
+        )
+    mean = coeff.quadrature_mean()
+    rows = np.flatnonzero(np.any(mean != 0, axis=1))
+    if rows.size and rows[-1] == grid.gamma_row:
+        raise ValueError(
+            f"coefficient support reaches the measurement row i = {grid.gamma_row} "
+            f"(x2 = {grid.half_width}), where the trace kernel is singular"
+        )
     g0 = fields[:, grid.gamma_row, :].T.copy()
 
-    x1 = grid.nodes
-    x2_top = grid.half_width
-    X1, X2 = grid.mesh()
-    mean = coeff.quadrature_mean()
-    sup = mean != 0
-    y1, y2, a_s = X1[sup], X2[sup], mean[sup]
+    ks = kgrid.midpoints[:, None, None]
+    di = (grid.gamma_row - rows)[:, None]
+    rho = np.hypot(di, np.arange(n)[None, :])
+    table = (-0.25j * grid.h ** 2) * ks ** 3 * hankel1(1, ks * grid.h * rho) * (di / rho)
+    offset = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
+    au = mean[rows] * fields[:, rows, :]
 
+    x1 = grid.nodes
     wave = IncidentWave()
     g1 = np.empty_like(g0)
     for m, k in enumerate(kgrid.midpoints):
-        du_in = wave.dx2(x1, x2_top, k)
-        if a_s.size == 0:
-            g1[:, m] = du_in
-            continue
-        dx2 = x2_top - y2[None, :]
-        r = np.hypot(x1[:, None] - y1[None, :], dx2)
-        dK = -0.25j * k * hankel1(1, k * r) * dx2 / r
-        g1[:, m] = du_in + (k * k * grid.h ** 2) * (dK @ (a_s * fields[m][sup]))
+        scattered = np.einsum("rjl,rl->j", table[m][:, offset], au[m])
+        g1[:, m] = wave.dx2(x1, grid.half_width, k) + scattered
     return CauchyData(grid=grid, kgrid=kgrid, g0=g0, g1=g1, noise_level=0.0, seed=None)
 
 

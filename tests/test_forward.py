@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import hankel1
 
 from convexscat import (
     Coefficient,
@@ -143,6 +144,55 @@ def test_trace_derivative_matches_one_sided_differences():
     coarse, fine = gap(56), gap(112)
     assert coarse < 5e-4
     assert coarse / fine > 8
+
+
+def test_trace_matches_direct_kernel_sum():
+    # the offset-table trace against the kernel summed over the full
+    # (top row x support) distance matrix; support spans several rows and
+    # both edge columns, so the column offset n-1 is exercised too
+    grid = Grid2D(0.8, 12)
+    n = grid.n_nodes
+    kg = make_kgrid(0.5, 2.0, 3)
+    rng = np.random.default_rng(11)
+    a = np.zeros((n, n))
+    a[2:9, :] = rng.uniform(0.2, 3.0, (7, n))
+    a[4, 3:6] = 0.0
+    coeff = Coefficient(grid, a)
+    fields = solve_forward_multi(coeff, kg)
+    cd = trace_cauchy(fields, coeff, kg)
+
+    x1, x2_top = grid.nodes, grid.half_width
+    X1, X2 = grid.mesh()
+    sup = a != 0
+    y1, y2, a_s = X1[sup], X2[sup], a[sup]
+    for m, k in enumerate(kg.midpoints):
+        dx2 = x2_top - y2[None, :]
+        r = np.hypot(x1[:, None] - y1[None, :], dx2)
+        dK = -0.25j * k * hankel1(1, k * r) * dx2 / r
+        g1 = WAVE.dx2(x1, x2_top, k) + (k * k * grid.h ** 2) * (dK @ (a_s * fields[m][sup]))
+        assert np.max(np.abs(cd.g1[:, m] - g1)) <= 1e-12 * np.max(np.abs(g1))
+    assert np.array_equal(cd.g0, fields[:, -1, :].T)
+
+
+def test_trace_refuses_support_on_measurement_row():
+    grid = Grid2D(0.8, 12)
+    kg = make_kgrid(0.5, 2.0, 3)
+    a = np.zeros((grid.n_nodes, grid.n_nodes))
+    a[-1, 5] = 1.0
+    coeff = Coefficient(grid, a)
+    fields = solve_forward_multi(rasterize([], grid), kg)
+    with pytest.raises(ValueError, match=r"measurement row i = 12"):
+        trace_cauchy(fields, coeff, kg)
+
+
+def test_trace_refuses_fields_of_the_wrong_shape():
+    grid = Grid2D(0.8, 12)
+    kg = make_kgrid(0.5, 2.0, 3)
+    coeff = rasterize([DISK], grid)
+    fields = solve_forward_multi(coeff, kg)
+    for bad in (fields[:2], fields[:, :-1, :], fields[0]):
+        with pytest.raises(ValueError, match=r"fields must have shape"):
+            trace_cauchy(bad, coeff, kg)
 
 
 def test_scattered_field_decays_away_from_support():
