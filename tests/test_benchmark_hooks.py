@@ -3,12 +3,17 @@
 perfbench/tracer.py replaces each (module, attribute) in its TARGETS table
 with a timing wrapper, and perfbench/workloads.py imports the readers and
 scenario helpers it checks passes with.  A rename or deletion in the library
-would otherwise break only a benchmark run, so both are loaded here.
+would otherwise break only a benchmark run, so both are loaded here.  The
+tracer's `forward.solve` span and `forward.solves` count wrap solve_forward,
+so solve_forward_multi must keep calling it through the module, once per
+wavenumber.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+from convexscat import Disk, Grid2D, forward, make_kgrid, rasterize
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -28,3 +33,14 @@ def test_benchmark_hooks_resolve():
     assert missing == []
     # importing the workloads module resolves every library name it uses
     assert _load("workloads").WORKLOADS == ("simulate", "invert", "ablate")
+
+
+def test_multi_solve_calls_solve_forward_once_per_wavenumber(monkeypatch):
+    calls = []
+    solve = forward.solve_forward
+    monkeypatch.setattr(forward, "solve_forward",
+                        lambda coeff, k: calls.append(k) or solve(coeff, k))
+    kg = make_kgrid(0.5, 2.0, 3)
+    coeff = rasterize([Disk(center=(0.0, 0.3), radius=0.2, value=1.0)], Grid2D(0.8, 8))
+    forward.solve_forward_multi(coeff, kg)
+    assert calls == list(kg.midpoints)

@@ -1,5 +1,7 @@
 """Tests for the volume-integral scattering solver, traces and noise."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import hankel1
@@ -18,7 +20,7 @@ from convexscat import (
     solve_forward_multi,
     trace_cauchy,
 )
-from convexscat.forward import IllConditionedSystem, _kernel_table
+from convexscat.forward import IllConditionedSystem, _gmres, _kernel_table
 
 WAVE = IncidentWave()
 DISK = Disk(center=(0.0, 0.45), radius=0.2, value=3.0)
@@ -65,35 +67,98 @@ def test_solver_error_shrinks_under_refinement():
     assert e56 < e28 / 2
 
 
-@pytest.mark.parametrize("k", [0.5, 2.0])
-def test_solver_matches_dense_nystrom_system(k):
-    # the full collocation matrix, assembled entry by entry from the kernel
-    # table; a flipped or shifted circulant embedding breaks the agreement
-    grid = Grid2D(0.8, 12)
+def _dense_nystrom_field(grid, a, k):
+    # the full collocation matrix, assembled entry by entry from the kernel table
     n = grid.n_nodes
-    rng = np.random.default_rng(5)
-    a = np.zeros((n, n))
-    a[1:-1, 1:-1] = rng.uniform(0.2, 3.0, (n - 2, n - 2))
     table = _kernel_table(grid, k)
     I, J = np.divmod(np.arange(n * n), n)
     G = table[np.abs(I[:, None] - I[None, :]), np.abs(J[:, None] - J[None, :])]
     A = np.eye(n * n) - k * k * grid.h ** 2 * G * a.ravel()[None, :]
     X1, X2 = grid.mesh()
-    dense = np.linalg.solve(A, WAVE.field(X1, X2, k).ravel()).reshape(n, n)
+    return np.linalg.solve(A, WAVE.field(X1, X2, k).ravel()).reshape(n, n)
+
+
+def _assert_matches_dense_nystrom(grid, a, k):
+    dense = _dense_nystrom_field(grid, a, k)
     u = solve_forward(Coefficient(grid, a), k)
     assert np.max(np.abs(u - dense)) <= 1e-10 * np.max(np.abs(dense))
 
 
-def test_stalled_solve_is_refused():
+@pytest.mark.parametrize("k", [0.5, 2.0])
+def test_solver_matches_dense_nystrom_system(k):
+    # dense support: a flipped or shifted circulant embedding breaks the agreement
+    grid = Grid2D(0.8, 12)
+    n = grid.n_nodes
+    rng = np.random.default_rng(5)
+    a = np.zeros((n, n))
+    a[1:-1, 1:-1] = rng.uniform(0.2, 3.0, (n - 2, n - 2))
+    _assert_matches_dense_nystrom(grid, a, k)
+
+
+def _sparse_support(kind, n):
+    rng = np.random.default_rng(7)
+    a = np.zeros((n, n))
+    if kind == "node":
+        a[6, 4] = 2.0
+    elif kind == "row":
+        a[5, 2:9] = rng.uniform(0.2, 3.0, 7)
+    elif kind == "column":
+        a[2:10, 7] = rng.uniform(0.2, 3.0, 8)
+    elif kind == "last-column":
+        a[3:7, 9:] = rng.uniform(0.2, 3.0, (4, n - 9))
+    elif kind == "holed-block":
+        a[2:6, 5:11] = rng.uniform(0.2, 3.0, (4, 6))
+        a[3, 7] = 0.0
+    return a
+
+
+@pytest.mark.parametrize("k", [0.5, 2.0])
+@pytest.mark.parametrize("kind", ["node", "row", "column", "last-column", "holed-block"])
+def test_box_solve_matches_dense_nystrom_system(kind, k):
+    # the solve runs on the support's bounding box and extends the field from
+    # it; a box shifted by one row or column breaks the agreement
+    grid = Grid2D(0.8, 12)
+    _assert_matches_dense_nystrom(grid, _sparse_support(kind, grid.n_nodes), k)
+
+
+def _rising_block(grid):
     # a block rising from -1.3e7 to 1.1e8 along x2, the shape of a diverged
-    # unweighted iterate; GMRES stalls far above the residual bound
-    grid = Grid2D(0.8, 16)
+    # unweighted iterate
     n = grid.n_nodes
     a = np.zeros((n, n))
     a[1:-1, 1:-1] = np.linspace(-1.3e7, 1.1e8, n - 2)[:, None]
+    return a
+
+
+def test_rising_block_on_a_coarse_grid_matches_dense_nystrom_system():
+    # condition number about 1.9e7 at 16 cells, and still solved to the bound
+    grid = Grid2D(0.8, 16)
+    _assert_matches_dense_nystrom(grid, _rising_block(grid), 0.5)
+
+
+def test_stalled_solve_is_refused():
+    # the same block at 28 cells stalls far above the residual bound
+    grid = Grid2D(0.8, 28)
     with pytest.raises(IllConditionedSystem,
                        match=r"k=0\.5: GMRES stopped after \d+ iterations with relative residual"):
-        solve_forward(Coefficient(grid, a), 0.5)
+        solve_forward(Coefficient(grid, _rising_block(grid)), 0.5)
+
+
+def test_gmres_takes_one_step_per_distinct_eigenvalue():
+    rng = np.random.default_rng(3)
+    d = np.repeat([1.0, 2.5, 4.0 + 1.0j], 7)
+    b = rng.standard_normal(d.size) + 1j * rng.standard_normal(d.size)
+    x, iterations = _gmres(lambda v: d * v, b)
+    assert iterations <= 3
+    assert np.linalg.norm(d * x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_gmres_zero_right_hand_side_returns_zero():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, iterations = _gmres(lambda v: 2.0 * v, np.zeros(6, dtype=complex))
+    assert iterations == 0
+    assert np.array_equal(x, np.zeros(6))
 
 
 def test_solver_rejects_nonpositive_wavenumber():
