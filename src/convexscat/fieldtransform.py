@@ -53,8 +53,8 @@ class LogField:
     branch_jumps: int
 
 
-def _check_floor(p: np.ndarray, what: str) -> None:
-    mag = np.abs(p)
+def _check_floor(mag: np.ndarray, what: str) -> None:
+    """Refuse |p| = mag within P_FLOOR of zero."""
     if mag.min() <= P_FLOOR:
         n_bad = int(np.count_nonzero(mag <= P_FLOOR))
         raise NearZeroTotalField(
@@ -63,15 +63,21 @@ def _check_floor(p: np.ndarray, what: str) -> None:
 
 
 def total_to_log(fields: np.ndarray, grid: Grid2D, kg: KGrid) -> LogField:
-    """v = Log(u/u_in)/k^2 on the whole grid for every wavenumber midpoint."""
+    """v = Log(u/u_in)/k^2 on the whole grid for every wavenumber midpoint.
+
+    The principal logarithm is taken as log|p| + i arg(p), so the phase is
+    computed once for both v and the branch diagnostic.
+    """
     fields = np.asarray(fields)
-    X1, X2 = grid.mesh()
-    ks = kg.midpoints
-    u_in = np.stack([IncidentWave().field(X1, X2, k) for k in ks])
+    ks = kg.midpoints[:, None, None]
+    # d = (0, -1): u_in is constant along each row
+    u_in = IncidentWave().field(0.0, grid.nodes[None, :, None], ks)
     p = fields / u_in
-    _check_floor(p, "total_to_log")
-    v = np.log(p) / (ks[:, None, None] ** 2)
-    jumps = int(np.count_nonzero(np.abs(np.diff(np.angle(p), axis=0)) > np.pi))
+    mag = np.abs(p)
+    _check_floor(mag, "total_to_log")
+    phase = np.angle(p)
+    v = (np.log(mag) + 1j * phase) / ks ** 2
+    jumps = int(np.count_nonzero(np.abs(np.diff(phase, axis=0)) > np.pi))
     return LogField(grid=grid, kgrid=kg, v=v, branch_jumps=jumps)
 
 
@@ -95,7 +101,7 @@ def cauchy_to_v_data(cd: CauchyData, bs: BasisSet):
     wave = IncidentWave()
     u_in = wave.field(x1[:, None], cd.grid.half_width, ks[None, :])
     p0 = cd.g0 / u_in
-    _check_floor(p0, "cauchy_to_v_data")
+    _check_floor(np.abs(p0), "cauchy_to_v_data")
     k2 = ks[None, :] ** 2
     gt0 = np.log(p0) / k2
     gt1 = (cd.g1 / cd.g0 - 1j * ks[None, :] * wave.direction[1]) / k2

@@ -12,8 +12,10 @@ index offset between two nodes, so it is applied as one FFT convolution, as
 in G. Vainikko, Fast solvers of the Lippmann-Schwinger equation (2000).
 Since a u vanishes where a does, the system is solved by GMRES (Saad and
 Schultz, 1986) on the bounding box of the support only, and one more
-convolution extends the field to the whole grid and checks the full-grid
-residual.
+convolution, from the box to the grid, extends the field to the whole grid
+and checks the full-grid residual.  Both products, and the trace kernel,
+take their Hankel values from the real-argument Bessel functions
+H_m = J_m + i Y_m.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.fft import fft2, ifft2, next_fast_len
+from scipy.fft import fft, fft2, ifft, ifft2, next_fast_len
 from scipy.linalg import solve_triangular
-from scipy.special import hankel1
+from scipy.special import j0, j1, y0, y1
 
 from .basis import KGrid
 
@@ -241,41 +243,47 @@ class CauchyData:
 def _kernel_table(grid: Grid2D, k: float) -> np.ndarray:
     """Kernel value (i/4)H0(k r) by absolute index offset (di, dj).
 
-    Entry (0, 0) holds the cell average of the small-argument expansion over
-    the equal-area disk of radius rho0 = h/sqrt(pi), so multiplying the whole
-    table by the uniform weight h^2 yields the corrected Nystrom weights.
+    H0 = J0 + i Y0 is evaluated from the real-argument Bessel functions on
+    every offset.  Entry (0, 0) holds the cell average of the small-argument
+    expansion over the equal-area disk of radius rho0 = h/sqrt(pi), so
+    multiplying the whole table by the uniform weight h^2 yields the
+    corrected Nystrom weights.
     """
     n = grid.n_nodes
     off = np.arange(n)
-    d2 = off[:, None] ** 2 + off[None, :] ** 2
-    uniq, inv = np.unique(d2, return_inverse=True)
-    inv = inv.reshape(d2.shape)
-    vals = np.empty(uniq.shape, dtype=complex)
+    kr = (k * grid.h) * np.sqrt((off[:, None] ** 2 + off[None, :] ** 2).ravel()[1:])
+    table = np.empty(n * n, dtype=complex)
     rho0 = grid.h / np.sqrt(np.pi)
-    vals[0] = 0.25j - _EULER_GAMMA / (2 * np.pi) - (np.log(k * rho0 / 2) - 0.5) / (2 * np.pi)
-    r = grid.h * np.sqrt(uniq[1:].astype(float))
-    vals[1:] = 0.25j * hankel1(0, k * r)
-    return vals[inv]
+    table[0] = 0.25j - _EULER_GAMMA / (2 * np.pi) - (np.log(k * rho0 / 2) - 0.5) / (2 * np.pi)
+    table[1:] = 0.25j * (j0(kr) + 1j * y0(kr))
+    return table.reshape(n, n)
 
 
-def _offset_product(table: np.ndarray):
-    """Product with the matrix T[(i, j), (i', j')] = table[|i - i'|, |j - j'|].
+def _offset_product(table: np.ndarray, source, window):
+    """Product with T[(i, j), (i', j')] = table[|i - i'|, |j - j'|] from the
+    nodes of `source` to those of `window`, each a pair of grid slices.
 
-    The table fills offsets -(p-1)..p-1 by -(q-1)..q-1 of a zero-padded
-    circulant of size P x Q >= (2p - 1) x (2q - 1), so one FFT pair gives the
-    product exactly: no wrapped-around offset reaches the p x q corner read
-    back.
+    Along an axis where the source has p nodes starting at s and the window
+    w nodes starting at t, the output reads the offsets t - s + e for
+    e = -(p-1)..w-1.  Entry table[|t - s + e|] sits at position e of a
+    zero-padded circulant of length at least w + p - 1, so one FFT pair
+    gives the product exactly: no wrapped-around offset reaches the w-node
+    corner read back.
     """
-    p, q = table.shape
-    shape = (next_fast_len(2 * p - 1), next_fast_len(2 * q - 1))
+    shape, place, offsets = [], [], []
+    for src, out in zip(source, window):
+        p, w = src.stop - src.start, out.stop - out.start
+        e = np.arange(-(p - 1), w)
+        shape.append(next_fast_len(w + p - 1))
+        place.append(e % shape[-1])
+        offsets.append(np.abs(out.start - src.start + e))
     circ = np.zeros(shape, dtype=complex)
-    circ[:p, :q] = table
-    circ[shape[0] - p + 1:, :q] = table[:0:-1]
-    circ[:, shape[1] - q + 1:] = circ[:, q - 1:0:-1]
+    circ[np.ix_(*place)] = table[np.ix_(*offsets)]
     kernel_hat = fft2(circ)
+    read = tuple(slice(out.stop - out.start) for out in window)
 
     def apply(x):
-        return ifft2(fft2(x, s=shape) * kernel_hat)[:p, :q]
+        return ifft2(fft2(x, s=shape) * kernel_hat)[read]
 
     return apply
 
@@ -345,21 +353,22 @@ def solve_forward(coeff: Coefficient, k: float) -> np.ndarray:
         u_B - k^2 h^2 K_BB (a u)_B = u_in on B,
 
     are an exact subsystem.  GMRES solves it with one FFT pair on a circulant
-    of about (2p) x (2q) per product.  One full-grid convolution
-    c = k^2 h^2 K (a u_B) then extends the field: u = u_in + c off B and
-    u = u_B on B.  The same c gives the residual of the full-grid system,
-    |u - c - u_in| / |u_in|, which is zero off B by construction and the
-    box residual on B; a solve whose residual is not below 1e-10 raises
-    IllConditionedSystem.
+    of about (2p) x (2q) per product.  One box-to-grid convolution
+    c = k^2 h^2 K (a u_B), on a circulant of about (n + p) x (n + q), then
+    extends the field: u = u_in + c off B and u = u_B on B.  The same c
+    gives the residual of the full-grid system, |u - c - u_in| / |u_in|,
+    which is zero off B by construction and the box residual on B; a solve
+    whose residual is not below 1e-10 raises IllConditionedSystem.
     """
     if k <= 0:
         raise ValueError("wavenumber must be positive")
     grid = coeff.grid
-    X1, X2 = grid.mesh()
-    u_in = IncidentWave().field(X1, X2, k)
+    n = grid.n_nodes
+    # d = (0, -1): u_in is constant along each row
+    u_in = np.broadcast_to(IncidentWave().field(0.0, grid.nodes[:, None], k), (n, n))
     a = coeff.quadrature_mean()
     if not np.any(a):
-        return u_in
+        return u_in.copy()
 
     rows = np.flatnonzero(np.any(a != 0, axis=1))
     cols = np.flatnonzero(np.any(a != 0, axis=0))
@@ -368,16 +377,14 @@ def solve_forward(coeff: Coefficient, k: float) -> np.ndarray:
     p, q = a_box.shape
     table = _kernel_table(grid, k)
     scale = k * k * grid.h ** 2
-    box_product = _offset_product(table[:p, :q])
+    box_product = _offset_product(table, box, box)
 
     def apply(v):
         return v - scale * box_product(a_box * v.reshape(p, q)).ravel()
 
     u_box, iterations = _gmres(apply, u_in[box].ravel())
     u_box = u_box.reshape(p, q)
-    au = np.zeros_like(u_in)
-    au[box] = a_box * u_box
-    c = scale * _offset_product(table)(au)
+    c = scale * _offset_product(table, box, (slice(0, n), slice(0, n)))(a_box * u_box)
     u = u_in + c
     u[box] = u_box
     resid = np.linalg.norm(u - c - u_in) / np.linalg.norm(u_in)
@@ -405,9 +412,11 @@ def trace_cauchy(fields: np.ndarray, coeff: Coefficient, kgrid: KGrid) -> Cauchy
     On the uniform grid dK depends only on the lattice offset between a top
     row node and a support node: the row offset di from the support row up to
     the boundary and the column offset |dj| in 0..n-1.  The offset table is
-    filled by one H1 evaluation over (wavenumber, support row, |dj|), and
-    each wavenumber gathers it into per-row Toeplitz matrices applied to a*u
-    on the support rows only.  The support must stay below the boundary, so
+    filled by one H1 = J1 + i Y1 evaluation over (wavenumber, support row,
+    |dj|).  Each (wavenumber, support row) pair is then a Toeplitz product
+    along the row with a*u, and all of them run as one batched 1D FFT
+    convolution whose spectra are summed over the support rows before the
+    inverse transform.  The support must stay below the boundary, so
     di >= 1 and every r is strictly positive; support on the top row itself
     would put the kernel's singularity on a measurement node and is refused.
     """
@@ -431,16 +440,17 @@ def trace_cauchy(fields: np.ndarray, coeff: Coefficient, kgrid: KGrid) -> Cauchy
     ks = kgrid.midpoints[:, None, None]
     di = (grid.gamma_row - rows)[:, None]
     rho = np.hypot(di, np.arange(n)[None, :])
-    table = (-0.25j * grid.h ** 2) * ks ** 3 * hankel1(1, ks * grid.h * rho) * (di / rho)
-    offset = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    au = mean[rows] * fields[:, rows, :]
+    kr = ks * grid.h * rho
+    table = (-0.25j * grid.h ** 2) * ks ** 3 * (j1(kr) + 1j * y1(kr)) * (di / rho)
+    size = next_fast_len(2 * n - 1)
+    circ = np.zeros(table.shape[:2] + (size,), dtype=complex)
+    circ[..., :n] = table
+    circ[..., size - n + 1:] = table[..., :0:-1]
+    au_hat = fft(mean[rows] * fields[:, rows, :], size)
+    scattered = ifft(np.einsum("mrf,mrf->mf", fft(circ), au_hat))[:, :n]
 
-    x1 = grid.nodes
     wave = IncidentWave()
-    g1 = np.empty_like(g0)
-    for m, k in enumerate(kgrid.midpoints):
-        scattered = np.einsum("rjl,rl->j", table[m][:, offset], au[m])
-        g1[:, m] = wave.dx2(x1, grid.half_width, k) + scattered
+    g1 = wave.dx2(grid.nodes[:, None], grid.half_width, kgrid.midpoints[None, :]) + scattered.T
     return CauchyData(grid=grid, kgrid=kgrid, g0=g0, g1=g1, noise_level=0.0, seed=None)
 
 

@@ -69,6 +69,28 @@ def test_log_exp_roundtrip_on_scattering_field(default_kgrid, disk_data):
     assert np.max(np.abs(u_back - fields)) <= 1e-9 * np.max(np.abs(fields))
 
 
+def test_log_matches_complex_log_of_the_ratio(default_kgrid, disk_data):
+    grid, _, fields, lf, _ = disk_data
+    ks = default_kgrid.midpoints[:, None, None]
+    v = np.log(fields / _incident_stack(grid, default_kgrid)) / ks**2
+    assert np.max(np.abs(lf.v - v)) <= 1e-15
+
+
+def test_branch_jumps_count_phase_wraps(default_kgrid):
+    # the phase of p rises through pi between neighbouring wavenumbers at
+    # some nodes and not at others
+    grid = Grid2D(0.8, 10)
+    X1, X2 = grid.mesh()
+    ks = default_kgrid.midpoints[:, None, None]
+    p = (1.5 + 0.5 * X1) * np.exp(1j * (1.0 + (ks - 0.5) + 2.0 * X2))
+    u = _incident_stack(grid, default_kgrid) * p
+    lf = total_to_log(u, grid, default_kgrid)
+    jumps = np.count_nonzero(np.abs(np.diff(np.angle(p), axis=0)) > np.pi)
+    assert 0 < jumps < p[0].size
+    assert lf.branch_jumps == jumps
+    assert np.max(np.abs(lf.v - np.log(p) / ks**2)) <= 1e-14
+
+
 def test_no_branch_jumps_on_reference_disk(disk_data):
     _, _, _, lf, _ = disk_data
     assert lf.branch_jumps == 0

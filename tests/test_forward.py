@@ -67,6 +67,22 @@ def test_solver_error_shrinks_under_refinement():
     assert e56 < e28 / 2
 
 
+@pytest.mark.parametrize("k", [0.515, 1.985, 6.0])
+@pytest.mark.parametrize("ncells", [12, 28, 56])
+def test_kernel_table_matches_hankel_function(ncells, k):
+    # the dense-solve oracles below read _kernel_table itself, so its values
+    # are checked here against scipy's Hankel routine and the self-cell formula
+    grid = Grid2D(0.8, ncells)
+    table = _kernel_table(grid, k)
+    off = np.arange(grid.n_nodes)
+    r = grid.h * np.hypot(off[:, None], off[None, :])
+    ref = 0.25j * hankel1(0, k * r[r > 0])
+    assert np.max(np.abs(table[r > 0] - ref) / np.abs(ref)) <= 1e-14
+    rho0 = grid.h / np.sqrt(np.pi)
+    self_cell = 0.25j - (np.euler_gamma + np.log(k * rho0 / 2) - 0.5) / (2 * np.pi)
+    assert abs(table[0, 0] - self_cell) <= 1e-15 * abs(self_cell)
+
+
 def _dense_nystrom_field(grid, a, k):
     # the full collocation matrix, assembled entry by entry from the kernel table
     n = grid.n_nodes
@@ -109,14 +125,23 @@ def _sparse_support(kind, n):
     elif kind == "holed-block":
         a[2:6, 5:11] = rng.uniform(0.2, 3.0, (4, 6))
         a[3, 7] = 0.0
+    elif kind == "first-corner":
+        a[1:5, 1:4] = rng.uniform(0.2, 3.0, (4, 3))
+        a[1, 1] = 0.0
+    elif kind == "last-corner":
+        a[n - 4:n - 1, n - 6:n - 1] = rng.uniform(0.2, 3.0, (3, 5))
+        a[n - 2, n - 2] = 0.0
     return a
 
 
 @pytest.mark.parametrize("k", [0.5, 2.0])
-@pytest.mark.parametrize("kind", ["node", "row", "column", "last-column", "holed-block"])
+@pytest.mark.parametrize("kind", ["node", "row", "column", "last-column", "holed-block",
+                                  "first-corner", "last-corner"])
 def test_box_solve_matches_dense_nystrom_system(kind, k):
     # the solve runs on the support's bounding box and extends the field from
-    # it; a box shifted by one row or column breaks the agreement
+    # it to the grid; a box or an output window shifted by one row or column
+    # breaks the agreement.  The corner boxes touch the first and the last
+    # interior row and column, the extremes of the box-to-grid offsets.
     grid = Grid2D(0.8, 12)
     _assert_matches_dense_nystrom(grid, _sparse_support(kind, grid.n_nodes), k)
 
