@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import os
 import sys
 import time
 from dataclasses import asdict
 
 import numpy as np
-import yaml
 
 from .fieldtransform import NearZeroTotalField
 from .forward import IllConditionedSystem
@@ -40,6 +40,7 @@ from .scenarios import (
     config_from_dict,
     get_scenario,
     load_scenario,
+    read_yaml,
     simulate_scenario,
 )
 from .validate import format_report, run_all_checks
@@ -94,8 +95,7 @@ def cmd_invert(args) -> int:
     inputs = [args.data]
     overrides = {}
     if args.config:
-        with open(args.config) as f:
-            doc = yaml.safe_load(f) or {}
+        doc = read_yaml(args.config) or {}
         if not isinstance(doc, dict):
             raise ValueError(f"{args.config} must contain a mapping of config keys")
         overrides = doc
@@ -146,6 +146,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_export(args) -> int:
+    if not math.isfinite(args.row):
+        raise ValueError(f"--row must be a finite x2, got {args.row}")
     coeff = read_coefficient(args.result)
     g = coeff.grid
     out_dir = args.out or os.path.dirname(os.path.abspath(args.result))

@@ -11,21 +11,24 @@ without periodization machinery.  The Nystrom matrix depends only on the
 index offset between two nodes, so it is applied as one FFT convolution, as
 in G. Vainikko, Fast solvers of the Lippmann-Schwinger equation (2000).
 Since a u vanishes where a does, the system is solved by GMRES (Saad and
-Schultz, 1986) on the bounding box of the support only, and one more
-convolution, from the box to the grid, extends the field to the whole grid
-and checks the full-grid residual.  Both products, and the trace kernel,
-take their Hankel values from the real-argument Bessel functions
-H_m = J_m + i Y_m.
+Schultz, 1986) on the bounding box of the support only, at one FFT pair plus
+BLAS calls per step.  One more convolution, from the box to the grid, is
+the restart residual at the end of each GMRES cycle; the last one extends
+the field to the whole grid and checks the full-grid residual.  Both
+products, and the trace kernel, take their Hankel values from the
+real-argument Bessel functions H_m = J_m + i Y_m.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import product
 
 import numpy as np
 from scipy.fft import fft, fft2, ifft, ifft2, next_fast_len
 from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dznrm2, zgemv
 from scipy.special import j0, j1, y0, y1
 
 from .basis import KGrid
@@ -259,66 +262,83 @@ def _kernel_table(grid: Grid2D, k: float) -> np.ndarray:
     return table.reshape(n, n)
 
 
-def _offset_product(table: np.ndarray, source, window):
-    """Product with T[(i, j), (i', j')] = table[|i - i'|, |j - j'|] from the
-    nodes of `source` to those of `window`, each a pair of grid slices.
+def _offset_product(table: np.ndarray, weight: np.ndarray, source, window):
+    """Product v -> T (weight v) with T[(i, j), (i', j')] = table[|i - i'|, |j - j'|]
+    from the nodes of `source` to those of `window`, each a pair of grid
+    slices; weight and v have the source's shape.
 
     Along an axis where the source has p nodes starting at s and the window
     w nodes starting at t, the output reads the offsets t - s + e for
     e = -(p-1)..w-1.  Entry table[|t - s + e|] sits at position e of a
     zero-padded circulant of length at least w + p - 1, so one FFT pair
     gives the product exactly: no wrapped-around offset reaches the w-node
-    corner read back.
+    corner read back.  The circulant is filled from one take of the table
+    rows and one of its columns, placed by four slices: e >= 0 at the start
+    of an axis, e < 0 wrapped to its end.  Each product writes weight v into
+    the corner of one zero-padded buffer, multiplies the spectrum in place
+    and inverts it in place; the result is a view of the window.
     """
-    shape, place, offsets = [], [], []
-    for src, out in zip(source, window):
+    shape, taken, quadrants = [], table, []
+    for axis, (src, out) in enumerate(zip(source, window)):
         p, w = src.stop - src.start, out.stop - out.start
-        e = np.arange(-(p - 1), w)
-        shape.append(next_fast_len(w + p - 1))
-        place.append(e % shape[-1])
-        offsets.append(np.abs(out.start - src.start + e))
+        size = next_fast_len(w + p - 1)
+        shape.append(size)
+        taken = taken.take(np.abs(out.start - src.start + np.arange(-(p - 1), w)), axis=axis)
+        quadrants.append(((slice(0, w), slice(p - 1, None)),
+                          (slice(size - p + 1, size), slice(0, p - 1))))
     circ = np.zeros(shape, dtype=complex)
-    circ[np.ix_(*place)] = table[np.ix_(*offsets)]
+    for (rows, rows_taken), (cols, cols_taken) in product(*quadrants):
+        circ[rows, cols] = taken[rows_taken, cols_taken]
     kernel_hat = fft2(circ)
+    buf = np.zeros(shape, dtype=complex)
+    corner = buf[:weight.shape[0], :weight.shape[1]]
     read = tuple(slice(out.stop - out.start) for out in window)
 
-    def apply(x):
-        return ifft2(fft2(x, s=shape) * kernel_hat)[read]
+    def apply(v):
+        np.multiply(weight, v, out=corner)
+        spectrum = fft2(buf)
+        spectrum *= kernel_hat
+        return ifft2(spectrum, overwrite_x=True)[read]
 
     return apply
 
 
-def _gmres(apply, b: np.ndarray):
+def _gmres(apply, b: np.ndarray, residual):
     """Solve apply(x) = b by restarted GMRES from x = 0; returns (x, iterations).
 
-    Arnoldi orthogonalizes by classical Gram-Schmidt applied twice (CGS2)
-    into a preallocated basis; the Givens rotations that keep the Hessenberg
-    matrix triangular act on Python complex scalars.  A cycle ends when its
-    Arnoldi residual estimate reaches the tolerance, after GMRES_RESTART
-    steps, or at GMRES_MAX_ITER steps in all; the solve stops only when the
-    true residual b - apply(x) meets the tolerance 1e-12 |b| or the steps run
-    out, so round-off between estimate and truth restarts a cycle instead of
-    passing unnoticed.
+    residual(x) returns b - apply(x); it is called once per restart cycle,
+    on the cycle's updated solution, so the caller can compute it from a
+    product it needs anyway.  Arnoldi orthogonalizes by classical
+    Gram-Schmidt applied twice (CGS2) into a preallocated column-major basis:
+    each pass is one BLAS zgemv for the projection and one for the in-place
+    update, and the solution update is one more.  The Givens rotations that
+    keep the Hessenberg matrix triangular act on Python complex scalars.  A
+    cycle ends when its Arnoldi residual estimate reaches the tolerance,
+    after GMRES_RESTART steps, or at GMRES_MAX_ITER steps in all; the solve
+    stops only when the true residual meets the tolerance 1e-12 |b| or the
+    steps run out, so round-off between estimate and truth restarts a cycle
+    instead of passing unnoticed.
     """
-    tol = 1e-12 * np.linalg.norm(b)
-    V = np.empty((GMRES_RESTART + 1, b.size), dtype=complex)
+    tol = 1e-12 * dznrm2(b)
+    V = np.empty((b.size, GMRES_RESTART + 1), dtype=complex, order="F")
     R = np.zeros((GMRES_RESTART, GMRES_RESTART), dtype=complex)
-    x = np.zeros_like(b)
+    x = np.zeros(b.size, dtype=complex)
     r = b
-    beta = np.linalg.norm(r)
+    beta = dznrm2(r)
     iterations = 0
     while beta > tol and iterations < GMRES_MAX_ITER:
-        V[0] = r / beta
+        V[:, 0] = r / beta
         g = [complex(beta)]
         cs, sn = [], []
         for j in range(min(GMRES_RESTART, GMRES_MAX_ITER - iterations)):
-            w = apply(V[j])
-            basis = V[:j + 1]
-            h = (basis @ w.conj()).conj()
-            w = w - h @ basis
-            h2 = (basis @ w.conj()).conj()
-            w -= h2 @ basis
-            h_norm = float(np.linalg.norm(w))
+            w = V[:, j + 1]
+            w[:] = apply(V[:, j])
+            basis = V[:, :j + 1]
+            h = zgemv(1.0, basis, w, trans=2)
+            zgemv(-1.0, basis, h, beta=1.0, y=w, overwrite_y=True)
+            h2 = zgemv(1.0, basis, w, trans=2)
+            zgemv(-1.0, basis, h2, beta=1.0, y=w, overwrite_y=True)
+            h_norm = dznrm2(w)
             col = (h + h2).tolist()
             for i in range(j):
                 col[i], col[i + 1] = (cs[i] * col[i] + sn[i] * col[i + 1],
@@ -335,12 +355,12 @@ def _gmres(apply, b: np.ndarray):
             iterations += 1
             if abs(g[j + 1]) <= tol or h_norm == 0.0:
                 break
-            V[j + 1] = w / h_norm
+            w /= h_norm
         m = len(cs)
         y = solve_triangular(R[:m, :m], np.array(g[:m]))
-        x = x + y @ V[:m]
-        r = b - apply(x)
-        beta = np.linalg.norm(r)
+        zgemv(1.0, V[:, :m], y, beta=1.0, y=x, overwrite_y=True)
+        r = residual(x)
+        beta = dznrm2(r)
     return x, iterations
 
 
@@ -352,11 +372,13 @@ def solve_forward(coeff: Coefficient, k: float) -> np.ndarray:
 
         u_B - k^2 h^2 K_BB (a u)_B = u_in on B,
 
-    are an exact subsystem.  GMRES solves it with one FFT pair on a circulant
-    of about (2p) x (2q) per product.  One box-to-grid convolution
-    c = k^2 h^2 K (a u_B), on a circulant of about (n + p) x (n + q), then
-    extends the field: u = u_in + c off B and u = u_B on B.  The same c
-    gives the residual of the full-grid system, |u - c - u_in| / |u_in|,
+    are an exact subsystem.  GMRES solves it with one FFT pair per step, on
+    a circulant of about (2p) x (2q) filled from the kernel table prescaled
+    by k^2 h^2.  The box-to-grid convolution c = k^2 h^2 K (a u_B), on a
+    circulant of about (n + p) x (n + q), is the restart residual: its box
+    window gives r_B = u_in,B + c_B - u_B at the end of each GMRES cycle.
+    The last one extends the field, u = u_in + c off B and u = u_B on B,
+    and gives the residual of the full-grid system, |u - c - u_in| / |u_in|,
     which is zero off B by construction and the box residual on B; a solve
     whose residual is not below 1e-10 raises IllConditionedSystem.
     """
@@ -375,18 +397,24 @@ def solve_forward(coeff: Coefficient, k: float) -> np.ndarray:
     box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
     a_box = a[box]
     p, q = a_box.shape
-    table = _kernel_table(grid, k)
-    scale = k * k * grid.h ** 2
-    box_product = _offset_product(table, box, box)
+    table = (k * k * grid.h ** 2) * _kernel_table(grid, k)
+    box_product = _offset_product(table, a_box, box, box)
+    extension = _offset_product(table, a_box, box, (slice(0, n), slice(0, n)))
+    c = None
 
     def apply(v):
-        return v - scale * box_product(a_box * v.reshape(p, q)).ravel()
+        v = v.reshape(p, q)
+        return (v - box_product(v)).ravel()
 
-    u_box, iterations = _gmres(apply, u_in[box].ravel())
-    u_box = u_box.reshape(p, q)
-    c = scale * _offset_product(table, box, (slice(0, n), slice(0, n)))(a_box * u_box)
+    def residual(x):
+        nonlocal c
+        x = x.reshape(p, q)
+        c = extension(x)
+        return (u_in[box] + c[box] - x).ravel()
+
+    u_box, iterations = _gmres(apply, u_in[box].ravel(), residual)
     u = u_in + c
-    u[box] = u_box
+    u[box] = u_box.reshape(p, q)
     resid = np.linalg.norm(u - c - u_in) / np.linalg.norm(u_in)
     if not resid < 1e-10:  # also true for a non-finite u, whose residual is nan or inf
         raise IllConditionedSystem(

@@ -171,9 +171,21 @@ def save_scenario(sc: Scenario, path) -> None:
         yaml.safe_dump(doc, f, sort_keys=False)
 
 
-def load_scenario(path) -> Scenario:
+def read_yaml(path):
+    """The document in a YAML file; malformed YAML raises a one-line
+    ValueError that names the file and, where the parser knows it, the line."""
     with open(path) as f:
-        doc = yaml.safe_load(f)
+        try:
+            return yaml.safe_load(f)
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            where = "" if mark is None else f" line {mark.line + 1}:"
+            problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
+            raise ValueError(f"{path}:{where} malformed YAML: {problem}") from None
+
+
+def load_scenario(path) -> Scenario:
+    doc = read_yaml(path)
     if not isinstance(doc, dict) or "shapes" not in doc:
         raise ValueError(f"{path}: expected a mapping with a 'shapes' list")
     extra = set(doc) - set(Scenario.__dataclass_fields__)

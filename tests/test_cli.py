@@ -224,6 +224,29 @@ def test_invert_rejects_bad_config_values_before_any_output(sim_dir, tmp_path, c
     assert not out.exists()
 
 
+def test_invert_rejects_malformed_config_yaml_before_any_output(sim_dir, tmp_path, capsys):
+    cfg_path = tmp_path / "bad.yaml"
+    cfg_path.write_text("lam: [1, 2\n")
+    out = tmp_path / "out"
+    rc = main(["invert", "--data", str(sim_dir / "cauchy_noisy.txt"),
+               "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {cfg_path}: line 2: malformed YAML")
+    assert not out.exists()
+
+
+def test_simulate_rejects_malformed_scenario_yaml_before_any_output(tmp_path, capsys):
+    scene = tmp_path / "bad.yaml"
+    scene.write_text("shapes: [1, 2\n")
+    out = tmp_path / "out"
+    rc = main(["simulate", "--scenario", str(scene), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {scene}: line 2: malformed YAML")
+    assert not out.exists()
+
+
 def test_invert_takes_the_grid_from_the_data(sim_dir, tmp_path):
     # no config at all: the defaults hold only method parameters
     rc = main(["invert", "--data", str(sim_dir / "cauchy_noisy.txt"), "--out", str(tmp_path)])
@@ -282,6 +305,17 @@ def test_export_snaps_to_nearest_row_with_warning(inv_dir, tmp_path, capsys):
     ]
     header = (tmp_path / "cross_section.txt").read_text().splitlines()[0]
     assert "0.4" in header
+
+
+@pytest.mark.parametrize("row", ["nan", "inf", "-inf"])
+def test_export_rejects_a_non_finite_row(inv_dir, tmp_path, capsys, row):
+    out = tmp_path / "out"
+    rc = main(["export", "--result", str(inv_dir / "coefficient.txt"), f"--row={row}",
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --row must be a finite x2")
+    assert not out.exists()
 
 
 def test_export_zero_coefficient_gives_zero_rows(tmp_path):

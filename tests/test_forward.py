@@ -20,6 +20,7 @@ from convexscat import (
     solve_forward_multi,
     trace_cauchy,
 )
+from convexscat import forward
 from convexscat.forward import IllConditionedSystem, _gmres, _kernel_table
 
 WAVE = IncidentWave()
@@ -169,11 +170,30 @@ def test_stalled_solve_is_refused():
         solve_forward(Coefficient(grid, _rising_block(grid)), 0.5)
 
 
+def test_restarted_solves_match_dense_nystrom_system(monkeypatch):
+    # three steps per cycle: every solve restarts several times, so each
+    # restart residual, read from the box window of the box-to-grid product,
+    # decides whether a solve goes on; a window shifted by one row or by one
+    # column fails this test
+    monkeypatch.setattr(forward, "GMRES_RESTART", 3)
+    grid = Grid2D(0.8, 12)
+    for k in (0.5, 2.0):
+        for kind in ("holed-block", "first-corner", "last-corner"):
+            _assert_matches_dense_nystrom(grid, _sparse_support(kind, grid.n_nodes), k)
+        rng = np.random.default_rng(5)
+        a = np.zeros((grid.n_nodes, grid.n_nodes))
+        a[1:-1, 1:-1] = rng.uniform(0.2, 3.0, (grid.n_nodes - 2, grid.n_nodes - 2))
+        _assert_matches_dense_nystrom(grid, a, k)
+    stalled = Grid2D(0.8, 28)
+    with pytest.raises(IllConditionedSystem, match=r"k=0\.5: GMRES stopped after 500 iterations"):
+        solve_forward(Coefficient(stalled, _rising_block(stalled)), 0.5)
+
+
 def test_gmres_takes_one_step_per_distinct_eigenvalue():
     rng = np.random.default_rng(3)
     d = np.repeat([1.0, 2.5, 4.0 + 1.0j], 7)
     b = rng.standard_normal(d.size) + 1j * rng.standard_normal(d.size)
-    x, iterations = _gmres(lambda v: d * v, b)
+    x, iterations = _gmres(lambda v: d * v, b, lambda x: b - d * x)
     assert iterations <= 3
     assert np.linalg.norm(d * x - b) <= 1e-12 * np.linalg.norm(b)
 
@@ -181,7 +201,8 @@ def test_gmres_takes_one_step_per_distinct_eigenvalue():
 def test_gmres_zero_right_hand_side_returns_zero():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x, iterations = _gmres(lambda v: 2.0 * v, np.zeros(6, dtype=complex))
+        b = np.zeros(6, dtype=complex)
+        x, iterations = _gmres(lambda v: 2.0 * v, b, lambda x: b - 2.0 * x)
     assert iterations == 0
     assert np.array_equal(x, np.zeros(6))
 
