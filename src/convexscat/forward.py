@@ -17,6 +17,18 @@ the restart residual at the end of each GMRES cycle; the last one extends
 the field to the whole grid and checks the full-grid residual.  Both
 products, and the trace kernel, take their Hankel values from the
 real-argument Bessel functions H_m = J_m + i Y_m.
+
+u/u_in is analytic in k, so the fields at all wavenumber midpoints come from
+solves at nested Chebyshev-Lobatto nodes in k (5, 10, 20 or 40 intervals
+over [first midpoint, last midpoint]) and barycentric interpolation, as in
+L. N. Trefethen, Approximation Theory and Approximation Practice (2013).  A
+level is accepted when its last two Chebyshev coefficients, from one DCT-I,
+are at the residual bound; every interpolated field must then pass the same
+full-grid residual check as a solve, computed for a chunk of wavenumbers at
+a time, or it is solved directly.  Data not resolved with fewer nodes than
+midpoints are solved midpoint by midpoint, as are grids of at most six
+midpoints.  A failed solve raises its IllConditionedSystem unchanged, and the
+lowest midpoint is always solved first.
 """
 
 from __future__ import annotations
@@ -26,7 +38,7 @@ from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
-from scipy.fft import fft, fft2, ifft, ifft2, next_fast_len
+from scipy.fft import dct, fft, fft2, ifft, ifft2, next_fast_len
 from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dznrm2, zgemv
 from scipy.special import j0, j1, y0, y1
@@ -56,6 +68,13 @@ _EULER_GAMMA = float(np.euler_gamma)
 # 500 has stalled.
 GMRES_MAX_ITER = 500
 GMRES_RESTART = 100
+
+# Chebyshev-Lobatto levels in k of solve_forward_multi, as numbers of
+# intervals; each level's nodes include the previous level's.
+K_LEVELS = (5, 10, 20, 40)
+# Circulant entries per chunk of the batched residual check of interpolated
+# fields: 256 KB per complex array.
+_CHUNK_ENTRIES = 1 << 14
 
 
 class IllConditionedSystem(RuntimeError):
@@ -243,23 +262,25 @@ class CauchyData:
     seed: int | None = None
 
 
-def _kernel_table(grid: Grid2D, k: float) -> np.ndarray:
+def _kernel_table(grid: Grid2D, k) -> np.ndarray:
     """Kernel value (i/4)H0(k r) by absolute index offset (di, dj).
 
     H0 = J0 + i Y0 is evaluated from the real-argument Bessel functions on
     every offset.  Entry (0, 0) holds the cell average of the small-argument
     expansion over the equal-area disk of radius rho0 = h/sqrt(pi), so
     multiplying the whole table by the uniform weight h^2 yields the
-    corrected Nystrom weights.
+    corrected Nystrom weights.  For an array of wavenumbers the tables are
+    stacked along its axes, from one Bessel evaluation.
     """
     n = grid.n_nodes
+    k = np.asarray(k, dtype=float)[..., None]
     off = np.arange(n)
     kr = (k * grid.h) * np.sqrt((off[:, None] ** 2 + off[None, :] ** 2).ravel()[1:])
-    table = np.empty(n * n, dtype=complex)
+    table = np.empty(k.shape[:-1] + (n * n,), dtype=complex)
     rho0 = grid.h / np.sqrt(np.pi)
-    table[0] = 0.25j - _EULER_GAMMA / (2 * np.pi) - (np.log(k * rho0 / 2) - 0.5) / (2 * np.pi)
-    table[1:] = 0.25j * (j0(kr) + 1j * y0(kr))
-    return table.reshape(n, n)
+    table[..., :1] = 0.25j - _EULER_GAMMA / (2 * np.pi) - (np.log(k * rho0 / 2) - 0.5) / (2 * np.pi)
+    table[..., 1:] = 0.25j * (j0(kr) + 1j * y0(kr))
+    return table.reshape(k.shape[:-1] + (n, n))
 
 
 def _offset_product(table: np.ndarray, weight: np.ndarray, source, window):
@@ -276,23 +297,27 @@ def _offset_product(table: np.ndarray, weight: np.ndarray, source, window):
     rows and one of its columns, placed by four slices: e >= 0 at the start
     of an axis, e < 0 wrapped to its end.  Each product writes weight v into
     the corner of one zero-padded buffer, multiplies the spectrum in place
-    and inverts it in place; the result is a view of the window.
+    and inverts it in place; the result is a view of the window.  A table
+    with leading axes (one table per wavenumber) gives a batch of products
+    with the same leading axes, each on its own circulant.
     """
     shape, taken, quadrants = [], table, []
     for axis, (src, out) in enumerate(zip(source, window)):
         p, w = src.stop - src.start, out.stop - out.start
         size = next_fast_len(w + p - 1)
         shape.append(size)
-        taken = taken.take(np.abs(out.start - src.start + np.arange(-(p - 1), w)), axis=axis)
+        taken = taken.take(np.abs(out.start - src.start + np.arange(-(p - 1), w)),
+                           axis=axis - 2)
         quadrants.append(((slice(0, w), slice(p - 1, None)),
                           (slice(size - p + 1, size), slice(0, p - 1))))
+    shape = table.shape[:-2] + tuple(shape)
     circ = np.zeros(shape, dtype=complex)
     for (rows, rows_taken), (cols, cols_taken) in product(*quadrants):
-        circ[rows, cols] = taken[rows_taken, cols_taken]
+        circ[..., rows, cols] = taken[..., rows_taken, cols_taken]
     kernel_hat = fft2(circ)
     buf = np.zeros(shape, dtype=complex)
-    corner = buf[:weight.shape[0], :weight.shape[1]]
-    read = tuple(slice(out.stop - out.start) for out in window)
+    corner = buf[..., :weight.shape[0], :weight.shape[1]]
+    read = (Ellipsis,) + tuple(slice(out.stop - out.start) for out in window)
 
     def apply(v):
         np.multiply(weight, v, out=corner)
@@ -364,6 +389,18 @@ def _gmres(apply, b: np.ndarray, residual):
     return x, iterations
 
 
+def _incident_column(grid: Grid2D, k):
+    """u_in on one column of nodes; for d = (0, -1) it is constant along each row."""
+    return IncidentWave().field(0.0, grid.nodes[:, None], k)
+
+
+def _support_box(a: np.ndarray):
+    """Grid slices of the bounding box of the nonzero entries of a."""
+    rows = np.flatnonzero(np.any(a != 0, axis=1))
+    cols = np.flatnonzero(np.any(a != 0, axis=0))
+    return slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
+
+
 def solve_forward(coeff: Coefficient, k: float) -> np.ndarray:
     """Total field u on every grid node for one wavenumber.
 
@@ -386,15 +423,12 @@ def solve_forward(coeff: Coefficient, k: float) -> np.ndarray:
         raise ValueError("wavenumber must be positive")
     grid = coeff.grid
     n = grid.n_nodes
-    # d = (0, -1): u_in is constant along each row
-    u_in = np.broadcast_to(IncidentWave().field(0.0, grid.nodes[:, None], k), (n, n))
+    u_in = np.broadcast_to(_incident_column(grid, k), (n, n))
     a = coeff.quadrature_mean()
     if not np.any(a):
         return u_in.copy()
 
-    rows = np.flatnonzero(np.any(a != 0, axis=1))
-    cols = np.flatnonzero(np.any(a != 0, axis=0))
-    box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
+    box = _support_box(a)
     a_box = a[box]
     p, q = a_box.shape
     table = (k * k * grid.h ** 2) * _kernel_table(grid, k)
@@ -425,8 +459,119 @@ def solve_forward(coeff: Coefficient, k: float) -> np.ndarray:
 
 
 def solve_forward_multi(coeff: Coefficient, kgrid: KGrid) -> np.ndarray:
-    """Fields for all wavenumber midpoints, stacked as (n_k, n_nodes, n_nodes)."""
-    return np.stack([solve_forward(coeff, k) for k in kgrid.midpoints])
+    """Fields for all wavenumber midpoints, stacked as (n_k, n_nodes, n_nodes).
+
+    Each field is either a solve_forward solve or an interpolant in k that
+    passes solve_forward's residual bound.  solve_forward runs at nested
+    Chebyshev-Lobatto nodes of [first midpoint, last midpoint] and the
+    other midpoints are interpolated (_chebyshev_fields).  When u/u_in is
+    not resolved by a level with fewer nodes than midpoints, or a node after
+    the first fails to solve, every midpoint not yet solved is solved
+    directly, in ascending k, and the first of them that fails raises its
+    IllConditionedSystem.  The first node is the first midpoint, so a system
+    that stalls at the lowest wavenumber raises on the first solve, as the
+    midpoint-by-midpoint loop did.  A midpoint whose interpolated field
+    passes the residual check is not solved, so its own solve cannot fail.
+    """
+    ks = kgrid.midpoints
+    levels = [m for m in K_LEVELS if m + 1 < ks.size]
+    fields = {}
+    if levels and np.any(coeff.quadrature_mean()):
+        _chebyshev_fields(coeff, ks, levels, fields)
+    for m, k in enumerate(ks):
+        if m not in fields:
+            fields[m] = solve_forward(coeff, k)
+    return np.stack([fields[m] for m in range(ks.size)])
+
+
+def _chebyshev_fields(coeff: Coefficient, ks: np.ndarray, levels, fields: dict) -> None:
+    """Fill fields (midpoint index -> field) from solves at Chebyshev-Lobatto nodes in k.
+
+    Level m has the m + 1 nodes c - r cos(pi j / m), j = 0..m, of
+    [ks[0], ks[-1]], and each level's nodes include the previous level's,
+    so only the new ones are solved, in ascending k.  One DCT-I over a
+    level's nodes gives the Chebyshev coefficients of u/u_in on every grid
+    node; the level is accepted when the last two are at most
+    1e-10 max |u/u_in|, the residual bound of solve_forward.  If the decay
+    down to them, extrapolated geometrically, needs more than levels[-1]
+    intervals, or a node after the first fails to solve, this returns with
+    only the nodes that are midpoints in fields.  On acceptance every other
+    midpoint gets the barycentric interpolant of u/u_in times u_in, checked
+    against the full-grid residual bound (_interpolation_residuals); a
+    field that fails the check is replaced by solve_forward's.
+    """
+    grid = coeff.grid
+    finest = K_LEVELS[-1]
+    nodes = 0.5 * (ks[0] + ks[-1]) - 0.5 * (ks[-1] - ks[0]) * np.cos(
+        np.pi * np.arange(finest + 1) / finest)
+    nodes[[0, -1]] = ks[[0, -1]]
+    midpoint = {k: m for m, k in enumerate(ks.tolist())}
+    ratio = {}
+    for level in levels:
+        taken = range(0, finest + 1, finest // level)
+        for j in taken:
+            if j in ratio:
+                continue
+            try:
+                u = solve_forward(coeff, nodes[j])
+            except IllConditionedSystem:
+                if j == 0:  # the first midpoint: the per-midpoint loop fails here too
+                    raise
+                return
+            if nodes[j] in midpoint:
+                fields[midpoint[nodes[j]]] = u
+            ratio[j] = u / _incident_column(grid, nodes[j])
+        f = np.stack([ratio[j] for j in taken])
+        cheb = np.abs(dct(f, type=1, axis=0)).max(axis=(1, 2)) / level
+        tail = max(cheb[-2], cheb[-1] / 2) / np.abs(f).max()
+        if tail <= 1e-10:
+            break
+        if tail >= 1 or level * math.log(1e-10) / math.log(tail) > levels[-1]:
+            return
+    else:
+        return
+
+    missing = [m for m in range(ks.size) if m not in fields]
+    x = nodes[taken]
+    w = np.where(np.arange(x.size) % 2, -1.0, 1.0)
+    w[[0, -1]] *= 0.5
+    cauchy = w / (ks[missing][:, None] - x[None, :])
+    weights = cauchy / cauchy.sum(axis=1, keepdims=True)
+    n = grid.n_nodes
+    interpolated = (weights @ f.reshape(f.shape[0], -1)).reshape(-1, n, n)
+    interpolated *= _incident_column(grid, ks[missing][:, None, None])
+    resid = _interpolation_residuals(coeff, ks[missing], interpolated)
+    for m, u, ok in zip(missing, interpolated, resid < 1e-10):
+        # not ok also for a non-finite residual
+        fields[m] = u if ok else solve_forward(coeff, ks[m])
+
+
+def _interpolation_residuals(coeff: Coefficient, ks: np.ndarray, fields: np.ndarray) -> np.ndarray:
+    """|u - k^2 h^2 K(a u) - u_in| / |u_in| on the full grid, per field of the stack.
+
+    The box-to-grid products run in chunks of wavenumbers, each from one
+    Bessel table evaluation, one batch of circulants and one FFT pair
+    (_offset_product with a stacked table), with at most _CHUNK_ENTRIES
+    circulant entries per chunk.
+    """
+    grid = coeff.grid
+    n = grid.n_nodes
+    a = coeff.quadrature_mean()
+    box = _support_box(a)
+    a_box = a[box]
+    entries = next_fast_len(n + a_box.shape[0] - 1) * next_fast_len(n + a_box.shape[1] - 1)
+    chunk = max(1, _CHUNK_ENTRIES // entries)
+    resid = np.empty(ks.size)
+    for s in range(0, ks.size, chunk):
+        k = ks[s:s + chunk]
+        table = (k * k * grid.h ** 2)[:, None, None] * _kernel_table(grid, k)
+        extension = _offset_product(table, a_box, box, (slice(0, n), slice(0, n)))
+        u = fields[s:s + chunk]
+        u_in = np.broadcast_to(_incident_column(grid, k[:, None, None]), u.shape)
+        c = extension(u[(Ellipsis,) + box])
+        resid[s:s + chunk] = (np.linalg.norm(u - c - u_in, axis=(1, 2))
+                              / np.linalg.norm(u_in, axis=(1, 2)))
+    return resid
 
 
 def trace_cauchy(fields: np.ndarray, coeff: Coefficient, kgrid: KGrid) -> CauchyData:

@@ -6,6 +6,8 @@ write-then-read cycle is bit-for-bit.  Grid and row/column indices are
 data header means "no seed recorded".  The readers reject a data row whose
 index is out of range or repeats an earlier row, or whose value is not a
 finite number, and name its line; a bad header value is named the same way.
+The history reader checks each row's field count, integer n and finite
+values the same way, and refuses a file with no rows.
 """
 
 from __future__ import annotations
@@ -56,26 +58,31 @@ def write_cauchy(cd: CauchyData, path) -> None:
         f.write("\n".join(lines) + "\n")
 
 
+def _read_lines(path):
+    """(1-based line number, fields) of the comment lines, '#' dropped, and of the data rows."""
+    with open(path) as f:
+        lines = f.read().splitlines()
+    comments, rows = [], []
+    for lineno, ln in enumerate(lines, start=1):
+        ln = ln.strip()
+        if ln.startswith("#"):
+            comments.append((lineno, ln[1:].split()))
+        elif ln:
+            rows.append((lineno, ln.split()))
+    return comments, rows
+
+
 def _read_table(path, header_spec: str, labels):
     """Header location and fields, and (1-based line number, fields) data rows.
 
     Comment lines whose first word is in labels name the columns; the other
     comment line is the header, laid out as header_spec.
     """
-    with open(path) as f:
-        lines = f.read().splitlines()
+    comments, rows = _read_lines(path)
     where = header = None
-    rows = []
-    for lineno, ln in enumerate(lines, start=1):
-        ln = ln.strip()
-        if not ln:
-            continue
-        if ln.startswith("#"):
-            fields = ln[1:].split()
-            if fields and fields[0] not in labels:
-                where, header = f"{path}: line {lineno}", fields
-            continue
-        rows.append((lineno, ln.split()))
+    for lineno, fields in comments:
+        if fields and fields[0] not in labels:
+            where, header = f"{path}: line {lineno}", fields
     if header is None or len(header) != len(header_spec.split()):
         raise ValueError(f"{path}: missing '# {header_spec}' header")
     return where, header, rows
@@ -90,24 +97,30 @@ def _located(where):
         raise ValueError(f"{where}: {exc}") from None
 
 
+def _parse_row(where, row, layout: str, n_int: int):
+    """The first n_int fields as ints and the rest as finite floats of a row laid out as layout."""
+    if len(row) != len(layout.split()):
+        raise ValueError(f"{where}: each row needs '{layout}', got {len(row)} fields")
+    with _located(where):
+        ints = tuple(int(x) for x in row[:n_int])
+        vals = [float(x) for x in row[n_int:]]
+    if not all(map(math.isfinite, vals)):
+        raise ValueError(f"{where}: non-finite value")
+    return ints, vals
+
+
 def _fill(path, rows, shape, layout: str):
     """Yield (0-based index, finite values) per row, each index exactly once."""
-    n_fields = len(layout.split())
     seen = np.zeros(shape, dtype=bool)
     for lineno, row in rows:
         where = f"{path}: line {lineno}"
-        if len(row) != n_fields:
-            raise ValueError(f"{where}: each row needs '{layout}', got {len(row)} fields")
-        with _located(where):
-            idx = tuple(int(x) - 1 for x in row[:len(shape)])
-            vals = [float(x) for x in row[len(shape):]]
+        idx, vals = _parse_row(where, row, layout, len(shape))
+        idx = tuple(i - 1 for i in idx)
         if not all(0 <= i < n for i, n in zip(idx, shape)):
             raise ValueError(f"{where}: index {' '.join(row[:len(shape)])} outside "
                              f"1..{' x 1..'.join(map(str, shape))}")
         if seen[idx]:
             raise ValueError(f"{where}: duplicate row for index {' '.join(row[:len(shape)])}")
-        if not all(map(math.isfinite, vals)):
-            raise ValueError(f"{where}: non-finite value")
         seen[idx] = True
         yield idx, vals
 
@@ -167,14 +180,14 @@ def write_history(records, path) -> None:
 
 
 def read_history(path):
+    """The iteration records of a history file; at least one row, each checked like a data row."""
+    _, rows = _read_lines(path)
+    if not rows:
+        raise ValueError(f"{path}: no iteration rows")
     records = []
-    with open(path) as f:
-        for ln in f:
-            ln = ln.strip()
-            if not ln or ln.startswith("#"):
-                continue
-            n, J, gn, am = ln.split()
-            records.append(IterationRecord(int(n), float(J), float(gn), float(am)))
+    for lineno, row in rows:
+        (n,), vals = _parse_row(f"{path}: line {lineno}", row, "n J grad_norm a_max", 1)
+        records.append(IterationRecord(n, *vals))
     return records
 
 

@@ -136,13 +136,48 @@ def _shape_to_dict(shape) -> dict:
     raise TypeError(f"unsupported shape {type(shape).__name__}")
 
 
-def _shape_from_dict(d: dict):
+# the keys each shape type needs, and those of them that are (x1, x2) pairs
+_SHAPE_KEYS = {"disk": ("center", "radius", "value"), "rectangle": ("lo", "hi", "value")}
+_PAIR_KEYS = ("center", "lo", "hi")
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _shape_from_dict(d):
+    """One shape from its YAML mapping; a malformed entry raises ValueError."""
+    if not isinstance(d, dict):
+        raise ValueError(f"expected a mapping with a 'type' key, got {type(d).__name__}")
     kind = d.get("type")
+    if kind not in _SHAPE_KEYS:
+        raise ValueError(f"unknown shape type {kind!r}")
+    missing = [key for key in _SHAPE_KEYS[kind] if key not in d]
+    if missing:
+        raise ValueError(f"{kind} needs {', '.join(missing)}")
+    for key in _SHAPE_KEYS[kind]:
+        pair = key in _PAIR_KEYS
+        value = d[key]
+        if pair and not (isinstance(value, list) and len(value) == 2
+                         and all(map(_is_number, value))):
+            raise ValueError(f"{key} must be a pair of numbers [x1, x2], got {value!r}")
+        if not pair and not _is_number(value):
+            raise ValueError(f"{key} must be a number, got {value!r}")
     if kind == "disk":
         return Disk(center=tuple(d["center"]), radius=d["radius"], value=d["value"])
-    if kind == "rectangle":
-        return Rectangle(lo=tuple(d["lo"]), hi=tuple(d["hi"]), value=d["value"])
-    raise ValueError(f"unknown shape type {kind!r}")
+    return Rectangle(lo=tuple(d["lo"]), hi=tuple(d["hi"]), value=d["value"])
+
+
+def _shapes_from_list(shapes, path) -> tuple:
+    if not isinstance(shapes, list):
+        raise ValueError(f"{path}: 'shapes' must be a list, got {type(shapes).__name__}")
+    out = []
+    for i, d in enumerate(shapes):
+        try:
+            out.append(_shape_from_dict(d))
+        except ValueError as exc:
+            raise ValueError(f"{path}: shapes[{i}]: {exc}") from None
+    return tuple(out)
 
 
 def config_from_dict(d: dict) -> InversionConfig:
@@ -194,7 +229,7 @@ def load_scenario(path) -> Scenario:
     cfg = config_from_dict(doc.get("config") or {})
     return Scenario(
         name=doc.get("name", "scenario"),
-        shapes=tuple(_shape_from_dict(s) for s in doc["shapes"]),
+        shapes=_shapes_from_list(doc["shapes"], path),
         noise_level=doc.get("noise_level", 0.05),
         seed=doc.get("seed"),
         refine=doc.get("refine", 2),

@@ -6,7 +6,7 @@ scenario helpers it checks passes with.  A rename or deletion in the library
 would otherwise break only a benchmark run, so both are loaded here.  The
 tracer's `forward.solve` span and `forward.solves` count wrap solve_forward,
 so solve_forward_multi must keep calling it through the module, once per
-wavenumber.
+solved wavenumber.
 """
 
 import importlib

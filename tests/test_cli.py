@@ -247,6 +247,23 @@ def test_simulate_rejects_malformed_scenario_yaml_before_any_output(tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("shape, message", [
+    ("[1, 2]", "shapes[1]: expected a mapping with a 'type' key, got list"),
+    ("{type: disk, center: [0.0, 0.4], value: 1.5}", "shapes[1]: disk needs radius"),
+    ("{type: disk, center: 0.4, radius: 0.2, value: 1.5}",
+     "shapes[1]: center must be a pair of numbers [x1, x2], got 0.4"),
+], ids=["list", "no-radius", "scalar-center"])
+def test_simulate_rejects_a_malformed_shape_before_any_output(tmp_path, capsys, shape, message):
+    scene = tmp_path / "bad.yaml"
+    scene.write_text("shapes:\n- {type: disk, center: [0.0, 0.4], radius: 0.2, value: 1.5}\n"
+                     f"- {shape}\n")
+    out = tmp_path / "out"
+    rc = main(["simulate", "--scenario", str(scene), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {scene}: {message}"]
+    assert not out.exists()
+
+
 def test_invert_takes_the_grid_from_the_data(sim_dir, tmp_path):
     # no config at all: the defaults hold only method parameters
     rc = main(["invert", "--data", str(sim_dir / "cauchy_noisy.txt"), "--out", str(tmp_path)])

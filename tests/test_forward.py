@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.ndimage import gaussian_filter
 from scipy.special import hankel1
 
 from convexscat import (
@@ -21,7 +22,13 @@ from convexscat import (
     trace_cauchy,
 )
 from convexscat import forward
-from convexscat.forward import IllConditionedSystem, _gmres, _kernel_table
+from convexscat.forward import (
+    IllConditionedSystem,
+    _gmres,
+    _kernel_table,
+    _offset_product,
+)
+from convexscat.scenarios import get_scenario
 
 WAVE = IncidentWave()
 DISK = Disk(center=(0.0, 0.45), radius=0.2, value=3.0)
@@ -224,6 +231,144 @@ def test_multi_solve_stacks_per_wavenumber():
     assert stack.shape == (3, 17, 17)
     for m, k in enumerate(kg.midpoints):
         assert np.array_equal(stack[m], solve_forward(truth, k))
+
+
+def _count_solves(monkeypatch):
+    # records the wavenumber of every solve_forward call from now on; returns
+    # the record and the unpatched solve_forward
+    calls = []
+    solve = forward.solve_forward
+    monkeypatch.setattr(forward, "solve_forward",
+                        lambda c, k: calls.append(k) or solve(c, k))
+    return calls, solve
+
+
+def _full_grid_residual(coeff, k, u):
+    # |u - k^2 h^2 K(a u) - u_in| / |u_in| from one grid-to-grid product, with
+    # no bounding box and no batching over k
+    grid = coeff.grid
+    full = (slice(0, grid.n_nodes), slice(0, grid.n_nodes))
+    table = (k * k * grid.h ** 2) * _kernel_table(grid, k)
+    c = _offset_product(table, coeff.quadrature_mean(), full, full)(u)
+    u_in = WAVE.field(*grid.mesh(), k)
+    return np.linalg.norm(u - c - u_in) / np.linalg.norm(u_in)
+
+
+def _iterate_like(grid):
+    # dense smooth random field from -1 to 4, the range of an inversion iterate
+    n = grid.n_nodes
+    z = gaussian_filter(np.random.default_rng(0).standard_normal((n, n)), 2.0)
+    a = np.zeros((n, n))
+    a[2:-2, 2:-3] = (z[2:-2, 2:-3] - z.min()) / (z.max() - z.min()) * 5.0 - 1.0
+    return Coefficient(grid, a)
+
+
+def _high_contrast(grid):
+    # moderate values with a column of spikes in the hundreds along one edge,
+    # like the first unweighted iterate
+    n = grid.n_nodes
+    rng = np.random.default_rng(0)
+    a = np.zeros((n, n))
+    a[12:-2, 2:-2] = rng.uniform(-25.0, 10.0, (n - 14, n - 4))
+    a[12:-2, 2] = rng.uniform(-600.0, 400.0, n - 14)
+    return Coefficient(grid, a)
+
+
+@pytest.mark.parametrize("case", ["example1-28", "example1-56", "iterate-like"])
+def test_multi_solve_interpolates_in_k(case, default_kgrid, monkeypatch):
+    if case == "iterate-like":
+        coeff = _iterate_like(Grid2D(0.8, 28))
+    else:
+        coeff = rasterize(get_scenario("example1").shapes, Grid2D(0.8, int(case[-2:])))
+    calls, solve = _count_solves(monkeypatch)
+    stack = forward.solve_forward_multi(coeff, default_kgrid)
+    ks = default_kgrid.midpoints
+    assert len(calls) < ks.size
+    for m, k in enumerate(ks):
+        direct = solve(coeff, k)
+        if k in calls:
+            assert np.array_equal(stack[m], direct)
+        assert np.max(np.abs(stack[m] - direct)) <= 1e-10 * np.max(np.abs(direct))
+        assert _full_grid_residual(coeff, k, stack[m]) < 1e-10
+
+
+def test_batched_residuals_match_one_product_per_wavenumber(default_kgrid):
+    # the chunked residual check against one unbatched grid-to-grid product
+    # per field, on fields perturbed away from the solution; 50 wavenumbers
+    # make several chunks and a partial last one
+    coeff = rasterize(get_scenario("example1").shapes, Grid2D(0.8, 28))
+    ks = default_kgrid.midpoints
+    rng = np.random.default_rng(2)
+    fields = np.stack([solve_forward(coeff, k) for k in ks])
+    fields *= 1 + 1e-6 * rng.standard_normal(fields.shape)
+    batched = forward._interpolation_residuals(coeff, ks, fields)
+    direct = [_full_grid_residual(coeff, k, u) for k, u in zip(ks, fields)]
+    assert np.allclose(batched, direct, rtol=1e-9, atol=0)
+    assert np.all(batched > 1e-8)
+
+
+def test_multi_solve_falls_back_on_high_contrast(default_kgrid, monkeypatch):
+    # u/u_in is far from resolved on the first level, so every midpoint is
+    # solved directly; only the first level's interior nodes are extra
+    coeff = _high_contrast(Grid2D(0.8, 28))
+    calls, solve = _count_solves(monkeypatch)
+    stack = forward.solve_forward_multi(coeff, default_kgrid)
+    ks = default_kgrid.midpoints
+    assert len(calls) <= ks.size + 4
+    for m, k in enumerate(ks):
+        assert np.array_equal(stack[m], solve(coeff, k))
+
+
+def test_multi_solve_replaces_a_field_that_fails_the_residual_check(default_kgrid, monkeypatch):
+    check = forward._interpolation_residuals
+    refused = []
+
+    def failing(coeff, ks, fields):
+        resid = check(coeff, ks, fields)
+        refused.extend(ks[[5, 20]])
+        resid[5], resid[20] = 1.0, np.nan
+        return resid
+
+    monkeypatch.setattr(forward, "_interpolation_residuals", failing)
+    coeff = rasterize(get_scenario("example1").shapes, Grid2D(0.8, 28))
+    calls, solve = _count_solves(monkeypatch)
+    stack = forward.solve_forward_multi(coeff, default_kgrid)
+    assert calls[-2:] == refused
+    for k in refused:
+        m = int(np.flatnonzero(default_kgrid.midpoints == k)[0])
+        assert np.array_equal(stack[m], solve(coeff, k))
+
+
+def test_multi_solve_falls_back_when_a_node_fails(default_kgrid, monkeypatch):
+    # a node between midpoints that cannot be solved sends every midpoint to
+    # solve_forward, except the first, which was the first node solved
+    coeff = rasterize(get_scenario("example1").shapes, Grid2D(0.8, 28))
+    ks = default_kgrid.midpoints
+    solve = forward.solve_forward
+    calls = []
+
+    def solve_or_fail(c, k):
+        calls.append(k)
+        if len(calls) == 2:
+            raise IllConditionedSystem("refused")
+        return solve(c, k)
+
+    monkeypatch.setattr(forward, "solve_forward", solve_or_fail)
+    stack = forward.solve_forward_multi(coeff, default_kgrid)
+    assert calls[1] not in ks
+    assert calls[2:] == list(ks[1:])
+    for m, k in enumerate(ks):
+        assert np.array_equal(stack[m], solve(coeff, k))
+
+
+def test_multi_solve_stall_at_the_lowest_k_raises_at_the_first_midpoint(default_kgrid,
+                                                                        monkeypatch):
+    grid = Grid2D(0.8, 28)
+    calls, _ = _count_solves(monkeypatch)
+    with pytest.raises(IllConditionedSystem,
+                       match=r"^scattering solve at k=0\.515: GMRES stopped after 500 iterations"):
+        forward.solve_forward_multi(Coefficient(grid, _rising_block(grid)), default_kgrid)
+    assert calls == [default_kgrid.midpoints[0]]
 
 
 def test_trace_of_zero_coefficient_is_incident_data():

@@ -8,6 +8,7 @@ checked against an independent sha256 of the same bytes.
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -282,6 +283,20 @@ def test_history_reader_skips_comments_and_blanks(tmp_path):
     path.write_text("# n J grad_norm a_max\n\n0 1.5 0.25 0.0\n\n# trailing note\n")
     back = read_history(path)
     assert len(back) == 1 and back[0].J_value == 1.5
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("0 1.5 0.25\n", r"line 2: each row needs 'n J grad_norm a_max', got 3 fields"),
+    ("0.5 1.5 0.25 0.0\n", r"line 2: invalid literal for int\(\)"),
+    ("0 nan 0.25 0.0\n", r"line 2: non-finite value"),
+    ("0 1.5 0.25 0.0\n1 1.0 inf 0.0\n", r"line 3: non-finite value"),
+    ("", r"no iteration rows"),
+], ids=["three-fields", "fractional-n", "nan-J", "inf-grad-norm", "header-only"])
+def test_history_reader_rejects_malformed_files(tmp_path, rows, message):
+    path = tmp_path / "history.txt"
+    path.write_text("# n J grad_norm a_max\n" + rows)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+        read_history(path)
 
 
 def test_manifest_records_hashes_and_config(tmp_path):
