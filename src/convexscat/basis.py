@@ -19,6 +19,7 @@ basis, matching the measurement grid.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,6 @@ __all__ = [
     "make_kgrid",
     "build_basis",
     "project",
-    "synthesize",
 ]
 
 # Residual-norm fraction below which a raw basis function is declared
@@ -74,8 +74,8 @@ def make_kgrid(k_min: float, k_max: float, n_sub: int) -> KGrid:
     """Build a KGrid with n_sub midpoint nodes and a composite GL quadrature."""
     if not (0 < k_min < k_max < np.inf):
         raise ValueError(f"need 0 < k_min < k_max < inf, got [{k_min}, {k_max}]")
-    if n_sub < 1:
-        raise ValueError("n_sub must be >= 1")
+    if isinstance(n_sub, bool) or not isinstance(n_sub, numbers.Integral) or n_sub < 1:
+        raise ValueError(f"n_sub must be an integer >= 1, got {n_sub!r}")
     h_k = (k_max - k_min) / n_sub
     midpoints = k_min + (np.arange(n_sub) + 0.5) * h_k
 
@@ -209,11 +209,3 @@ def project(samples: np.ndarray, bs: BasisSet) -> np.ndarray:
             f"expected {bs.kgrid.n_sub} midpoint samples, got {samples.shape[-1]}"
         )
     return np.einsum("...r,nr->...n", samples, bs.phi_mid) * bs.kgrid.h_k
-
-
-def synthesize(coeffs: np.ndarray, bs: BasisSet) -> np.ndarray:
-    """Evaluate sum_n c_n Phi_n on the midpoints; inverse of project."""
-    coeffs = np.asarray(coeffs)
-    if coeffs.shape[-1] != bs.n_modes:
-        raise ValueError(f"expected {bs.n_modes} coefficients, got {coeffs.shape[-1]}")
-    return np.einsum("...n,nr->...r", coeffs, bs.phi_mid)

@@ -93,12 +93,12 @@ def cmd_simulate(args) -> int:
 def cmd_invert(args) -> int:
     started = time.time()
     inputs = [args.data]
-    overrides = {}
+    overrides = None
     if args.config:
-        doc = read_yaml(args.config) or {}
-        if not isinstance(doc, dict):
-            raise ValueError(f"{args.config} must contain a mapping of config keys")
-        overrides = doc
+        overrides = read_yaml(args.config)
+        if overrides is not None and not isinstance(overrides, dict):
+            raise ValueError(f"--config {args.config} must hold a mapping of config keys, "
+                             f"got {overrides!r}")
         inputs.append(args.config)
     cfg = config_from_dict(overrides)
     cd = read_cauchy(args.data)

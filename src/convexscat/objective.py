@@ -1,23 +1,28 @@
 """The weighted least-squares functional on coefficient vector fields.
 
-J(W) stacks four groups of terms: the equation residual of the coupled
-elliptic system at interior nodes, multiplied by the exponential weight
-phi(x2) = exp(-lam (x2 - shift)^2); an H2-type quadratic form times rho; and
-the two boundary penalties that hold W and its x2-derivative near zero on
-the measurement row.  Sum limits, stencils and scalings follow one fixed
-discretization; tests re-derive the value from an index-by-index loop.
+J(W) = ||r(W)||^2 + w^H P w.  The residual r = h phi q(W + F) is the
+equation residual q of the coupled elliptic system at the interior nodes,
+weighted by phi(x2) = exp(-lam (x2 - shift)^2).  P is a real symmetric form
+holding the other three terms: an H2-type regularizer times rho and the two
+boundary penalties that hold W and its x2-derivative near zero on the
+measurement row.  Every difference is a sparse operator on the flattened
+node field, built once per grid; P is built once per (grid, rho, alpha1,
+alpha2).  Tests re-derive the value from an index-by-index loop.
 
-The gradient is assembled analytically.  J is real but W is complex, so the
-gradient returned is 2 conj(dJ/dW), the true gradient with respect to the
-underlying real and imaginary parts: Re<grad, delta> is the directional
-derivative along delta.  Every residual summand is holomorphic in W, which
-reduces the work to stencil adjoints applied to the conjugate-weighted
-residual.
+J is real but W is complex, so the gradient returned is 2 conj(dJ/dW), the
+true gradient with respect to the underlying real and imaginary parts:
+Re<grad, delta> is the directional derivative along delta.  q is holomorphic
+in W, so the gradient is 2 (A^H r' + P w) with A the Jacobian of q: the
+transposes of the difference operators applied to h phi r, with the B
+multipliers evaluated at W + F.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+import scipy.sparse as sp
 
 from .basis import BasisSet
 from .forward import Grid2D
@@ -31,30 +36,71 @@ def _carleman_weight(grid: Grid2D, lam: float, shift: float) -> np.ndarray:
     return np.exp(-lam * t * t)
 
 
-def _interior_diffs(data: np.ndarray, h: float):
-    """5-point Laplacian and forward differences of each component, interior nodes."""
-    c = data[:, 1:-1, 1:-1]
-    lap = (
-        data[:, 2:, 1:-1] + data[:, :-2, 1:-1] + data[:, 1:-1, 2:] + data[:, 1:-1, :-2] - 4 * c
-    ) / (h * h)
-    dx1 = (data[:, 1:-1, 2:] - c) / h
-    dx2 = (data[:, 2:, 1:-1] - c) / h
-    return lap, dx1, dx2
+@functools.lru_cache(maxsize=8)
+def _stencils(grid: Grid2D):
+    """Every difference J uses, as sparse operators on the flattened node field.
+
+    A field f[i, j] (i the x2 row) is flattened to f[i * n + j], so kron(a, b)
+    applies a along x2 and b along x1.  Interior operators have one row per
+    interior node.  Returns the residual's stacked [Laplacian; d/dx1; d/dx2]
+    with its transpose, and the regularizer's difference operators.
+    """
+    n, h = grid.n_nodes, grid.h
+    eye = sp.identity(n, format="csr")
+    inner = eye[1:-1]
+    forward = (eye[2:] - inner) / h
+    second = (eye[2:] - 2 * inner + eye[:-2]) / (h * h)
+    central = (eye[2:] - eye[:-2]) / h
+    dx1 = sp.kron(inner, forward, format="csr")
+    dx2 = sp.kron(forward, inner, format="csr")
+    c1 = sp.kron(inner, second, format="csr")
+    c2 = sp.kron(second, inner, format="csr")
+    mixed = sp.kron(central, central, format="csr")
+    residual = sp.vstack([c1 + c2, dx1, dx2], format="csr")
+    return residual, residual.T.tocsr(), (dx1, dx2, c1, c2, mixed)
 
 
-def _q_interior(vhat: np.ndarray, bs: BasisSet, h: float):
+@functools.lru_cache(maxsize=8)
+def _penalty(grid: Grid2D, rho: float, alpha1: float, alpha2: float):
+    """The form P with w^H P w = regularizer + boundary penalties, per mode.
+
+    The regularizer is rho h^2 times the squared L2 norm of w over all nodes
+    plus those of its first, second and (doubled) mixed differences over the
+    interior; the penalties are alpha1 h |w|^2 on the measurement row and
+    alpha2 h |dw/dx2|^2 on its interior nodes.
+    """
+    n, h = grid.n_nodes, grid.h
+    _, _, (dx1, dx2, c1, c2, mixed) = _stencils(grid)
+    eye = sp.identity(n * n, format="csr")
+    top = eye[-n:]
+    top_dx2 = dx2[-(n - 2):]
+    P = rho * h * h * (
+        eye + dx1.T @ dx1 + dx2.T @ dx2 + c1.T @ c1 + c2.T @ c2 + 2 * (mixed.T @ mixed)
+    )
+    P += alpha1 * h * (top.T @ top) + alpha2 * h * (top_dx2.T @ top_dx2)
+    return P.tocsr()
+
+
+def _flat(field: np.ndarray) -> np.ndarray:
+    """(n_modes, n, n) -> (n * n, n_modes): one flattened node field per column."""
+    return field.reshape(len(field), -1).T
+
+
+def _q_interior(vhat: np.ndarray, bs: BasisSet, grid: Grid2D):
     """Equation residual of the coupled system at the interior nodes.
 
     Component m combines the Laplacian through D, the quadratic gradient
     coupling through B (both coordinate directions), and the first-order
-    x2 term through S.  Also returns the forward differences it used.
+    x2 term through S.  Also returns the forward differences it used; all
+    three are (n_modes, n - 2, n - 2).
     """
-    lap, dx1, dx2 = _interior_diffs(vhat, h)
-    q = np.einsum("mr,rij->mij", bs.mat_D, lap)
-    q = q + np.einsum("mrs,rij,sij->mij", bs.tensor_B, dx1, dx1)
-    q += np.einsum("mrs,rij,sij->mij", bs.tensor_B, dx2, dx2)
-    q += np.einsum("mr,rij->mij", bs.mat_S, dx2)
-    return q, dx1, dx2
+    n_modes, m = len(vhat), grid.n_nodes - 2
+    residual, _, _ = _stencils(grid)
+    lap, dx1, dx2 = (residual @ _flat(vhat)).T.reshape(n_modes, 3, m * m).swapaxes(0, 1)
+    products = (dx1[:, None] * dx1 + dx2[:, None] * dx2).reshape(n_modes ** 2, -1)
+    q = bs.mat_D @ lap + bs.tensor_B.reshape(n_modes, -1) @ products + bs.mat_S @ dx2
+    shape = (n_modes, m, m)
+    return q.reshape(shape), dx1.reshape(shape), dx2.reshape(shape)
 
 
 def evaluate_and_gradient(W: np.ndarray, F: np.ndarray, grid: Grid2D, bs: BasisSet, cfg):
@@ -71,91 +117,25 @@ def evaluate_and_gradient(W: np.ndarray, F: np.ndarray, grid: Grid2D, bs: BasisS
             f"W {np.shape(W)} and the carrier F {np.shape(F)} must both be "
             f"({bs.n_modes}, {n}, {n})"
         )
-    h = grid.h
-    hh = h * h
+    n_modes = len(W)
     w = np.asarray(W, dtype=complex)
-    vhat = w + F
+    q, dx1, dx2 = _q_interior(w + F, bs, grid)
+    h_phi = grid.h * _carleman_weight(grid, cfg.lam, cfg.shift)[1:-1, None]
+    r = h_phi * q
+    Pw = _penalty(grid, cfg.rho, cfg.alpha1, cfg.alpha2) @ _flat(w)
+    J = float(np.sum(r.real ** 2 + r.imag ** 2)) + float(np.vdot(_flat(w), Pw).real)
 
-    q, dx1, dx2 = _q_interior(vhat, bs, h)
-    phi2 = _carleman_weight(grid, cfg.lam, cfg.shift)[1:-1] ** 2
-    phi2 = phi2[None, :, None]
-    J = hh * float(np.sum(phi2 * (q.real ** 2 + q.imag ** 2)))
-
-    # H2-type regularizer: L2 over all nodes, differences over interior nodes
-    c = w[:, 1:-1, 1:-1]
-    w_dx1 = (w[:, 1:-1, 2:] - c) / h
-    w_dx2 = (w[:, 2:, 1:-1] - c) / h
-    w_c1 = (w[:, 1:-1, 2:] - 2 * c + w[:, 1:-1, :-2]) / hh
-    w_c2 = (w[:, 2:, 1:-1] - 2 * c + w[:, :-2, 1:-1]) / hh
-    w_mx = (w[:, 2:, 2:] - w[:, :-2, 2:] - w[:, 2:, :-2] + w[:, :-2, :-2]) / hh
-    J += cfg.rho * hh * float(
-        np.sum(np.abs(w) ** 2)
-        + np.sum(
-            np.abs(w_dx1) ** 2
-            + np.abs(w_dx2) ** 2
-            + np.abs(w_c1) ** 2
-            + np.abs(w_c2) ** 2
-            + 2 * np.abs(w_mx) ** 2
-        )
-    )
-
-    # boundary penalties on the measurement row
-    t2 = (w[:, -1, 1:-1] - w[:, -2, 1:-1]) / h
-    J += cfg.alpha1 * h * float(np.sum(np.abs(w[:, -1, :]) ** 2))
-    J += cfg.alpha2 * h * float(np.sum(np.abs(t2) ** 2))
-
-    # Residual part: y is the conjugation weight h^2 phi^2 Q; each stencil's
-    # adjoint scatters it back, with the B multipliers evaluated at vhat.
-    y = hh * phi2 * q
+    # grad / 2 = L^T (D^T y) + dx1^T y1 + dx2^T (y2 + S^H y) + P w with y = h phi r;
+    # y1, y2 carry the B terms, whose multipliers are taken at W + F
+    y = (h_phi * r).reshape(n_modes, -1)
     B = bs.tensor_B
-    yD = np.einsum("mq,mij->qij", bs.mat_D, y)
-    yS = np.einsum("mq,mij->qij", np.conj(bs.mat_S), y)
-    cdx1 = np.conj(dx1)
-    cdx2 = np.conj(dx2)
-    y1 = np.einsum("mqs,sij,mij->qij", B, cdx1, y) + np.einsum("mrq,rij,mij->qij", B, cdx1, y)
-    y2 = np.einsum("mqs,sij,mij->qij", B, cdx2, y) + np.einsum("mrq,rij,mij->qij", B, cdx2, y)
+    C = (B + B.swapaxes(1, 2)).swapaxes(0, 1).reshape(n_modes, -1)
 
-    g = np.zeros_like(w)
-    z = yD / hh
-    g[:, 2:, 1:-1] += z
-    g[:, :-2, 1:-1] += z
-    g[:, 1:-1, 2:] += z
-    g[:, 1:-1, :-2] += z
-    g[:, 1:-1, 1:-1] -= 4 * z
-    z = y1 / h
-    g[:, 1:-1, 2:] += z
-    g[:, 1:-1, 1:-1] -= z
-    z = (y2 + yS) / h
-    g[:, 2:, 1:-1] += z
-    g[:, 1:-1, 1:-1] -= z
+    def coupled(dx):
+        # sum over m, s of (B[m, q, s] + B[m, s, q]) conj(dx_s) y_m, per node
+        return C @ (y[:, None] * np.conj(dx).reshape(n_modes, -1)).reshape(n_modes ** 2, -1)
 
-    # Regularizer part: real stencils A give A^T(A w) pieces.
-    rw = cfg.rho * hh
-    g += rw * w
-    z = rw * w_dx1 / h
-    g[:, 1:-1, 2:] += z
-    g[:, 1:-1, 1:-1] -= z
-    z = rw * w_dx2 / h
-    g[:, 2:, 1:-1] += z
-    g[:, 1:-1, 1:-1] -= z
-    z = rw * w_c1 / hh
-    g[:, 1:-1, 2:] += z
-    g[:, 1:-1, :-2] += z
-    g[:, 1:-1, 1:-1] -= 2 * z
-    z = rw * w_c2 / hh
-    g[:, 2:, 1:-1] += z
-    g[:, :-2, 1:-1] += z
-    g[:, 1:-1, 1:-1] -= 2 * z
-    z = 2 * rw * w_mx / hh
-    g[:, 2:, 2:] += z
-    g[:, :-2, :-2] += z
-    g[:, :-2, 2:] -= z
-    g[:, 2:, :-2] -= z
-
-    g[:, -1, :] += cfg.alpha1 * h * w[:, -1, :]
-    z = cfg.alpha2 * t2
-    g[:, -1, 1:-1] += z
-    g[:, -2, 1:-1] -= z
-
-    return J, 2 * g
-
+    _, adjoint, _ = _stencils(grid)
+    ys = [bs.mat_D.T @ y, coupled(dx1), coupled(dx2) + np.conj(bs.mat_S).T @ y]
+    g = adjoint @ np.concatenate(ys, axis=1).T + Pw
+    return J, 2 * g.T.reshape(w.shape)

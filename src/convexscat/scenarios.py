@@ -9,6 +9,8 @@ inversion never sees fields computed with its own discretization.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import asdict, dataclass, field, replace
 
 import yaml
@@ -36,6 +38,14 @@ __all__ = [
 ]
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _is_integer(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class Scenario:
     name: str
@@ -52,10 +62,20 @@ class Scenario:
 
     def __post_init__(self):
         # an empty shape tuple is allowed: it describes a null scatterer
-        if self.refine < 1:
-            raise ValueError("refine must be a positive integer")
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be a string, got {self.name!r}")
+        for key, least in (("refine", 1), ("n_cells", 2), ("n_k", 1)):
+            x = getattr(self, key)
+            if not (_is_integer(x) and x >= least):
+                raise ValueError(f"{key} must be an integer >= {least}, got {x!r}")
+        for key in ("noise_level", "half_width", "k_min", "k_max"):
+            x = getattr(self, key)
+            if not (_is_number(x) and math.isfinite(x)):
+                raise ValueError(f"{key} must be a finite number, got {x!r}")
         if self.noise_level < 0:
-            raise ValueError("noise level must be nonnegative")
+            raise ValueError(f"noise_level must be nonnegative, got {self.noise_level!r}")
+        if self.seed is not None and not (_is_integer(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0 or null, got {self.seed!r}")
 
 
 def _builtins() -> dict:
@@ -141,10 +161,6 @@ _SHAPE_KEYS = {"disk": ("center", "radius", "value"), "rectangle": ("lo", "hi", 
 _PAIR_KEYS = ("center", "lo", "hi")
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 def _shape_from_dict(d):
     """One shape from its YAML mapping; a malformed entry raises ValueError."""
     if not isinstance(d, dict):
@@ -180,7 +196,12 @@ def _shapes_from_list(shapes, path) -> tuple:
     return tuple(out)
 
 
-def config_from_dict(d: dict) -> InversionConfig:
+def config_from_dict(d) -> InversionConfig:
+    """The InversionConfig a mapping of overrides gives; None means no overrides."""
+    if d is None:
+        d = {}
+    if not isinstance(d, dict):
+        raise ValueError(f"config must be a mapping of method parameters, got {d!r}")
     known = set(InversionConfig.__dataclass_fields__)
     extra = set(d) - known
     if extra:
@@ -226,14 +247,17 @@ def load_scenario(path) -> Scenario:
     extra = set(doc) - set(Scenario.__dataclass_fields__)
     if extra:
         raise ValueError(f"{path}: unknown scenario keys: {', '.join(sorted(extra))}")
-    cfg = config_from_dict(doc.get("config") or {})
-    return Scenario(
-        name=doc.get("name", "scenario"),
-        shapes=_shapes_from_list(doc["shapes"], path),
-        noise_level=doc.get("noise_level", 0.05),
-        seed=doc.get("seed"),
-        refine=doc.get("refine", 2),
-        **{key: doc[key] for key in ("half_width", "n_cells", "k_min", "k_max", "n_k")
-           if key in doc},
-        config=cfg,
-    )
+    shapes = _shapes_from_list(doc["shapes"], path)
+    try:
+        return Scenario(
+            name=doc.get("name", "scenario"),
+            shapes=shapes,
+            noise_level=doc.get("noise_level", 0.05),
+            seed=doc.get("seed"),
+            refine=doc.get("refine", 2),
+            **{key: doc[key] for key in ("half_width", "n_cells", "k_min", "k_max", "n_k")
+               if key in doc},
+            config=config_from_dict(doc.get("config")),
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -17,7 +17,6 @@ from convexscat.basis import (
     build_basis,
     make_kgrid,
     project,
-    synthesize,
 )
 
 
@@ -114,7 +113,7 @@ def test_project_synthesize_roundtrip_converges():
     errs = {}
     for nk in (50, 200):
         bs = build_basis(make_kgrid(0.5, 2.0, nk), 4)
-        back = project(synthesize(c, bs), bs)
+        back = project(c @ bs.phi_mid, bs)
         errs[nk] = np.abs(back - c).max() / np.abs(c).max()
     # midpoint-rule projection: second order in the k spacing
     assert errs[50] < 1e-2
@@ -134,3 +133,7 @@ def test_invalid_inputs_rejected():
         make_kgrid(2.0, 0.5, 5)
     with pytest.raises(ValueError):
         make_kgrid(0.5, 2.0, 0)
+    # a subinterval count must be an integer: 2.5 would put a midpoint at k_max
+    for n_sub in (2.5, True, 3.0):
+        with pytest.raises(ValueError, match="n_sub"):
+            make_kgrid(0.5, 2.0, n_sub)

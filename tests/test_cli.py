@@ -212,16 +212,22 @@ def test_invert_resolve_failure_is_exit_4(sim_dir, tmp_path, capsys):
 
 
 def test_invert_rejects_bad_config_values_before_any_output(sim_dir, tmp_path, capsys):
-    # lam = inf would zero the weight on every row; it must not reach the run
+    # lam = inf would zero the weight on every row; it must not reach the run.
+    # A document that is no mapping is no empty override set either.
     cfg_path = tmp_path / "cfg.yaml"
-    cfg_path.write_text("lam: .inf\n")
     out = tmp_path / "out"
-    rc = main(["invert", "--data", str(sim_dir / "cauchy_noisy.txt"),
-               "--config", str(cfg_path), "--out", str(out)])
-    assert rc == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: lam must be a finite number")
-    assert not out.exists()
+    for doc, message in (
+        ("lam: .inf", "lam must be a finite number"),
+        ("[]", f"--config {cfg_path} must hold a mapping of config keys, got []"),
+        ("0", f"--config {cfg_path} must hold a mapping of config keys, got 0"),
+    ):
+        cfg_path.write_text(f"{doc}\n")
+        rc = main(["invert", "--data", str(sim_dir / "cauchy_noisy.txt"),
+                   "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {message}")
+        assert not out.exists()
 
 
 def test_invert_rejects_malformed_config_yaml_before_any_output(sim_dir, tmp_path, capsys):
@@ -247,16 +253,25 @@ def test_simulate_rejects_malformed_scenario_yaml_before_any_output(tmp_path, ca
     assert not out.exists()
 
 
-@pytest.mark.parametrize("shape, message", [
-    ("[1, 2]", "shapes[1]: expected a mapping with a 'type' key, got list"),
-    ("{type: disk, center: [0.0, 0.4], value: 1.5}", "shapes[1]: disk needs radius"),
-    ("{type: disk, center: 0.4, radius: 0.2, value: 1.5}",
+@pytest.mark.parametrize("line, message", [
+    ("- [1, 2]", "shapes[1]: expected a mapping with a 'type' key, got list"),
+    ("- {type: disk, center: [0.0, 0.4], value: 1.5}", "shapes[1]: disk needs radius"),
+    ("- {type: disk, center: 0.4, radius: 0.2, value: 1.5}",
      "shapes[1]: center must be a pair of numbers [x1, x2], got 0.4"),
-], ids=["list", "no-radius", "scalar-center"])
-def test_simulate_rejects_a_malformed_shape_before_any_output(tmp_path, capsys, shape, message):
+    ("n_cells: 28.5", "n_cells must be an integer >= 2, got 28.5"),
+    ("refine: 1.5", "refine must be an integer >= 1, got 1.5"),
+    ("refine: true", "refine must be an integer >= 1, got True"),
+    ("noise_level: abc", "noise_level must be a finite number, got 'abc'"),
+    ("name: [1, 2]", "name must be a string, got [1, 2]"),
+    ("config: []", "config must be a mapping of method parameters, got []"),
+    ("config: 0", "config must be a mapping of method parameters, got 0"),
+], ids=["list", "no-radius", "scalar-center", "fractional-n_cells", "fractional-refine",
+        "bool-refine", "text-noise_level", "list-name", "list-config", "scalar-config"])
+def test_simulate_rejects_a_malformed_scene_before_any_output(tmp_path, capsys, line, message):
+    # one shape or top-level value of an otherwise valid scene is malformed
     scene = tmp_path / "bad.yaml"
     scene.write_text("shapes:\n- {type: disk, center: [0.0, 0.4], radius: 0.2, value: 1.5}\n"
-                     f"- {shape}\n")
+                     f"{line}\n")
     out = tmp_path / "out"
     rc = main(["simulate", "--scenario", str(scene), "--out", str(out)])
     assert rc == 2

@@ -541,6 +541,9 @@ def test_grid_validation_and_geometry():
             Grid2D(half_width, 8)
     with pytest.raises(ValueError):
         Grid2D(0.8, 1)
+    for n_cells in (6.5, 8.0, True):
+        with pytest.raises(ValueError, match="n_cells"):
+            Grid2D(0.8, n_cells)
     for k_min, k_max in ((0.5, float("inf")), (float("nan"), 2.0), (0.5, float("nan"))):
         with pytest.raises(ValueError):
             make_kgrid(k_min, k_max, 4)

@@ -136,23 +136,30 @@ def test_value_matches_loop_oracle_tiny():
 
 
 def test_value_matches_loop_oracle_with_carrier():
-    # three modes, 8x8 grid, nonzero carrier and all regularizers on
+    # three modes, 8x8 grid, nonzero carrier and all regularizers on; then the
+    # same node count with another spacing, and other penalty weights on the
+    # first grid, so operators or forms cached under too short a key show
     grid = Grid2D(0.8, 7)
     bs = build_basis(make_kgrid(0.5, 2.0, 12), 3)
     rng = np.random.default_rng(11)
     W = _rand_field(grid, 3, rng, scale=0.3)
     F = _rand_field(grid, 3, rng, scale=0.2)
-    params = _params(bs, F, grid, rho=3e-4, alpha1=2e-2, alpha2=7e-4, lam=2.5)
-    J = _J(W, params)
-    J_loop = _loop_J(W, params)
-    assert abs(J - J_loop) <= 1e-12 * max(1.0, abs(J_loop))
+    weights = dict(rho=3e-4, alpha1=2e-2, alpha2=7e-4, lam=2.5)
+    for params in (
+        _params(bs, F, grid, **weights),
+        _params(bs, F, Grid2D(1.0, 7), **weights),
+        _params(bs, F, grid, rho=2e-2, alpha1=0.4, alpha2=5e-2, lam=2.5),
+    ):
+        J = _J(W, params)
+        J_loop = _loop_J(W, params)
+        assert abs(J - J_loop) <= 1e-12 * max(1.0, abs(J_loop))
 
 
 def test_residual_zero_for_constant_field():
     grid = Grid2D(0.8, 6)
     bs = build_basis(make_kgrid(0.5, 2.0, 12), 2)
     data = np.ones((2, 7, 7), dtype=complex) * (1.3 - 0.4j)
-    q = _q_interior(data, bs, grid.h)[0]
+    q = _q_interior(data, bs, grid)[0]
     assert q.shape == (2, 5, 5)
     assert np.max(np.abs(q)) == 0.0
 
@@ -176,7 +183,7 @@ def test_residual_matches_hand_stencil_on_3x3():
     f1 = vals[1, 2] - vals[1, 1]
     f2 = vals[2, 1] - vals[1, 1]
     expected = d * lap / h**2 + b * (f1 * f1 + f2 * f2) / h**2 + s * f2 / h
-    got = _q_interior(vals[None], bs, h)[0][0, 0, 0]
+    got = _q_interior(vals[None], bs, grid)[0][0, 0, 0]
     assert abs(got - expected) <= 1e-13 * abs(expected)
 
 
@@ -186,7 +193,7 @@ def test_residual_quadratic_in_x2_closed_form():
     bs = build_basis(make_kgrid(0.5, 2.0, 12), 1)
     h = grid.h
     _, X2 = grid.mesh()
-    q = _q_interior((X2**2).astype(complex)[None], bs, h)[0][0]
+    q = _q_interior((X2**2).astype(complex)[None], bs, grid)[0][0]
     d = bs.mat_D[0, 0]
     b = bs.tensor_B[0, 0, 0]
     s = bs.mat_S[0, 0]

@@ -72,6 +72,14 @@ def test_scenario_validation():
         _small_disk(refine=0)
     with pytest.raises(ValueError):
         _small_disk(noise=-0.01)
+    # every field is checked where it enters, and the error names it
+    for key, value in (("refine", 1.5), ("refine", True), ("n_cells", 28.5), ("n_k", 50.0),
+                       ("noise_level", "abc"), ("noise_level", float("nan")),
+                       ("half_width", float("inf")), ("k_min", None), ("k_max", True),
+                       ("seed", -1), ("seed", 1.0), ("seed", False), ("name", [1, 2])):
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            dataclasses.replace(_small_disk(), **{key: value})
+    assert _small_disk(seed=None).seed is None
     # an empty scene is legitimate, it describes a null scatterer
     Scenario("empty", ())
 
@@ -130,6 +138,14 @@ def test_load_rejects_bad_documents(tmp_path):
         p.write_text(yaml.safe_dump(doc))
         with pytest.raises(ValueError, match="unknown config keys"):
             load_scenario(p)
+
+    # a config entry is a mapping of method parameters or empty
+    for config in ([], 0, "lam"):
+        p.write_text(yaml.safe_dump({"name": "x", "shapes": [], "config": config}))
+        with pytest.raises(ValueError, match="config must be a mapping"):
+            load_scenario(p)
+    p.write_text(yaml.safe_dump({"name": "x", "shapes": [], "config": None}))
+    assert load_scenario(p).config == InversionConfig()
 
     # a misspelt grid key must not fall back to the default grid
     p.write_text(yaml.safe_dump({"name": "x", "shapes": [], "n_cell": 8}))
