@@ -9,7 +9,10 @@ cap without meeting the tolerance, 4 when a forward solve fails
 transform (NearZeroTotalField); invert then still writes history.txt and
 manifest.json for the iterations that ran, and removes any coefficient.txt
 an earlier run left in --out.  Every --config value is checked before the
-data is read, so a bad one exits 2 before any output is written.
+data is read, so a bad one exits 2 before any output is written.  simulate
+checks --seed as the Scenario field it replaces and creates --out only after
+the scene has been simulated, so a bad scene file, value or seed exits 2
+with nothing written.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -60,8 +63,10 @@ def _load_scenario_arg(arg: str):
 def cmd_simulate(args) -> int:
     started = time.time()
     sc, inputs = _load_scenario_arg(args.scenario)
+    if args.seed is not None:
+        sc = replace(sc, seed=args.seed)
+    truth, clean, noisy = simulate_scenario(sc)
     os.makedirs(args.out, exist_ok=True)
-    truth, clean, noisy = simulate_scenario(sc, seed=args.seed)
 
     paths = {
         "truth": os.path.join(args.out, "truth.txt"),
@@ -72,7 +77,6 @@ def cmd_simulate(args) -> int:
     write_cauchy(clean, paths["clean"])
     write_cauchy(noisy, paths["noisy"])
 
-    seed = sc.seed if args.seed is None else args.seed
     config = {
         "scenario": sc.name,
         "noise_level": sc.noise_level,
@@ -84,7 +88,7 @@ def cmd_simulate(args) -> int:
         "n_k": sc.n_k,
         "inversion": asdict(sc.config),
     }
-    write_manifest("simulate", inputs, config, seed, list(paths.values()),
+    write_manifest("simulate", inputs, config, sc.seed, list(paths.values()),
                    os.path.join(args.out, "manifest.json"), started)
     print(f"wrote {', '.join(paths.values())}")
     return 0

@@ -69,6 +69,9 @@ _EULER_GAMMA = float(np.euler_gamma)
 # 500 has stalled.
 GMRES_MAX_ITER = 500
 GMRES_RESTART = 100
+# Relative full-grid residual a field must be below, solved or interpolated
+# in k; a solve above it raises IllConditionedSystem.
+RESIDUAL_BOUND = 1e-10
 
 # Chebyshev-Lobatto levels in k of solve_forward_multi, as numbers of
 # intervals; each level's nodes include the previous level's.
@@ -222,7 +225,7 @@ def rasterize(shapes, grid: Grid2D) -> Coefficient:
     values = _stack_values(shapes, X1, X2)
     cell_mean = _cell_averages(shapes, grid, values)
     if np.any(values < 0):
-        raise ValueError("synthetic coefficient must be nonnegative")
+        raise ValueError(f"synthetic coefficient must be nonnegative, got {float(values.min())!r}")
     edge = np.zeros_like(values, dtype=bool)
     edge[0, :] = edge[-1, :] = edge[:, 0] = edge[:, -1] = True
     bad = edge & ((values != 0) | (cell_mean != 0))
@@ -420,7 +423,7 @@ def solve_forward(coeff: Coefficient, k: float) -> np.ndarray:
     The last one extends the field, u = u_in + c off B and u = u_B on B,
     and gives the residual of the full-grid system, |u - c - u_in| / |u_in|,
     which is zero off B by construction and the box residual on B; a solve
-    whose residual is not below 1e-10 raises IllConditionedSystem.
+    whose residual is not below RESIDUAL_BOUND raises IllConditionedSystem.
     """
     if k <= 0:
         raise ValueError("wavenumber must be positive")
@@ -453,7 +456,7 @@ def solve_forward(coeff: Coefficient, k: float) -> np.ndarray:
     u = u_in + c
     u[box] = u_box.reshape(p, q)
     resid = np.linalg.norm(u - c - u_in) / np.linalg.norm(u_in)
-    if not resid < 1e-10:  # also true for a non-finite u, whose residual is nan or inf
+    if not resid < RESIDUAL_BOUND:  # also true for a non-finite u, whose residual is nan or inf
         raise IllConditionedSystem(
             f"scattering solve at k={k}: GMRES stopped after {iterations} iterations "
             f"with relative residual {resid:.2e}"
@@ -495,13 +498,13 @@ def _chebyshev_fields(coeff: Coefficient, ks: np.ndarray, levels, fields: dict) 
     so only the new ones are solved, in ascending k.  One DCT-I over a
     level's nodes gives the Chebyshev coefficients of u/u_in on every grid
     node; the level is accepted when the last two are at most
-    1e-10 max |u/u_in|, the residual bound of solve_forward.  If the decay
-    down to them, extrapolated geometrically, needs more than levels[-1]
-    intervals, or a node after the first fails to solve, this returns with
-    only the nodes that are midpoints in fields.  On acceptance every other
-    midpoint gets the barycentric interpolant of u/u_in times u_in, checked
-    against the full-grid residual bound (_interpolation_residuals); a
-    field that fails the check is replaced by solve_forward's.
+    RESIDUAL_BOUND max |u/u_in|.  If the decay down to them, extrapolated
+    geometrically, needs more than levels[-1] intervals, or a node after
+    the first fails to solve, this returns with only the nodes that are
+    midpoints in fields.  On acceptance every other midpoint gets the
+    barycentric interpolant of u/u_in times u_in, checked against the
+    full-grid residual bound (_interpolation_residuals); a field that fails
+    the check is replaced by solve_forward's.
     """
     grid = coeff.grid
     finest = K_LEVELS[-1]
@@ -527,9 +530,9 @@ def _chebyshev_fields(coeff: Coefficient, ks: np.ndarray, levels, fields: dict) 
         f = np.stack([ratio[j] for j in taken])
         cheb = np.abs(dct(f, type=1, axis=0)).max(axis=(1, 2)) / level
         tail = max(cheb[-2], cheb[-1] / 2) / np.abs(f).max()
-        if tail <= 1e-10:
+        if tail <= RESIDUAL_BOUND:
             break
-        if tail >= 1 or level * math.log(1e-10) / math.log(tail) > levels[-1]:
+        if tail >= 1 or level * math.log(RESIDUAL_BOUND) / math.log(tail) > levels[-1]:
             return
     else:
         return
@@ -544,7 +547,7 @@ def _chebyshev_fields(coeff: Coefficient, ks: np.ndarray, levels, fields: dict) 
     interpolated = (weights @ f.reshape(f.shape[0], -1)).reshape(-1, n, n)
     interpolated *= _incident_column(grid, ks[missing][:, None, None])
     resid = _interpolation_residuals(coeff, ks[missing], interpolated)
-    for m, u, ok in zip(missing, interpolated, resid < 1e-10):
+    for m, u, ok in zip(missing, interpolated, resid < RESIDUAL_BOUND):
         # not ok also for a non-finite residual
         fields[m] = u if ok else solve_forward(coeff, ks[m])
 

@@ -143,9 +143,8 @@ def _run_loop(cd: CauchyData, cfg: InversionConfig, keep_best: bool):
     bs = build_basis(kg, cfg.n_modes)
 
     G0, G1 = cauchy_to_v_data(cd, bs)
-    if cfg.trace_sigma > 0:
-        G0 = smooth_traces(G0, cfg.trace_sigma)
-        G1 = smooth_traces(G1, cfg.trace_sigma)
+    G0 = smooth_traces(G0, cfg.trace_sigma)
+    G1 = smooth_traces(G1, cfg.trace_sigma)
     chi = build_cutoff(grid.half_width / 10, grid)
     F = build_carrier(G0, G1, chi, grid)
 

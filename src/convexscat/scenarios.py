@@ -5,13 +5,17 @@ wavenumber range (top-level keys of its YAML) and the inversion's method
 parameters (its config mapping).  Truth data is produced on a refine-times
 finer grid than the reconstruction grid and subsampled back, so the
 inversion never sees fields computed with its own discretization.
+
+The YAML keys are the dataclass fields of Scenario, InversionConfig and
+each shape class (plus the shape's "type"); unknown keys are rejected.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import get_origin, get_type_hints
 
 import yaml
 
@@ -111,11 +115,12 @@ def get_scenario(name: str) -> Scenario:
         raise KeyError(f"unknown scenario {name!r}; builtins: {known}") from None
 
 
-def simulate_scenario(sc: Scenario, seed: int | None = None):
+def simulate_scenario(sc: Scenario):
     """Render truth, solve the scattering problem, trace and perturb the data.
 
     Returns (truth coefficient on the reconstruction grid, clean data, noisy
-    data); the latter two coincide when the scenario is noise free.  Geometry
+    data); the latter two coincide when the scenario is noise free.  The
+    noise is drawn with sc.seed; replace(sc, seed=...) draws another.  Geometry
     is validated on both grids, so inclusions must stay clear of the boundary
     even after refinement.
     """
@@ -125,40 +130,42 @@ def simulate_scenario(sc: Scenario, seed: int | None = None):
 
     fine_grid = Grid2D(sc.half_width, sc.n_cells * sc.refine)
     fine = rasterize(sc.shapes, fine_grid) if sc.refine > 1 else truth
-    fields = solve_forward_multi(fine, kgrid)
-    cd_fine = trace_cauchy(fields, fine, kgrid)
+    cd_fine = trace_cauchy(solve_forward_multi(fine, kgrid), fine, kgrid)
     clean = CauchyData(
         grid=grid,
         kgrid=kgrid,
         g0=cd_fine.g0[:: sc.refine].copy(),
         g1=cd_fine.g1[:: sc.refine].copy(),
     )
-    use_seed = sc.seed if seed is None else seed
-    noisy = add_noise(clean, sc.noise_level, seed=use_seed)
+    noisy = add_noise(clean, sc.noise_level, seed=sc.seed)
     return truth, clean, noisy
 
 
+# the YAML "type" of each shape class; its other keys are the class's fields
+_SHAPES = {"disk": Disk, "rectangle": Rectangle}
+
+
+def _reject_unknown(d: dict, known, what: str) -> None:
+    extra = sorted(str(key) for key in d if key not in known)
+    if extra:
+        raise ValueError(f"unknown {what} keys: {', '.join(extra)}")
+
+
+def _shape_fields(cls) -> dict:
+    """Each field of a shape class -> whether it is an (x1, x2) pair."""
+    hints = get_type_hints(cls)
+    return {f.name: get_origin(hints[f.name]) is tuple for f in fields(cls)}
+
+
 def _shape_to_dict(shape) -> dict:
-    if isinstance(shape, Disk):
-        return {
-            "type": "disk",
-            "center": [float(shape.center[0]), float(shape.center[1])],
-            "radius": float(shape.radius),
-            "value": float(shape.value),
-        }
-    if isinstance(shape, Rectangle):
-        return {
-            "type": "rectangle",
-            "lo": [float(shape.lo[0]), float(shape.lo[1])],
-            "hi": [float(shape.hi[0]), float(shape.hi[1])],
-            "value": float(shape.value),
-        }
-    raise TypeError(f"unsupported shape {type(shape).__name__}")
-
-
-# the keys each shape type needs, and those of them that are (x1, x2) pairs
-_SHAPE_KEYS = {"disk": ("center", "radius", "value"), "rectangle": ("lo", "hi", "value")}
-_PAIR_KEYS = ("center", "lo", "hi")
+    kind = next((k for k, cls in _SHAPES.items() if type(shape) is cls), None)
+    if kind is None:
+        raise TypeError(f"unsupported shape {type(shape).__name__}")
+    doc = {"type": kind}
+    for key, pair in _shape_fields(type(shape)).items():
+        value = getattr(shape, key)
+        doc[key] = [float(x) for x in value] if pair else float(value)
+    return doc
 
 
 def _shape_from_dict(d):
@@ -166,33 +173,32 @@ def _shape_from_dict(d):
     if not isinstance(d, dict):
         raise ValueError(f"expected a mapping with a 'type' key, got {type(d).__name__}")
     kind = d.get("type")
-    if kind not in _SHAPE_KEYS:
+    if not isinstance(kind, str) or kind not in _SHAPES:
         raise ValueError(f"unknown shape type {kind!r}")
-    missing = [key for key in _SHAPE_KEYS[kind] if key not in d]
+    keys = _shape_fields(_SHAPES[kind])
+    _reject_unknown(d, ["type", *keys], kind)
+    missing = [key for key in keys if key not in d]
     if missing:
         raise ValueError(f"{kind} needs {', '.join(missing)}")
-    for key in _SHAPE_KEYS[kind]:
-        pair = key in _PAIR_KEYS
+    for key, pair in keys.items():
         value = d[key]
         if pair and not (isinstance(value, list) and len(value) == 2
                          and all(map(_is_number, value))):
             raise ValueError(f"{key} must be a pair of numbers [x1, x2], got {value!r}")
         if not pair and not _is_number(value):
             raise ValueError(f"{key} must be a number, got {value!r}")
-    if kind == "disk":
-        return Disk(center=tuple(d["center"]), radius=d["radius"], value=d["value"])
-    return Rectangle(lo=tuple(d["lo"]), hi=tuple(d["hi"]), value=d["value"])
+    return _SHAPES[kind](**{key: tuple(d[key]) if pair else d[key] for key, pair in keys.items()})
 
 
-def _shapes_from_list(shapes, path) -> tuple:
+def _shapes_from_list(shapes) -> tuple:
     if not isinstance(shapes, list):
-        raise ValueError(f"{path}: 'shapes' must be a list, got {type(shapes).__name__}")
+        raise ValueError(f"'shapes' must be a list, got {type(shapes).__name__}")
     out = []
     for i, d in enumerate(shapes):
         try:
             out.append(_shape_from_dict(d))
         except ValueError as exc:
-            raise ValueError(f"{path}: shapes[{i}]: {exc}") from None
+            raise ValueError(f"shapes[{i}]: {exc}") from None
     return tuple(out)
 
 
@@ -202,27 +208,18 @@ def config_from_dict(d) -> InversionConfig:
         d = {}
     if not isinstance(d, dict):
         raise ValueError(f"config must be a mapping of method parameters, got {d!r}")
-    known = set(InversionConfig.__dataclass_fields__)
-    extra = set(d) - known
-    if extra:
-        raise ValueError(f"unknown config keys: {', '.join(sorted(extra))}")
+    _reject_unknown(d, InversionConfig.__dataclass_fields__, "config")
     return InversionConfig(**d)
 
 
 def save_scenario(sc: Scenario, path) -> None:
-    doc = {
-        "name": sc.name,
-        "shapes": [_shape_to_dict(s) for s in sc.shapes],
-        "noise_level": float(sc.noise_level),
-        "seed": sc.seed,
-        "refine": int(sc.refine),
-        "half_width": float(sc.half_width),
-        "n_cells": int(sc.n_cells),
-        "k_min": float(sc.k_min),
-        "k_max": float(sc.k_max),
-        "n_k": int(sc.n_k),
-        "config": asdict(sc.config),
-    }
+    hints = get_type_hints(Scenario)
+    doc = {}
+    for f in fields(Scenario):
+        value = getattr(sc, f.name)
+        doc[f.name] = hints[f.name](value) if hints[f.name] in (int, float) else value
+    doc["shapes"] = [_shape_to_dict(s) for s in sc.shapes]
+    doc["config"] = asdict(sc.config)
     with open(path, "w") as f:
         yaml.safe_dump(doc, f, sort_keys=False)
 
@@ -241,23 +238,16 @@ def read_yaml(path):
 
 
 def load_scenario(path) -> Scenario:
+    """The scene in a YAML file: every Scenario field is a top-level key, and
+    a key left out takes the field's default, except that a missing name is
+    "scenario" and a missing seed means unseeded noise."""
     doc = read_yaml(path)
     if not isinstance(doc, dict) or "shapes" not in doc:
         raise ValueError(f"{path}: expected a mapping with a 'shapes' list")
-    extra = set(doc) - set(Scenario.__dataclass_fields__)
-    if extra:
-        raise ValueError(f"{path}: unknown scenario keys: {', '.join(sorted(extra))}")
-    shapes = _shapes_from_list(doc["shapes"], path)
     try:
-        return Scenario(
-            name=doc.get("name", "scenario"),
-            shapes=shapes,
-            noise_level=doc.get("noise_level", 0.05),
-            seed=doc.get("seed"),
-            refine=doc.get("refine", 2),
-            **{key: doc[key] for key in ("half_width", "n_cells", "k_min", "k_max", "n_k")
-               if key in doc},
-            config=config_from_dict(doc.get("config")),
-        )
+        _reject_unknown(doc, Scenario.__dataclass_fields__, "scenario")
+        return Scenario(**{"name": "scenario", "seed": None, **doc,
+                           "shapes": _shapes_from_list(doc["shapes"]),
+                           "config": config_from_dict(doc.get("config"))})
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -265,8 +265,13 @@ def test_simulate_rejects_malformed_scenario_yaml_before_any_output(tmp_path, ca
     ("name: [1, 2]", "name must be a string, got [1, 2]"),
     ("config: []", "config must be a mapping of method parameters, got []"),
     ("config: 0", "config must be a mapping of method parameters, got 0"),
+    ("1: 2", "unknown scenario keys: 1"),
+    ("config: {1: 2}", "unknown config keys: 1"),
+    ("- {type: disk, center: [0.0, 0.4], radius: 0.2, value: 1.5, colour: red}",
+     "shapes[1]: unknown disk keys: colour"),
 ], ids=["list", "no-radius", "scalar-center", "fractional-n_cells", "fractional-refine",
-        "bool-refine", "text-noise_level", "list-name", "list-config", "scalar-config"])
+        "bool-refine", "text-noise_level", "list-name", "list-config", "scalar-config",
+        "int-key", "int-config-key", "extra-disk-key"])
 def test_simulate_rejects_a_malformed_scene_before_any_output(tmp_path, capsys, line, message):
     # one shape or top-level value of an otherwise valid scene is malformed
     scene = tmp_path / "bad.yaml"
@@ -276,6 +281,33 @@ def test_simulate_rejects_a_malformed_scene_before_any_output(tmp_path, capsys, 
     rc = main(["simulate", "--scenario", str(scene), "--out", str(out)])
     assert rc == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {scene}: {message}"]
+    assert not out.exists()
+
+
+_DISK = "- {type: disk, center: [0.0, 0.4], radius: 0.2, value: 1.5}"
+
+
+@pytest.mark.parametrize("shapes, argv, message", [
+    (f"{_DISK}\nk_min: 3.0", [], "need 0 < k_min < k_max < inf, got [3.0, 2.0]"),
+    (f"{_DISK}\nhalf_width: -0.8", [], "half_width must be positive and finite, got -0.8"),
+    (_DISK.replace("0.2", "0.5"), [], "support touches the domain boundary at"),
+    (_DISK.replace("1.5", "-1.5"), [], "synthetic coefficient must be nonnegative, got -1.5"),
+    (None, ["--seed", "-1"], "seed must be an integer >= 0 or null, got -1"),
+], ids=["k_min-above-k_max", "negative-half_width", "disk-on-boundary", "negative-value",
+        "negative-seed"])
+def test_simulate_rejects_a_bad_scene_value_before_any_output(tmp_path, capsys, shapes, argv,
+                                                               message):
+    # the scene loads, but a value fails where it is used, or --seed fails the
+    # seed check; either way simulate stops before it creates --out
+    scene = "example1"
+    if shapes is not None:
+        scene = tmp_path / "bad.yaml"
+        scene.write_text(f"shapes:\n{shapes}\n")
+    out = tmp_path / "out"
+    rc = main(["simulate", "--scenario", str(scene), "--out", str(out), *argv])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {message}")
     assert not out.exists()
 
 

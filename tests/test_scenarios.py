@@ -6,6 +6,7 @@ grids; the physics itself is covered by the forward-solver tests.
 """
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,6 +154,18 @@ def test_load_rejects_bad_documents(tmp_path):
         load_scenario(p)
 
 
+def test_readme_yaml_example_shows_the_defaults(tmp_path):
+    # README.md says every value of its scenario example is the default
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = readme.split("```yaml\n")[1:]
+    assert len(blocks) == 1
+    path = tmp_path / "readme.yaml"
+    path.write_text(blocks[0].split("```")[0])
+    sc = load_scenario(path)
+    assert len(sc.shapes) == 2
+    assert dataclasses.replace(sc, shapes=()) == Scenario("scenario", ())
+
+
 def test_config_from_dict():
     assert config_from_dict({}) == InversionConfig()
     cfg = config_from_dict(dataclasses.asdict(SMALL))
@@ -183,7 +196,7 @@ def test_simulate_is_deterministic_and_seed_overridable():
     assert np.array_equal(noisy_a.g0, noisy_b.g0)
     assert np.array_equal(noisy_a.g1, noisy_b.g1)
 
-    _, _, other = simulate_scenario(sc, seed=9)
+    _, _, other = simulate_scenario(dataclasses.replace(sc, seed=9))
     assert other.seed == 9
     assert not np.array_equal(other.g0, noisy_a.g0)
 
