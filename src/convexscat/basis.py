@@ -38,9 +38,11 @@ __all__ = [
 # numerically dependent on its predecessors.
 GS_DEPENDENCE_TOL = 1e-12
 
-# Composite Gauss-Legendre rule for the basis-internal integrals.
+# Composite Gauss-Legendre rule for the basis-internal integrals.  The rule on
+# [-1, 1] is computed once here: every Scenario and data file builds a KGrid.
 N_PANELS = 8
 NODES_PER_PANEL = 16
+_GL_NODES, _GL_WEIGHTS = leggauss(NODES_PER_PANEL)
 
 
 class BasisError(ValueError):
@@ -79,12 +81,11 @@ def make_kgrid(k_min: float, k_max: float, n_sub: int) -> KGrid:
     h_k = (k_max - k_min) / n_sub
     midpoints = k_min + (np.arange(n_sub) + 0.5) * h_k
 
-    xg, wg = leggauss(NODES_PER_PANEL)
     edges = np.linspace(k_min, k_max, N_PANELS + 1)
     nodes, weights = [], []
     for a, b in zip(edges[:-1], edges[1:]):
-        nodes.append(0.5 * (a + b) + 0.5 * (b - a) * xg)
-        weights.append(0.5 * (b - a) * wg)
+        nodes.append(0.5 * (a + b) + 0.5 * (b - a) * _GL_NODES)
+        weights.append(0.5 * (b - a) * _GL_WEIGHTS)
     return KGrid(
         k_min=float(k_min),
         k_max=float(k_max),

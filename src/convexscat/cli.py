@@ -1,18 +1,15 @@
 """Command-line front end: simulate, invert, validate, export.
 
 Every data-producing command writes a JSON manifest next to its outputs with
-input/output hashes, the effective config, and the seed, so a run can be
-checked and reproduced.  Exit codes: 0 on success (for invert: tolerance
-met), 2 on usage or format errors, 3 when an inversion hits the iteration
-cap without meeting the tolerance, 4 when a forward solve fails
-(IllConditionedSystem) or its field comes too close to zero for the log
-transform (NearZeroTotalField); invert then still writes history.txt and
-manifest.json for the iterations that ran, and removes any coefficient.txt
-an earlier run left in --out.  Every --config value is checked before the
-data is read, so a bad one exits 2 before any output is written.  simulate
-checks --seed as the Scenario field it replaces and creates --out only after
-the scene has been simulated, so a bad scene file, value or seed exits 2
-with nothing written.
+input/output hashes, the effective config and the seed, so a run can be
+checked and reproduced; invert adds its stop reason and error.  Exit codes:
+0 on success (invert: stop "tolerance", or any --no-carleman run), 2 on usage
+or format errors, 3 for stop "iteration_cap", 4 for "resolve_failed": a
+forward solve failed (IllConditionedSystem) or its field came too close to
+zero for the log transform (NearZeroTotalField); invert then still writes
+history.txt and manifest.json for the iterations that ran, and removes any
+coefficient.txt an earlier run left in --out.  Both commands create --out
+only after the run returns, so bad input exits 2 with nothing written.
 """
 
 from __future__ import annotations
@@ -31,6 +28,7 @@ from .fieldtransform import NearZeroTotalField
 from .forward import IllConditionedSystem
 from .inversion import ablation_no_weight, run_inversion
 from .io import (
+    _located,
     read_cauchy,
     read_coefficient,
     write_cauchy,
@@ -65,7 +63,8 @@ def cmd_simulate(args) -> int:
     sc, inputs = _load_scenario_arg(args.scenario)
     if args.seed is not None:
         sc = replace(sc, seed=args.seed)
-    truth, clean, noisy = simulate_scenario(sc)
+    with _located(args.scenario):
+        truth, clean, noisy = simulate_scenario(sc)
     os.makedirs(args.out, exist_ok=True)
 
     paths = {
@@ -106,15 +105,14 @@ def cmd_invert(args) -> int:
         inputs.append(args.config)
     cfg = config_from_dict(overrides)
     cd = read_cauchy(args.data)
-
-    os.makedirs(args.out, exist_ok=True)
     runner = ablation_no_weight if args.no_carleman else run_inversion
     result = runner(cd, cfg)
+    os.makedirs(args.out, exist_ok=True)
 
     coeff_path = os.path.join(args.out, "coefficient.txt")
     hist_path = os.path.join(args.out, "history.txt")
     # the comparison run keeps its best iterate through a failed re-solve
-    failed = result.error is not None and not args.no_carleman
+    failed = result.stop == "resolve_failed" and not args.no_carleman
     outputs = [hist_path] if failed else [coeff_path, hist_path]
     if failed:
         with contextlib.suppress(FileNotFoundError):
@@ -122,13 +120,15 @@ def cmd_invert(args) -> int:
     else:
         write_coefficient(result.coefficient, coeff_path)
     write_history(result.records, hist_path)
+    error = None if result.error is None else f"{type(result.error).__name__}: {result.error}"
     write_manifest("invert" + (" --no-carleman" if args.no_carleman else ""),
-                   inputs, cfg, cd.seed, outputs,
-                   os.path.join(args.out, "manifest.json"), started)
+                   inputs, asdict(result.config), cd.seed, outputs,
+                   os.path.join(args.out, "manifest.json"), started,
+                   stop=result.stop, error=error)
     if failed:
         raise result.error
-    for w in result.warnings:
-        print(f"warning: {w}", file=sys.stderr)
+    if result.stop == "resolve_failed":
+        print(f"warning: re-solve failed at n={result.records[-1].n}: {error}", file=sys.stderr)
 
     last = result.records[-1]
     peak = float(result.coefficient.values.max())
@@ -138,9 +138,7 @@ def cmd_invert(args) -> int:
     print(f"iterations: {last.n}, J = {last.J_value:.6e}, "
           f"max a = {peak:.4f} at (x1={g.nodes[j]:+.4f}, x2={g.nodes[i]:+.4f})")
     print(f"wrote {coeff_path}, {hist_path}")
-    if args.no_carleman:
-        return 0
-    return 0 if result.converged else 3
+    return 0 if args.no_carleman or result.stop == "tolerance" else 3
 
 
 def cmd_validate(args) -> int:

@@ -99,10 +99,9 @@ class Grid2D:
     def __post_init__(self):
         if not (self.half_width > 0 and math.isfinite(2 * self.half_width)):
             raise ValueError(f"half_width must be positive and finite, got {self.half_width}")
-        if isinstance(self.n_cells, bool) or not isinstance(self.n_cells, numbers.Integral):
-            raise ValueError(f"n_cells must be an integer, got {self.n_cells!r}")
-        if self.n_cells < 2:
-            raise ValueError("need at least two cells per side")
+        n = self.n_cells
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2:
+            raise ValueError(f"n_cells must be an integer >= 2, got {n!r}")
 
     @property
     def h(self) -> float:

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
+from typing import Literal
 
 import numpy as np
 
@@ -97,18 +98,22 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class InversionResult:
-    """error holds the re-solve failure that ended the run early, if any.
+    """stop says how the run ended; error is the re-solve failure, if that ended it.
 
-    Each record is one gradient evaluation; every record but the last was
-    followed by one multi-wavenumber re-solve (the last one's failed, if
-    error is set).
+    config is the InversionConfig the loop ran with.  Each record is one
+    gradient evaluation; every record but the last was followed by one
+    multi-wavenumber re-solve (the last one's failed, if error is set).
     """
 
     coefficient: Coefficient
     records: tuple
-    converged: bool
-    warnings: tuple = field(default_factory=tuple)
+    stop: Literal["tolerance", "iteration_cap", "resolve_failed"]
+    config: InversionConfig
     error: Exception | None = None
+
+    @property
+    def converged(self) -> bool:
+        return self.stop == "tolerance"
 
 
 def _clamped(coeff: Coefficient, clamp: bool) -> Coefficient:
@@ -150,25 +155,19 @@ def _run_loop(cd: CauchyData, cfg: InversionConfig, keep_best: bool):
 
     V = F.copy()
     records: list[IterationRecord] = []
-    warnings: list[str] = []
-    error = None
-    J_prev = None
-    rising = 0
+    stop = error = None
     best = (np.inf, V)
 
     for n in range(cfg.max_iterations + 1):
         W = V - F
         J, grad = evaluate_and_gradient(W, F, grid, bs, cfg)
-
-        if J_prev is not None:
-            rising = rising + 1 if J > J_prev else 0
-            if rising == 3:
-                warnings.append(f"objective rose for 3 consecutive iterations ending at n={n}")
         if J < best[0]:
             best = (J, V)
 
-        converged = not keep_best and J_prev is not None and abs(J - J_prev) < cfg.tolerance
-        stop = converged or n == cfg.max_iterations
+        if not keep_best and records and abs(J - records[-1].J_value) < cfg.tolerance:
+            stop = "tolerance"
+        elif n == cfg.max_iterations:
+            stop = "iteration_cap"
         if stop:
             a_n = _restrict_support(recover_coefficient(V, bs, grid))
         else:
@@ -179,15 +178,13 @@ def _run_loop(cd: CauchyData, cfg: InversionConfig, keep_best: bool):
                 V = log_to_coeffs(total_to_log(u, grid, kg), bs)
             except (NearZeroTotalField, IllConditionedSystem) as exc:
                 error = exc
-                warnings.append(f"forward re-solve failed at n={n}; run cut short")
-                stop = True
+                stop = "resolve_failed"
 
         records.append(
             IterationRecord(n, J, float(np.linalg.norm(grad)), float(a_n.values.max()))
         )
         if stop:
             break
-        J_prev = J
 
     final_V = best[1] if keep_best else V
     a_final = _clamped(_restrict_support(recover_coefficient(final_V, bs, grid)),
@@ -195,8 +192,8 @@ def _run_loop(cd: CauchyData, cfg: InversionConfig, keep_best: bool):
     return InversionResult(
         coefficient=a_final,
         records=tuple(records),
-        converged=converged,
-        warnings=tuple(warnings),
+        stop=stop,
+        config=cfg,
         error=error,
     )
 

@@ -17,13 +17,12 @@ import json
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import asdict
 
 import numpy as np
 
 from .basis import make_kgrid
 from .forward import CauchyData, Coefficient, Grid2D
-from .inversion import InversionConfig, IterationRecord
+from .inversion import IterationRecord
 
 __all__ = [
     "write_cauchy",
@@ -199,15 +198,15 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def write_manifest(command: str, inputs, config, seed, outputs, out_path, started: float) -> None:
+def write_manifest(command: str, inputs, config: dict, seed, outputs, out_path, started: float,
+                   **outcome) -> None:
     """Record enough to rerun and verify: hashed inputs and outputs, config, seed.
 
+    Each outcome keyword is one more top-level key (invert: stop, error).
     Rerunning with the same inputs must reproduce the output hashes exactly.
     The timestamps make manifests themselves non-identical across reruns by
     design; byte determinism is promised for the data files they describe.
     """
-    if isinstance(config, InversionConfig):
-        config = asdict(config)
     manifest = {
         "command": command,
         "inputs": {str(p): _sha256(p) for p in inputs},
@@ -216,6 +215,7 @@ def write_manifest(command: str, inputs, config, seed, outputs, out_path, starte
         "outputs": {str(p): _sha256(p) for p in outputs},
         "started": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(started)),
         "finished": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
+        **outcome,
     }
     with open(out_path, "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)

@@ -68,7 +68,7 @@ class Scenario:
         # an empty shape tuple is allowed: it describes a null scatterer
         if not isinstance(self.name, str):
             raise ValueError(f"name must be a string, got {self.name!r}")
-        for key, least in (("refine", 1), ("n_cells", 2), ("n_k", 1)):
+        for key, least in (("refine", 1), ("n_k", 1)):
             x = getattr(self, key)
             if not (_is_integer(x) and x >= least):
                 raise ValueError(f"{key} must be an integer >= {least}, got {x!r}")
@@ -80,6 +80,9 @@ class Scenario:
             raise ValueError(f"noise_level must be nonnegative, got {self.noise_level!r}")
         if self.seed is not None and not (_is_integer(self.seed) and self.seed >= 0):
             raise ValueError(f"seed must be an integer >= 0 or null, got {self.seed!r}")
+        # the grids check the domain, the cell count and the wavenumber range
+        Grid2D(self.half_width, self.n_cells)
+        make_kgrid(self.k_min, self.k_max, self.n_k)
 
 
 def _builtins() -> dict:

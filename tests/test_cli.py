@@ -4,7 +4,9 @@ The tests call main(argv) in-process and check exit codes, emitted files,
 and manifests.  Exit contract: 0 success (invert: tolerance met), 2 usage
 or format errors, 3 iteration cap reached without meeting the tolerance,
 4 a forward solve failed or its field came too close to zero for the log
-transform (invert still writes the history and the manifest).
+transform (invert still writes the history and the manifest).  An invert
+manifest's stop key names the same ending: tolerance, iteration_cap or
+resolve_failed.
 """
 
 import hashlib
@@ -154,6 +156,7 @@ def test_invert_outputs_and_exit_code(inv_dir, sim_dir):
     assert doc["command"] == "invert"
     assert doc["config"]["n_modes"] == 3 and "n_cells" not in doc["config"]
     assert str(sim_dir / "cauchy_noisy.txt") in doc["inputs"]
+    assert doc["stop"] == "tolerance" and doc["error"] is None
 
 
 def test_invert_is_deterministic(sim_dir, config_file, inv_dir, tmp_path):
@@ -174,14 +177,24 @@ def test_invert_reads_config_overrides(sim_dir, tmp_path, capsys):
     assert rc == 3
     assert len(read_history(tmp_path / "history.txt")) == 2
     assert _manifest(tmp_path)["config"]["max_iterations"] == 1
+    assert _manifest(tmp_path)["stop"] == "iteration_cap"
     assert "iterations: 1" in capsys.readouterr().out
 
 
-def test_invert_no_carleman_runs_the_comparison(sim_dir, config_file, tmp_path):
+def test_invert_no_carleman_runs_the_comparison(sim_dir, config_file, tmp_path, capsys):
     rc = main(["invert", "--data", str(sim_dir / "cauchy_noisy.txt"),
                "--config", str(config_file), "--out", str(tmp_path), "--no-carleman"])
     assert rc == 0  # the comparison run has no convergence contract
-    assert "--no-carleman" in _manifest(tmp_path)["command"]
+    doc = _manifest(tmp_path)
+    assert "--no-carleman" in doc["command"]
+    # the manifest holds the config the comparison run used, not the given one
+    assert doc["config"]["lam"] == 0.0 and doc["config"]["max_iterations"] == 20
+    assert doc["config"]["n_modes"] == 3
+    # on this scene the unweighted descent ends at a failed re-solve; the run
+    # keeps its best iterate and says so in one warning line
+    assert doc["stop"] == "resolve_failed" and doc["error"] is not None
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning: re-solve failed at n=")
     coeff = read_coefficient(tmp_path / "coefficient.txt")
     assert np.isfinite(coeff.values).all()
 
@@ -209,6 +222,8 @@ def test_invert_resolve_failure_is_exit_4(sim_dir, tmp_path, capsys):
     doc = _manifest(out)
     assert doc["command"] == "invert" and doc["config"]["lam"] == 0.0
     assert doc["outputs"] == {str(out / "history.txt"): _sha(out / "history.txt")}
+    assert doc["stop"] == "resolve_failed"
+    assert doc["error"].startswith("NearZeroTotalField: total_to_log")
 
 
 def test_invert_rejects_bad_config_values_before_any_output(sim_dir, tmp_path, capsys):
@@ -297,17 +312,34 @@ _DISK = "- {type: disk, center: [0.0, 0.4], radius: 0.2, value: 1.5}"
         "negative-seed"])
 def test_simulate_rejects_a_bad_scene_value_before_any_output(tmp_path, capsys, shapes, argv,
                                                                message):
-    # the scene loads, but a value fails where it is used, or --seed fails the
-    # seed check; either way simulate stops before it creates --out
+    # a value fails the grids' checks as the scene loads or where it is used,
+    # or --seed fails the seed check; either way simulate stops before it
+    # creates --out, and a scene file's error names the file
     scene = "example1"
     if shapes is not None:
         scene = tmp_path / "bad.yaml"
         scene.write_text(f"shapes:\n{shapes}\n")
+        message = f"{scene}: {message}"
     out = tmp_path / "out"
     rc = main(["simulate", "--scenario", str(scene), "--out", str(out), *argv])
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {message}")
+    assert not out.exists()
+
+
+def test_invert_rejects_data_the_loop_cannot_use_before_any_output(tmp_path, capsys):
+    # the data file parses, but its 3-node grid is too coarse for the
+    # recovery stencils; invert must not leave an empty --out behind
+    scene = tmp_path / "coarse.yaml"
+    scene.write_text("shapes: []\nnoise_level: 0.0\nn_cells: 2\nrefine: 1\nn_k: 4\n")
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--scenario", str(scene), "--out", str(sim)]) == 0
+    out = tmp_path / "out"
+    rc = main(["invert", "--data", str(sim / "cauchy_noisy.txt"), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: recovery stencils need at least 4 nodes per side"]
     assert not out.exists()
 
 

@@ -9,6 +9,7 @@ checked against an independent sha256 of the same bytes.
 import hashlib
 import json
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -309,7 +310,7 @@ def test_manifest_records_hashes_and_config(tmp_path):
 
     manifest_path = tmp_path / "manifest.json"
     cfg = InversionConfig(n_modes=2)
-    write_manifest("invert", [inp], cfg, 11, [out_a, out_b], manifest_path, started=0.0)
+    write_manifest("invert", [inp], asdict(cfg), 11, [out_a, out_b], manifest_path, started=0.0)
 
     doc = json.loads(manifest_path.read_text())
     assert doc["command"] == "invert"

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from convexscat import Coefficient, Grid2D
+from convexscat import Coefficient, Grid2D, InversionConfig
 from convexscat.forward import IllConditionedSystem
 from convexscat.inversion import InversionResult, IterationRecord
 
@@ -28,7 +28,8 @@ def _result(error):
     values[6, 4] = 2.9
     return InversionResult(coefficient=Coefficient(grid, values),
                            records=(IterationRecord(0, 1.0, 1.0, 2.9),),
-                           converged=error is None, error=error)
+                           stop="tolerance" if error is None else "resolve_failed",
+                           config=InversionConfig(), error=error)
 
 
 def test_a_failed_resolve_fails_the_sweep(noise_sweep, monkeypatch, capsys):
@@ -38,6 +39,7 @@ def test_a_failed_resolve_fails_the_sweep(noise_sweep, monkeypatch, capsys):
     rows = capsys.readouterr().out.splitlines()[1:]
     assert "error" not in rows[0]
     assert rows[1].endswith("error: scattering solve at k=0.515: stalled")
+    assert [row.split()[1] for row in rows] == ["tolerance", "resolve_failed"]
 
 
 def test_a_clean_sweep_exits_zero(noise_sweep, monkeypatch):
