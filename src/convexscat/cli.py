@@ -6,7 +6,8 @@ checked and reproduced; invert adds its stop reason and error.  Exit codes:
 0 on success (invert: stop "tolerance", or any --no-carleman run), 2 on usage
 or format errors, 3 for stop "iteration_cap", 4 for "resolve_failed": a
 forward solve failed (IllConditionedSystem) or its field came too close to
-zero for the log transform (NearZeroTotalField); invert then still writes
+zero for the log transform (NearZeroTotalField); invert then prints
+"error: re-solve failed at n=<n>: <ExceptionType>: <message>", still writes
 history.txt and manifest.json for the iterations that ran, and removes any
 coefficient.txt an earlier run left in --out.  Both commands create --out
 only after the run returns, so bad input exits 2 with nothing written.
@@ -125,10 +126,12 @@ def cmd_invert(args) -> int:
                    inputs, asdict(result.config), cd.seed, outputs,
                    os.path.join(args.out, "manifest.json"), started,
                    stop=result.stop, error=error)
-    if failed:
-        raise result.error
     if result.stop == "resolve_failed":
-        print(f"warning: re-solve failed at n={result.records[-1].n}: {error}", file=sys.stderr)
+        line = f"re-solve failed at n={result.records[-1].n}: {error}"
+        if failed:
+            print(f"error: {line}", file=sys.stderr)
+            return 4
+        print(f"warning: {line}", file=sys.stderr)
 
     last = result.records[-1]
     peak = float(result.coefficient.values.max())

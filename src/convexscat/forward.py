@@ -29,6 +29,15 @@ a time, or it is solved directly.  Data not resolved with fewer nodes than
 midpoints are solved midpoint by midpoint, as are grids of at most six
 midpoints.  A failed solve raises its IllConditionedSystem unchanged, and the
 lowest midpoint is always solved first.
+
+Two reuses make the repeated stacks of an inversion cheaper.  Each node a
+finer level adds starts GMRES from the coarser level's interpolant, which is
+already close to its field; the first level's nodes and every midpoint
+solved directly start from zero, so those fields equal solve_forward's.  And
+the box-to-box spectrum of each node and the box-to-grid spectra of the
+residual check depend on the wavenumbers and the support box only, so an
+inversion keeps them in one KernelStore across its re-solves; the store
+holds one box and empties when the box changes.
 """
 
 from __future__ import annotations
@@ -288,10 +297,8 @@ def _kernel_table(grid: Grid2D, k) -> np.ndarray:
     return table.reshape(k.shape[:-1] + (n, n))
 
 
-def _offset_product(table: np.ndarray, weight: np.ndarray, source, window):
-    """Product v -> T (weight v) with T[(i, j), (i', j')] = table[|i - i'|, |j - j'|]
-    from the nodes of `source` to those of `window`, each a pair of grid
-    slices; weight and v have the source's shape.
+def _circulant_spectrum(table: np.ndarray, source, window) -> np.ndarray:
+    """FFT of the zero-padded circulant that carries table from source to window.
 
     Along an axis where the source has p nodes starting at s and the window
     w nodes starting at t, the output reads the offsets t - s + e for
@@ -300,11 +307,10 @@ def _offset_product(table: np.ndarray, weight: np.ndarray, source, window):
     gives the product exactly: no wrapped-around offset reaches the w-node
     corner read back.  The circulant is filled from one take of the table
     rows and one of its columns, placed by four slices: e >= 0 at the start
-    of an axis, e < 0 wrapped to its end.  Each product writes weight v into
-    the corner of one zero-padded buffer, multiplies the spectrum in place
-    and inverts it in place; the result is a view of the window.  A table
-    with leading axes (one table per wavenumber) gives a batch of products
-    with the same leading axes, each on its own circulant.
+    of an axis, e < 0 wrapped to its end.  A table with leading axes (one
+    table per wavenumber) gives a stack of spectra with the same leading
+    axes.  The spectrum depends on the box and the wavenumbers only, not on
+    the coefficient values, so it can be kept across solves (KernelStore).
     """
     shape, taken, quadrants = [], table, []
     for axis, (src, out) in enumerate(zip(source, window)):
@@ -315,12 +321,21 @@ def _offset_product(table: np.ndarray, weight: np.ndarray, source, window):
                            axis=axis - 2)
         quadrants.append(((slice(0, w), slice(p - 1, None)),
                           (slice(size - p + 1, size), slice(0, p - 1))))
-    shape = table.shape[:-2] + tuple(shape)
-    circ = np.zeros(shape, dtype=complex)
+    circ = np.zeros(table.shape[:-2] + tuple(shape), dtype=complex)
     for (rows, rows_taken), (cols, cols_taken) in product(*quadrants):
         circ[..., rows, cols] = taken[..., rows_taken, cols_taken]
-    kernel_hat = fft2(circ)
-    buf = np.zeros(shape, dtype=complex)
+    return fft2(circ)
+
+
+def _circulant_product(kernel_hat: np.ndarray, weight: np.ndarray, window):
+    """Product v -> T (weight v) from the spectrum of T's circulant
+    (_circulant_spectrum); weight and v have the source's shape.
+
+    Each product writes weight v into the corner of one zero-padded buffer,
+    multiplies the spectrum in place and inverts it in place; the result is
+    a view of the window.
+    """
+    buf = np.zeros(kernel_hat.shape, dtype=complex)
     corner = buf[..., :weight.shape[0], :weight.shape[1]]
     read = (Ellipsis,) + tuple(slice(out.stop - out.start) for out in window)
 
@@ -333,9 +348,50 @@ def _offset_product(table: np.ndarray, weight: np.ndarray, source, window):
     return apply
 
 
-def _gmres(apply, b: np.ndarray, residual):
-    """Solve apply(x) = b by restarted GMRES from x = 0; returns (x, iterations).
+def _offset_product(table: np.ndarray, weight: np.ndarray, source, window):
+    """Product v -> T (weight v) with T[(i, j), (i', j')] = table[|i - i'|, |j - j'|]
+    from the nodes of `source` to those of `window`, each a pair of grid
+    slices; weight and v have the source's shape.  A table with leading axes
+    (one table per wavenumber) gives a batch of products with the same
+    leading axes, each on its own circulant.
+    """
+    return _circulant_product(_circulant_spectrum(table, source, window), weight, window)
 
+
+class KernelStore:
+    """Kernel spectra of one support box, kept across the re-solves of one inversion.
+
+    It holds each Chebyshev node's box-to-box spectrum (solve_forward) and
+    the box-to-grid spectra of the residual-checked midpoints
+    (_interpolation_residuals), keyed by their wavenumbers.  A spectrum
+    depends on the grid, the wavenumbers and the support box only, so a
+    stored one is the array a solve would compute.  The store holds one box
+    at a time and empties itself when the box changes; it assumes one grid.
+    """
+
+    def __init__(self):
+        self.box = None
+        self.spectra = {}
+
+    def get(self, box, key, make):
+        """The spectrum under key for this box, from make() the first time."""
+        if box != self.box:
+            self.box = box
+            self.spectra.clear()
+        if key not in self.spectra:
+            self.spectra[key] = make()
+        return self.spectra[key]
+
+
+def _spectrum(store, box, key, make):
+    return make() if store is None else store.get(box, key, make)
+
+
+def _gmres(apply, b: np.ndarray, residual, x0=None):
+    """Solve apply(x) = b by restarted GMRES from x0, or from x = 0; returns (x, iterations).
+
+    A start x0 costs one apply more, for its residual b - apply(x0); a start
+    that already meets the tolerance takes no step and is returned as is.
     residual(x) returns b - apply(x); it is called once per restart cycle,
     on the cycle's updated solution, so the caller can compute it from a
     product it needs anyway.  Arnoldi orthogonalizes by classical
@@ -352,8 +408,12 @@ def _gmres(apply, b: np.ndarray, residual):
     tol = 1e-12 * dznrm2(b)
     V = np.empty((b.size, GMRES_RESTART + 1), dtype=complex, order="F")
     R = np.zeros((GMRES_RESTART, GMRES_RESTART), dtype=complex)
-    x = np.zeros(b.size, dtype=complex)
-    r = b
+    if x0 is None:
+        x = np.zeros(b.size, dtype=complex)
+        r = b
+    else:
+        x = np.array(x0, dtype=complex)
+        r = b - apply(x)
     beta = dznrm2(r)
     iterations = 0
     while beta > tol and iterations < GMRES_MAX_ITER:
@@ -406,7 +466,7 @@ def _support_box(a: np.ndarray):
     return slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
 
 
-def solve_forward(coeff: Coefficient, k: float) -> np.ndarray:
+def solve_forward(coeff: Coefficient, k: float, start=None, store=None) -> np.ndarray:
     """Total field u on every grid node for one wavenumber.
 
     The product a u vanishes off the bounding box B (p x q nodes) of the
@@ -423,6 +483,11 @@ def solve_forward(coeff: Coefficient, k: float) -> np.ndarray:
     and gives the residual of the full-grid system, |u - c - u_in| / |u_in|,
     which is zero off B by construction and the box residual on B; a solve
     whose residual is not below RESIDUAL_BOUND raises IllConditionedSystem.
+
+    start, if given, is a first guess of u on B (p x q) that GMRES starts
+    from instead of zero.  store, a KernelStore, keeps the box-to-box
+    spectrum for the next solve at this k on the same box; the box-to-grid
+    spectrum is built per solve.
     """
     if k <= 0:
         raise ValueError("wavenumber must be positive")
@@ -437,7 +502,8 @@ def solve_forward(coeff: Coefficient, k: float) -> np.ndarray:
     a_box = a[box]
     p, q = a_box.shape
     table = (k * k * grid.h ** 2) * _kernel_table(grid, k)
-    box_product = _offset_product(table, a_box, box, box)
+    box_hat = _spectrum(store, box, ("box", k), lambda: _circulant_spectrum(table, box, box))
+    box_product = _circulant_product(box_hat, a_box, box)
     extension = _offset_product(table, a_box, box, (slice(0, n), slice(0, n)))
     c = None
 
@@ -451,7 +517,10 @@ def solve_forward(coeff: Coefficient, k: float) -> np.ndarray:
         c = extension(x)
         return (u_in[box] + c[box] - x).ravel()
 
-    u_box, iterations = _gmres(apply, u_in[box].ravel(), residual)
+    u_box, iterations = _gmres(apply, u_in[box].ravel(), residual,
+                               None if start is None else start.ravel())
+    if c is None:  # the start met the tolerance, so no cycle extended it
+        residual(u_box)
     u = u_in + c
     u[box] = u_box.reshape(p, q)
     resid = np.linalg.norm(u - c - u_in) / np.linalg.norm(u_in)
@@ -463,7 +532,7 @@ def solve_forward(coeff: Coefficient, k: float) -> np.ndarray:
     return u
 
 
-def solve_forward_multi(coeff: Coefficient, kgrid: KGrid) -> np.ndarray:
+def solve_forward_multi(coeff: Coefficient, kgrid: KGrid, store=None) -> np.ndarray:
     """Fields for all wavenumber midpoints, stacked as (n_k, n_nodes, n_nodes).
 
     Each field is either a solve_forward solve or an interpolant in k that
@@ -477,48 +546,74 @@ def solve_forward_multi(coeff: Coefficient, kgrid: KGrid) -> np.ndarray:
     that stalls at the lowest wavenumber raises on the first solve, as the
     midpoint-by-midpoint loop did.  A midpoint whose interpolated field
     passes the residual check is not solved, so its own solve cannot fail.
+    Direct midpoint solves start from zero and use no store, so each equals
+    solve_forward(coeff, k).  store, a KernelStore, keeps the node and
+    residual-check spectra for the next call on the same support box; the
+    result does not depend on it.
     """
     ks = kgrid.midpoints
     levels = [m for m in K_LEVELS if m + 1 < ks.size]
     fields = {}
     if levels and np.any(coeff.quadrature_mean()):
-        _chebyshev_fields(coeff, ks, levels, fields)
+        _chebyshev_fields(coeff, ks, levels, fields, store)
     for m, k in enumerate(ks):
         if m not in fields:
             fields[m] = solve_forward(coeff, k)
     return np.stack([fields[m] for m in range(ks.size)])
 
 
-def _chebyshev_fields(coeff: Coefficient, ks: np.ndarray, levels, fields: dict) -> None:
+def _barycentric(x: np.ndarray, f: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Interpolant at targets of the values f[j] at the Chebyshev-Lobatto points x[j].
+
+    The barycentric formula of the second kind with weights (-1)^j, halved at
+    both ends; the results are stacked along a first axis of targets.size.
+    """
+    w = np.where(np.arange(x.size) % 2, -1.0, 1.0)
+    w[[0, -1]] *= 0.5
+    cauchy = w / (targets[:, None] - x[None, :])
+    weights = cauchy / cauchy.sum(axis=1, keepdims=True)
+    return (weights @ f.reshape(x.size, -1)).reshape((targets.size,) + f.shape[1:])
+
+
+def _chebyshev_fields(coeff: Coefficient, ks: np.ndarray, levels, fields: dict,
+                      store=None) -> None:
     """Fill fields (midpoint index -> field) from solves at Chebyshev-Lobatto nodes in k.
 
     Level m has the m + 1 nodes c - r cos(pi j / m), j = 0..m, of
     [ks[0], ks[-1]], and each level's nodes include the previous level's,
-    so only the new ones are solved, in ascending k.  One DCT-I over a
-    level's nodes gives the Chebyshev coefficients of u/u_in on every grid
-    node; the level is accepted when the last two are at most
-    RESIDUAL_BOUND max |u/u_in|.  If the decay down to them, extrapolated
-    geometrically, needs more than levels[-1] intervals, or a node after
-    the first fails to solve, this returns with only the nodes that are
-    midpoints in fields.  On acceptance every other midpoint gets the
-    barycentric interpolant of u/u_in times u_in, checked against the
-    full-grid residual bound (_interpolation_residuals); a field that fails
-    the check is replaced by solve_forward's.
+    so only the new ones are solved, in ascending k.  The first level's
+    nodes start GMRES from zero; every node a later level adds starts from
+    the previous level's interpolant of u/u_in times u_in on the support
+    box, which is already close to the solution.  One DCT-I over a level's
+    nodes gives the Chebyshev coefficients of u/u_in on every grid node; the
+    level is accepted when the last two are at most RESIDUAL_BOUND
+    max |u/u_in|.  If the decay down to them, extrapolated geometrically,
+    needs more than levels[-1] intervals, or a node after the first fails to
+    solve, this returns with only the nodes that are midpoints in fields.
+    On acceptance every other midpoint gets the barycentric interpolant of
+    u/u_in times u_in, checked against the full-grid residual bound
+    (_interpolation_residuals); a field that fails the check is replaced by
+    solve_forward's.  store is passed to the node solves and the check.
     """
     grid = coeff.grid
+    box = _support_box(coeff.quadrature_mean())
     finest = K_LEVELS[-1]
     nodes = 0.5 * (ks[0] + ks[-1]) - 0.5 * (ks[-1] - ks[0]) * np.cos(
         np.pi * np.arange(finest + 1) / finest)
     nodes[[0, -1]] = ks[[0, -1]]
     midpoint = {k: m for m, k in enumerate(ks.tolist())}
     ratio = {}
+    taken = None
     for level in levels:
-        taken = range(0, finest + 1, finest // level)
-        for j in taken:
-            if j in ratio:
-                continue
+        coarse, taken = taken, range(0, finest + 1, finest // level)
+        new = [j for j in taken if j not in ratio]
+        starts = [None] * len(new)
+        if coarse is not None:
+            starts = _barycentric(nodes[coarse], f[(Ellipsis,) + box], nodes[new])
+            starts *= _incident_column(grid, nodes[new][:, None, None])[:, box[0]]
+        for j, start in zip(new, starts):
             try:
-                u = solve_forward(coeff, nodes[j])
+                u = solve_forward(coeff, nodes[j], start, store)
             except IllConditionedSystem:
                 if j == 0:  # the first midpoint: the per-midpoint loop fails here too
                     raise
@@ -537,40 +632,43 @@ def _chebyshev_fields(coeff: Coefficient, ks: np.ndarray, levels, fields: dict) 
         return
 
     missing = [m for m in range(ks.size) if m not in fields]
-    x = nodes[taken]
-    w = np.where(np.arange(x.size) % 2, -1.0, 1.0)
-    w[[0, -1]] *= 0.5
-    cauchy = w / (ks[missing][:, None] - x[None, :])
-    weights = cauchy / cauchy.sum(axis=1, keepdims=True)
-    n = grid.n_nodes
-    interpolated = (weights @ f.reshape(f.shape[0], -1)).reshape(-1, n, n)
+    interpolated = _barycentric(nodes[taken], f, ks[missing])
     interpolated *= _incident_column(grid, ks[missing][:, None, None])
-    resid = _interpolation_residuals(coeff, ks[missing], interpolated)
+    resid = _interpolation_residuals(coeff, ks[missing], interpolated, store)
     for m, u, ok in zip(missing, interpolated, resid < RESIDUAL_BOUND):
         # not ok also for a non-finite residual
         fields[m] = u if ok else solve_forward(coeff, ks[m])
 
 
-def _interpolation_residuals(coeff: Coefficient, ks: np.ndarray, fields: np.ndarray) -> np.ndarray:
+def _interpolation_residuals(coeff: Coefficient, ks: np.ndarray, fields: np.ndarray,
+                             store=None) -> np.ndarray:
     """|u - k^2 h^2 K(a u) - u_in| / |u_in| on the full grid, per field of the stack.
 
     The box-to-grid products run in chunks of wavenumbers, each from one
     Bessel table evaluation, one batch of circulants and one FFT pair
     (_offset_product with a stacked table), with at most _CHUNK_ENTRIES
-    circulant entries per chunk.
+    circulant entries per chunk.  store, a KernelStore, keeps each chunk's
+    spectra, so a later call with the same wavenumbers and box skips the
+    table and the circulants.
     """
     grid = coeff.grid
     n = grid.n_nodes
     a = coeff.quadrature_mean()
     box = _support_box(a)
     a_box = a[box]
+    full = (slice(0, n), slice(0, n))
     entries = next_fast_len(n + a_box.shape[0] - 1) * next_fast_len(n + a_box.shape[1] - 1)
     chunk = max(1, _CHUNK_ENTRIES // entries)
     resid = np.empty(ks.size)
     for s in range(0, ks.size, chunk):
         k = ks[s:s + chunk]
-        table = (k * k * grid.h ** 2)[:, None, None] * _kernel_table(grid, k)
-        extension = _offset_product(table, a_box, box, (slice(0, n), slice(0, n)))
+
+        def spectra():
+            table = (k * k * grid.h ** 2)[:, None, None] * _kernel_table(grid, k)
+            return _circulant_spectrum(table, box, full)
+
+        kernel_hat = _spectrum(store, box, ("grid",) + tuple(k.tolist()), spectra)
+        extension = _circulant_product(kernel_hat, a_box, full)
         u = fields[s:s + chunk]
         u_in = np.broadcast_to(_incident_column(grid, k[:, None, None]), u.shape)
         c = extension(u[(Ellipsis,) + box])

@@ -37,7 +37,13 @@ from .fieldtransform import (
     smooth_traces,
     total_to_log,
 )
-from .forward import CauchyData, Coefficient, IllConditionedSystem, solve_forward_multi
+from .forward import (
+    CauchyData,
+    Coefficient,
+    IllConditionedSystem,
+    KernelStore,
+    solve_forward_multi,
+)
 from .objective import evaluate_and_gradient
 
 __all__ = ["InversionConfig", "IterationRecord", "InversionResult", "run_inversion", "ablation_no_weight"]
@@ -49,7 +55,9 @@ class InversionConfig:
 
     Every field is checked on construction: floats are finite, epsilon and
     tolerance positive, the penalty weights, lam and trace_sigma nonnegative,
-    max_iterations and n_modes integers >= 1, clamp_negative a bool.
+    max_iterations and n_modes integers >= 1, clamp_negative a bool.  A float
+    field given as an integer (YAML `lam: 0`) is then stored as a float, so
+    the manifest writes 0.0 as the default does.
     """
 
     epsilon: float = 1e-3
@@ -86,6 +94,9 @@ class InversionConfig:
         for name in ("rho", "alpha1", "alpha2", "lam", "trace_sigma"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)!r}")
+        for f in fields(self):
+            if f.type == "float":
+                object.__setattr__(self, f.name, float(getattr(self, f.name)))
 
 
 @dataclass(frozen=True)
@@ -141,7 +152,8 @@ def _run_loop(cd: CauchyData, cfg: InversionConfig, keep_best: bool):
     """The descent loop of both public runs.
 
     keep_best disables the tolerance stop and returns the smallest-J iterate
-    instead of the last one.  A failed re-solve ends either run early.
+    instead of the last one.  A failed re-solve ends either run early.  The
+    re-solves share one KernelStore, which lives as long as this call.
     """
     grid = cd.grid
     kg = cd.kgrid
@@ -157,6 +169,7 @@ def _run_loop(cd: CauchyData, cfg: InversionConfig, keep_best: bool):
     records: list[IterationRecord] = []
     stop = error = None
     best = (np.inf, V)
+    store = KernelStore()
 
     for n in range(cfg.max_iterations + 1):
         W = V - F
@@ -174,7 +187,7 @@ def _run_loop(cd: CauchyData, cfg: InversionConfig, keep_best: bool):
             V_step = (W - cfg.epsilon * grad) + F
             a_n = _restrict_support(recover_coefficient(V_step, bs, grid))
             try:
-                u = solve_forward_multi(a_n, kg)
+                u = solve_forward_multi(a_n, kg, store)
                 V = log_to_coeffs(total_to_log(u, grid, kg), bs)
             except (NearZeroTotalField, IllConditionedSystem) as exc:
                 error = exc

@@ -39,7 +39,7 @@ def test_multi_solve_calls_solve_forward_once_per_wavenumber(monkeypatch):
     calls = []
     solve = forward.solve_forward
     monkeypatch.setattr(forward, "solve_forward",
-                        lambda coeff, k: calls.append(k) or solve(coeff, k))
+                        lambda coeff, k, *rest: calls.append(k) or solve(coeff, k, *rest))
     kg = make_kgrid(0.5, 2.0, 3)
     coeff = rasterize([Disk(center=(0.0, 0.3), radius=0.2, value=1.0)], Grid2D(0.8, 8))
     forward.solve_forward_multi(coeff, kg)

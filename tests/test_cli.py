@@ -213,7 +213,8 @@ def test_invert_resolve_failure_is_exit_4(sim_dir, tmp_path, capsys):
                "--config", str(cfg_path), "--out", str(out)])
     assert rc == 4
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: total_to_log: |u/u_in|")
+    assert len(err) == 1 and err[0].startswith(
+        "error: re-solve failed at n=5: NearZeroTotalField: total_to_log: |u/u_in|")
 
     records = read_history(out / "history.txt")
     assert [r.n for r in records] == list(range(6))
@@ -224,6 +225,25 @@ def test_invert_resolve_failure_is_exit_4(sim_dir, tmp_path, capsys):
     assert doc["outputs"] == {str(out / "history.txt"): _sha(out / "history.txt")}
     assert doc["stop"] == "resolve_failed"
     assert doc["error"].startswith("NearZeroTotalField: total_to_log")
+
+
+def test_weighted_resolve_failure_names_the_iteration_and_stores_float_config(sim_dir, tmp_path,
+                                                                              capsys):
+    # lam: 0 is a YAML integer; the weighted run fails like the one above and
+    # its error line has the form of the manifest's error and of the
+    # --no-carleman warning, and the manifest stores lam as a float
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text("n_modes: 3\nlam: 0\n")
+    out = tmp_path / "out"
+    rc = main(["invert", "--data", str(sim_dir / "cauchy_noisy.txt"),
+               "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 4
+    doc = _manifest(out)
+    n = read_history(out / "history.txt")[-1].n
+    assert capsys.readouterr().err.splitlines() == [f"error: re-solve failed at n={n}: {doc['error']}"]
+    assert doc["stop"] == "resolve_failed"
+    assert isinstance(doc["config"]["lam"], float) and doc["config"]["lam"] == 0.0
+    assert '"lam": 0.0' in (out / "manifest.json").read_text()
 
 
 def test_invert_rejects_bad_config_values_before_any_output(sim_dir, tmp_path, capsys):

@@ -23,7 +23,9 @@ from convexscat import (
 )
 from convexscat import forward
 from convexscat.forward import (
+    K_LEVELS,
     IllConditionedSystem,
+    KernelStore,
     _gmres,
     _kernel_table,
     _offset_product,
@@ -214,6 +216,46 @@ def test_gmres_zero_right_hand_side_returns_zero():
     assert np.array_equal(x, np.zeros(6))
 
 
+def test_gmres_from_a_start_vector():
+    # a start that solves the system takes no step and comes back as is; a
+    # perturbed one is driven to the same 1e-12 |b| tolerance as a zero start
+    rng = np.random.default_rng(4)
+    n = 40
+    A = np.eye(n) + 0.3 / np.sqrt(n) * (rng.standard_normal((n, n))
+                                        + 1j * rng.standard_normal((n, n)))
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    exact = np.linalg.solve(A, b)
+    x, iterations = _gmres(lambda v: A @ v, b, lambda x: b - A @ x, exact)
+    assert iterations == 0
+    assert np.array_equal(x, exact)
+    start = exact + 1e-3 * rng.standard_normal(n)
+    x, iterations = _gmres(lambda v: A @ v, b, lambda x: b - A @ x, start)
+    x0, iterations0 = _gmres(lambda v: A @ v, b, lambda x: b - A @ x)
+    assert 0 < iterations <= iterations0
+    for solution in (x, x0):
+        assert np.linalg.norm(b - A @ solution) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_solve_from_its_own_solution_extends_it_to_the_grid(monkeypatch):
+    # a start that already meets the tolerance runs no GMRES cycle, so the
+    # box-to-grid extension and the residual check run on the start itself
+    coeff = rasterize([DISK], Grid2D(0.8, 16))
+    u = solve_forward(coeff, 1.0)
+    box = forward._support_box(coeff.quadrature_mean())
+    gmres = forward._gmres
+    steps = []
+
+    def counted(*args):
+        x, iterations = gmres(*args)
+        steps.append(iterations)
+        return x, iterations
+
+    monkeypatch.setattr(forward, "_gmres", counted)
+    again = solve_forward(coeff, 1.0, u[box])
+    assert steps == [0]
+    assert np.max(np.abs(again - u)) <= 1e-12 * np.max(np.abs(u))
+
+
 def test_solver_rejects_nonpositive_wavenumber():
     grid = Grid2D(0.8, 8)
     coeff = rasterize([], grid)
@@ -239,7 +281,7 @@ def _count_solves(monkeypatch):
     calls = []
     solve = forward.solve_forward
     monkeypatch.setattr(forward, "solve_forward",
-                        lambda c, k: calls.append(k) or solve(c, k))
+                        lambda c, k, *rest: calls.append(k) or solve(c, k, *rest))
     return calls, solve
 
 
@@ -323,8 +365,8 @@ def test_multi_solve_replaces_a_field_that_fails_the_residual_check(default_kgri
     check = forward._interpolation_residuals
     refused = []
 
-    def failing(coeff, ks, fields):
-        resid = check(coeff, ks, fields)
+    def failing(coeff, ks, fields, *rest):
+        resid = check(coeff, ks, fields, *rest)
         refused.extend(ks[[5, 20]])
         resid[5], resid[20] = 1.0, np.nan
         return resid
@@ -347,11 +389,11 @@ def test_multi_solve_falls_back_when_a_node_fails(default_kgrid, monkeypatch):
     solve = forward.solve_forward
     calls = []
 
-    def solve_or_fail(c, k):
+    def solve_or_fail(c, k, *rest):
         calls.append(k)
         if len(calls) == 2:
             raise IllConditionedSystem("refused")
-        return solve(c, k)
+        return solve(c, k, *rest)
 
     monkeypatch.setattr(forward, "solve_forward", solve_or_fail)
     stack = forward.solve_forward_multi(coeff, default_kgrid)
@@ -359,6 +401,68 @@ def test_multi_solve_falls_back_when_a_node_fails(default_kgrid, monkeypatch):
     assert calls[2:] == list(ks[1:])
     for m, k in enumerate(ks):
         assert np.array_equal(stack[m], solve(coeff, k))
+
+
+def test_finer_level_nodes_start_from_the_coarser_interpolant(default_kgrid, monkeypatch):
+    # every node a finer level adds starts GMRES from the coarser level's
+    # interpolant and takes fewer steps than from zero; the first level's
+    # nodes start from zero
+    coeff = rasterize(get_scenario("example1").shapes, Grid2D(0.8, 28))
+    gmres = forward._gmres
+    steps = []
+
+    def counted(apply, b, residual, x0=None):
+        x, iterations = gmres(apply, b, residual, x0)
+        steps.append((x0 is not None, iterations))
+        return x, iterations
+
+    monkeypatch.setattr(forward, "_gmres", counted)
+    calls, solve = _count_solves(monkeypatch)
+    forward.solve_forward_multi(coeff, default_kgrid)
+    nodes = list(zip(calls, steps))
+    steps.clear()
+    for k, _ in nodes:
+        solve(coeff, k)
+    first = K_LEVELS[0] + 1
+    assert [warm for _, (warm, _) in nodes] == [False] * first + [True] * (len(nodes) - first)
+    assert len(nodes) > first
+    for (_, (warm, iterations)), (_, cold) in zip(nodes, steps):
+        assert iterations < cold if warm else iterations == cold
+
+
+def test_kernel_store_is_reused_and_changes_no_field(default_kgrid, monkeypatch):
+    # a second call with the same store builds only the box-to-grid spectrum
+    # of each node solve and returns the same arrays as the first call and as
+    # a call without a store
+    coeff = rasterize(get_scenario("example1").shapes, Grid2D(0.8, 28))
+    plain = solve_forward_multi(coeff, default_kgrid)
+    store = KernelStore()
+    first = solve_forward_multi(coeff, default_kgrid, store)
+    built = []
+    spectrum = forward._circulant_spectrum
+    monkeypatch.setattr(forward, "_circulant_spectrum",
+                        lambda table, source, window:
+                        built.append(window) or spectrum(table, source, window))
+    calls, _ = _count_solves(monkeypatch)
+    second = solve_forward_multi(coeff, default_kgrid, store)
+    n = coeff.grid.n_nodes
+    assert built == [(slice(0, n), slice(0, n))] * len(calls)
+    assert np.array_equal(first, plain) and np.array_equal(second, plain)
+
+
+def test_kernel_store_holds_only_the_last_support_box(default_kgrid):
+    grid = Grid2D(0.8, 28)
+    before = rasterize(get_scenario("example1").shapes, grid)
+    after = _iterate_like(grid)
+    store, fresh = KernelStore(), KernelStore()
+    solve_forward_multi(before, default_kgrid, store)
+    solve_forward_multi(after, default_kgrid, store)
+    solve_forward_multi(after, default_kgrid, fresh)
+    assert store.box == fresh.box == forward._support_box(after.quadrature_mean())
+    assert store.box != forward._support_box(before.quadrature_mean())
+    assert store.spectra.keys() == fresh.spectra.keys()
+    for key, kernel_hat in fresh.spectra.items():
+        assert np.array_equal(store.spectra[key], kernel_hat)
 
 
 def test_multi_solve_stall_at_the_lowest_k_raises_at_the_first_midpoint(default_kgrid,

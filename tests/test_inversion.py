@@ -81,8 +81,10 @@ def test_config_validation():
         (name,) = bad
         with pytest.raises(ValueError, match=name):
             InversionConfig(**bad)
-    # integer values are valid floats, and zero weights are allowed
-    InversionConfig(lam=0, rho=0, alpha1=0, alpha2=0, trace_sigma=0, shift=-1)
+    # integer values are valid floats, stored as floats, and zero weights are allowed
+    cfg = InversionConfig(lam=0, rho=0, alpha1=0, alpha2=0, trace_sigma=0, shift=-1)
+    assert all(type(getattr(cfg, f.name)) is float for f in fields(cfg) if f.type == "float")
+    assert cfg.lam == 0.0 and cfg.shift == -1.0
 
 
 def test_small_run_converges_with_consistent_records(small_case):
