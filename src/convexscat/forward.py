@@ -14,9 +14,11 @@ Since a u vanishes where a does, the system is solved by GMRES (Saad and
 Schultz, 1986) on the bounding box of the support only, at one FFT pair plus
 BLAS calls per step.  One more convolution, from the box to the grid, is
 the restart residual at the end of each GMRES cycle; the last one extends
-the field to the whole grid and checks the full-grid residual.  Both
-products, and the trace kernel, take their Hankel values from the
-real-argument Bessel functions H_m = J_m + i Y_m.
+the field to the whole grid and checks the full-grid residual.  A solve
+whose restart residuals show that it cannot pass that check in the steps
+left ends at once and raises IllConditionedSystem.  Both products, and the
+trace kernel, take their Hankel values from the real-argument Bessel
+functions H_m = J_m + i Y_m.
 
 u/u_in is analytic in k, so the fields at all wavenumber midpoints come from
 solves at nested Chebyshev-Lobatto nodes in k (5, 10, 20 or 40 intervals
@@ -74,8 +76,8 @@ _EULER_GAMMA = float(np.euler_gamma)
 
 # GMRES iterations per solve and per restart cycle.  On the builtin scenes
 # simulate needs 5 to 8, invert 6 to 12 and the unweighted run up to 30
-# before its n = 2 re-solve, which stalls at the cap: a solve that reaches
-# 500 has stalled.
+# before its n = 2 re-solve stalls.  A solve whose average rate cannot reach
+# RESIDUAL_BOUND within the 500 ends at a restart before the cap (_gmres).
 GMRES_MAX_ITER = 500
 GMRES_RESTART = 100
 # Relative full-grid residual a field must be below, solved or interpolated
@@ -387,7 +389,7 @@ def _spectrum(store, box, key, make):
     return make() if store is None else store.get(box, key, make)
 
 
-def _gmres(apply, b: np.ndarray, residual, x0=None):
+def _gmres(apply, b: np.ndarray, residual, x0=None, accept=None):
     """Solve apply(x) = b by restarted GMRES from x0, or from x = 0; returns (x, iterations).
 
     A start x0 costs one apply more, for its residual b - apply(x0); a start
@@ -401,11 +403,21 @@ def _gmres(apply, b: np.ndarray, residual, x0=None):
     keep the Hessenberg matrix triangular act on Python complex scalars.  A
     cycle ends when its Arnoldi residual estimate reaches the tolerance,
     after GMRES_RESTART steps, or at GMRES_MAX_ITER steps in all; the solve
-    stops only when the true residual meets the tolerance 1e-12 |b| or the
-    steps run out, so round-off between estimate and truth restarts a cycle
-    instead of passing unnoticed.
+    stops only when the true residual meets the tolerance 1e-12 |b|, when
+    the steps run out or when it has stagnated (below), so round-off between
+    estimate and truth restarts a cycle instead of passing unnoticed.
+
+    accept is the absolute residual the caller's check accepts, by default
+    the tolerance.  A solve has stagnated when, at the end of a cycle, even
+    its average rate so far, (beta / beta_0) per s steps from the residual
+    beta_0 it started from, cannot take the true residual beta below accept
+    in the steps left: beta (beta / beta_0)^((GMRES_MAX_ITER - s) / s) >=
+    accept.  Restarted GMRES can speed up or slow down from one cycle to
+    the next, so one cycle's rate alone would cut slow but converging solves.
     """
     tol = 1e-12 * dznrm2(b)
+    if accept is None:
+        accept = tol
     V = np.empty((b.size, GMRES_RESTART + 1), dtype=complex, order="F")
     R = np.zeros((GMRES_RESTART, GMRES_RESTART), dtype=complex)
     if x0 is None:
@@ -414,7 +426,7 @@ def _gmres(apply, b: np.ndarray, residual, x0=None):
     else:
         x = np.array(x0, dtype=complex)
         r = b - apply(x)
-    beta = dznrm2(r)
+    beta = beta0 = dznrm2(r)
     iterations = 0
     while beta > tol and iterations < GMRES_MAX_ITER:
         V[:, 0] = r / beta
@@ -451,6 +463,10 @@ def _gmres(apply, b: np.ndarray, residual, x0=None):
         zgemv(1.0, V[:, :m], y, beta=1.0, y=x, overwrite_y=True)
         r = residual(x)
         beta = dznrm2(r)
+        # min: a residual that grew predicts no progress, and the power cannot overflow
+        rate = min(beta / beta0, 1.0) ** ((GMRES_MAX_ITER - iterations) / iterations)
+        if beta > tol and beta * rate >= accept:
+            break
     return x, iterations
 
 
@@ -483,6 +499,10 @@ def solve_forward(coeff: Coefficient, k: float, start=None, store=None) -> np.nd
     and gives the residual of the full-grid system, |u - c - u_in| / |u_in|,
     which is zero off B by construction and the box residual on B; a solve
     whose residual is not below RESIDUAL_BOUND raises IllConditionedSystem.
+    Since the restart residual is the full-grid residual, GMRES gets the
+    bound RESIDUAL_BOUND |u_in| as the residual it must reach and stops at
+    the first restart whose average rate cannot reach it in the steps left;
+    the error then says that GMRES stagnated and after how many steps.
 
     start, if given, is a first guess of u on B (p x q) that GMRES starts
     from instead of zero.  store, a KernelStore, keeps the box-to-box
@@ -517,16 +537,21 @@ def solve_forward(coeff: Coefficient, k: float, start=None, store=None) -> np.nd
         c = extension(x)
         return (u_in[box] + c[box] - x).ravel()
 
+    in_norm = np.linalg.norm(u_in)
     u_box, iterations = _gmres(apply, u_in[box].ravel(), residual,
-                               None if start is None else start.ravel())
+                               None if start is None else start.ravel(),
+                               RESIDUAL_BOUND * in_norm)
     if c is None:  # the start met the tolerance, so no cycle extended it
         residual(u_box)
     u = u_in + c
     u[box] = u_box.reshape(p, q)
-    resid = np.linalg.norm(u - c - u_in) / np.linalg.norm(u_in)
+    resid = np.linalg.norm(u - c - u_in) / in_norm
     if not resid < RESIDUAL_BOUND:  # also true for a non-finite u, whose residual is nan or inf
+        stopped = (f"stagnated after {iterations} of {GMRES_MAX_ITER}"
+                   if iterations < GMRES_MAX_ITER and math.isfinite(resid)
+                   else f"stopped after {iterations}")
         raise IllConditionedSystem(
-            f"scattering solve at k={k}: GMRES stopped after {iterations} iterations "
+            f"scattering solve at k={k}: GMRES {stopped} iterations "
             f"with relative residual {resid:.2e}"
         )
     return u

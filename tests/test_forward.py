@@ -1,5 +1,7 @@
 """Tests for the volume-integral scattering solver, traces and noise."""
 
+import math
+import re
 import warnings
 
 import numpy as np
@@ -13,6 +15,7 @@ from convexscat import (
     Grid2D,
     IncidentWave,
     Rectangle,
+    ablation_no_weight,
     add_noise,
     disk_total_field,
     make_kgrid,
@@ -172,10 +175,12 @@ def test_rising_block_on_a_coarse_grid_matches_dense_nystrom_system():
 
 
 def test_stalled_solve_is_refused():
-    # the same block at 28 cells stalls far above the residual bound
+    # the same block at 28 cells stalls far above the residual bound: after
+    # two cycles its average rate cannot reach the bound in the steps left
     grid = Grid2D(0.8, 28)
     with pytest.raises(IllConditionedSystem,
-                       match=r"k=0\.5: GMRES stopped after \d+ iterations with relative residual"):
+                       match=r"k=0\.5: GMRES stagnated after 200 of 500 iterations "
+                             r"with relative residual"):
         solve_forward(Coefficient(grid, _rising_block(grid)), 0.5)
 
 
@@ -194,7 +199,8 @@ def test_restarted_solves_match_dense_nystrom_system(monkeypatch):
         a[1:-1, 1:-1] = rng.uniform(0.2, 3.0, (grid.n_nodes - 2, grid.n_nodes - 2))
         _assert_matches_dense_nystrom(grid, a, k)
     stalled = Grid2D(0.8, 28)
-    with pytest.raises(IllConditionedSystem, match=r"k=0\.5: GMRES stopped after 500 iterations"):
+    with pytest.raises(IllConditionedSystem,
+                       match=r"k=0\.5: GMRES stagnated after 75 of 500 iterations"):
         solve_forward(Coefficient(stalled, _rising_block(stalled)), 0.5)
 
 
@@ -234,6 +240,53 @@ def test_gmres_from_a_start_vector():
     assert 0 < iterations <= iterations0
     for solution in (x, x0):
         assert np.linalg.norm(b - A @ solution) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_gmres_stops_after_a_cycle_without_progress():
+    # the cyclic shift maps e_j to e_(j+1), so from b = e_1 every Krylov step
+    # leaves the residual at |b| until the basis holds all n > GMRES_RESTART
+    # unknowns: no progress in the first cycle predicts none in the rest
+    n = forward.GMRES_RESTART + 1
+    b = np.zeros(n, dtype=complex)
+    b[0] = 1.0
+    x, iterations = _gmres(lambda v: np.roll(v, 1), b, lambda x: b - np.roll(x, 1))
+    assert iterations == forward.GMRES_RESTART
+    assert np.linalg.norm(b - np.roll(x, 1)) == pytest.approx(1.0)
+
+
+def test_gmres_slow_but_converging_solve_runs_to_the_tolerance():
+    # 600 distinct eigenvalues over [1, 2000]: each cycle cuts the residual
+    # by about 1e-4, so the solve needs four cycles, and the stagnation rule,
+    # here against the tolerance itself, never ends it early
+    d = np.linspace(1.0, 2000.0, 600)
+    rng = np.random.default_rng(6)
+    b = rng.standard_normal(d.size) + 1j * rng.standard_normal(d.size)
+    x, iterations = _gmres(lambda v: d * v, b, lambda x: b - d * x)
+    assert 3 * forward.GMRES_RESTART < iterations < forward.GMRES_MAX_ITER
+    assert np.linalg.norm(b - d * x) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_unweighted_run_fails_fast_with_the_records_of_a_full_stall(example1_sim,
+                                                                    example1_ablation,
+                                                                    monkeypatch):
+    # the unweighted run's n = 2 re-solve stalls at the lowest wavenumber;
+    # it now ends after one cycle, and the run keeps the records and the
+    # coefficient it had when the stall ran all GMRES_MAX_ITER steps
+    _, _, noisy = example1_sim
+    cfg, fast = example1_ablation
+    assert fast.stop == "resolve_failed"
+    assert isinstance(fast.error, IllConditionedSystem)
+    assert re.match(r"scattering solve at k=0\.515: GMRES stagnated after 100 of 500 "
+                    r"iterations with relative residual", str(fast.error))
+    gmres = forward._gmres
+    monkeypatch.setattr(forward, "_gmres", lambda apply, b, residual, x0=None, accept=None:
+                        gmres(apply, b, residual, x0, math.inf))
+    full = ablation_no_weight(noisy, cfg)
+    assert re.match(r"scattering solve at k=0\.515: GMRES stopped after 500 iterations",
+                    str(full.error))
+    assert full.stop == fast.stop
+    assert full.records == fast.records
+    assert np.array_equal(full.coefficient.values, fast.coefficient.values)
 
 
 def test_solve_from_its_own_solution_extends_it_to_the_grid(monkeypatch):
@@ -411,8 +464,8 @@ def test_finer_level_nodes_start_from_the_coarser_interpolant(default_kgrid, mon
     gmres = forward._gmres
     steps = []
 
-    def counted(apply, b, residual, x0=None):
-        x, iterations = gmres(apply, b, residual, x0)
+    def counted(apply, b, residual, x0=None, *rest):
+        x, iterations = gmres(apply, b, residual, x0, *rest)
         steps.append((x0 is not None, iterations))
         return x, iterations
 
@@ -470,7 +523,8 @@ def test_multi_solve_stall_at_the_lowest_k_raises_at_the_first_midpoint(default_
     grid = Grid2D(0.8, 28)
     calls, _ = _count_solves(monkeypatch)
     with pytest.raises(IllConditionedSystem,
-                       match=r"^scattering solve at k=0\.515: GMRES stopped after 500 iterations"):
+                       match=r"^scattering solve at k=0\.515: GMRES stagnated after 200 of 500 "
+                             r"iterations"):
         forward.solve_forward_multi(Coefficient(grid, _rising_block(grid)), default_kgrid)
     assert calls == [default_kgrid.midpoints[0]]
 
