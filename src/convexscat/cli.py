@@ -2,7 +2,8 @@
 
 Every data-producing command writes a JSON manifest next to its outputs with
 input/output hashes, the effective config and the seed, so a run can be
-checked and reproduced; invert adds its stop reason and error.  Exit codes:
+checked and reproduced: simulate's config is the scene document, a scene
+file in itself, and invert adds its stop reason and error.  Exit codes:
 0 on success (invert: stop "tolerance", or any --no-carleman run), 2 on usage
 or format errors, 3 for stop "iteration_cap", 4 for "resolve_failed": a
 forward solve failed (IllConditionedSystem) or its field came too close to
@@ -34,6 +35,8 @@ from .io import (
     read_coefficient,
     write_cauchy,
     write_coefficient,
+    write_cross_section,
+    write_heatmap,
     write_history,
     write_manifest,
 )
@@ -43,6 +46,7 @@ from .scenarios import (
     get_scenario,
     load_scenario,
     read_yaml,
+    scenario_document,
     simulate_scenario,
 )
 from .validate import format_report, run_all_checks
@@ -77,18 +81,7 @@ def cmd_simulate(args) -> int:
     write_cauchy(clean, paths["clean"])
     write_cauchy(noisy, paths["noisy"])
 
-    config = {
-        "scenario": sc.name,
-        "noise_level": sc.noise_level,
-        "refine": sc.refine,
-        "half_width": sc.half_width,
-        "n_cells": sc.n_cells,
-        "k_min": sc.k_min,
-        "k_max": sc.k_max,
-        "n_k": sc.n_k,
-        "inversion": asdict(sc.config),
-    }
-    write_manifest("simulate", inputs, config, sc.seed, list(paths.values()),
+    write_manifest("simulate", inputs, scenario_document(sc), sc.seed, list(paths.values()),
                    os.path.join(args.out, "manifest.json"), started)
     print(f"wrote {', '.join(paths.values())}")
     return 0
@@ -164,19 +157,10 @@ def cmd_export(args) -> int:
         print(f"warning: x2={args.row} is not a grid node; using nearest row x2={actual:.6f}",
               file=sys.stderr)
 
-    nodes = [repr(float(x)) for x in g.nodes]
     section_path = os.path.join(out_dir, "cross_section.txt")
-    with open(section_path, "w") as f:
-        f.write(f"# x1 a  (row x2={actual!r})\n")
-        for j in range(g.n_nodes):
-            f.write(f"{nodes[j]} {float(coeff.values[i_row, j])!r}\n")
-
     heatmap_path = os.path.join(out_dir, "heatmap.txt")
-    with open(heatmap_path, "w") as f:
-        f.write("# x1 x2 a\n")
-        for i in range(g.n_nodes):
-            for j in range(g.n_nodes):
-                f.write(f"{nodes[j]} {nodes[i]} {float(coeff.values[i, j])!r}\n")
+    write_cross_section(coeff, section_path, i_row)
+    write_heatmap(coeff, heatmap_path)
 
     print(f"wrote {section_path}, {heatmap_path}")
     return 0
@@ -217,7 +201,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, TypeError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (IllConditionedSystem, NearZeroTotalField) as exc:

@@ -350,16 +350,6 @@ def _circulant_product(kernel_hat: np.ndarray, weight: np.ndarray, window):
     return apply
 
 
-def _offset_product(table: np.ndarray, weight: np.ndarray, source, window):
-    """Product v -> T (weight v) with T[(i, j), (i', j')] = table[|i - i'|, |j - j'|]
-    from the nodes of `source` to those of `window`, each a pair of grid
-    slices; weight and v have the source's shape.  A table with leading axes
-    (one table per wavenumber) gives a batch of products with the same
-    leading axes, each on its own circulant.
-    """
-    return _circulant_product(_circulant_spectrum(table, source, window), weight, window)
-
-
 class KernelStore:
     """Kernel spectra of one support box, kept across the re-solves of one inversion.
 
@@ -524,7 +514,8 @@ def solve_forward(coeff: Coefficient, k: float, start=None, store=None) -> np.nd
     table = (k * k * grid.h ** 2) * _kernel_table(grid, k)
     box_hat = _spectrum(store, box, ("box", k), lambda: _circulant_spectrum(table, box, box))
     box_product = _circulant_product(box_hat, a_box, box)
-    extension = _offset_product(table, a_box, box, (slice(0, n), slice(0, n)))
+    full = (slice(0, n), slice(0, n))
+    extension = _circulant_product(_circulant_spectrum(table, box, full), a_box, full)
     c = None
 
     def apply(v):
@@ -563,18 +554,19 @@ def solve_forward_multi(coeff: Coefficient, kgrid: KGrid, store=None) -> np.ndar
     Each field is either a solve_forward solve or an interpolant in k that
     passes solve_forward's residual bound.  solve_forward runs at nested
     Chebyshev-Lobatto nodes of [first midpoint, last midpoint] and the
-    other midpoints are interpolated (_chebyshev_fields).  When u/u_in is
-    not resolved by a level with fewer nodes than midpoints, or a node after
-    the first fails to solve, every midpoint not yet solved is solved
-    directly, in ascending k, and the first of them that fails raises its
-    IllConditionedSystem.  The first node is the first midpoint, so a system
-    that stalls at the lowest wavenumber raises on the first solve, as the
-    midpoint-by-midpoint loop did.  A midpoint whose interpolated field
-    passes the residual check is not solved, so its own solve cannot fail.
-    Direct midpoint solves start from zero and use no store, so each equals
-    solve_forward(coeff, k).  store, a KernelStore, keeps the node and
-    residual-check spectra for the next call on the same support box; the
-    result does not depend on it.
+    other midpoints are interpolated (_chebyshev_fields).  One loop then
+    solves every midpoint left without a field directly, in ascending k,
+    and the first of them that fails raises its IllConditionedSystem: the
+    interpolants that fail the residual check, or every midpoint not yet
+    solved when u/u_in is not resolved by a level with fewer nodes than
+    midpoints or a node after the first fails to solve.  The first node is
+    the first midpoint, so a system that stalls at the lowest wavenumber
+    raises on the first solve, as the midpoint-by-midpoint loop did.  A
+    midpoint whose interpolant passes the check is not solved, so its own
+    solve cannot fail.  Direct midpoint solves start from zero and use no
+    store, so each equals solve_forward(coeff, k).  store, a KernelStore,
+    keeps the node and residual-check spectra for the next call on the same
+    support box; the result does not depend on it.
     """
     ks = kgrid.midpoints
     levels = [m for m in K_LEVELS if m + 1 < ks.size]
@@ -617,8 +609,8 @@ def _chebyshev_fields(coeff: Coefficient, ks: np.ndarray, levels, fields: dict,
     solve, this returns with only the nodes that are midpoints in fields.
     On acceptance every other midpoint gets the barycentric interpolant of
     u/u_in times u_in, checked against the full-grid residual bound
-    (_interpolation_residuals); a field that fails the check is replaced by
-    solve_forward's.  store is passed to the node solves and the check.
+    (_interpolation_residuals); only the fields that pass it are kept.
+    store is passed to the node solves and the check.
     """
     grid = coeff.grid
     box = _support_box(coeff.quadrature_mean())
@@ -660,9 +652,8 @@ def _chebyshev_fields(coeff: Coefficient, ks: np.ndarray, levels, fields: dict,
     interpolated = _barycentric(nodes[taken], f, ks[missing])
     interpolated *= _incident_column(grid, ks[missing][:, None, None])
     resid = _interpolation_residuals(coeff, ks[missing], interpolated, store)
-    for m, u, ok in zip(missing, interpolated, resid < RESIDUAL_BOUND):
-        # not ok also for a non-finite residual
-        fields[m] = u if ok else solve_forward(coeff, ks[m])
+    # a non-finite residual fails the check too
+    fields.update((m, u) for m, u, ok in zip(missing, interpolated, resid < RESIDUAL_BOUND) if ok)
 
 
 def _interpolation_residuals(coeff: Coefficient, ks: np.ndarray, fields: np.ndarray,
@@ -671,7 +662,7 @@ def _interpolation_residuals(coeff: Coefficient, ks: np.ndarray, fields: np.ndar
 
     The box-to-grid products run in chunks of wavenumbers, each from one
     Bessel table evaluation, one batch of circulants and one FFT pair
-    (_offset_product with a stacked table), with at most _CHUNK_ENTRIES
+    (_circulant_spectrum of a stacked table), with at most _CHUNK_ENTRIES
     circulant entries per chunk.  store, a KernelStore, keeps each chunk's
     spectra, so a later call with the same wavenumbers and box skips the
     table and the circulants.

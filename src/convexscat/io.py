@@ -1,11 +1,12 @@
 """Plain-text file formats and the run manifest.
 
-All floats are written with repr, which round-trips doubles exactly, so a
-write-then-read cycle is bit-for-bit.  Grid and row/column indices are
-1-based in files; in memory everything stays 0-based.  A seed of -1 in a
-data header means "no seed recorded".  The readers reject a data row whose
-index is out of range or repeats an earlier row, or whose value is not a
-finite number, and name its line; a bad header value is named the same way.
+One row writer writes every table, ints with %d and floats with repr,
+which round-trips doubles exactly, so a write-then-read cycle is
+bit-for-bit.  Grid and row/column indices are 1-based in files; in memory
+everything stays 0-based.  A seed of -1 in a data header means "no seed
+recorded".  The readers reject a data row whose index is out of range or
+repeats an earlier row, or whose value is not a finite number, and name its
+line; a bad header value is named the same way.
 The history reader checks each row's field count, integer n and finite
 values the same way, and refuses a file with no rows.
 """
@@ -31,30 +32,35 @@ __all__ = [
     "read_coefficient",
     "write_history",
     "read_history",
+    "write_cross_section",
+    "write_heatmap",
     "write_manifest",
 ]
 
 
-def _r(x) -> str:
-    return repr(float(x))
+def _write_table(path, comments, ints, floats) -> None:
+    """Write the comment lines, then one row per entry of the columns.
+
+    A row holds the ints columns with %d, then the floats columns with %r
+    of the double; each column is an array raveled in row-major order and
+    read through .tolist(), so np.indices(shape) + 1 gives index columns.
+    """
+    columns = ([np.ravel(c).tolist() for c in ints]
+               + [np.ravel(np.asarray(c, dtype=float)).tolist() for c in floats])
+    row = " ".join(["%d"] * len(ints) + ["%r"] * len(floats)) + "\n"
+    with open(path, "w") as f:
+        f.writelines(f"# {line}\n" for line in comments)
+        f.writelines(row % values for values in zip(*columns))
 
 
 def write_cauchy(cd: CauchyData, path) -> None:
     g = cd.grid
     kg = cd.kgrid
     seed = -1 if cd.seed is None else int(cd.seed)
-    lines = [
-        f"# R Nx kmin kmax Nk delta seed",
-        f"# {_r(g.half_width)} {g.n_cells} {_r(kg.k_min)} {_r(kg.k_max)} {kg.n_sub} {_r(cd.noise_level)} {seed}",
-    ]
-    for j in range(g.n_nodes):
-        for m in range(kg.n_sub):
-            g0, g1 = cd.g0[j, m], cd.g1[j, m]
-            lines.append(
-                f"{j + 1} {m + 1} {_r(g0.real)} {_r(g0.imag)} {_r(g1.real)} {_r(g1.imag)}"
-            )
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    header = (f"{float(g.half_width)!r} {g.n_cells} {float(kg.k_min)!r} {float(kg.k_max)!r} "
+              f"{kg.n_sub} {float(cd.noise_level)!r} {seed}")
+    _write_table(path, ["R Nx kmin kmax Nk delta seed", header], np.indices(cd.g0.shape) + 1,
+                 [cd.g0.real, cd.g0.imag, cd.g1.real, cd.g1.imag])
 
 
 def _read_lines(path):
@@ -150,12 +156,8 @@ def read_cauchy(path) -> CauchyData:
 
 def write_coefficient(coeff: Coefficient, path) -> None:
     g = coeff.grid
-    lines = [f"# R Nx", f"# {_r(g.half_width)} {g.n_cells}", "# i j a"]
-    for i in range(g.n_nodes):
-        for j in range(g.n_nodes):
-            lines.append(f"{i + 1} {j + 1} {_r(coeff.values[i, j])}")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_table(path, ["R Nx", f"{float(g.half_width)!r} {g.n_cells}", "i j a"],
+                 np.indices(coeff.values.shape) + 1, [coeff.values])
 
 
 def read_coefficient(path) -> Coefficient:
@@ -171,11 +173,22 @@ def read_coefficient(path) -> Coefficient:
 
 
 def write_history(records, path) -> None:
-    lines = ["# n J grad_norm a_max"]
-    for r in records:
-        lines.append(f"{r.n} {_r(r.J_value)} {_r(r.gradient_norm)} {_r(r.a_max)}")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    columns = [[getattr(r, key) for r in records] for key in ("J_value", "gradient_norm", "a_max")]
+    _write_table(path, ["n J grad_norm a_max"], [[r.n for r in records]], columns)
+
+
+def write_cross_section(coeff: Coefficient, path, row: int) -> None:
+    """x1 and a along the grid row of 0-based index row."""
+    nodes = coeff.grid.nodes
+    _write_table(path, [f"x1 a  (row x2={float(nodes[row])!r})"], [],
+                 [nodes, coeff.values[row]])
+
+
+def write_heatmap(coeff: Coefficient, path) -> None:
+    """x1, x2 and a on every grid node, x2 outermost."""
+    nodes = coeff.grid.nodes
+    x2, x1 = np.meshgrid(nodes, nodes, indexing="ij")
+    _write_table(path, ["x1 x2 a"], [], [x1, x2, coeff.values])
 
 
 def read_history(path):

@@ -39,6 +39,7 @@ __all__ = [
     "simulate_scenario",
     "load_scenario",
     "save_scenario",
+    "scenario_document",
 ]
 
 
@@ -68,19 +69,24 @@ class Scenario:
         # an empty shape tuple is allowed: it describes a null scatterer
         if not isinstance(self.name, str):
             raise ValueError(f"name must be a string, got {self.name!r}")
-        for key, least in (("refine", 1), ("n_k", 1)):
+        # each number is stored as a Python int or float, so the scene
+        # document is plain YAML and JSON, and an integer beyond int64
+        # reaches numpy as a double
+        for key, least in (("refine", 1), ("n_k", 1), ("n_cells", 2)):
             x = getattr(self, key)
             if not (_is_integer(x) and x >= least):
                 raise ValueError(f"{key} must be an integer >= {least}, got {x!r}")
+            object.__setattr__(self, key, int(x))
         for key in ("noise_level", "half_width", "k_min", "k_max"):
             x = getattr(self, key)
             if not (_is_number(x) and math.isfinite(x)):
                 raise ValueError(f"{key} must be a finite number, got {x!r}")
+            object.__setattr__(self, key, float(x))
         if self.noise_level < 0:
             raise ValueError(f"noise_level must be nonnegative, got {self.noise_level!r}")
         if self.seed is not None and not (_is_integer(self.seed) and self.seed >= 0):
             raise ValueError(f"seed must be an integer >= 0 or null, got {self.seed!r}")
-        # the grids check the domain, the cell count and the wavenumber range
+        # the grids check the domain and the wavenumber range
         Grid2D(self.half_width, self.n_cells)
         make_kgrid(self.k_min, self.k_max, self.n_k)
 
@@ -215,16 +221,19 @@ def config_from_dict(d) -> InversionConfig:
     return InversionConfig(**d)
 
 
+def scenario_document(sc: Scenario) -> dict:
+    """The scene as the plain mapping load_scenario reads: every Scenario
+    field in declaration order, the shapes as their YAML mappings and the
+    config as its fields.  save_scenario writes it as YAML and simulate
+    records it as its manifest's config."""
+    return {**{f.name: getattr(sc, f.name) for f in fields(Scenario)},
+            "shapes": [_shape_to_dict(s) for s in sc.shapes],
+            "config": asdict(sc.config)}
+
+
 def save_scenario(sc: Scenario, path) -> None:
-    hints = get_type_hints(Scenario)
-    doc = {}
-    for f in fields(Scenario):
-        value = getattr(sc, f.name)
-        doc[f.name] = hints[f.name](value) if hints[f.name] in (int, float) else value
-    doc["shapes"] = [_shape_to_dict(s) for s in sc.shapes]
-    doc["config"] = asdict(sc.config)
     with open(path, "w") as f:
-        yaml.safe_dump(doc, f, sort_keys=False)
+        yaml.safe_dump(scenario_document(sc), f, sort_keys=False)
 
 
 def read_yaml(path):

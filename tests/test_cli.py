@@ -11,6 +11,7 @@ resolve_failed.
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from convexscat import (
     save_scenario,
     write_coefficient,
 )
+from convexscat import cli
 from convexscat.cli import main
 
 
@@ -85,8 +87,12 @@ def test_simulate_outputs_and_manifest(sim_dir, scene_file):
     doc = _manifest(sim_dir)
     assert doc["command"] == "simulate"
     assert doc["seed"] == 1
-    assert doc["config"]["scenario"] == "small-disk"
+    # the config is the scene document: the YAML mapping save_scenario writes
+    assert doc["config"] == yaml.safe_load(scene_file.read_text())
+    assert doc["config"]["name"] == "small-disk"
     assert doc["config"]["n_cells"] == 16 and doc["config"]["n_k"] == 10
+    assert doc["config"]["shapes"] == [
+        {"type": "disk", "center": [0.0, 0.4], "radius": 0.25, "value": 1.5}]
     assert doc["inputs"] == {str(scene_file): _sha(scene_file)}
     for path, digest in doc["outputs"].items():
         assert hashlib.sha256(open(path, "rb").read()).hexdigest() == digest
@@ -104,6 +110,32 @@ def test_simulate_is_deterministic(scene_file, sim_dir, tmp_path):
     assert sorted(_manifest(tmp_path)["outputs"].values()) == sorted(
         _manifest(sim_dir)["outputs"].values()
     )
+
+
+@pytest.mark.parametrize("scene", ["example1", "custom"])
+def test_simulate_manifest_reproduces_its_run(scene, tmp_path):
+    # the manifest's config, dumped as YAML, is a scene file that simulates
+    # to the same data files; the custom scene leaves keys at their defaults
+    # and gives a float as an integer
+    if scene == "custom":
+        scene = tmp_path / "custom.yaml"
+        scene.write_text("shapes:\n"
+                         "- {type: rectangle, lo: [-0.3, 0.1], hi: [0.2, 0.5], value: 2}\n"
+                         "- {type: disk, center: [0.4, 0.3], radius: 0.15, value: 1.25}\n"
+                         "half_width: 1\nn_cells: 12\nn_k: 6\nseed: 4\n")
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--scenario", str(scene), "--out", str(sim)]) == 0
+    doc = _manifest(sim)
+    rebuilt = tmp_path / "rebuilt.yaml"
+    rebuilt.write_text(yaml.safe_dump(doc["config"]))
+    rerun = tmp_path / "rerun"
+    assert main(["simulate", "--scenario", str(rebuilt), "--out", str(rerun)]) == 0
+
+    def by_name(d):
+        return {Path(p).name: digest for p, digest in _manifest(d)["outputs"].items()}
+
+    assert by_name(rerun) == by_name(sim)
+    assert _manifest(rerun)["config"] == doc["config"]
 
 
 def test_simulate_seed_override(scene_file, sim_dir, tmp_path):
@@ -444,6 +476,20 @@ def test_export_zero_coefficient_gives_zero_rows(tmp_path):
     rows = [ln.split() for ln in (tmp_path / "heatmap.txt").read_text().splitlines()
             if not ln.startswith("#")]
     assert all(float(r[2]) == 0.0 for r in rows)
+
+
+@pytest.mark.parametrize("error", [TypeError, KeyError])
+def test_a_programming_error_propagates(error, monkeypatch, tmp_path):
+    # only bad input is reported as exit 2; a bug inside a command surfaces
+    # as its own exception and the command writes nothing
+    def broken(sc):
+        raise error("bug")
+
+    monkeypatch.setattr(cli, "simulate_scenario", broken)
+    out = tmp_path / "out"
+    with pytest.raises(error, match="bug"):
+        main(["simulate", "--scenario", "example1", "--out", str(out)])
+    assert not out.exists()
 
 
 def test_validate_command_reports_all_green(capsys):

@@ -29,9 +29,10 @@ from convexscat.forward import (
     K_LEVELS,
     IllConditionedSystem,
     KernelStore,
+    _circulant_product,
+    _circulant_spectrum,
     _gmres,
     _kernel_table,
-    _offset_product,
 )
 from convexscat.scenarios import get_scenario
 
@@ -344,7 +345,8 @@ def _full_grid_residual(coeff, k, u):
     grid = coeff.grid
     full = (slice(0, grid.n_nodes), slice(0, grid.n_nodes))
     table = (k * k * grid.h ** 2) * _kernel_table(grid, k)
-    c = _offset_product(table, coeff.quadrature_mean(), full, full)(u)
+    c = _circulant_product(_circulant_spectrum(table, full, full), coeff.quadrature_mean(),
+                           full)(u)
     u_in = WAVE.field(*grid.mesh(), k)
     return np.linalg.norm(u - c - u_in) / np.linalg.norm(u_in)
 

@@ -6,6 +6,7 @@ grids; the physics itself is covered by the forward-solver tests.
 """
 
 import dataclasses
+import json
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from convexscat import (
     solve_forward_multi,
     trace_cauchy,
 )
-from convexscat.scenarios import BUILTIN_SCENARIOS
+from convexscat.scenarios import BUILTIN_SCENARIOS, scenario_document
 
 SMALL = InversionConfig(n_modes=2)
 
@@ -85,7 +86,7 @@ def test_scenario_validation():
     Scenario("empty", ())
 
 
-@pytest.mark.parametrize("name", ["example1", "example3a"])
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
 def test_yaml_roundtrip_is_exact(name, tmp_path):
     sc = get_scenario(name)
     path = tmp_path / f"{name}.yaml"
@@ -152,6 +153,15 @@ def test_load_rejects_bad_documents(tmp_path):
     p.write_text(yaml.safe_dump({"name": "x", "shapes": [], "n_cell": 8}))
     with pytest.raises(ValueError, match="unknown scenario keys: n_cell"):
         load_scenario(p)
+
+
+def test_scenario_stores_python_numbers():
+    # so the scene document dumps to JSON, and an integer beyond int64
+    # reaches the grids as a double
+    sc = Scenario("x", (), half_width=1, n_cells=np.int64(8), k_max=10**30, seed=None)
+    assert (type(sc.half_width), type(sc.n_cells), type(sc.k_max)) == (float, int, float)
+    assert json.loads(json.dumps(scenario_document(sc)))["k_max"] == 1e30
+    assert make_kgrid(sc.k_min, sc.k_max, sc.n_k).midpoints.dtype == float
 
 
 def test_readme_yaml_example_shows_the_defaults(tmp_path):
