@@ -143,11 +143,18 @@ def build_basis(kg: KGrid, n_modes: int) -> BasisSet:
 
     Modified Gram-Schmidt with one reorthogonalization pass; raises BasisError
     if some psi_n is numerically dependent on its predecessors, which signals
-    that n_modes is too large for the interval.
+    that n_modes is too large for the interval.  No more modes than
+    quadrature nodes can be independent on them, so more raise BasisError
+    before any psi_n is sampled.
     """
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
     k, w, k0 = kg.quad_nodes, kg.quad_weights, kg.k0
+    if n_modes > k.size:
+        raise BasisError(
+            f"n_modes = {n_modes} exceeds the {k.size} quadrature nodes in k, on which "
+            f"at most {k.size} modes can be independent; reduce n_modes"
+        )
     psi = np.stack([_psi(n, k, k0) for n in range(1, n_modes + 1)])
     dpsi = np.stack([_dpsi(n, k, k0) for n in range(1, n_modes + 1)])
 

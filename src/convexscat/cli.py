@@ -97,7 +97,10 @@ def cmd_invert(args) -> int:
             raise ValueError(f"--config {args.config} must hold a mapping of config keys, "
                              f"got {overrides!r}")
         inputs.append(args.config)
-    cfg = config_from_dict(overrides)
+    try:
+        cfg = config_from_dict(overrides)
+    except ValueError as exc:
+        raise ValueError(f"{exc} (in --config {args.config})") from None
     cd = read_cauchy(args.data)
     runner = ablation_no_weight if args.no_carleman else run_inversion
     result = runner(cd, cfg)

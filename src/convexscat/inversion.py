@@ -20,8 +20,8 @@ see _restrict_support.
 
 from __future__ import annotations
 
-import math
 import numbers
+import sys
 from dataclasses import dataclass, fields, replace
 from typing import Literal
 
@@ -86,7 +86,9 @@ class InversionConfig:
             elif f.type == "int":
                 if not isinstance(x, numbers.Integral) or x < 1:
                     raise ValueError(f"{f.name} must be an integer >= 1, got {x!r}")
-            elif not isinstance(x, numbers.Real) or not math.isfinite(x):
+            # false for nan, inf and an integer beyond the double range,
+            # on which math.isfinite raises OverflowError
+            elif not isinstance(x, numbers.Real) or not abs(x) <= sys.float_info.max:
                 raise ValueError(f"{f.name} must be a finite number, got {x!r}")
         for name in ("epsilon", "tolerance"):
             if getattr(self, name) <= 0:

@@ -12,8 +12,8 @@ each shape class (plus the shape's "type"); unknown keys are rejected.
 
 from __future__ import annotations
 
-import math
 import numbers
+import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import get_origin, get_type_hints
 
@@ -76,10 +76,15 @@ class Scenario:
             x = getattr(self, key)
             if not (_is_integer(x) and x >= least):
                 raise ValueError(f"{key} must be an integer >= {least}, got {x!r}")
+            # each sizes an array, whose length is an index
+            if x > sys.maxsize:
+                raise ValueError(f"{key} must be at most {sys.maxsize}, got {x!r}")
             object.__setattr__(self, key, int(x))
         for key in ("noise_level", "half_width", "k_min", "k_max"):
             x = getattr(self, key)
-            if not (_is_number(x) and math.isfinite(x)):
+            # false for nan, inf and an integer beyond the double range,
+            # on which math.isfinite raises OverflowError
+            if not (_is_number(x) and abs(x) <= sys.float_info.max):
                 raise ValueError(f"{key} must be a finite number, got {x!r}")
             object.__setattr__(self, key, float(x))
         if self.noise_level < 0:

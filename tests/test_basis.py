@@ -129,6 +129,11 @@ def test_eval_phi_consistent_with_samples(default_basis):
 def test_invalid_inputs_rejected():
     with pytest.raises(ValueError):
         build_basis(make_kgrid(0.5, 2.0, 5), 0)
+    # more modes than quadrature nodes are refused before any psi_n is sampled
+    kg = make_kgrid(0.5, 2.0, 5)
+    for n_modes in (kg.quad_nodes.size + 1, 10**30):
+        with pytest.raises(BasisError, match=f"exceeds the {kg.quad_nodes.size} quadrature"):
+            build_basis(kg, n_modes)
     with pytest.raises(ValueError):
         make_kgrid(2.0, 0.5, 5)
     with pytest.raises(ValueError):

@@ -380,6 +380,43 @@ def test_simulate_rejects_a_bad_scene_value_before_any_output(tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, key", [
+    ("simulate", "half_width"), ("simulate", "k_max"), ("simulate", "noise_level"),
+    ("simulate", "n_k"), ("invert", "lam"), ("invert", "epsilon"),
+])
+def test_an_integer_beyond_the_double_range_is_a_named_error(sim_dir, tmp_path, capsys,
+                                                              command, key):
+    # math.isfinite and float division raise OverflowError on such a YAML
+    # integer; each command reports it as one error line that names the
+    # file and the key, exits 2 and writes nothing
+    path = tmp_path / "in.yaml"
+    if command == "simulate":
+        path.write_text(f"shapes:\n{_DISK}\n{key}: {10**400}\n")
+        argv = ["simulate", "--scenario", str(path)]
+    else:
+        path.write_text(f"{key}: {10**400}\n")
+        argv = ["invert", "--data", str(sim_dir / "cauchy_noisy.txt"), "--config", str(path)]
+    out = tmp_path / "out"
+    rc = main([*argv, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"{key} must be" in err[0] and str(path) in err[0]
+    assert not out.exists()
+
+
+def test_invert_refuses_more_modes_than_quadrature_nodes_at_once(sim_dir, tmp_path, capsys):
+    # build_basis would sample every psi_n before Gram-Schmidt refuses one
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(f"n_modes: {10**30}\n")
+    out = tmp_path / "out"
+    rc = main(["invert", "--data", str(sim_dir / "cauchy_noisy.txt"),
+               "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: n_modes = {10**30} exceeds the")
+    assert not out.exists()
+
+
 def test_invert_rejects_data_the_loop_cannot_use_before_any_output(tmp_path, capsys):
     # the data file parses, but its 3-node grid is too coarse for the
     # recovery stencils; invert must not leave an empty --out behind

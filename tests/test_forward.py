@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.ndimage import gaussian_filter
 from scipy.special import hankel1
 
@@ -402,6 +403,46 @@ def test_batched_residuals_match_one_product_per_wavenumber(default_kgrid):
     direct = [_full_grid_residual(coeff, k, u) for k, u in zip(ks, fields)]
     assert np.allclose(batched, direct, rtol=1e-9, atol=0)
     assert np.all(batched > 1e-8)
+
+
+@pytest.mark.parametrize("shape", [(54, 54), (45, 49), (3, 54, 54), (4, 45, 49)],
+                         ids=["even", "odd", "stacked-even", "stacked-odd"])
+def test_fft2_is_bit_identical_to_scipy_fft2(shape):
+    # the direct pocketfft call is the transform scipy.fft.fft2 / ifft2 make,
+    # bit for bit, written to another array or in place
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for direction, reference in ((True, scipy.fft.fft2), (False, scipy.fft.ifft2)):
+        expected = reference(x)
+        out = np.empty_like(x)
+        assert forward._fft2(x, direction, out) is out
+        assert np.array_equal(out, expected)
+        inplace = x.copy()
+        assert forward._fft2(inplace, direction, inplace) is inplace
+        assert np.array_equal(inplace, expected)
+
+
+def test_circulant_product_reuses_its_buffers_without_stale_values(default_kgrid):
+    # one product called several times in a row, on a box window and on a
+    # stacked grid window of three wavenumbers: each result, read before the
+    # next call, equals the product of a freshly built one
+    coeff = rasterize(get_scenario("example1").shapes, Grid2D(0.8, 28))
+    grid = coeff.grid
+    a = coeff.quadrature_mean()
+    box = forward._support_box(a)
+    full = (slice(0, grid.n_nodes), slice(0, grid.n_nodes))
+    k = default_kgrid.midpoints[:3]
+    tables = (k * k * grid.h ** 2)[:, None, None] * _kernel_table(grid, k)
+    rng = np.random.default_rng(4)
+    for table, window in ((tables[0], box), (tables, full)):
+        kernel_hat = _circulant_spectrum(table, box, window)
+        product = _circulant_product(kernel_hat, a[box], window)
+        for _ in range(3):
+            shape = table.shape[:-2] + a[box].shape
+            v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            result = product(v)
+            assert result.shape == table.shape[:-2] + tuple(s.stop - s.start for s in window)
+            assert np.array_equal(result, _circulant_product(kernel_hat, a[box], window)(v))
 
 
 def test_multi_solve_falls_back_on_high_contrast(default_kgrid, monkeypatch):
