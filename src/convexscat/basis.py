@@ -20,7 +20,8 @@ basis, matching the measurement grid.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -47,6 +48,59 @@ _GL_NODES, _GL_WEIGHTS = leggauss(NODES_PER_PANEL)
 
 class BasisError(ValueError):
     """Raised when the Gram-Schmidt process degenerates numerically."""
+
+
+# The checks on numbers that enter from outside the program, shared by the
+# grid, shape, scene and config dataclasses; this is the lowest module, so
+# each of them can import these without a cycle.
+
+
+def _finite(x) -> bool:
+    # false for a bool, nan, inf and an integer beyond the double range,
+    # on which float() raises OverflowError
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
+
+def _integer(name: str, x, least: int = 1, null: bool = False):
+    """x as an int from least to sys.maxsize, the largest array length, or
+    None where null allows it; anything else raises a ValueError naming name."""
+    if null and x is None:
+        return None
+    if isinstance(x, numbers.Integral) and not isinstance(x, bool) and least <= x <= sys.maxsize:
+        return int(x)
+    above = f" and <= {sys.maxsize}" if isinstance(x, numbers.Integral) and x > sys.maxsize else ""
+    raise ValueError(f"{name} must be an integer >= {least}{above}{' or null' if null else ''}, "
+                     f"got {x!r}")
+
+
+def _check_fields(obj, **least) -> None:
+    """Check every number field of the frozen dataclass obj by its annotation
+    string and store it back as a plain Python value, so a scene or config
+    document is plain YAML and JSON: a "float" is a finite real, not a bool,
+    stored as a float; an "int" (or "int | None", which allows None) is an
+    integer >= least[name] (default 1) and <= sys.maxsize, stored as an int;
+    a "bool" is True or False; a "tuple[float, float]" is a list or tuple of
+    two finite reals, stored as a tuple of floats.  Other fields are left to
+    the class.  A bad value raises a ValueError that names the field.
+    """
+    for f in fields(obj):
+        name, x = f.name, getattr(obj, f.name)
+        if f.type == "float":
+            if not _finite(x):
+                raise ValueError(f"{name} must be a finite number, got {x!r}")
+            x = float(x)
+        elif f.type in ("int", "int | None"):
+            x = _integer(name, x, least.get(name, 1), null=f.type != "int")
+        elif f.type == "bool":
+            if not isinstance(x, bool):
+                raise ValueError(f"{name} must be true or false, got {x!r}")
+        elif f.type == "tuple[float, float]":
+            if not (isinstance(x, (list, tuple)) and len(x) == 2 and all(map(_finite, x))):
+                raise ValueError(f"{name} must be a pair of numbers [x1, x2], got {x!r}")
+            x = (float(x[0]), float(x[1]))
+        else:
+            continue
+        object.__setattr__(obj, name, x)
 
 
 @dataclass(frozen=True)
@@ -76,8 +130,7 @@ def make_kgrid(k_min: float, k_max: float, n_sub: int) -> KGrid:
     """Build a KGrid with n_sub midpoint nodes and a composite GL quadrature."""
     if not (0 < k_min < k_max < np.inf):
         raise ValueError(f"need 0 < k_min < k_max < inf, got [{k_min}, {k_max}]")
-    if isinstance(n_sub, bool) or not isinstance(n_sub, numbers.Integral) or n_sub < 1:
-        raise ValueError(f"n_sub must be an integer >= 1, got {n_sub!r}")
+    n_sub = _integer("n_sub", n_sub)
     h_k = (k_max - k_min) / n_sub
     midpoints = k_min + (np.arange(n_sub) + 0.5) * h_k
 
@@ -89,7 +142,7 @@ def make_kgrid(k_min: float, k_max: float, n_sub: int) -> KGrid:
     return KGrid(
         k_min=float(k_min),
         k_max=float(k_max),
-        n_sub=int(n_sub),
+        n_sub=n_sub,
         midpoints=midpoints,
         h_k=h_k,
         quad_nodes=np.concatenate(nodes),

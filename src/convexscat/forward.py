@@ -50,7 +50,6 @@ holds one box and empties when the box changes.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from itertools import product
 
@@ -61,7 +60,7 @@ from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dznrm2, zgemv
 from scipy.special import j0, j1, y0, y1
 
-from .basis import KGrid
+from .basis import KGrid, _check_fields
 
 __all__ = [
     "IllConditionedSystem",
@@ -114,11 +113,9 @@ class Grid2D:
     n_cells: int
 
     def __post_init__(self):
+        _check_fields(self, n_cells=2)
         if not (self.half_width > 0 and math.isfinite(2 * self.half_width)):
             raise ValueError(f"half_width must be positive and finite, got {self.half_width}")
-        n = self.n_cells
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2:
-            raise ValueError(f"n_cells must be an integer >= 2, got {n!r}")
 
     @property
     def h(self) -> float:
@@ -156,6 +153,7 @@ class Disk:
     value: float
 
     def __post_init__(self):
+        _check_fields(self)
         if self.radius <= 0:
             raise ValueError("radius must be positive")
 
@@ -174,6 +172,7 @@ class Rectangle:
     value: float
 
     def __post_init__(self):
+        _check_fields(self)
         if not (self.lo[0] < self.hi[0] and self.lo[1] < self.hi[1]):
             raise ValueError("rectangle corners must satisfy lo < hi componentwise")
 

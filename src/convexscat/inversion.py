@@ -20,14 +20,12 @@ see _restrict_support.
 
 from __future__ import annotations
 
-import numbers
-import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Literal
 
 import numpy as np
 
-from .basis import build_basis
+from .basis import _check_fields, build_basis
 from .carrier import build_carrier, build_cutoff
 from .fieldtransform import (
     NearZeroTotalField,
@@ -55,9 +53,9 @@ class InversionConfig:
 
     Every field is checked on construction: floats are finite, epsilon and
     tolerance positive, the penalty weights, lam and trace_sigma nonnegative,
-    max_iterations and n_modes integers >= 1, clamp_negative a bool.  A float
-    field given as an integer (YAML `lam: 0`) is then stored as a float, so
-    the manifest writes 0.0 as the default does.
+    max_iterations and n_modes integers from 1 to sys.maxsize, clamp_negative
+    a bool.  A float field given as an integer (YAML `lam: 0`) is then stored
+    as a float, so the manifest writes 0.0 as the default does.
     """
 
     epsilon: float = 1e-3
@@ -75,30 +73,13 @@ class InversionConfig:
     clamp_negative: bool = True
 
     def __post_init__(self):
-        # f.type is the annotation string ("float", "int" or "bool")
-        for f in fields(self):
-            x = getattr(self, f.name)
-            if f.type == "bool":
-                if not isinstance(x, bool):
-                    raise ValueError(f"{f.name} must be true or false, got {x!r}")
-            elif isinstance(x, bool):
-                raise ValueError(f"{f.name} must be a number, got {x!r}")
-            elif f.type == "int":
-                if not isinstance(x, numbers.Integral) or x < 1:
-                    raise ValueError(f"{f.name} must be an integer >= 1, got {x!r}")
-            # false for nan, inf and an integer beyond the double range,
-            # on which math.isfinite raises OverflowError
-            elif not isinstance(x, numbers.Real) or not abs(x) <= sys.float_info.max:
-                raise ValueError(f"{f.name} must be a finite number, got {x!r}")
+        _check_fields(self)
         for name in ("epsilon", "tolerance"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
         for name in ("rho", "alpha1", "alpha2", "lam", "trace_sigma"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)!r}")
-        for f in fields(self):
-            if f.type == "float":
-                object.__setattr__(self, f.name, float(getattr(self, f.name)))
 
 
 @dataclass(frozen=True)

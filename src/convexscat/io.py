@@ -95,10 +95,11 @@ def _read_table(path, header_spec: str, labels):
 
 @contextmanager
 def _located(where):
-    """Prefix any ValueError raised in the block with where."""
+    """Prefix any ValueError raised in the block with where; a MemoryError
+    (an array sized by an input value) becomes such a ValueError too."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise ValueError(f"{where}: {exc}") from None
 
 

@@ -12,14 +12,11 @@ each shape class (plus the shape's "type"); unknown keys are rejected.
 
 from __future__ import annotations
 
-import numbers
-import sys
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import get_origin, get_type_hints
 
 import yaml
 
-from .basis import make_kgrid
+from .basis import _check_fields, make_kgrid
 from .forward import (
     CauchyData,
     Disk,
@@ -31,6 +28,7 @@ from .forward import (
     trace_cauchy,
 )
 from .inversion import InversionConfig
+from .io import _located
 
 __all__ = [
     "Scenario",
@@ -41,14 +39,6 @@ __all__ = [
     "save_scenario",
     "scenario_document",
 ]
-
-
-def _is_number(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
-
-
-def _is_integer(x) -> bool:
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -66,31 +56,12 @@ class Scenario:
     config: InversionConfig = field(default_factory=InversionConfig)
 
     def __post_init__(self):
+        _check_fields(self, n_cells=2, seed=0)
         # an empty shape tuple is allowed: it describes a null scatterer
         if not isinstance(self.name, str):
             raise ValueError(f"name must be a string, got {self.name!r}")
-        # each number is stored as a Python int or float, so the scene
-        # document is plain YAML and JSON, and an integer beyond int64
-        # reaches numpy as a double
-        for key, least in (("refine", 1), ("n_k", 1), ("n_cells", 2)):
-            x = getattr(self, key)
-            if not (_is_integer(x) and x >= least):
-                raise ValueError(f"{key} must be an integer >= {least}, got {x!r}")
-            # each sizes an array, whose length is an index
-            if x > sys.maxsize:
-                raise ValueError(f"{key} must be at most {sys.maxsize}, got {x!r}")
-            object.__setattr__(self, key, int(x))
-        for key in ("noise_level", "half_width", "k_min", "k_max"):
-            x = getattr(self, key)
-            # false for nan, inf and an integer beyond the double range,
-            # on which math.isfinite raises OverflowError
-            if not (_is_number(x) and abs(x) <= sys.float_info.max):
-                raise ValueError(f"{key} must be a finite number, got {x!r}")
-            object.__setattr__(self, key, float(x))
         if self.noise_level < 0:
             raise ValueError(f"noise_level must be nonnegative, got {self.noise_level!r}")
-        if self.seed is not None and not (_is_integer(self.seed) and self.seed >= 0):
-            raise ValueError(f"seed must be an integer >= 0 or null, got {self.seed!r}")
         # the grids check the domain and the wavenumber range
         Grid2D(self.half_width, self.n_cells)
         make_kgrid(self.k_min, self.k_max, self.n_k)
@@ -165,20 +136,14 @@ def _reject_unknown(d: dict, known, what: str) -> None:
         raise ValueError(f"unknown {what} keys: {', '.join(extra)}")
 
 
-def _shape_fields(cls) -> dict:
-    """Each field of a shape class -> whether it is an (x1, x2) pair."""
-    hints = get_type_hints(cls)
-    return {f.name: get_origin(hints[f.name]) is tuple for f in fields(cls)}
-
-
 def _shape_to_dict(shape) -> dict:
     kind = next((k for k, cls in _SHAPES.items() if type(shape) is cls), None)
     if kind is None:
         raise TypeError(f"unsupported shape {type(shape).__name__}")
     doc = {"type": kind}
-    for key, pair in _shape_fields(type(shape)).items():
-        value = getattr(shape, key)
-        doc[key] = [float(x) for x in value] if pair else float(value)
+    for f in fields(shape):
+        value = getattr(shape, f.name)
+        doc[f.name] = list(value) if isinstance(value, tuple) else value
     return doc
 
 
@@ -189,19 +154,12 @@ def _shape_from_dict(d):
     kind = d.get("type")
     if not isinstance(kind, str) or kind not in _SHAPES:
         raise ValueError(f"unknown shape type {kind!r}")
-    keys = _shape_fields(_SHAPES[kind])
+    keys = [f.name for f in fields(_SHAPES[kind])]
     _reject_unknown(d, ["type", *keys], kind)
     missing = [key for key in keys if key not in d]
     if missing:
         raise ValueError(f"{kind} needs {', '.join(missing)}")
-    for key, pair in keys.items():
-        value = d[key]
-        if pair and not (isinstance(value, list) and len(value) == 2
-                         and all(map(_is_number, value))):
-            raise ValueError(f"{key} must be a pair of numbers [x1, x2], got {value!r}")
-        if not pair and not _is_number(value):
-            raise ValueError(f"{key} must be a number, got {value!r}")
-    return _SHAPES[kind](**{key: tuple(d[key]) if pair else d[key] for key, pair in keys.items()})
+    return _SHAPES[kind](**{key: d[key] for key in keys})
 
 
 def _shapes_from_list(shapes) -> tuple:
@@ -261,10 +219,8 @@ def load_scenario(path) -> Scenario:
     doc = read_yaml(path)
     if not isinstance(doc, dict) or "shapes" not in doc:
         raise ValueError(f"{path}: expected a mapping with a 'shapes' list")
-    try:
+    with _located(path):
         _reject_unknown(doc, Scenario.__dataclass_fields__, "scenario")
         return Scenario(**{"name": "scenario", "seed": None, **doc,
                            "shapes": _shapes_from_list(doc["shapes"]),
                            "config": config_from_dict(doc.get("config"))})
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None

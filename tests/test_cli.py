@@ -11,6 +11,7 @@ resolve_failed.
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -360,13 +361,21 @@ _DISK = "- {type: disk, center: [0.0, 0.4], radius: 0.2, value: 1.5}"
     (_DISK.replace("0.2", "0.5"), [], "support touches the domain boundary at"),
     (_DISK.replace("1.5", "-1.5"), [], "synthetic coefficient must be nonnegative, got -1.5"),
     (None, ["--seed", "-1"], "seed must be an integer >= 0 or null, got -1"),
+    (_DISK.replace("[0.0", "[.nan"), [], "shapes[0]: center must be a pair of numbers [x1, x2]"),
+    (_DISK.replace("0.2", ".nan"), [], "shapes[0]: radius must be a finite number, got nan"),
+    (_DISK.replace("1.5", ".inf"), [], "shapes[0]: value must be a finite number, got inf"),
+    (_DISK.replace("0.2", str(10**400)), [], "shapes[0]: radius must be a finite number"),
+    (f"{_DISK}\nn_k: 1000000000000000000", [], "Unable to allocate"),
 ], ids=["k_min-above-k_max", "negative-half_width", "disk-on-boundary", "negative-value",
-        "negative-seed"])
+        "negative-seed", "nan-center", "nan-radius", "inf-value", "huge-radius", "huge-n_k"])
 def test_simulate_rejects_a_bad_scene_value_before_any_output(tmp_path, capsys, shapes, argv,
                                                                message):
-    # a value fails the grids' checks as the scene loads or where it is used,
-    # or --seed fails the seed check; either way simulate stops before it
-    # creates --out, and a scene file's error names the file
+    # a value fails the field or grid checks as the scene loads or where it
+    # is used, or --seed fails the seed check; either way simulate stops
+    # before it creates --out, and a scene file's error names the file.  A
+    # nan shape would rasterize to an all-zero truth and an inf value would
+    # reach the solver; the n_k scene asks numpy for 8 EiB at once, which
+    # fails without touching memory
     scene = "example1"
     if shapes is not None:
         scene = tmp_path / "bad.yaml"
@@ -405,15 +414,18 @@ def test_an_integer_beyond_the_double_range_is_a_named_error(sim_dir, tmp_path, 
 
 
 def test_invert_refuses_more_modes_than_quadrature_nodes_at_once(sim_dir, tmp_path, capsys):
-    # build_basis would sample every psi_n before Gram-Schmidt refuses one
+    # a count beyond sys.maxsize is refused as the config loads, before
+    # build_basis samples any psi_n; build_basis's own refusal of more modes
+    # than quadrature nodes is covered in test_basis
     cfg_path = tmp_path / "cfg.yaml"
     cfg_path.write_text(f"n_modes: {10**30}\n")
     out = tmp_path / "out"
     rc = main(["invert", "--data", str(sim_dir / "cauchy_noisy.txt"),
                "--config", str(cfg_path), "--out", str(out)])
     assert rc == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: n_modes = {10**30} exceeds the")
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: n_modes must be an integer >= 1 and <= {sys.maxsize}, got {10**30} "
+        f"(in --config {cfg_path})"]
     assert not out.exists()
 
 

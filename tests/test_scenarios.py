@@ -86,6 +86,25 @@ def test_scenario_validation():
     Scenario("empty", ())
 
 
+_VALID = (Grid2D(0.8, 8), Disk(center=(0.0, 0.4), radius=0.2, value=1.5),
+          Rectangle(lo=(0.1, 0.2), hi=(0.3, 0.4), value=1.5),
+          Scenario("s", (), n_cells=8, n_k=4), InversionConfig())
+_NUMBER_FIELDS = [(obj, f.name, f.type) for obj in _VALID for f in dataclasses.fields(obj)
+                  if f.type in ("float", "int", "int | None", "tuple[float, float]")]
+
+
+@pytest.mark.parametrize("obj, name, annotation", _NUMBER_FIELDS,
+                         ids=[f"{type(o).__name__}.{n}" for o, n, _ in _NUMBER_FIELDS])
+def test_every_number_field_refuses_a_value_that_is_not_a_finite_number(obj, name, annotation):
+    # read off the dataclass fields, so a field added later is covered too
+    bad = [True, float("nan"), float("inf"), 10**400, "x"]
+    if annotation.startswith("tuple"):
+        bad.append((float("nan"), 0.4))
+    for value in bad:
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            dataclasses.replace(obj, **{name: value})
+
+
 @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
 def test_yaml_roundtrip_is_exact(name, tmp_path):
     sc = get_scenario(name)
