@@ -79,9 +79,9 @@ def _check_fields(obj, **least) -> None:
     document is plain YAML and JSON: a "float" is a finite real, not a bool,
     stored as a float; an "int" (or "int | None", which allows None) is an
     integer >= least[name] (default 1) and <= sys.maxsize, stored as an int;
-    a "bool" is True or False; a "tuple[float, float]" is a list or tuple of
-    two finite reals, stored as a tuple of floats.  Other fields are left to
-    the class.  A bad value raises a ValueError that names the field.
+    a "tuple[float, float]" is a list or tuple of two finite reals, stored
+    as a tuple of floats.  Other fields are left to the class.  A bad value
+    raises a ValueError that names the field.
     """
     for f in fields(obj):
         name, x = f.name, getattr(obj, f.name)
@@ -91,9 +91,6 @@ def _check_fields(obj, **least) -> None:
             x = float(x)
         elif f.type in ("int", "int | None"):
             x = _integer(name, x, least.get(name, 1), null=f.type != "int")
-        elif f.type == "bool":
-            if not isinstance(x, bool):
-                raise ValueError(f"{name} must be true or false, got {x!r}")
         elif f.type == "tuple[float, float]":
             if not (isinstance(x, (list, tuple)) and len(x) == 2 and all(map(_finite, x))):
                 raise ValueError(f"{name} must be a pair of numbers [x1, x2], got {x!r}")

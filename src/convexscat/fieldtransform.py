@@ -3,10 +3,12 @@
 The pipeline is u -> p = u/u_in -> v = Log(p)/k^2 with the principal
 logarithm, then projection of v onto the wavenumber basis to get the vector
 field V, and finally the pointwise elimination formula that reads a(x) off
-the second derivatives of v at the lowest wavenumber.  Everything here is
-pure array work; no solver state.  Coefficient fields (V, W, F, ...) are
-complex arrays of shape (n_modes, n_nodes, n_nodes): entry [r, i, j] is mode r
-at node (x1_j, x2_i).
+the centred second differences of v at the lowest wavenumber, on the
+interior nodes clear of the outer ring and of the row next to the
+measurement line (a is zero elsewhere).  Everything here is pure array
+work; no solver state.  Coefficient fields (V, W, F, ...) are complex
+arrays of shape (n_modes, n_nodes, n_nodes): entry [r, i, j] is mode r at
+node (x1_j, x2_i).
 """
 
 from __future__ import annotations
@@ -126,33 +128,33 @@ def smooth_traces(G: np.ndarray, sigma: float) -> np.ndarray:
     )
 
 
-def _second_diff(f: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Second derivative, centered inside, one-sided second order at the ends."""
-    f = np.moveaxis(f, axis, 0)
-    out = np.empty_like(f)
-    out[1:-1] = f[2:] - 2 * f[1:-1] + f[:-2]
-    out[0] = 2 * f[0] - 5 * f[1] + 4 * f[2] - f[3]
-    out[-1] = 2 * f[-1] - 5 * f[-2] + 4 * f[-3] - f[-4]
-    return np.moveaxis(out, 0, axis) / (h * h)
-
-
 def recover_coefficient(V: np.ndarray, bs: BasisSet, grid: Grid2D) -> Coefficient:
     """Read the coefficient off v at the lowest wavenumber.
 
     v(., k) = sum_n V_n Phi_n(k), then a = -Re[Lap v + k^2 (grad v . grad v)
-    - 2ik dv/dx2] for the downward incident direction; derivatives are second
-    order everywhere (one-sided at the boundary).  No sign clamping here;
-    the caller decides when negatives get cut.
+    - 2ik dv/dx2] for the downward incident direction, with centred second
+    order differences on rows 1..n-3 and columns 1..n-2; a is exactly zero
+    on the other nodes.  Admissible coefficients vanish near the domain
+    boundary, and the forward solver requires that.  The stencils of the
+    row next to the measurement line would also reach that line, where the
+    soft-penalized iterates do not vanish exactly, and feed the mismatch,
+    amplified by 1/h^2, straight into the next solve.  No sign clamping
+    here; the caller decides when negatives get cut.
     """
     if grid.n_nodes < 4:
         raise ValueError("recovery stencils need at least 4 nodes per side")
     if V.shape[1:] != (grid.n_nodes, grid.n_nodes):
         raise ValueError(f"mode fields of shape {V.shape} do not live on the {grid.n_nodes}-node grid")
     k = bs.kgrid.k_min
-    v = np.tensordot(bs.eval_phi(k), V, axes=(0, 0))
+    # the measurement-line row is never read
+    v = np.tensordot(bs.eval_phi(k), V, axes=(0, 0))[:-1]
     h = grid.h
-    v1 = np.gradient(v, h, axis=1, edge_order=2)
-    v2 = np.gradient(v, h, axis=0, edge_order=2)
-    lap = _second_diff(v, h, axis=0) + _second_diff(v, h, axis=1)
-    a = -np.real(lap + k * k * (v1 * v1 + v2 * v2) - 2j * k * v2)
+    c = v[1:-1, 1:-1]
+    east, west = v[1:-1, 2:], v[1:-1, :-2]
+    north, south = v[2:, 1:-1], v[:-2, 1:-1]
+    v1 = (east - west) / (2.0 * h)
+    v2 = (north - south) / (2.0 * h)
+    lap = (north - 2 * c + south) / (h * h) + (east - 2 * c + west) / (h * h)
+    a = np.zeros(V.shape[1:])
+    a[1:-2, 1:-1] = -np.real(lap + k * k * (v1 * v1 + v2 * v2) - 2j * k * v2)
     return Coefficient(grid=grid, values=a)

@@ -155,7 +155,7 @@ class Disk:
     def __post_init__(self):
         _check_fields(self)
         if self.radius <= 0:
-            raise ValueError("radius must be positive")
+            raise ValueError(f"radius must be positive, got {self.radius!r}")
 
     def contains(self, x1, x2):
         d1 = np.asarray(x1) - self.center[0]
@@ -174,7 +174,8 @@ class Rectangle:
     def __post_init__(self):
         _check_fields(self)
         if not (self.lo[0] < self.hi[0] and self.lo[1] < self.hi[1]):
-            raise ValueError("rectangle corners must satisfy lo < hi componentwise")
+            raise ValueError("rectangle corners must satisfy lo < hi componentwise, "
+                             f"got lo {self.lo}, hi {self.hi}")
 
     def contains(self, x1, x2):
         x1 = np.asarray(x1)

@@ -13,9 +13,9 @@ sign.  The grids come from the data, and the cutoff width is xi = R/10.
 Two ingredients keep the re-solve well posed.  Measured traces are smoothed
 along the line before the carrier is built (white noise at the grid scale
 would otherwise reach the recovery's second differences at 1/h^2 strength),
-and every recovered coefficient is restricted to the admissible support,
-which clears the outer ring and the row adjacent to the measurement line;
-see _restrict_support.
+and recover_coefficient reads the coefficient only on the admissible
+support, clear of the outer ring and of the row adjacent to the measurement
+line.
 """
 
 from __future__ import annotations
@@ -53,9 +53,9 @@ class InversionConfig:
 
     Every field is checked on construction: floats are finite, epsilon and
     tolerance positive, the penalty weights, lam and trace_sigma nonnegative,
-    max_iterations and n_modes integers from 1 to sys.maxsize, clamp_negative
-    a bool.  A float field given as an integer (YAML `lam: 0`) is then stored
-    as a float, so the manifest writes 0.0 as the default does.
+    max_iterations and n_modes integers from 1 to sys.maxsize.  A float field
+    given as an integer (YAML `lam: 0`) is then stored as a float, so the
+    manifest writes 0.0 as the default does.
     """
 
     epsilon: float = 1e-3
@@ -70,7 +70,6 @@ class InversionConfig:
     # width (in grid spacings) of the Gaussian applied to each measured mode
     # trace along the line before the carrier is assembled; 0 disables
     trace_sigma: float = 2.5
-    clamp_negative: bool = True
 
     def __post_init__(self):
         _check_fields(self)
@@ -110,27 +109,6 @@ class InversionResult:
         return self.stop == "tolerance"
 
 
-def _clamped(coeff: Coefficient, clamp: bool) -> Coefficient:
-    if not clamp:
-        return coeff
-    return Coefficient(grid=coeff.grid, values=np.maximum(coeff.values, 0.0))
-
-
-def _restrict_support(coeff: Coefficient) -> Coefficient:
-    """Clear the outer node ring and the row next to the measurement line.
-
-    Admissible coefficients vanish near the domain boundary, and the forward
-    solver requires that.  The recovery stencils at those nodes are also the
-    only ones that reach the measurement-line row, where the soft-penalized
-    iterates do not vanish exactly; keeping the nodes would feed that edge
-    mismatch, amplified by 1/h^2, straight into the next solve.
-    """
-    v = coeff.values.copy()
-    v[0, :] = v[-1, :] = v[:, 0] = v[:, -1] = 0.0
-    v[-2, :] = 0.0
-    return Coefficient(grid=coeff.grid, values=v)
-
-
 def _run_loop(cd: CauchyData, cfg: InversionConfig, keep_best: bool):
     """The descent loop of both public runs.
 
@@ -165,10 +143,10 @@ def _run_loop(cd: CauchyData, cfg: InversionConfig, keep_best: bool):
         elif n == cfg.max_iterations:
             stop = "iteration_cap"
         if stop:
-            a_n = _restrict_support(recover_coefficient(V, bs, grid))
+            a_n = recover_coefficient(V, bs, grid)
         else:
             V_step = (W - cfg.epsilon * grad) + F
-            a_n = _restrict_support(recover_coefficient(V_step, bs, grid))
+            a_n = recover_coefficient(V_step, bs, grid)
             try:
                 u = solve_forward_multi(a_n, kg, store)
                 V = log_to_coeffs(total_to_log(u, grid, kg), bs)
@@ -183,10 +161,9 @@ def _run_loop(cd: CauchyData, cfg: InversionConfig, keep_best: bool):
             break
 
     final_V = best[1] if keep_best else V
-    a_final = _clamped(_restrict_support(recover_coefficient(final_V, bs, grid)),
-                       cfg.clamp_negative)
+    a_final = recover_coefficient(final_V, bs, grid).values
     return InversionResult(
-        coefficient=a_final,
+        coefficient=Coefficient(grid=grid, values=np.maximum(a_final, 0.0)),
         records=tuple(records),
         stop=stop,
         config=cfg,

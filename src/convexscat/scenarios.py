@@ -62,9 +62,13 @@ class Scenario:
             raise ValueError(f"name must be a string, got {self.name!r}")
         if self.noise_level < 0:
             raise ValueError(f"noise_level must be nonnegative, got {self.noise_level!r}")
-        # the grids check the domain and the wavenumber range
+        # the grids check the domain and the wavenumber range; an n_k too
+        # large to allocate is reported under its key
         Grid2D(self.half_width, self.n_cells)
-        make_kgrid(self.k_min, self.k_max, self.n_k)
+        try:
+            make_kgrid(self.k_min, self.k_max, self.n_k)
+        except MemoryError as exc:
+            raise ValueError(f"n_k: {exc}") from None
 
 
 def _builtins() -> dict:

@@ -281,11 +281,13 @@ def test_weighted_resolve_failure_names_the_iteration_and_stores_float_config(si
 
 def test_invert_rejects_bad_config_values_before_any_output(sim_dir, tmp_path, capsys):
     # lam = inf would zero the weight on every row; it must not reach the run.
-    # A document that is no mapping is no empty override set either.
+    # A document that is no mapping is no empty override set either, and a
+    # key the loop does not read (output clamping is not a setting) is refused.
     cfg_path = tmp_path / "cfg.yaml"
     out = tmp_path / "out"
     for doc, message in (
         ("lam: .inf", "lam must be a finite number"),
+        ("clamp_negative: false", "unknown config keys: clamp_negative"),
         ("[]", f"--config {cfg_path} must hold a mapping of config keys, got []"),
         ("0", f"--config {cfg_path} must hold a mapping of config keys, got 0"),
     ):
@@ -365,9 +367,14 @@ _DISK = "- {type: disk, center: [0.0, 0.4], radius: 0.2, value: 1.5}"
     (_DISK.replace("0.2", ".nan"), [], "shapes[0]: radius must be a finite number, got nan"),
     (_DISK.replace("1.5", ".inf"), [], "shapes[0]: value must be a finite number, got inf"),
     (_DISK.replace("0.2", str(10**400)), [], "shapes[0]: radius must be a finite number"),
-    (f"{_DISK}\nn_k: 1000000000000000000", [], "Unable to allocate"),
+    (f"{_DISK}\nn_k: 1000000000000000000", [], "n_k: Unable to allocate"),
+    (_DISK.replace("0.2", "-0.2"), [], "shapes[0]: radius must be positive, got -0.2"),
+    ("- {type: rectangle, lo: [0.3, 0.2], hi: [0.1, 0.4], value: 1.5}", [],
+     "shapes[0]: rectangle corners must satisfy lo < hi componentwise, "
+     "got lo (0.3, 0.2), hi (0.1, 0.4)"),
 ], ids=["k_min-above-k_max", "negative-half_width", "disk-on-boundary", "negative-value",
-        "negative-seed", "nan-center", "nan-radius", "inf-value", "huge-radius", "huge-n_k"])
+        "negative-seed", "nan-center", "nan-radius", "inf-value", "huge-radius", "huge-n_k",
+        "negative-radius", "inverted-rectangle"])
 def test_simulate_rejects_a_bad_scene_value_before_any_output(tmp_path, capsys, shapes, argv,
                                                                message):
     # a value fails the field or grid checks as the scene loads or where it
@@ -375,7 +382,7 @@ def test_simulate_rejects_a_bad_scene_value_before_any_output(tmp_path, capsys, 
     # before it creates --out, and a scene file's error names the file.  A
     # nan shape would rasterize to an all-zero truth and an inf value would
     # reach the solver; the n_k scene asks numpy for 8 EiB at once, which
-    # fails without touching memory
+    # fails without touching memory and is reported under its key
     scene = "example1"
     if shapes is not None:
         scene = tmp_path / "bad.yaml"

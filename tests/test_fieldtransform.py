@@ -24,6 +24,17 @@ from convexscat.scenarios import get_scenario
 
 WAVE = IncidentWave()
 
+# the nodes recover_coefficient reads a on: rows 1..n-3, columns 1..n-2
+READABLE = np.s_[1:-2, 1:-1]
+
+
+def _readable(a):
+    """a on the readable nodes, after checking that it is exactly zero elsewhere."""
+    outside = a.copy()
+    outside[READABLE] = 0.0
+    assert not outside.any()
+    return a[READABLE]
+
 
 @pytest.fixture(scope="module")
 def disk_data(default_kgrid, default_basis):
@@ -215,8 +226,8 @@ def test_recovery_matches_elimination_formula_for_quadratic(default_kgrid, defau
         v = alpha * (X1**2 + X2**2)
         samples = np.repeat(v[..., None], default_kgrid.n_sub, axis=-1)
         V = np.moveaxis(project(samples, default_basis), -1, 0)
-        a = recover_coefficient(V, default_basis, grid).values
-        target = -(4 * alpha + 4 * kk**2 * alpha**2 * (X1**2 + X2**2))
+        a = _readable(recover_coefficient(V, default_basis, grid).values)
+        target = -(4 * alpha + 4 * kk**2 * alpha**2 * (X1**2 + X2**2))[READABLE]
         rel = np.max(np.abs(a - target)) / np.max(np.abs(target))
         assert rel < 5e-3
 
@@ -232,11 +243,11 @@ def test_recovery_second_order_under_refinement(default_kgrid, default_basis):
         q = 0.05 * np.sin(2 * X1) * np.cos(X2) + 0.03j * np.cos(X1 + 0.3) * np.sin(2 * X2)
         data = np.zeros((default_basis.n_modes, grid.n_nodes, grid.n_nodes), dtype=complex)
         data[0] = q / phi1
-        a = recover_coefficient(data, default_basis, grid).values
+        a = _readable(recover_coefficient(data, default_basis, grid).values)
         q1 = 0.1 * np.cos(2 * X1) * np.cos(X2) - 0.03j * np.sin(X1 + 0.3) * np.sin(2 * X2)
         q2 = -0.05 * np.sin(2 * X1) * np.sin(X2) + 0.06j * np.cos(X1 + 0.3) * np.cos(2 * X2)
         lap = -0.25 * np.sin(2 * X1) * np.cos(X2) - 0.15j * np.cos(X1 + 0.3) * np.sin(2 * X2)
-        target = -np.real(lap + kk**2 * (q1 * q1 + q2 * q2) - 2j * kk * q2)
+        target = -np.real(lap + kk**2 * (q1 * q1 + q2 * q2) - 2j * kk * q2)[READABLE]
         errs.append(np.max(np.abs(a - target)))
     assert errs[0] / errs[1] > 3.4 and errs[1] / errs[2] > 3.4
     assert errs[2] < 1e-3

@@ -36,6 +36,7 @@ from convexscat.forward import (
     _kernel_table,
 )
 from convexscat.scenarios import get_scenario
+from convexscat.validate import check_forward_oracle
 
 WAVE = IncidentWave()
 DISK = Disk(center=(0.0, 0.45), radius=0.2, value=3.0)
@@ -59,26 +60,10 @@ def test_probe_value_regression():
     assert abs(complex(val) - FROZEN_PROBE) <= 1e-12
 
 
-def _oracle_error(ncells, k):
-    grid = Grid2D(0.8, ncells)
-    truth = rasterize([DISK], grid)
-    u = solve_forward(truth, k)
-    X1, X2 = grid.mesh()
-    pts = np.stack([X1, X2], axis=-1)
-    exact = disk_total_field(pts, DISK.center, DISK.radius, DISK.value, (0.0, -1.0), k)
-    mask = np.abs(np.hypot(X1 - DISK.center[0], X2 - DISK.center[1]) - DISK.radius) > grid.h
-    return np.linalg.norm((u - exact)[mask]) / np.linalg.norm(exact[mask])
-
-
-@pytest.mark.parametrize("k", [1.0, 2.0])
-def test_solver_matches_cylinder_series(k):
-    assert _oracle_error(28, k) < 0.01
-
-
 def test_solver_error_shrinks_under_refinement():
     # quadrature is second order; doubling the grid should at least halve it
-    e28 = _oracle_error(28, 2.0)
-    e56 = _oracle_error(56, 2.0)
+    e28 = check_forward_oracle(2.0, 28).measured
+    e56 = check_forward_oracle(2.0, 56).measured
     assert e56 < e28 / 2
 
 

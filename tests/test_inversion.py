@@ -12,8 +12,11 @@ from convexscat import (
     NearZeroTotalField,
     Scenario,
     ablation_no_weight,
+    inversion,
+    recover_coefficient,
     run_inversion,
     simulate_scenario,
+    solve_forward_multi,
 )
 
 
@@ -41,11 +44,10 @@ def test_config_defaults_are_the_reference_setup():
     assert cfg.lam == 5.0 and cfg.shift == 1.0
     assert cfg.tolerance == 1e-3 and cfg.max_iterations == 25
     assert cfg.n_modes == 4 and cfg.trace_sigma == 2.5
-    assert cfg.clamp_negative
     # method parameters only: the grids come from the data
     assert [f.name for f in fields(InversionConfig)] == [
         "epsilon", "rho", "alpha1", "alpha2", "lam", "shift", "tolerance",
-        "max_iterations", "n_modes", "trace_sigma", "clamp_negative",
+        "max_iterations", "n_modes", "trace_sigma",
     ]
 
 
@@ -75,8 +77,6 @@ def test_config_validation():
         dict(alpha1=-1e-3),
         dict(alpha2=-math.inf),
         dict(shift=math.inf),
-        dict(clamp_negative=0.5),
-        dict(clamp_negative=1),
     ):
         (name,) = bad
         with pytest.raises(ValueError, match=name):
@@ -97,14 +97,28 @@ def test_small_run_converges_with_consistent_records(small_case):
     assert np.all(res.coefficient.values >= 0)
 
 
-def test_clamping_is_output_only(small_case):
+def test_clamping_is_output_only(small_case, monkeypatch):
+    # record every recovered coefficient and every coefficient a re-solve gets
     cfg, _, noisy = small_case
-    raw = run_inversion(noisy, replace(cfg, clamp_negative=False))
-    clamped = run_inversion(noisy, cfg)
-    assert raw.coefficient.values.min() < 0
-    assert np.array_equal(clamped.coefficient.values, np.maximum(raw.coefficient.values, 0))
-    # the iterate history itself is identical; clamping never enters the loop
-    assert [r.J_value for r in raw.records] == [r.J_value for r in clamped.records]
+    recovered, solved = [], []
+
+    def recover(*args):
+        a = recover_coefficient(*args)
+        recovered.append(a.values)
+        return a
+
+    def solve(coeff, *args):
+        solved.append(coeff.values)
+        return solve_forward_multi(coeff, *args)
+
+    monkeypatch.setattr(inversion, "recover_coefficient", recover)
+    monkeypatch.setattr(inversion, "solve_forward_multi", solve)
+    res = run_inversion(noisy, cfg)
+    # inner iterates keep their sign: a re-solve sees negative values
+    assert min(a.min() for a in solved) < 0
+    # the final recovery is cut to zero only at output
+    assert recovered[-1].min() < 0
+    assert np.array_equal(res.coefficient.values, np.maximum(recovered[-1], 0))
 
 
 def test_runs_are_deterministic(small_case):
