@@ -3,11 +3,14 @@
 Every data-producing command writes a JSON manifest next to its outputs with
 input/output hashes, the effective config and the seed, so a run can be
 checked and reproduced: simulate's config is the scene document, a scene
-file in itself, and invert adds its stop reason and error.  Exit codes:
-0 on success (invert: stop "tolerance", or any --no-carleman run), 2 on usage
-or format errors, 3 for stop "iteration_cap", 4 for "resolve_failed": a
-forward solve failed (IllConditionedSystem) or its field came too close to
-zero for the log transform (NearZeroTotalField); invert then prints
+file in itself that holds the measurement only, and invert's is the
+InversionConfig it ran with (method parameters come only from --config),
+plus its stop reason and error.  Exit codes: 0 on success (invert: stop
+"tolerance", or any --no-carleman run), 2 on usage or format errors (data
+traces too close to zero for the log transform among them), 3 for stop
+"iteration_cap", 4 for "resolve_failed": a forward solve failed
+(IllConditionedSystem) or its field came too close to zero for the log
+transform (NearZeroTotalField); invert then prints
 "error: re-solve failed at n=<n>: <ExceptionType>: <message>", still writes
 history.txt and manifest.json for the iterations that ran, and removes any
 coefficient.txt an earlier run left in --out.  Both commands create --out
@@ -93,9 +96,6 @@ def cmd_invert(args) -> int:
     overrides = None
     if args.config:
         overrides = read_yaml(args.config)
-        if overrides is not None and not isinstance(overrides, dict):
-            raise ValueError(f"--config {args.config} must hold a mapping of config keys, "
-                             f"got {overrides!r}")
         inputs.append(args.config)
     try:
         cfg = config_from_dict(overrides)
@@ -103,7 +103,11 @@ def cmd_invert(args) -> int:
         raise ValueError(f"{exc} (in --config {args.config})") from None
     cd = read_cauchy(args.data)
     runner = ablation_no_weight if args.no_carleman else run_inversion
-    result = runner(cd, cfg)
+    try:
+        result = runner(cd, cfg)
+    except NearZeroTotalField as exc:
+        # the loop catches a re-solve's, so this one comes from the data's traces
+        raise ValueError(f"{args.data}: {exc}") from None
     os.makedirs(args.out, exist_ok=True)
 
     coeff_path = os.path.join(args.out, "coefficient.txt")
@@ -207,7 +211,7 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (IllConditionedSystem, NearZeroTotalField) as exc:
+    except IllConditionedSystem as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

@@ -21,25 +21,14 @@ __all__ = ["DiskSeries", "disk_series", "disk_total_field"]
 class DiskSeries:
     """Mode coefficients of the transmission problem for one disk and one k.
 
-    a_out[m] multiplies H_|n|... coefficients are indexed by signed mode n via
-    offset n + n_max; a_out goes with H_n^(1)(k r), b_in with J_n(k_int r).
+    Coefficients are indexed by signed mode n via offset n + n_max; a_out
+    goes with H_n^(1)(k r), b_in with J_n(k_int r).
     """
 
-    k: float
     k_int: float
-    radius: float
-    n_max: int
     a_out: np.ndarray
     b_in: np.ndarray
     converged: bool
-
-    def matching_residual(self) -> float:
-        """Max residual of the two interface continuity equations over modes."""
-        n = np.arange(-self.n_max, self.n_max + 1)
-        ka, kia = self.k * self.radius, self.k_int * self.radius
-        val = jv(n, ka) + self.a_out * hankel1(n, ka) - self.b_in * jv(n, kia)
-        der = self.k * (jvp(n, ka) + self.a_out * h1vp(n, ka)) - self.b_in * self.k_int * jvp(n, kia)
-        return float(max(np.abs(val).max(), np.abs(der).max()))
 
 
 def disk_series(k: float, a_value: float, radius: float, n_max: int = 40, rtol: float = 1e-12) -> DiskSeries:
@@ -68,15 +57,7 @@ def disk_series(k: float, a_value: float, radius: float, n_max: int = 40, rtol: 
     edge_in = np.abs(b_in * ji)
     tail = max(edge_out[0], edge_out[-1], edge_in[0], edge_in[-1])
     converged = bool(tail <= rtol)
-    return DiskSeries(
-        k=float(k),
-        k_int=float(k_int),
-        radius=float(radius),
-        n_max=n_max,
-        a_out=a_out,
-        b_in=b_in,
-        converged=converged,
-    )
+    return DiskSeries(k_int=float(k_int), a_out=a_out, b_in=b_in, converged=converged)
 
 
 def disk_total_field(

@@ -49,8 +49,6 @@ class LogField:
     than pi; the principal branch is kept regardless (flagged, not fixed).
     """
 
-    grid: Grid2D
-    kgrid: KGrid
     v: np.ndarray
     branch_jumps: int
 
@@ -80,7 +78,7 @@ def total_to_log(fields: np.ndarray, grid: Grid2D, kg: KGrid) -> LogField:
     phase = np.angle(p)
     v = (np.log(mag) + 1j * phase) / ks ** 2
     jumps = int(np.count_nonzero(np.abs(np.diff(phase, axis=0)) > np.pi))
-    return LogField(grid=grid, kgrid=kg, v=v, branch_jumps=jumps)
+    return LogField(v=v, branch_jumps=jumps)
 
 
 def log_to_coeffs(lf: LogField, bs: BasisSet) -> np.ndarray:

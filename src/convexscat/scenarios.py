@@ -1,18 +1,20 @@
 """Builtin scenes and the synthetic measurement pipeline.
 
-A scenario bundles the true inclusions with the measurement grid and
-wavenumber range (top-level keys of its YAML) and the inversion's method
-parameters (its config mapping).  Truth data is produced on a refine-times
-finer grid than the reconstruction grid and subsampled back, so the
-inversion never sees fields computed with its own discretization.
+A scenario describes the measurement only: the true inclusions, the grid,
+the wavenumber range and the noise.  The method parameters are no part of
+it; they enter the inversion only through its InversionConfig.  Truth data
+is produced on a refine-times finer grid than the reconstruction grid and
+subsampled back, so the inversion never sees fields computed with its own
+discretization.
 
-The YAML keys are the dataclass fields of Scenario, InversionConfig and
-each shape class (plus the shape's "type"); unknown keys are rejected.
+The YAML keys are the dataclass fields of Scenario and of each shape class
+(plus the shape's "type"); unknown keys are rejected.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
+from typing import ClassVar
 
 import yaml
 
@@ -53,7 +55,9 @@ class Scenario:
     k_min: float = 0.5
     k_max: float = 2.0
     n_k: int = 50
-    config: InversionConfig = field(default_factory=InversionConfig)
+    # the method parameters every builtin scene is inverted with; no field,
+    # so no scene file can set it
+    config: ClassVar[InversionConfig] = InversionConfig()
 
     def __post_init__(self):
         _check_fields(self, n_cells=2, seed=0)
@@ -190,12 +194,11 @@ def config_from_dict(d) -> InversionConfig:
 
 def scenario_document(sc: Scenario) -> dict:
     """The scene as the plain mapping load_scenario reads: every Scenario
-    field in declaration order, the shapes as their YAML mappings and the
-    config as its fields.  save_scenario writes it as YAML and simulate
-    records it as its manifest's config."""
+    field in declaration order, the shapes as their YAML mappings.
+    save_scenario writes it as YAML and simulate records it as its
+    manifest's config."""
     return {**{f.name: getattr(sc, f.name) for f in fields(Scenario)},
-            "shapes": [_shape_to_dict(s) for s in sc.shapes],
-            "config": asdict(sc.config)}
+            "shapes": [_shape_to_dict(s) for s in sc.shapes]}
 
 
 def save_scenario(sc: Scenario, path) -> None:
@@ -224,7 +227,6 @@ def load_scenario(path) -> Scenario:
     if not isinstance(doc, dict) or "shapes" not in doc:
         raise ValueError(f"{path}: expected a mapping with a 'shapes' list")
     with _located(path):
-        _reject_unknown(doc, Scenario.__dataclass_fields__, "scenario")
+        _reject_unknown(doc, [f.name for f in fields(Scenario)], "scenario")
         return Scenario(**{"name": "scenario", "seed": None, **doc,
-                           "shapes": _shapes_from_list(doc["shapes"]),
-                           "config": config_from_dict(doc.get("config"))})
+                           "shapes": _shapes_from_list(doc["shapes"])})

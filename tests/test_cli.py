@@ -21,7 +21,6 @@ import yaml
 from convexscat import (
     Disk,
     IncidentWave,
-    InversionConfig,
     Scenario,
     read_cauchy,
     read_coefficient,
@@ -42,7 +41,6 @@ def scene_file(tmp_path_factory):
         seed=1,
         n_cells=16,
         n_k=10,
-        config=InversionConfig(n_modes=3),
     )
     path = tmp_path_factory.mktemp("scene") / "small.yaml"
     save_scenario(sc, path)
@@ -288,8 +286,8 @@ def test_invert_rejects_bad_config_values_before_any_output(sim_dir, tmp_path, c
     for doc, message in (
         ("lam: .inf", "lam must be a finite number"),
         ("clamp_negative: false", "unknown config keys: clamp_negative"),
-        ("[]", f"--config {cfg_path} must hold a mapping of config keys, got []"),
-        ("0", f"--config {cfg_path} must hold a mapping of config keys, got 0"),
+        ("[]", f"config must be a mapping of method parameters, got [] (in --config {cfg_path})"),
+        ("0", f"config must be a mapping of method parameters, got 0 (in --config {cfg_path})"),
     ):
         cfg_path.write_text(f"{doc}\n")
         rc = main(["invert", "--data", str(sim_dir / "cauchy_noisy.txt"),
@@ -333,15 +331,17 @@ def test_simulate_rejects_malformed_scenario_yaml_before_any_output(tmp_path, ca
     ("refine: true", "refine must be an integer >= 1, got True"),
     ("noise_level: abc", "noise_level must be a finite number, got 'abc'"),
     ("name: [1, 2]", "name must be a string, got [1, 2]"),
-    ("config: []", "config must be a mapping of method parameters, got []"),
-    ("config: 0", "config must be a mapping of method parameters, got 0"),
+    # a scene holds no method parameters: its config key is refused whatever it holds
+    ("config: []", "unknown scenario keys: config"),
+    ("config: 0", "unknown scenario keys: config"),
     ("1: 2", "unknown scenario keys: 1"),
-    ("config: {1: 2}", "unknown config keys: 1"),
+    ("config: {1: 2}", "unknown scenario keys: config"),
+    ("config: {lam: 0.0}", "unknown scenario keys: config"),
     ("- {type: disk, center: [0.0, 0.4], radius: 0.2, value: 1.5, colour: red}",
      "shapes[1]: unknown disk keys: colour"),
 ], ids=["list", "no-radius", "scalar-center", "fractional-n_cells", "fractional-refine",
         "bool-refine", "text-noise_level", "list-name", "list-config", "scalar-config",
-        "int-key", "int-config-key", "extra-disk-key"])
+        "int-key", "int-config-key", "config-key", "extra-disk-key"])
 def test_simulate_rejects_a_malformed_scene_before_any_output(tmp_path, capsys, line, message):
     # one shape or top-level value of an otherwise valid scene is malformed
     scene = tmp_path / "bad.yaml"
@@ -465,6 +465,25 @@ def test_invert_rejects_malformed_data(tmp_path, capsys):
     rc = main(["invert", "--data", str(bad), "--out", str(tmp_path)])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_invert_rejects_data_at_the_log_floor_before_any_output(sim_dir, tmp_path, capsys):
+    # one g0 sample of the measured trace is zero, so the data transform
+    # cannot take its log: that is bad input, named by its file, for either
+    # run, and no failed re-solve
+    lines = (sim_dir / "cauchy_noisy.txt").read_text().splitlines()
+    i = next(n for n, line in enumerate(lines) if not line.startswith("#"))
+    row = lines[i].split()
+    lines[i] = " ".join([*row[:2], "0.0", "0.0", *row[4:]])
+    data = tmp_path / "zero.txt"
+    data.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    for argv in ([], ["--no-carleman"]):
+        rc = main(["invert", "--data", str(data), "--out", str(out), *argv])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {data}: cauchy_to_v_data: |u/u_in| <= 1e-08 at 1 samples (min 0.000e+00)"]
+        assert not out.exists()
 
 
 def test_invert_rejects_unknown_config_keys(sim_dir, tmp_path, capsys):

@@ -7,6 +7,7 @@ finite differences, interface continuity, symmetry, and series convergence.
 
 import numpy as np
 import pytest
+from scipy.special import h1vp, hankel1, jv, jvp
 
 from convexscat import disk_total_field
 from convexscat.cylinder import disk_series
@@ -30,10 +31,16 @@ def test_zero_contrast_reduces_to_incident_wave():
 
 
 def test_interface_matching_residual_is_tiny():
+    # both interface continuity equations, mode by mode, at the default n_max
+    radius, n = 0.2, np.arange(-40, 41)
     for k, a in ((0.5, 3.0), (2.0, 3.0), (1.3, 0.7)):
-        series = disk_series(k, a, 0.2)
+        series = disk_series(k, a, radius)
         assert series.converged
-        assert series.matching_residual() < 1e-12
+        ka, kia = k * radius, series.k_int * radius
+        val = jv(n, ka) + series.a_out * hankel1(n, ka) - series.b_in * jv(n, kia)
+        der = (k * (jvp(n, ka) + series.a_out * h1vp(n, ka))
+               - series.b_in * series.k_int * jvp(n, kia))
+        assert max(np.abs(val).max(), np.abs(der).max()) < 1e-12
 
 
 def test_field_satisfies_helmholtz_equation():

@@ -131,8 +131,7 @@ def test_projection_picks_out_single_mode(default_kgrid, default_basis):
     phi2 = default_basis.eval_phi(default_kgrid.midpoints)[1]
     from convexscat.fieldtransform import LogField
 
-    lf = LogField(grid=grid, kgrid=default_kgrid,
-                  v=c[None] * phi2[:, None, None], branch_jumps=0)
+    lf = LogField(v=c[None] * phi2[:, None, None], branch_jumps=0)
     V = log_to_coeffs(lf, default_basis)
     scale = np.max(np.abs(c))
     assert np.max(np.abs(V[1] - c)) <= 5e-3 * scale

@@ -31,7 +31,6 @@ def small_case():
         seed=1,
         n_cells=16,
         n_k=10,
-        config=cfg,
     )
     truth, clean, noisy = simulate_scenario(sc)
     return cfg, truth, noisy

@@ -44,7 +44,6 @@ def _small_disk(noise=0.05, seed=1, refine=2):
         refine=refine,
         n_cells=8,
         n_k=3,
-        config=SMALL,
     )
 
 
@@ -128,18 +127,17 @@ def test_yaml_roundtrip_custom_fields(tmp_path):
         k_min=0.4,
         k_max=1.8,
         n_k=7,
-        config=dataclasses.replace(SMALL, epsilon=2e-4, lam=4.5),
     )
     path = tmp_path / "mixed.yaml"
     save_scenario(sc, path)
     loaded = load_scenario(path)
     assert loaded == sc
     assert loaded.seed is None
-    # the measurement setup sits at the top level, method parameters under config
+    # the measurement setup sits at the top level; method parameters are no part of a scene
     doc = yaml.safe_load(path.read_text())
     assert (doc["half_width"], doc["n_cells"], doc["k_min"], doc["k_max"], doc["n_k"]) == (
         0.9, 12, 0.4, 1.8, 7)
-    assert set(doc["config"]) == set(dataclasses.asdict(SMALL))
+    assert "config" not in doc
 
 
 def test_load_rejects_bad_documents(tmp_path):
@@ -153,20 +151,6 @@ def test_load_rejects_bad_documents(tmp_path):
     p.write_text(yaml.safe_dump(doc))
     with pytest.raises(ValueError, match="shape type"):
         load_scenario(p)
-
-    for config in ({"stepsize": 1e-3}, {"n_cells": 16}):
-        doc = {"name": "x", "shapes": [], "config": config}
-        p.write_text(yaml.safe_dump(doc))
-        with pytest.raises(ValueError, match="unknown config keys"):
-            load_scenario(p)
-
-    # a config entry is a mapping of method parameters or empty
-    for config in ([], 0, "lam"):
-        p.write_text(yaml.safe_dump({"name": "x", "shapes": [], "config": config}))
-        with pytest.raises(ValueError, match="config must be a mapping"):
-            load_scenario(p)
-    p.write_text(yaml.safe_dump({"name": "x", "shapes": [], "config": None}))
-    assert load_scenario(p).config == InversionConfig()
 
     # a misspelt grid key must not fall back to the default grid
     p.write_text(yaml.safe_dump({"name": "x", "shapes": [], "n_cell": 8}))
@@ -211,7 +195,7 @@ def test_save_rejects_unknown_shape_objects(tmp_path):
 
 def test_simulate_null_scene_is_zero_and_noise_free():
     truth, clean, noisy = simulate_scenario(
-        Scenario("empty", (), noise_level=0.0, n_cells=8, n_k=3, config=SMALL)
+        Scenario("empty", (), noise_level=0.0, n_cells=8, n_k=3)
     )
     assert np.all(truth.values == 0.0)
     assert noisy is clean  # zero noise level returns the same object
