@@ -105,8 +105,9 @@ def cmd_invert(args) -> int:
     runner = ablation_no_weight if args.no_carleman else run_inversion
     try:
         result = runner(cd, cfg)
-    except NearZeroTotalField as exc:
-        # the loop catches a re-solve's, so this one comes from the data's traces
+    except (NearZeroTotalField, ValueError) as exc:
+        # the loop catches a re-solve's NearZeroTotalField, so both come from
+        # the data: its traces, or a grid the loop cannot use
         raise ValueError(f"{args.data}: {exc}") from None
     os.makedirs(args.out, exist_ok=True)
 

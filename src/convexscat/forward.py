@@ -18,7 +18,10 @@ the field to the whole grid and checks the full-grid residual.  A solve
 whose restart residuals show that it cannot pass that check in the steps
 left ends at once and raises IllConditionedSystem.  Both products, and the
 trace kernel, take their Hankel values from the real-argument Bessel
-functions H_m = J_m + i Y_m.  Their FFTs call scipy's pocketfft kernel
+functions H_m = J_m + i Y_m; the products' kernel table evaluates H_0 once
+per distinct lattice radius, from an index of the offsets built once per
+grid size, and gathers it onto the offsets, the same bits as one
+evaluation per offset.  The products' FFTs call scipy's pocketfft kernel
 directly (_fft2), with the scaling and the single thread scipy.fft.fft2 and
 ifft2 use, so the values are the same bits without the public functions'
 per-call argument handling; and each product keeps its zero-padded input
@@ -49,6 +52,7 @@ holds one box and empties when the box changes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from itertools import product
@@ -284,25 +288,44 @@ class CauchyData:
     seed: int | None = None
 
 
+@functools.lru_cache(maxsize=8)
+def _lattice_radii(n: int):
+    """Distinct nonzero radii of the n x n offset lattice, and where each offset reads.
+
+    H0(k h r) depends on an offset (di, dj) only through r^2 = di^2 + dj^2,
+    which takes far fewer values than there are offsets (1267 of 3248 at
+    n = 57).  Returns sqrt of the sorted distinct nonzero r^2 and the (n, n)
+    index of each offset into [self cell, radii...]; both are read-only,
+    since the cache hands the same arrays to every caller.
+    """
+    off = np.arange(n)
+    r2, index = np.unique((off[:, None] ** 2 + off[None, :] ** 2).ravel(), return_inverse=True)
+    radii = np.sqrt(r2[1:])
+    index = index.reshape(n, n)
+    radii.flags.writeable = index.flags.writeable = False
+    return radii, index
+
+
 def _kernel_table(grid: Grid2D, k) -> np.ndarray:
     """Kernel value (i/4)H0(k r) by absolute index offset (di, dj).
 
-    H0 = J0 + i Y0 is evaluated from the real-argument Bessel functions on
-    every offset.  Entry (0, 0) holds the cell average of the small-argument
+    H0 = J0 + i Y0 is evaluated from the real-argument Bessel functions once
+    per distinct lattice radius (_lattice_radii, one index per lattice size)
+    and gathered onto the offsets, the same bits as an evaluation on every
+    offset.  Entry (0, 0) holds the cell average of the small-argument
     expansion over the equal-area disk of radius rho0 = h/sqrt(pi), so
     multiplying the whole table by the uniform weight h^2 yields the
     corrected Nystrom weights.  For an array of wavenumbers the tables are
     stacked along its axes, from one Bessel evaluation.
     """
-    n = grid.n_nodes
+    radii, index = _lattice_radii(grid.n_nodes)
     k = np.asarray(k, dtype=float)[..., None]
-    off = np.arange(n)
-    kr = (k * grid.h) * np.sqrt((off[:, None] ** 2 + off[None, :] ** 2).ravel()[1:])
-    table = np.empty(k.shape[:-1] + (n * n,), dtype=complex)
+    kr = (k * grid.h) * radii
+    values = np.empty(k.shape[:-1] + (1 + radii.size,), dtype=complex)
     rho0 = grid.h / np.sqrt(np.pi)
-    table[..., :1] = 0.25j - _EULER_GAMMA / (2 * np.pi) - (np.log(k * rho0 / 2) - 0.5) / (2 * np.pi)
-    table[..., 1:] = 0.25j * (j0(kr) + 1j * y0(kr))
-    return table.reshape(k.shape[:-1] + (n, n))
+    values[..., :1] = 0.25j - _EULER_GAMMA / (2 * np.pi) - (np.log(k * rho0 / 2) - 0.5) / (2 * np.pi)
+    values[..., 1:] = 0.25j * (j0(kr) + 1j * y0(kr))
+    return np.take(values, index, axis=-1)
 
 
 def _circulant_spectrum(table: np.ndarray, source, window) -> np.ndarray:

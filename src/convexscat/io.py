@@ -5,8 +5,8 @@ which round-trips doubles exactly, so a write-then-read cycle is
 bit-for-bit.  Grid and row/column indices are 1-based in files; in memory
 everything stays 0-based.  A seed of -1 in a data header means "no seed
 recorded".  The readers reject a data row whose index is out of range or
-repeats an earlier row, or whose value is not a finite number, and name its
-line; a bad header value is named the same way.
+repeats an earlier row, or whose value is not a finite number, and name the
+first such line in the file; a bad header value is named the same way.
 The history reader checks each row's field count, integer n and finite
 values the same way, and refuses a file with no rows.
 """
@@ -103,32 +103,37 @@ def _located(where):
         raise ValueError(f"{where}: {exc}") from None
 
 
-def _parse_row(where, row, layout: str, n_int: int):
-    """The first n_int fields as ints and the rest as finite floats of a row laid out as layout."""
-    if len(row) != len(layout.split()):
-        raise ValueError(f"{where}: each row needs '{layout}', got {len(row)} fields")
-    with _located(where):
-        ints = tuple(int(x) for x in row[:n_int])
-        vals = [float(x) for x in row[n_int:]]
-    if not all(map(math.isfinite, vals)):
-        raise ValueError(f"{where}: non-finite value")
-    return ints, vals
+def _parse_rows(path, rows, layout: str, n_int: int, shape=None):
+    """The first n_int fields of each row as ints, the rest as finite floats.
 
-
-def _fill(path, rows, shape, layout: str):
-    """Yield (0-based index, finite values) per row, each index exactly once."""
-    seen = np.zeros(shape, dtype=bool)
+    With shape, the ints are 1-based indices into it, each in range and used
+    by one row only.  The first bad row in file order is named by its line.
+    Returns the ints as a list of tuples and the floats as a (rows, fields)
+    array.
+    """
+    n_fields = len(layout.split())
+    seen = set()
+    ints, vals = [], []
     for lineno, row in rows:
-        where = f"{path}: line {lineno}"
-        idx, vals = _parse_row(where, row, layout, len(shape))
-        idx = tuple(i - 1 for i in idx)
-        if not all(0 <= i < n for i, n in zip(idx, shape)):
-            raise ValueError(f"{where}: index {' '.join(row[:len(shape)])} outside "
-                             f"1..{' x 1..'.join(map(str, shape))}")
-        if seen[idx]:
-            raise ValueError(f"{where}: duplicate row for index {' '.join(row[:len(shape)])}")
-        seen[idx] = True
-        yield idx, vals
+        try:
+            if len(row) != n_fields:
+                raise ValueError(f"each row needs '{layout}', got {len(row)} fields")
+            idx = tuple([int(x) for x in row[:n_int]])
+            v = [float(x) for x in row[n_int:]]
+            if not all(map(math.isfinite, v)):
+                raise ValueError("non-finite value")
+            if shape is not None:
+                if not all([0 < i <= n for i, n in zip(idx, shape)]):
+                    raise ValueError(f"index {' '.join(row[:n_int])} outside "
+                                     f"1..{' x 1..'.join(map(str, shape))}")
+                if idx in seen:
+                    raise ValueError(f"duplicate row for index {' '.join(row[:n_int])}")
+                seen.add(idx)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        ints.append(idx)
+        vals.append(v)
+    return ints, np.array(vals)
 
 
 def read_cauchy(path) -> CauchyData:
@@ -145,12 +150,13 @@ def read_cauchy(path) -> CauchyData:
         raise ValueError(f"{path}: expected {grid.n_nodes * n_k} data rows, found {len(rows)}")
     with _located(where):
         kg = make_kgrid(k_min, k_max, n_k)
-    g0 = np.zeros((grid.n_nodes, n_k), dtype=complex)
+    shape = (grid.n_nodes, n_k)
+    index, vals = _parse_rows(path, rows, "j k_index Re(g0) Im(g0) Re(g1) Im(g1)", 2, shape)
+    g0 = np.zeros(shape, dtype=complex)
     g1 = np.zeros_like(g0)
-    for jm, (re0, im0, re1, im1) in _fill(path, rows, g0.shape,
-                                          "j k_index Re(g0) Im(g0) Re(g1) Im(g1)"):
-        g0[jm] = re0 + 1j * im0
-        g1[jm] = re1 + 1j * im1
+    # a row's four floats are the two complex values g0, g1 as (re, im) pairs
+    jm = tuple(np.array(index).T - 1)
+    g0[jm], g1[jm] = vals.view(complex).T
     return CauchyData(grid=grid, kgrid=kg, g0=g0, g1=g1, noise_level=delta,
                       seed=None if seed < 0 else seed)
 
@@ -168,8 +174,8 @@ def read_coefficient(path) -> Coefficient:
     if len(rows) != grid.n_points:
         raise ValueError(f"{path}: expected {grid.n_points} rows, found {len(rows)}")
     values = np.zeros((grid.n_nodes, grid.n_nodes))
-    for ij, (a,) in _fill(path, rows, values.shape, "i j a"):
-        values[ij] = a
+    index, vals = _parse_rows(path, rows, "i j a", 2, values.shape)
+    values[tuple(np.array(index).T - 1)] = vals[:, 0]
     return Coefficient(grid=grid, values=values)
 
 
@@ -197,11 +203,8 @@ def read_history(path):
     _, rows = _read_lines(path)
     if not rows:
         raise ValueError(f"{path}: no iteration rows")
-    records = []
-    for lineno, row in rows:
-        (n,), vals = _parse_row(f"{path}: line {lineno}", row, "n J grad_norm a_max", 1)
-        records.append(IterationRecord(n, *vals))
-    return records
+    ns, vals = _parse_rows(path, rows, "n J grad_norm a_max", 1)
+    return [IterationRecord(n, *v) for (n,), v in zip(ns, vals.tolist())]
 
 
 def _sha256(path) -> str:

@@ -444,10 +444,11 @@ def test_invert_rejects_data_the_loop_cannot_use_before_any_output(tmp_path, cap
     sim = tmp_path / "sim"
     assert main(["simulate", "--scenario", str(scene), "--out", str(sim)]) == 0
     out = tmp_path / "out"
-    rc = main(["invert", "--data", str(sim / "cauchy_noisy.txt"), "--out", str(out)])
+    data = sim / "cauchy_noisy.txt"
+    rc = main(["invert", "--data", str(data), "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
-    assert err == ["error: recovery stencils need at least 4 nodes per side"]
+    assert err == [f"error: {data}: recovery stencils need at least 4 nodes per side"]
     assert not out.exists()
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.fft
 from scipy.ndimage import gaussian_filter
-from scipy.special import hankel1
+from scipy.special import hankel1, j0, y0
 
 from convexscat import (
     Coefficient,
@@ -34,6 +34,7 @@ from convexscat.forward import (
     _circulant_spectrum,
     _gmres,
     _kernel_table,
+    _lattice_radii,
 )
 from convexscat.scenarios import get_scenario
 from convexscat.validate import check_forward_oracle
@@ -67,20 +68,34 @@ def test_solver_error_shrinks_under_refinement():
     assert e56 < e28 / 2
 
 
-@pytest.mark.parametrize("k", [0.515, 1.985, 6.0])
+@pytest.mark.parametrize("k", [0.515, 1.985, 6.0, [0.515, 1.985, 6.0], [[0.515, 1.985], [6.0, 3.5]]],
+                         ids=["0.515", "1.985", "6.0", "stack3", "stack2x2"])
 @pytest.mark.parametrize("ncells", [12, 28, 56])
 def test_kernel_table_matches_hankel_function(ncells, k):
     # the dense-solve oracles below read _kernel_table itself, so its values
-    # are checked here against scipy's Hankel routine and the self-cell formula
+    # are checked here against scipy's Hankel routine and the self-cell
+    # formula; gathered from one Bessel evaluation per distinct radius, they
+    # must also be the very bits of an evaluation on every offset
     grid = Grid2D(0.8, ncells)
+    k = np.asarray(k, dtype=float)
     table = _kernel_table(grid, k)
-    off = np.arange(grid.n_nodes)
-    r = grid.h * np.hypot(off[:, None], off[None, :])
-    ref = 0.25j * hankel1(0, k * r[r > 0])
-    assert np.max(np.abs(table[r > 0] - ref) / np.abs(ref)) <= 1e-14
+    n = grid.n_nodes
+    assert table.shape == k.shape + (n, n)
+    off = np.arange(n)
+    rho = np.sqrt(off[:, None] ** 2 + off[None, :] ** 2)
+    kr = (k[..., None] * grid.h) * rho[rho > 0]
+    got, same = table[..., rho > 0], 0.25j * (j0(kr) + 1j * y0(kr))
+    for part in (np.real, np.imag):
+        assert np.array_equal(part(got), part(same))
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(same)))
+    ref = 0.25j * hankel1(0, kr)
+    assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-14
     rho0 = grid.h / np.sqrt(np.pi)
     self_cell = 0.25j - (np.euler_gamma + np.log(k * rho0 / 2) - 0.5) / (2 * np.pi)
-    assert abs(table[0, 0] - self_cell) <= 1e-15 * abs(self_cell)
+    assert np.all(np.abs(table[..., 0, 0] - self_cell) <= 1e-15 * np.abs(self_cell))
+    # the cache hands its geometry to every caller, so no caller may write to it
+    radii, index = _lattice_radii(n)
+    assert not radii.flags.writeable and not index.flags.writeable
 
 
 def _dense_nystrom_field(grid, a, k):

@@ -145,6 +145,18 @@ def _assert_bad_row_rejected(reader, tmp_path, lines, n_comments):
         with pytest.raises(ValueError, match=f"line {n_comments + 2}:") as info:
             reader(p)
         assert str(p) in str(info.value), case
+    # two faults: the error names the earlier line and its fault, either way round
+    third = lines[n_comments + 2].split()
+    for case, (row2, row3, fault) in {
+        "duplicate, then nan": (first, third[:-1] + ["nan"], "duplicate row"),
+        "nan, then duplicate": (bad_rows["nan"], first, "non-finite value"),
+    }.items():
+        p = tmp_path / "corrupt.txt"
+        p.write_text("\n".join(lines[:n_comments + 1] + [" ".join(row2), " ".join(row3)]
+                               + lines[n_comments + 3:]) + "\n")
+        with pytest.raises(ValueError, match=f"line {n_comments + 2}: {fault}") as info:
+            reader(p)
+        assert str(p) in str(info.value), case
 
 
 def test_coefficient_roundtrip_bitexact(tmp_path):
