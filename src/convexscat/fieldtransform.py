@@ -126,6 +126,7 @@ def smooth_traces(G: np.ndarray, sigma: float) -> np.ndarray:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def recover_coefficient(V: np.ndarray, bs: BasisSet, grid: Grid2D) -> Coefficient:
     """Read the coefficient off v at the lowest wavenumber.
 
@@ -137,7 +138,9 @@ def recover_coefficient(V: np.ndarray, bs: BasisSet, grid: Grid2D) -> Coefficien
     row next to the measurement line would also reach that line, where the
     soft-penalized iterates do not vanish exactly, and feed the mismatch,
     amplified by 1/h^2, straight into the next solve.  No sign clamping
-    here; the caller decides when negatives get cut.
+    here; the caller decides when negatives get cut.  A field so large that
+    the formula overflows gives a non-finite coefficient without a warning;
+    solve_forward rejects it with IllConditionedSystem.
     """
     if grid.n_nodes < 4:
         raise ValueError("recovery stencils need at least 4 nodes per side")

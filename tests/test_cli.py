@@ -258,6 +258,31 @@ def test_invert_resolve_failure_is_exit_4(sim_dir, tmp_path, capsys):
     assert doc["error"].startswith("NearZeroTotalField: total_to_log")
 
 
+@pytest.mark.parametrize("key, n", [("epsilon", 0), ("rho", 1)])
+def test_a_non_finite_re_solve_is_a_resolve_failure(sim_dir, tmp_path, capsys, key, n):
+    # a step this large overflows the recovered coefficient to inf and nan
+    # (the rho run only at its second step, once the penalty has grown J);
+    # the re-solve names it as a failed solve, not as a fault in the data,
+    # and no numpy warning reaches stderr (tier-1 makes one an error)
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(f"n_modes: 3\n{key}: 1.0e+300\n")
+    out = tmp_path / "out"
+    rc = main(["invert", "--data", str(sim_dir / "cauchy_noisy.txt"),
+               "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 4
+    doc = _manifest(out)
+    assert doc["stop"] == "resolve_failed"
+    assert doc["error"].startswith("IllConditionedSystem: scattering solve at k=")
+    assert "coefficient is not finite" in doc["error"]
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: re-solve failed at n={n}: {doc['error']}"]
+    # the failed iterate's a_max is nan, which read_history refuses
+    rows = [line.split() for line in (out / "history.txt").read_text().splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == list(range(n + 1))
+    assert all(np.isfinite(float(x)) for row in rows for x in row[1:3]) and rows[-1][3] == "nan"
+    assert doc["outputs"] == {str(out / "history.txt"): _sha(out / "history.txt")}
+
+
 def test_weighted_resolve_failure_names_the_iteration_and_stores_float_config(sim_dir, tmp_path,
                                                                               capsys):
     # lam: 0 is a YAML integer; the weighted run fails like the one above and
@@ -285,6 +310,11 @@ def test_invert_rejects_bad_config_values_before_any_output(sim_dir, tmp_path, c
     out = tmp_path / "out"
     for doc, message in (
         ("lam: .inf", "lam must be a finite number"),
+        # scipy's filter would ask for 59.6 GiB of taps, or blame the data file
+        ("trace_sigma: 1.0e+9", "trace_sigma must be at most 1000 grid spacings, "
+                                f"got 1000000000.0 (in --config {cfg_path})"),
+        ("trace_sigma: 1.0e+300", "trace_sigma must be at most 1000 grid spacings, "
+                                  f"got 1e+300 (in --config {cfg_path})"),
         ("clamp_negative: false", "unknown config keys: clamp_negative"),
         ("[]", f"config must be a mapping of method parameters, got [] (in --config {cfg_path})"),
         ("0", f"config must be a mapping of method parameters, got 0 (in --config {cfg_path})"),

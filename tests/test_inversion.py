@@ -66,6 +66,7 @@ def test_config_validation():
         dict(n_modes=False),
         dict(trace_sigma=-1.0),
         dict(trace_sigma=math.nan),
+        dict(trace_sigma=1e9),
         dict(lam=math.inf),
         dict(lam=-1.0),
         dict(lam=-0.1),
