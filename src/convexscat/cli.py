@@ -107,7 +107,8 @@ def cmd_invert(args) -> int:
         result = runner(cd, cfg)
     except (NearZeroTotalField, ValueError) as exc:
         # the loop catches a re-solve's NearZeroTotalField, so both come from
-        # the data: its traces, or a grid the loop cannot use
+        # the data: its traces, or a grid the loop cannot use (one on which
+        # the config's penalty weights overflow among them)
         raise ValueError(f"{args.data}: {exc}") from None
     os.makedirs(args.out, exist_ok=True)
 

@@ -40,14 +40,12 @@ midpoints are solved midpoint by midpoint, as are grids of at most six
 midpoints.  A failed solve raises its IllConditionedSystem unchanged, and the
 lowest midpoint is always solved first.
 
-Two reuses make the repeated stacks of an inversion cheaper.  Each node a
+One reuse makes the repeated stacks of an inversion cheaper: each node a
 finer level adds starts GMRES from the coarser level's interpolant, which is
-already close to its field; the first level's nodes and every midpoint
-solved directly start from zero, so those fields equal solve_forward's.  And
-the box-to-box spectrum of each node and the box-to-grid spectra of the
-residual check depend on the wavenumbers and the support box only, so an
-inversion keeps them in one KernelStore across its re-solves; the store
-holds one box and empties when the box changes.
+already close to its field.  The first level's nodes and every midpoint
+solved directly start from zero, so those fields equal solve_forward's.
+Every product builds its kernel spectrum afresh, so a call keeps no state
+for the next one.
 """
 
 from __future__ import annotations
@@ -348,36 +346,6 @@ def _kernel_table(grid: Grid2D, k) -> np.ndarray:
     return np.take(values, index, axis=-1)
 
 
-def _circulant_spectrum(table: np.ndarray, source, window) -> np.ndarray:
-    """FFT of the zero-padded circulant that carries table from source to window.
-
-    Along an axis where the source has p nodes starting at s and the window
-    w nodes starting at t, the output reads the offsets t - s + e for
-    e = -(p-1)..w-1.  Entry table[|t - s + e|] sits at position e of a
-    zero-padded circulant of length at least w + p - 1, so one FFT pair
-    gives the product exactly: no wrapped-around offset reaches the w-node
-    corner read back.  The circulant is filled from one take of the table
-    rows and one of its columns, placed by four slices: e >= 0 at the start
-    of an axis, e < 0 wrapped to its end.  A table with leading axes (one
-    table per wavenumber) gives a stack of spectra with the same leading
-    axes.  The spectrum depends on the box and the wavenumbers only, not on
-    the coefficient values, so it can be kept across solves (KernelStore).
-    """
-    shape, taken, quadrants = [], table, []
-    for axis, (src, out) in enumerate(zip(source, window)):
-        p, w = src.stop - src.start, out.stop - out.start
-        size = next_fast_len(w + p - 1)
-        shape.append(size)
-        taken = taken.take(np.abs(out.start - src.start + np.arange(-(p - 1), w)),
-                           axis=axis - 2)
-        quadrants.append(((slice(0, w), slice(p - 1, None)),
-                          (slice(size - p + 1, size), slice(0, p - 1))))
-    circ = np.zeros(table.shape[:-2] + tuple(shape), dtype=complex)
-    for (rows, rows_taken), (cols, cols_taken) in product(*quadrants):
-        circ[..., rows, cols] = taken[..., rows_taken, cols_taken]
-    return _fft2(circ, True, circ)
-
-
 def _fft2(x: np.ndarray, forward: bool, out: np.ndarray) -> np.ndarray:
     """FFT (forward) or inverse FFT of the complex array x over its last two
     axes, written to out, which may be x itself; returns out.
@@ -391,16 +359,42 @@ def _fft2(x: np.ndarray, forward: bool, out: np.ndarray) -> np.ndarray:
     return c2c(x, (x.ndim - 2, x.ndim - 1), forward, 0 if forward else 2, out, 1)
 
 
-def _circulant_product(kernel_hat: np.ndarray, weight: np.ndarray, window):
-    """Product v -> T (weight v) from the spectrum of T's circulant
-    (_circulant_spectrum); weight and v have the source's shape.
+def _offset_product(table: np.ndarray, weight: np.ndarray, source, window):
+    """Product v -> T (weight v) with T[(i, j), (i', j')] = table[|i - i'|, |j - j'|]
+    from the nodes of source to those of window, each a pair of grid slices;
+    weight and v have the source's shape.
+
+    Along an axis where the source has p nodes starting at s and the window
+    w nodes starting at t, the output reads the offsets t - s + e for
+    e = -(p-1)..w-1.  Entry table[|t - s + e|] sits at position e of a
+    zero-padded circulant of length at least w + p - 1, so one FFT pair
+    gives the product exactly: no wrapped-around offset reaches the w-node
+    corner read back.  The circulant is filled from one take of the table
+    rows and one of its columns, placed by four slices: e >= 0 at the start
+    of an axis, e < 0 wrapped to its end, and transformed in place once per
+    product.  A table with leading axes (one table per wavenumber) gives a
+    batch of products with the same leading axes, each on its own circulant.
 
     The zero-padded input buffer and the spectrum buffer are allocated once
     per product, not per call: each call writes weight v into the corner of
     the input buffer, transforms it into the spectrum buffer, multiplies by
-    kernel_hat and inverts in place.  The result is a view of the window in
-    the spectrum buffer, so the next call overwrites it; use it before then.
+    the kernel spectrum and inverts in place.  The result is a view of the
+    window in the spectrum buffer, so the next call overwrites it; use it
+    before then.
     """
+    shape, taken, quadrants = [], table, []
+    for axis, (src, out) in enumerate(zip(source, window)):
+        p, w = src.stop - src.start, out.stop - out.start
+        size = next_fast_len(w + p - 1)
+        shape.append(size)
+        taken = taken.take(np.abs(out.start - src.start + np.arange(-(p - 1), w)),
+                           axis=axis - 2)
+        quadrants.append(((slice(0, w), slice(p - 1, None)),
+                          (slice(size - p + 1, size), slice(0, p - 1))))
+    circ = np.zeros(table.shape[:-2] + tuple(shape), dtype=complex)
+    for (rows, rows_taken), (cols, cols_taken) in product(*quadrants):
+        circ[..., rows, cols] = taken[..., rows_taken, cols_taken]
+    kernel_hat = _fft2(circ, True, circ)
     buf = np.zeros(kernel_hat.shape, dtype=complex)
     spectrum = np.empty_like(buf)
     corner = buf[..., :weight.shape[0], :weight.shape[1]]
@@ -414,35 +408,6 @@ def _circulant_product(kernel_hat: np.ndarray, weight: np.ndarray, window):
         return result
 
     return apply
-
-
-class KernelStore:
-    """Kernel spectra of one support box, kept across the re-solves of one inversion.
-
-    It holds each Chebyshev node's box-to-box spectrum (solve_forward) and
-    the box-to-grid spectra of the residual-checked midpoints
-    (_interpolation_residuals), keyed by their wavenumbers.  A spectrum
-    depends on the grid, the wavenumbers and the support box only, so a
-    stored one is the array a solve would compute.  The store holds one box
-    at a time and empties itself when the box changes; it assumes one grid.
-    """
-
-    def __init__(self):
-        self.box = None
-        self.spectra = {}
-
-    def get(self, box, key, make):
-        """The spectrum under key for this box, from make() the first time."""
-        if box != self.box:
-            self.box = box
-            self.spectra.clear()
-        if key not in self.spectra:
-            self.spectra[key] = make()
-        return self.spectra[key]
-
-
-def _spectrum(store, box, key, make):
-    return make() if store is None else store.get(box, key, make)
 
 
 def _gmres(apply, b: np.ndarray, residual, x0=None, accept=None):
@@ -542,7 +507,7 @@ def _support_box(a: np.ndarray):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def solve_forward(coeff: Coefficient, k: float, start=None, store=None) -> np.ndarray:
+def solve_forward(coeff: Coefficient, k: float, start=None) -> np.ndarray:
     """Total field u on every grid node for one wavenumber.
 
     The product a u vanishes off the bounding box B (p x q nodes) of the
@@ -568,9 +533,7 @@ def solve_forward(coeff: Coefficient, k: float, start=None, store=None) -> np.nd
     overflow is reported by that error, not by a floating-point warning.
 
     start, if given, is a first guess of u on B (p x q) that GMRES starts
-    from instead of zero.  store, a KernelStore, keeps the box-to-box
-    spectrum for the next solve at this k on the same box; the box-to-grid
-    spectrum is built per solve.
+    from instead of zero.
     """
     if k <= 0:
         raise ValueError("wavenumber must be positive")
@@ -588,10 +551,9 @@ def solve_forward(coeff: Coefficient, k: float, start=None, store=None) -> np.nd
     a_box = a[box]
     p, q = a_box.shape
     table = (k * k * grid.h ** 2) * _kernel_table(grid, k)
-    box_hat = _spectrum(store, box, ("box", k), lambda: _circulant_spectrum(table, box, box))
-    box_product = _circulant_product(box_hat, a_box, box)
+    box_product = _offset_product(table, a_box, box, box)
     full = (slice(0, n), slice(0, n))
-    extension = _circulant_product(_circulant_spectrum(table, box, full), a_box, full)
+    extension = _offset_product(table, a_box, box, full)
     c = None
 
     def apply(v):
@@ -627,7 +589,7 @@ def solve_forward(coeff: Coefficient, k: float, start=None, store=None) -> np.nd
     return u
 
 
-def solve_forward_multi(coeff: Coefficient, kgrid: KGrid, store=None) -> np.ndarray:
+def solve_forward_multi(coeff: Coefficient, kgrid: KGrid) -> np.ndarray:
     """Fields for all wavenumber midpoints, stacked as (n_k, n_nodes, n_nodes).
 
     Each field is either a solve_forward solve or an interpolant in k that
@@ -642,16 +604,14 @@ def solve_forward_multi(coeff: Coefficient, kgrid: KGrid, store=None) -> np.ndar
     the first midpoint, so a system that stalls at the lowest wavenumber
     raises on the first solve, as the midpoint-by-midpoint loop did.  A
     midpoint whose interpolant passes the check is not solved, so its own
-    solve cannot fail.  Direct midpoint solves start from zero and use no
-    store, so each equals solve_forward(coeff, k).  store, a KernelStore,
-    keeps the node and residual-check spectra for the next call on the same
-    support box; the result does not depend on it.
+    solve cannot fail.  Direct midpoint solves start from zero, so each
+    equals solve_forward(coeff, k).
     """
     ks = kgrid.midpoints
     levels = [m for m in K_LEVELS if m + 1 < ks.size]
     fields = {}
     if levels and np.any(coeff.quadrature_mean()):
-        _chebyshev_fields(coeff, ks, levels, fields, store)
+        _chebyshev_fields(coeff, ks, levels, fields)
     for m, k in enumerate(ks):
         if m not in fields:
             fields[m] = solve_forward(coeff, k)
@@ -671,8 +631,7 @@ def _barycentric(x: np.ndarray, f: np.ndarray, targets: np.ndarray) -> np.ndarra
     return (weights @ f.reshape(x.size, -1)).reshape((targets.size,) + f.shape[1:])
 
 
-def _chebyshev_fields(coeff: Coefficient, ks: np.ndarray, levels, fields: dict,
-                      store=None) -> None:
+def _chebyshev_fields(coeff: Coefficient, ks: np.ndarray, levels, fields: dict) -> None:
     """Fill fields (midpoint index -> field) from solves at Chebyshev-Lobatto nodes in k.
 
     Level m has the m + 1 nodes c - r cos(pi j / m), j = 0..m, of
@@ -689,7 +648,6 @@ def _chebyshev_fields(coeff: Coefficient, ks: np.ndarray, levels, fields: dict,
     On acceptance every other midpoint gets the barycentric interpolant of
     u/u_in times u_in, checked against the full-grid residual bound
     (_interpolation_residuals); only the fields that pass it are kept.
-    store is passed to the node solves and the check.
     """
     grid = coeff.grid
     box = _support_box(coeff.quadrature_mean())
@@ -709,7 +667,7 @@ def _chebyshev_fields(coeff: Coefficient, ks: np.ndarray, levels, fields: dict,
             starts *= _incident_column(grid, nodes[new][:, None, None])[:, box[0]]
         for j, start in zip(new, starts):
             try:
-                u = solve_forward(coeff, nodes[j], start, store)
+                u = solve_forward(coeff, nodes[j], start)
             except IllConditionedSystem:
                 if j == 0:  # the first midpoint: the per-midpoint loop fails here too
                     raise
@@ -730,21 +688,18 @@ def _chebyshev_fields(coeff: Coefficient, ks: np.ndarray, levels, fields: dict,
     missing = [m for m in range(ks.size) if m not in fields]
     interpolated = _barycentric(nodes[taken], f, ks[missing])
     interpolated *= _incident_column(grid, ks[missing][:, None, None])
-    resid = _interpolation_residuals(coeff, ks[missing], interpolated, store)
+    resid = _interpolation_residuals(coeff, ks[missing], interpolated)
     # a non-finite residual fails the check too
     fields.update((m, u) for m, u, ok in zip(missing, interpolated, resid < RESIDUAL_BOUND) if ok)
 
 
-def _interpolation_residuals(coeff: Coefficient, ks: np.ndarray, fields: np.ndarray,
-                             store=None) -> np.ndarray:
+def _interpolation_residuals(coeff: Coefficient, ks: np.ndarray, fields: np.ndarray) -> np.ndarray:
     """|u - k^2 h^2 K(a u) - u_in| / |u_in| on the full grid, per field of the stack.
 
     The box-to-grid products run in chunks of wavenumbers, each from one
     Bessel table evaluation, one batch of circulants and one FFT pair
-    (_circulant_spectrum of a stacked table), with at most _CHUNK_ENTRIES
-    circulant entries per chunk.  store, a KernelStore, keeps each chunk's
-    spectra, so a later call with the same wavenumbers and box skips the
-    table and the circulants.
+    (_offset_product of a stacked table), with at most _CHUNK_ENTRIES
+    circulant entries per chunk.
     """
     grid = coeff.grid
     n = grid.n_nodes
@@ -757,13 +712,8 @@ def _interpolation_residuals(coeff: Coefficient, ks: np.ndarray, fields: np.ndar
     resid = np.empty(ks.size)
     for s in range(0, ks.size, chunk):
         k = ks[s:s + chunk]
-
-        def spectra():
-            table = (k * k * grid.h ** 2)[:, None, None] * _kernel_table(grid, k)
-            return _circulant_spectrum(table, box, full)
-
-        kernel_hat = _spectrum(store, box, ("grid",) + tuple(k.tolist()), spectra)
-        extension = _circulant_product(kernel_hat, a_box, full)
+        table = (k * k * grid.h ** 2)[:, None, None] * _kernel_table(grid, k)
+        extension = _offset_product(table, a_box, box, full)
         u = fields[s:s + chunk]
         u_in = np.broadcast_to(_incident_column(grid, k[:, None, None]), u.shape)
         c = extension(u[(Ellipsis,) + box])

@@ -40,7 +40,6 @@ from .forward import (
     CauchyData,
     Coefficient,
     IllConditionedSystem,
-    KernelStore,
     solve_forward_multi,
 )
 from .objective import evaluate_and_gradient
@@ -124,8 +123,9 @@ def _run_loop(cd: CauchyData, cfg: InversionConfig, keep_best: bool):
     """The descent loop of both public runs.
 
     keep_best disables the tolerance stop and returns the smallest-J iterate
-    instead of the last one.  A failed re-solve ends either run early.  The
-    re-solves share one KernelStore, which lives as long as this call.
+    instead of the last one.  A failed re-solve ends either run early.  Each
+    re-solve is a fresh solve_forward_multi call that keeps nothing for the
+    next one.
     """
     grid = cd.grid
     kg = cd.kgrid
@@ -141,7 +141,6 @@ def _run_loop(cd: CauchyData, cfg: InversionConfig, keep_best: bool):
     records: list[IterationRecord] = []
     stop = error = None
     best = (np.inf, V)
-    store = KernelStore()
 
     for n in range(cfg.max_iterations + 1):
         W = V - F
@@ -161,7 +160,7 @@ def _run_loop(cd: CauchyData, cfg: InversionConfig, keep_best: bool):
                 V_step = (W - cfg.epsilon * grad) + F
             a_n = recover_coefficient(V_step, bs, grid)
             try:
-                u = solve_forward_multi(a_n, kg, store)
+                u = solve_forward_multi(a_n, kg)
                 V = log_to_coeffs(total_to_log(u, grid, kg), bs)
             except (NearZeroTotalField, IllConditionedSystem) as exc:
                 error = exc

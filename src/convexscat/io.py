@@ -7,8 +7,10 @@ everything stays 0-based.  A seed of -1 in a data header means "no seed
 recorded".  The readers reject a data row whose index is out of range or
 repeats an earlier row, or whose value is not a finite number, and name the
 first such line in the file; a bad header value is named the same way.
-The history reader checks each row's field count, integer n and finite
-values the same way, and refuses a file with no rows.
+The history reader checks each row's field count, integer n and float
+values the same way, and refuses a file with no rows; its floats may be
+nan or +-inf, since a history is the loop's faithful record and a run that
+overflowed writes them.
 """
 
 from __future__ import annotations
@@ -103,8 +105,8 @@ def _located(where):
         raise ValueError(f"{where}: {exc}") from None
 
 
-def _parse_rows(path, rows, layout: str, n_int: int, shape=None):
-    """The first n_int fields of each row as ints, the rest as finite floats.
+def _parse_rows(path, rows, layout: str, n_int: int, shape=None, finite=True):
+    """The first n_int fields of each row as ints, the rest as floats, finite if finite is set.
 
     With shape, the ints are 1-based indices into it, each in range and used
     by one row only.  The first bad row in file order is named by its line.
@@ -120,7 +122,7 @@ def _parse_rows(path, rows, layout: str, n_int: int, shape=None):
                 raise ValueError(f"each row needs '{layout}', got {len(row)} fields")
             idx = tuple([int(x) for x in row[:n_int]])
             v = [float(x) for x in row[n_int:]]
-            if not all(map(math.isfinite, v)):
+            if finite and not all(map(math.isfinite, v)):
                 raise ValueError("non-finite value")
             if shape is not None:
                 if not all([0 < i <= n for i, n in zip(idx, shape)]):
@@ -199,11 +201,12 @@ def write_heatmap(coeff: Coefficient, path) -> None:
 
 
 def read_history(path):
-    """The iteration records of a history file; at least one row, each checked like a data row."""
+    """The iteration records of a history file; at least one row, each checked
+    like a data row except that its floats may be nan or +-inf."""
     _, rows = _read_lines(path)
     if not rows:
         raise ValueError(f"{path}: no iteration rows")
-    ns, vals = _parse_rows(path, rows, "n J grad_norm a_max", 1)
+    ns, vals = _parse_rows(path, rows, "n J grad_norm a_max", 1, finite=False)
     return [IterationRecord(n, *v) for (n,), v in zip(ns, vals.tolist())]
 
 

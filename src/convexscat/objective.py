@@ -67,17 +67,32 @@ def _penalty(grid: Grid2D, rho: float, alpha1: float, alpha2: float):
     The regularizer is rho h^2 times the squared L2 norm of w over all nodes
     plus those of its first, second and (doubled) mixed differences over the
     interior; the penalties are alpha1 h |w|^2 on the measurement row and
-    alpha2 h |dw/dx2|^2 on its interior nodes.
+    alpha2 h |dw/dx2|^2 on its interior nodes.  The differences scale the
+    form by up to 1/h^2, so a finite weight can still overflow it; a form
+    that is not finite raises a ValueError naming the weights whose terms
+    overflowed (all three if only their sum did), with no floating-point
+    warning.
     """
     n, h = grid.n_nodes, grid.h
     _, _, (dx1, dx2, c1, c2, mixed) = _stencils(grid)
     eye = sp.identity(n * n, format="csr")
     top = eye[-n:]
     top_dx2 = dx2[-(n - 2):]
-    P = rho * h * h * (
-        eye + dx1.T @ dx1 + dx2.T @ dx2 + c1.T @ c1 + c2.T @ c2 + 2 * (mixed.T @ mixed)
-    )
-    P += alpha1 * h * (top.T @ top) + alpha2 * h * (top_dx2.T @ top_dx2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = {
+            "rho": rho * h * h * (
+                eye + dx1.T @ dx1 + dx2.T @ dx2 + c1.T @ c1 + c2.T @ c2 + 2 * (mixed.T @ mixed)
+            ),
+            "alpha1": alpha1 * h * (top.T @ top),
+            "alpha2": alpha2 * h * (top_dx2.T @ top_dx2),
+        }
+        P = terms["rho"] + (terms["alpha1"] + terms["alpha2"])
+    if not np.all(np.isfinite(P.data)):
+        bad = [name for name, term in terms.items() if not np.all(np.isfinite(term.data))]
+        weights = {"rho": rho, "alpha1": alpha1, "alpha2": alpha2}
+        raise ValueError(f"the penalty form overflows on the {grid.n_cells}-cell grid "
+                         f"(h = {h!r}) at "
+                         + ", ".join(f"{name} = {weights[name]!r}" for name in bad or weights))
     return P.tocsr()
 
 

@@ -276,11 +276,29 @@ def test_a_non_finite_re_solve_is_a_resolve_failure(sim_dir, tmp_path, capsys, k
     assert "coefficient is not finite" in doc["error"]
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: re-solve failed at n={n}: {doc['error']}"]
-    # the failed iterate's a_max is nan, which read_history refuses
-    rows = [line.split() for line in (out / "history.txt").read_text().splitlines()[1:]]
-    assert [int(row[0]) for row in rows] == list(range(n + 1))
-    assert all(np.isfinite(float(x)) for row in rows for x in row[1:3]) and rows[-1][3] == "nan"
+    # the failed iterate's a_max is nan, and the history keeps it
+    records = read_history(out / "history.txt")
+    assert [r.n for r in records] == list(range(n + 1))
+    assert all(np.isfinite([r.J_value, r.gradient_norm]).all() for r in records)
+    assert np.isnan(records[-1].a_max) and np.isfinite([r.a_max for r in records[:-1]]).all()
     assert doc["outputs"] == {str(out / "history.txt"): _sha(out / "history.txt")}
+
+
+@pytest.mark.parametrize("key", ["rho", "alpha2"])
+def test_an_overflowing_penalty_weight_is_an_input_error(sim_dir, tmp_path, capsys, key):
+    # finite weights that the 1/h^2 of the differences pushes past the
+    # largest double: the run stops before its first step with exit 2, one
+    # error line naming the weight, no numpy warning and no output
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(f"n_modes: 3\n{key}: 1.0e+308\n")
+    out = tmp_path / "out"
+    rc = main(["invert", "--data", str(sim_dir / "cauchy_noisy.txt"),
+               "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {sim_dir / 'cauchy_noisy.txt'}: the penalty form overflows on the "
+                   f"16-cell grid (h = 0.1) at {key} = 1e+308"]
+    assert not out.exists()
 
 
 def test_weighted_resolve_failure_names_the_iteration_and_stores_float_config(sim_dir, tmp_path,

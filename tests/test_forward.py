@@ -30,12 +30,10 @@ from convexscat import forward
 from convexscat.forward import (
     K_LEVELS,
     IllConditionedSystem,
-    KernelStore,
-    _circulant_product,
-    _circulant_spectrum,
     _gmres,
     _kernel_table,
     _lattice_radii,
+    _offset_product,
 )
 from convexscat.scenarios import BUILTIN_SCENARIOS, get_scenario
 from convexscat.validate import check_forward_oracle
@@ -358,8 +356,7 @@ def _full_grid_residual(coeff, k, u):
     grid = coeff.grid
     full = (slice(0, grid.n_nodes), slice(0, grid.n_nodes))
     table = (k * k * grid.h ** 2) * _kernel_table(grid, k)
-    c = _circulant_product(_circulant_spectrum(table, full, full), coeff.quadrature_mean(),
-                           full)(u)
+    c = _offset_product(table, coeff.quadrature_mean(), full, full)(u)
     u_in = WAVE.field(*grid.mesh(), k)
     return np.linalg.norm(u - c - u_in) / np.linalg.norm(u_in)
 
@@ -447,14 +444,13 @@ def test_circulant_product_reuses_its_buffers_without_stale_values(default_kgrid
     tables = (k * k * grid.h ** 2)[:, None, None] * _kernel_table(grid, k)
     rng = np.random.default_rng(4)
     for table, window in ((tables[0], box), (tables, full)):
-        kernel_hat = _circulant_spectrum(table, box, window)
-        product = _circulant_product(kernel_hat, a[box], window)
+        product = _offset_product(table, a[box], box, window)
         for _ in range(3):
             shape = table.shape[:-2] + a[box].shape
             v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             result = product(v)
             assert result.shape == table.shape[:-2] + tuple(s.stop - s.start for s in window)
-            assert np.array_equal(result, _circulant_product(kernel_hat, a[box], window)(v))
+            assert np.array_equal(result, _offset_product(table, a[box], box, window)(v))
 
 
 def test_multi_solve_falls_back_on_high_contrast(default_kgrid, monkeypatch):
@@ -473,8 +469,8 @@ def test_multi_solve_replaces_a_field_that_fails_the_residual_check(default_kgri
     check = forward._interpolation_residuals
     refused = []
 
-    def failing(coeff, ks, fields, *rest):
-        resid = check(coeff, ks, fields, *rest)
+    def failing(coeff, ks, fields):
+        resid = check(coeff, ks, fields)
         refused.extend(ks[[5, 20]])
         resid[5], resid[20] = 1.0, np.nan
         return resid
@@ -538,39 +534,16 @@ def test_finer_level_nodes_start_from_the_coarser_interpolant(default_kgrid, mon
         assert iterations < cold if warm else iterations == cold
 
 
-def test_kernel_store_is_reused_and_changes_no_field(default_kgrid, monkeypatch):
-    # a second call with the same store builds only the box-to-grid spectrum
-    # of each node solve and returns the same arrays as the first call and as
-    # a call without a store
-    coeff = rasterize(get_scenario("example1").shapes, Grid2D(0.8, 28))
-    plain = solve_forward_multi(coeff, default_kgrid)
-    store = KernelStore()
-    first = solve_forward_multi(coeff, default_kgrid, store)
-    built = []
-    spectrum = forward._circulant_spectrum
-    monkeypatch.setattr(forward, "_circulant_spectrum",
-                        lambda table, source, window:
-                        built.append(window) or spectrum(table, source, window))
-    calls, _ = _count_solves(monkeypatch)
-    second = solve_forward_multi(coeff, default_kgrid, store)
-    n = coeff.grid.n_nodes
-    assert built == [(slice(0, n), slice(0, n))] * len(calls)
-    assert np.array_equal(first, plain) and np.array_equal(second, plain)
-
-
-def test_kernel_store_holds_only_the_last_support_box(default_kgrid):
+def test_multi_solve_keeps_no_state_between_calls(default_kgrid):
+    # A, then B on another support box, then A again: the second A stack is
+    # the first one bit for bit, so no call leaves anything behind for the next
     grid = Grid2D(0.8, 28)
-    before = rasterize(get_scenario("example1").shapes, grid)
-    after = _iterate_like(grid)
-    store, fresh = KernelStore(), KernelStore()
-    solve_forward_multi(before, default_kgrid, store)
-    solve_forward_multi(after, default_kgrid, store)
-    solve_forward_multi(after, default_kgrid, fresh)
-    assert store.box == fresh.box == forward._support_box(after.quadrature_mean())
-    assert store.box != forward._support_box(before.quadrature_mean())
-    assert store.spectra.keys() == fresh.spectra.keys()
-    for key, kernel_hat in fresh.spectra.items():
-        assert np.array_equal(store.spectra[key], kernel_hat)
+    a = rasterize(get_scenario("example1").shapes, grid)
+    b = _iterate_like(grid)
+    assert forward._support_box(a.quadrature_mean()) != forward._support_box(b.quadrature_mean())
+    first = solve_forward_multi(a, default_kgrid)
+    solve_forward_multi(b, default_kgrid)
+    assert np.array_equal(solve_forward_multi(a, default_kgrid), first)
 
 
 def test_multi_solve_stall_at_the_lowest_k_raises_at_the_first_midpoint(default_kgrid,
