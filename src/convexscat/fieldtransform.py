@@ -53,32 +53,34 @@ class LogField:
     branch_jumps: int
 
 
-def _check_floor(mag: np.ndarray, what: str) -> None:
-    """Refuse |p| = mag within P_FLOOR of zero."""
+def _log_map(u: np.ndarray, x2, ks: np.ndarray, caller: str) -> LogField:
+    """v = Log(p)/k^2, p = u/u_in, for samples u with the wavenumbers ks on the first axis.
+
+    x2, the samples' heights, broadcasts against the other axes of u.  Log p
+    is log|p| + i arg(p), so the phase also gives the branch diagnostic; a
+    |p| within P_FLOOR of zero raises NearZeroTotalField naming the caller.
+    """
+    ks = ks.reshape((-1,) + (1,) * (u.ndim - 1))
+    p = u / IncidentWave.field(x2, ks)
+    mag = np.abs(p)
     if mag.min() <= P_FLOOR:
         n_bad = int(np.count_nonzero(mag <= P_FLOOR))
         raise NearZeroTotalField(
-            f"{what}: |u/u_in| <= {P_FLOOR:g} at {n_bad} samples (min {mag.min():.3e})"
+            f"{caller}: |u/u_in| <= {P_FLOOR:g} at {n_bad} samples (min {mag.min():.3e})"
         )
+    phase = np.angle(p)
+    v = (np.log(mag) + 1j * phase) / ks ** 2
+    jumps = int(np.count_nonzero(np.abs(np.diff(phase, axis=0)) > np.pi))
+    return LogField(v=v, branch_jumps=jumps)
 
 
 def total_to_log(fields: np.ndarray, grid: Grid2D, kg: KGrid) -> LogField:
     """v = Log(u/u_in)/k^2 on the whole grid for every wavenumber midpoint.
 
-    The principal logarithm is taken as log|p| + i arg(p), so the phase is
-    computed once for both v and the branch diagnostic.
+    The same map as cauchy_to_v_data's g~0, so the two agree bit for bit on
+    the top row.
     """
-    fields = np.asarray(fields)
-    ks = kg.midpoints[:, None, None]
-    # d = (0, -1): u_in is constant along each row
-    u_in = IncidentWave().field(0.0, grid.nodes[None, :, None], ks)
-    p = fields / u_in
-    mag = np.abs(p)
-    _check_floor(mag, "total_to_log")
-    phase = np.angle(p)
-    v = (np.log(mag) + 1j * phase) / ks ** 2
-    jumps = int(np.count_nonzero(np.abs(np.diff(phase, axis=0)) > np.pi))
-    return LogField(v=v, branch_jumps=jumps)
+    return _log_map(np.asarray(fields), grid.nodes[:, None], kg.midpoints, "total_to_log")
 
 
 def log_to_coeffs(lf: LogField, bs: BasisSet) -> np.ndarray:
@@ -89,23 +91,18 @@ def log_to_coeffs(lf: LogField, bs: BasisSet) -> np.ndarray:
 def cauchy_to_v_data(cd: CauchyData, bs: BasisSet):
     """Transform measured traces (g0, g1) into basis coefficients (G0, G1) on Gamma.
 
-    g~0 = Log(g0/u_in)/k^2 and, by the chain rule through v = Log(u/u_in)/k^2,
-    g~1 = (g1/g0 - ik d2)/k^2.  Both are then projected; returned arrays have
-    shape (n_modes, n_nodes).
+    g~0 = Log(g0/u_in)/k^2 by total_to_log's map on the row x2 = R, so G0 is
+    the top row of log_to_coeffs for fields with trace g0.  By the chain rule
+    through v = Log(u/u_in)/k^2, g~1 = (g1/g0 - ik d2)/k^2.  Both are then
+    projected; returned arrays have shape (n_modes, n_nodes).
     """
     kg = cd.kgrid
     if not np.allclose(kg.midpoints, bs.kgrid.midpoints):
         raise ValueError("basis and data live on different wavenumber grids")
     ks = kg.midpoints
-    x1 = cd.grid.nodes
-    wave = IncidentWave()
-    u_in = wave.field(x1[:, None], cd.grid.half_width, ks[None, :])
-    p0 = cd.g0 / u_in
-    _check_floor(np.abs(p0), "cauchy_to_v_data")
-    k2 = ks[None, :] ** 2
-    gt0 = np.log(p0) / k2
-    gt1 = (cd.g1 / cd.g0 - 1j * ks[None, :] * wave.direction[1]) / k2
-    return project(gt0, bs).T.copy(), project(gt1, bs).T.copy()
+    G0 = log_to_coeffs(_log_map(cd.g0.T, cd.grid.half_width, ks, "cauchy_to_v_data"), bs)
+    gt1 = (cd.g1 / cd.g0 - 1j * ks[None, :] * IncidentWave.direction[1]) / ks[None, :] ** 2
+    return G0, project(gt1, bs).T.copy()
 
 
 def smooth_traces(G: np.ndarray, sigma: float) -> np.ndarray:

@@ -277,17 +277,14 @@ def rasterize(shapes, grid: Grid2D) -> Coefficient:
 
 
 class IncidentWave:
-    """Plane wave exp(ik(d1 x1 + d2 x2)) with the fixed direction d = (0, -1),
-    for which the log transform and the recovery formula are derived."""
+    """Plane wave exp(ik d.x) with the fixed direction d = (0, -1), for which the log
+    transform and the recovery formula are derived; as d1 = 0, it is exp(ik d2 x2)."""
 
     direction = (0.0, -1.0)
 
-    def field(self, x1, x2, k):
-        d1, d2 = self.direction
-        return np.exp(1j * k * (d1 * np.asarray(x1) + d2 * np.asarray(x2)))
-
-    def dx2(self, x1, x2, k):
-        return 1j * k * self.direction[1] * self.field(x1, x2, k)
+    @staticmethod
+    def field(x2, k):
+        return np.exp(1j * k * (IncidentWave.direction[1] * x2))
 
 
 @dataclass(frozen=True)
@@ -494,11 +491,6 @@ def _gmres(apply, b: np.ndarray, residual, x0=None, accept=None):
     return x, iterations
 
 
-def _incident_column(grid: Grid2D, k):
-    """u_in on one column of nodes; for d = (0, -1) it is constant along each row."""
-    return IncidentWave().field(0.0, grid.nodes[:, None], k)
-
-
 def _support_box(a: np.ndarray):
     """Grid slices of the bounding box of the nonzero entries of a."""
     rows = np.flatnonzero(np.any(a != 0, axis=1))
@@ -535,11 +527,11 @@ def solve_forward(coeff: Coefficient, k: float, start=None) -> np.ndarray:
     start, if given, is a first guess of u on B (p x q) that GMRES starts
     from instead of zero.
     """
-    if k <= 0:
-        raise ValueError("wavenumber must be positive")
+    if not 0 < k < math.inf:
+        raise ValueError(f"wavenumber must be positive and finite, got {k}")
     grid = coeff.grid
     n = grid.n_nodes
-    u_in = np.broadcast_to(_incident_column(grid, k), (n, n))
+    u_in = np.broadcast_to(IncidentWave.field(grid.nodes[:, None], k), (n, n))
     a = coeff.quadrature_mean()
     if not np.all(np.isfinite(a)):
         raise IllConditionedSystem(f"scattering solve at k={k}: coefficient is not finite "
@@ -664,7 +656,7 @@ def _chebyshev_fields(coeff: Coefficient, ks: np.ndarray, levels, fields: dict) 
         starts = [None] * len(new)
         if coarse is not None:
             starts = _barycentric(nodes[coarse], f[(Ellipsis,) + box], nodes[new])
-            starts *= _incident_column(grid, nodes[new][:, None, None])[:, box[0]]
+            starts *= IncidentWave.field(grid.nodes[:, None], nodes[new][:, None, None])[:, box[0]]
         for j, start in zip(new, starts):
             try:
                 u = solve_forward(coeff, nodes[j], start)
@@ -674,7 +666,7 @@ def _chebyshev_fields(coeff: Coefficient, ks: np.ndarray, levels, fields: dict) 
                 return
             if nodes[j] in midpoint:
                 fields[midpoint[nodes[j]]] = u
-            ratio[j] = u / _incident_column(grid, nodes[j])
+            ratio[j] = u / IncidentWave.field(grid.nodes[:, None], nodes[j])
         f = np.stack([ratio[j] for j in taken])
         cheb = np.abs(dct(f, type=1, axis=0)).max(axis=(1, 2)) / level
         tail = max(cheb[-2], cheb[-1] / 2) / np.abs(f).max()
@@ -687,7 +679,7 @@ def _chebyshev_fields(coeff: Coefficient, ks: np.ndarray, levels, fields: dict) 
 
     missing = [m for m in range(ks.size) if m not in fields]
     interpolated = _barycentric(nodes[taken], f, ks[missing])
-    interpolated *= _incident_column(grid, ks[missing][:, None, None])
+    interpolated *= IncidentWave.field(grid.nodes[:, None], ks[missing][:, None, None])
     resid = _interpolation_residuals(coeff, ks[missing], interpolated)
     # a non-finite residual fails the check too
     fields.update((m, u) for m, u, ok in zip(missing, interpolated, resid < RESIDUAL_BOUND) if ok)
@@ -715,7 +707,7 @@ def _interpolation_residuals(coeff: Coefficient, ks: np.ndarray, fields: np.ndar
         table = (k * k * grid.h ** 2)[:, None, None] * _kernel_table(grid, k)
         extension = _offset_product(table, a_box, box, full)
         u = fields[s:s + chunk]
-        u_in = np.broadcast_to(_incident_column(grid, k[:, None, None]), u.shape)
+        u_in = np.broadcast_to(IncidentWave.field(grid.nodes[:, None], k[:, None, None]), u.shape)
         c = extension(u[(Ellipsis,) + box])
         resid[s:s + chunk] = (np.linalg.norm(u - c - u_in, axis=(1, 2))
                               / np.linalg.norm(u_in, axis=(1, 2)))
@@ -770,8 +762,8 @@ def trace_cauchy(fields: np.ndarray, coeff: Coefficient, kgrid: KGrid) -> Cauchy
     au_hat = fft(mean[rows] * fields[:, rows, :], size)
     scattered = ifft(np.einsum("mrf,mrf->mf", fft(circ), au_hat))[:, :n]
 
-    wave = IncidentWave()
-    g1 = wave.dx2(grid.nodes[:, None], grid.half_width, kgrid.midpoints[None, :]) + scattered.T
+    k = kgrid.midpoints
+    g1 = 1j * k * IncidentWave.direction[1] * IncidentWave.field(grid.half_width, k) + scattered.T
     return CauchyData(grid=grid, kgrid=kgrid, g0=g0, g1=g1, noise_level=0.0, seed=None)
 
 
@@ -790,8 +782,8 @@ def add_noise(cd: CauchyData, delta: float, seed: int | None = None) -> CauchyDa
     are normalized in the trapezoid-weighted L2 norm over boundary x k, so
     the relative perturbation equals delta exactly.  Deterministic per seed.
     """
-    if delta < 0:
-        raise ValueError("noise level must be nonnegative")
+    if not 0 <= delta < math.inf:
+        raise ValueError(f"noise level must be finite and nonnegative, got {delta}")
     if delta == 0:
         return cd
     rng = np.random.default_rng(seed)

@@ -4,9 +4,10 @@ One row writer writes every table, ints with %d and floats with repr,
 which round-trips doubles exactly, so a write-then-read cycle is
 bit-for-bit.  Grid and row/column indices are 1-based in files; in memory
 everything stays 0-based.  A seed of -1 in a data header means "no seed
-recorded".  The readers reject a data row whose index is out of range or
-repeats an earlier row, or whose value is not a finite number, and name the
-first such line in the file; a bad header value is named the same way.
+recorded", and a lower one is refused.  The readers reject a data row
+whose index is out of range or repeats an earlier row, or whose value is
+not a finite number, and name the first such line in the file; a bad
+header value is named the same way.
 The history reader checks each row's field count, integer n and float
 values the same way, and refuses a file with no rows; its floats may be
 nan or +-inf, since a history is the loop's faithful record and a run that
@@ -148,6 +149,8 @@ def read_cauchy(path) -> CauchyData:
         grid = Grid2D(R, n_cells)
         if not 0 <= delta < math.inf:
             raise ValueError(f"noise level must be finite and nonnegative, got {delta}")
+        if seed < -1:
+            raise ValueError(f"seed must be nonnegative, or -1 for no seed, got {seed}")
     if len(rows) != grid.n_nodes * n_k:
         raise ValueError(f"{path}: expected {grid.n_nodes * n_k} data rows, found {len(rows)}")
     with _located(where):
@@ -160,7 +163,7 @@ def read_cauchy(path) -> CauchyData:
     jm = tuple(np.array(index).T - 1)
     g0[jm], g1[jm] = vals.view(complex).T
     return CauchyData(grid=grid, kgrid=kg, g0=g0, g1=g1, noise_level=delta,
-                      seed=None if seed < 0 else seed)
+                      seed=None if seed == -1 else seed)
 
 
 def write_coefficient(coeff: Coefficient, path) -> None:

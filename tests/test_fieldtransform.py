@@ -22,8 +22,6 @@ from convexscat import (
 from convexscat.forward import CauchyData
 from convexscat.scenarios import get_scenario
 
-WAVE = IncidentWave()
-
 # the nodes recover_coefficient reads a on: rows 1..n-3, columns 1..n-2
 READABLE = np.s_[1:-2, 1:-1]
 
@@ -48,8 +46,8 @@ def disk_data(default_kgrid, default_basis):
 
 
 def _incident_stack(grid, kg):
-    X1, X2 = grid.mesh()
-    return np.stack([WAVE.field(X1, X2, k) for k in kg.midpoints])
+    _, X2 = grid.mesh()
+    return np.stack([IncidentWave.field(X2, k) for k in kg.midpoints])
 
 
 def test_log_of_incident_field_is_zero(default_kgrid):
@@ -162,7 +160,7 @@ def test_trace_transform_is_the_substitution_formula(default_kgrid, default_basi
     grid = Grid2D(0.8, 16)
     x1 = grid.nodes
     ks = default_kgrid.midpoints
-    u_in = WAVE.field(x1[:, None], grid.half_width, ks[None, :])
+    u_in = IncidentWave.field(grid.half_width, ks)
     r = 0.02 * x1**2 - 0.01j * x1
     q = 0.05 * np.cos(x1) + 0.03j * x1
     k2 = ks[None, :] ** 2
@@ -175,11 +173,22 @@ def test_trace_transform_is_the_substitution_formula(default_kgrid, default_basi
     assert np.max(np.abs(G1 - np.outer(ones, q))) <= 1e-12
 
 
+def test_trace_transform_is_the_field_map_on_the_top_row(default_kgrid, default_basis):
+    # the data's G0 and the top row of V from the solved fields come from one
+    # Log(u/u_in)/k^2, so the alpha1 term compares like with like exactly
+    sc = get_scenario("example1")
+    grid = Grid2D(sc.half_width, sc.n_cells)
+    truth = rasterize(sc.shapes, grid)
+    fields = solve_forward_multi(truth, default_kgrid)
+    cd = trace_cauchy(fields, truth, default_kgrid)
+    V = log_to_coeffs(total_to_log(fields, grid, default_kgrid), default_basis)
+    assert np.array_equal(cauchy_to_v_data(cd, default_basis)[0], V[:, -1, :])
+
+
 def test_trace_transform_refuses_near_zero_trace(default_kgrid, default_basis):
     grid = Grid2D(0.8, 8)
-    x1 = grid.nodes
     ks = default_kgrid.midpoints
-    g0 = WAVE.field(x1[:, None], grid.half_width, ks[None, :]).astype(complex)
+    g0 = np.broadcast_to(IncidentWave.field(grid.half_width, ks), (grid.n_nodes, ks.size)).copy()
     g0[2, 5] *= 1e-9
     cd = CauchyData(grid=grid, kgrid=default_kgrid, g0=g0, g1=np.zeros_like(g0))
     with pytest.raises(NearZeroTotalField):

@@ -38,7 +38,6 @@ from convexscat.forward import (
 from convexscat.scenarios import BUILTIN_SCENARIOS, get_scenario
 from convexscat.validate import check_forward_oracle
 
-WAVE = IncidentWave()
 DISK = Disk(center=(0.0, 0.45), radius=0.2, value=3.0)
 
 # disk (0, 0.45) r=0.2 a=3, downward wave, k=1, probe (0.3, 0.1); first
@@ -51,8 +50,16 @@ def test_zero_coefficient_returns_incident_field():
     grid = Grid2D(0.8, 12)
     coeff = rasterize([], grid)
     u = solve_forward(coeff, 1.3)
-    X1, X2 = grid.mesh()
-    assert np.array_equal(u, WAVE.field(X1, X2, 1.3))
+    _, X2 = grid.mesh()
+    assert np.array_equal(u, IncidentWave.field(X2, 1.3))
+
+
+def test_incident_wave_is_the_plane_wave_of_its_direction():
+    # the x2-only form against exp(ik(d1 x1 + d2 x2)), the oracle's convention
+    X1, X2 = Grid2D(0.8, 16).mesh()
+    d1, d2 = IncidentWave.direction
+    for k in (0.5, 1.3, 4.0):
+        assert np.array_equal(IncidentWave.field(X2, k), np.exp(1j * k * (d1 * X1 + d2 * X2)))
 
 
 def test_probe_value_regression():
@@ -104,8 +111,8 @@ def _dense_nystrom_field(grid, a, k):
     I, J = np.divmod(np.arange(n * n), n)
     G = table[np.abs(I[:, None] - I[None, :]), np.abs(J[:, None] - J[None, :])]
     A = np.eye(n * n) - k * k * grid.h ** 2 * G * a.ravel()[None, :]
-    X1, X2 = grid.mesh()
-    return np.linalg.solve(A, WAVE.field(X1, X2, k).ravel()).reshape(n, n)
+    _, X2 = grid.mesh()
+    return np.linalg.solve(A, IncidentWave.field(X2, k).ravel()).reshape(n, n)
 
 
 def _assert_matches_dense_nystrom(grid, a, k):
@@ -324,10 +331,11 @@ def test_solve_from_its_own_solution_extends_it_to_the_grid(monkeypatch):
 def test_solver_rejects_nonpositive_wavenumber():
     grid = Grid2D(0.8, 8)
     coeff = rasterize([], grid)
-    with pytest.raises(ValueError):
-        solve_forward(coeff, 0.0)
-    with pytest.raises(ValueError):
-        solve_forward(coeff, -2.0)
+    # nan fails k <= 0 too, and a disk would reach GMRES with it
+    for c in (coeff, rasterize([DISK], grid)):
+        for k in (0.0, -2.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="wavenumber must be positive and finite"):
+                solve_forward(c, k)
 
 
 def test_multi_solve_stacks_per_wavenumber():
@@ -357,7 +365,7 @@ def _full_grid_residual(coeff, k, u):
     full = (slice(0, grid.n_nodes), slice(0, grid.n_nodes))
     table = (k * k * grid.h ** 2) * _kernel_table(grid, k)
     c = _offset_product(table, coeff.quadrature_mean(), full, full)(u)
-    u_in = WAVE.field(*grid.mesh(), k)
+    u_in = IncidentWave.field(grid.mesh()[1], k)
     return np.linalg.norm(u - c - u_in) / np.linalg.norm(u_in)
 
 
@@ -563,11 +571,10 @@ def test_trace_of_zero_coefficient_is_incident_data():
     kg = make_kgrid(0.5, 2.0, 4)
     fields = solve_forward_multi(coeff, kg)
     cd = trace_cauchy(fields, coeff, kg)
-    x1 = grid.nodes
     ks = kg.midpoints
-    u_in = WAVE.field(x1[:, None], grid.half_width, ks[None, :])
+    u_in = IncidentWave.field(grid.half_width, ks)
     assert np.max(np.abs(cd.g0 - u_in)) <= 1e-14
-    assert np.max(np.abs(cd.g1 - (-1j) * ks[None, :] * u_in)) <= 1e-14
+    assert np.max(np.abs(cd.g1 - (-1j) * ks * u_in)) <= 1e-14
 
 
 def test_trace_derivative_matches_one_sided_differences():
@@ -611,7 +618,8 @@ def test_trace_matches_direct_kernel_sum():
         dx2 = x2_top - y2[None, :]
         r = np.hypot(x1[:, None] - y1[None, :], dx2)
         dK = -0.25j * k * hankel1(1, k * r) * dx2 / r
-        g1 = WAVE.dx2(x1, x2_top, k) + (k * k * grid.h ** 2) * (dK @ (a_s * fields[m][sup]))
+        g1_in = 1j * k * IncidentWave.direction[1] * IncidentWave.field(x2_top, k)
+        g1 = g1_in + (k * k * grid.h ** 2) * (dK @ (a_s * fields[m][sup]))
         assert np.max(np.abs(cd.g1[:, m] - g1)) <= 1e-12 * np.max(np.abs(g1))
     assert np.array_equal(cd.g0, fields[:, -1, :].T)
 
@@ -641,8 +649,8 @@ def test_scattered_field_decays_away_from_support():
     grid = Grid2D(1.6, 56)
     truth = rasterize([DISK], grid)
     u = solve_forward(truth, 1.5)
-    X1, X2 = grid.mesh()
-    sc = np.abs(u - WAVE.field(X1, X2, 1.5))
+    _, X2 = grid.mesh()
+    sc = np.abs(u - IncidentWave.field(X2, 1.5))
     row_max = sc.max(axis=1)
     rows = grid.nodes
     # support occupies x2 in [0.25, 0.65]; march away on both sides
@@ -765,8 +773,9 @@ def test_noise_is_deterministic_per_seed():
 def test_zero_noise_returns_data_unchanged():
     cd = _small_cauchy()
     assert add_noise(cd, 0.0, seed=1) is cd
-    with pytest.raises(ValueError):
-        add_noise(cd, -0.01)
+    for delta in (-0.01, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="noise level must be finite and nonnegative"):
+            add_noise(cd, delta)
 
 
 def test_grid_validation_and_geometry():

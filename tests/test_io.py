@@ -111,6 +111,7 @@ def test_cauchy_reader_rejects_malformed_files(tmp_path):
         "delta nan": (5, "nan"),
         "delta negative": (5, "-0.1"),
         "seed not an integer": (6, "1.5"),
+        "seed below -1": (6, "-7"),
     })
 
 
