@@ -8,7 +8,7 @@ weighted least-squares functional over a truncated wavenumber basis with
 gradient descent and in-loop re-solves.
 """
 
-from .basis import BasisSet, KGrid, build_basis, make_kgrid, project
+from .basis import BasisSet, KGrid, build_basis, project
 from .cylinder import disk_total_field
 from .fieldtransform import (
     NearZeroTotalField,

@@ -11,10 +11,10 @@ matrices D, S and the rank-3 tensor B computed here are the coefficients of
 the coupled quasilinear elliptic system satisfied by the Fourier coefficient
 fields of the log total field.
 
-Two quadratures live side by side on purpose: a composite Gauss-Legendre rule
-for all basis-internal integrals (D, S, B, orthonormality), and the midpoint
-rule on the n_sub data subintervals for projecting sampled data onto the
-basis, matching the measurement grid.
+Two quadratures live side by side on purpose: build_basis's own composite
+Gauss-Legendre rule for the basis-internal integrals (D, S, B), and the
+midpoint rule on the n_sub data subintervals for projecting sampled data onto
+the basis, matching the measurement grid.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "BasisError",
     "KGrid",
     "BasisSet",
-    "make_kgrid",
     "build_basis",
     "project",
 ]
@@ -40,7 +39,7 @@ __all__ = [
 GS_DEPENDENCE_TOL = 1e-12
 
 # Composite Gauss-Legendre rule for the basis-internal integrals.  The rule on
-# [-1, 1] is computed once here: every Scenario and data file builds a KGrid.
+# [-1, 1] is computed once here.
 N_PANELS = 8
 NODES_PER_PANEL = 16
 _GL_NODES, _GL_WEIGHTS = leggauss(NODES_PER_PANEL)
@@ -102,49 +101,42 @@ def _check_fields(obj, **least) -> None:
 
 @dataclass(frozen=True)
 class KGrid:
-    """Wavenumber interval [k_min, k_max] with its two quadrature rules.
+    """Wavenumber interval [k_min, k_max] cut into n_sub uniform subintervals.
 
-    midpoints are the centers of the n_sub uniform subintervals; they carry
-    the measured multifrequency data and the midpoint projection rule.
-    quad_nodes/quad_weights form a composite Gauss-Legendre rule used for
-    basis-internal integrals.
+    midpoints are the centers of the subintervals; they carry the measured
+    multifrequency data and the midpoint projection rule.
     """
 
     k_min: float
     k_max: float
     n_sub: int
-    midpoints: np.ndarray
-    h_k: float
-    quad_nodes: np.ndarray
-    quad_weights: np.ndarray
+
+    def __post_init__(self):
+        _check_fields(self)
+        if not (0 < self.k_min < self.k_max < np.inf):
+            raise ValueError(f"need 0 < k_min < k_max < inf, got [{self.k_min}, {self.k_max}]")
+
+    @property
+    def h_k(self) -> float:
+        return (self.k_max - self.k_min) / self.n_sub
+
+    @property
+    def midpoints(self) -> np.ndarray:
+        return self.k_min + (np.arange(self.n_sub) + 0.5) * self.h_k
 
     @property
     def k0(self) -> float:
         return 0.5 * (self.k_min + self.k_max)
 
 
-def make_kgrid(k_min: float, k_max: float, n_sub: int) -> KGrid:
-    """Build a KGrid with n_sub midpoint nodes and a composite GL quadrature."""
-    if not (0 < k_min < k_max < np.inf):
-        raise ValueError(f"need 0 < k_min < k_max < inf, got [{k_min}, {k_max}]")
-    n_sub = _integer("n_sub", n_sub)
-    h_k = (k_max - k_min) / n_sub
-    midpoints = k_min + (np.arange(n_sub) + 0.5) * h_k
-
-    edges = np.linspace(k_min, k_max, N_PANELS + 1)
+def _quadrature(kg: KGrid):
+    """Nodes and weights of the composite Gauss-Legendre rule on [k_min, k_max]."""
+    edges = np.linspace(kg.k_min, kg.k_max, N_PANELS + 1)
     nodes, weights = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         nodes.append(0.5 * (a + b) + 0.5 * (b - a) * _GL_NODES)
         weights.append(0.5 * (b - a) * _GL_WEIGHTS)
-    return KGrid(
-        k_min=float(k_min),
-        k_max=float(k_max),
-        n_sub=n_sub,
-        midpoints=midpoints,
-        h_k=h_k,
-        quad_nodes=np.concatenate(nodes),
-        quad_weights=np.concatenate(weights),
-    )
+    return np.concatenate(nodes), np.concatenate(weights)
 
 
 def _psi(n: int, k: np.ndarray, k0: float) -> np.ndarray:
@@ -165,9 +157,9 @@ class BasisSet:
     """Orthonormal basis truncated at n_modes, with its coupling matrices.
 
     coeff[n, p] holds the Gram-Schmidt combination Phi_n = sum_p coeff[n, p] psi_{p+1},
-    so Phi_n can be evaluated at arbitrary k; D, S and B are built from the
-    analytic psi', never through differencing.  phi holds samples on the
-    quadrature nodes, phi_mid on the data midpoints.
+    so Phi_n can be evaluated at arbitrary k by eval_phi, the only source of
+    its samples; D, S and B are built from the analytic psi', never through
+    differencing.
 
     B[m, n, l] = b_{mn}^{(l)}.  Immutable after construction; safe to share.
     """
@@ -175,8 +167,6 @@ class BasisSet:
     kgrid: KGrid
     n_modes: int
     coeff: np.ndarray
-    phi: np.ndarray
-    phi_mid: np.ndarray
     mat_D: np.ndarray
     mat_S: np.ndarray
     tensor_B: np.ndarray
@@ -199,7 +189,7 @@ def build_basis(kg: KGrid, n_modes: int) -> BasisSet:
     """
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
-    k, w, k0 = kg.quad_nodes, kg.quad_weights, kg.k0
+    (k, w), k0 = _quadrature(kg), kg.k0
     if n_modes > k.size:
         raise BasisError(
             f"n_modes = {n_modes} exceeds the {k.size} quadrature nodes in k, on which "
@@ -230,14 +220,10 @@ def build_basis(kg: KGrid, n_modes: int) -> BasisSet:
         coeff[n] = c / nrm
 
     mat_D, mat_S, tensor_B = _matrices_from_samples(phi, coeff @ dpsi, k, w)
-    mids = kg.midpoints
-    phi_mid = coeff @ np.stack([_psi(n, mids, k0) for n in range(1, n_modes + 1)])
     return BasisSet(
         kgrid=kg,
         n_modes=n_modes,
         coeff=coeff,
-        phi=phi,
-        phi_mid=phi_mid,
         mat_D=mat_D,
         mat_S=mat_S,
         tensor_B=tensor_B,
@@ -266,4 +252,4 @@ def project(samples: np.ndarray, bs: BasisSet) -> np.ndarray:
         raise ValueError(
             f"expected {bs.kgrid.n_sub} midpoint samples, got {samples.shape[-1]}"
         )
-    return np.einsum("...r,nr->...n", samples, bs.phi_mid) * bs.kgrid.h_k
+    return np.einsum("...r,nr->...n", samples, bs.eval_phi(bs.kgrid.midpoints)) * bs.kgrid.h_k

@@ -96,10 +96,9 @@ def cauchy_to_v_data(cd: CauchyData, bs: BasisSet):
     through v = Log(u/u_in)/k^2, g~1 = (g1/g0 - ik d2)/k^2.  Both are then
     projected; returned arrays have shape (n_modes, n_nodes).
     """
-    kg = cd.kgrid
-    if not np.allclose(kg.midpoints, bs.kgrid.midpoints):
-        raise ValueError("basis and data live on different wavenumber grids")
-    ks = kg.midpoints
+    if cd.kgrid != bs.kgrid:
+        raise ValueError(f"basis and data live on different wavenumber grids: {bs.kgrid}, {cd.kgrid}")
+    ks = cd.kgrid.midpoints
     G0 = log_to_coeffs(_log_map(cd.g0.T, cd.grid.half_width, ks, "cauchy_to_v_data"), bs)
     gt1 = (cd.g1 / cd.g0 - 1j * ks[None, :] * IncidentWave.direction[1]) / ks[None, :] ** 2
     return G0, project(gt1, bs).T.copy()
@@ -143,6 +142,8 @@ def recover_coefficient(V: np.ndarray, bs: BasisSet, grid: Grid2D) -> Coefficien
         raise ValueError("recovery stencils need at least 4 nodes per side")
     if V.shape[1:] != (grid.n_nodes, grid.n_nodes):
         raise ValueError(f"mode fields of shape {V.shape} do not live on the {grid.n_nodes}-node grid")
+    if V.shape[0] != bs.n_modes:
+        raise ValueError(f"{V.shape[0]} mode fields for a basis of {bs.n_modes} modes")
     k = bs.kgrid.k_min
     # the measurement-line row is never read
     v = np.tensordot(bs.eval_phi(k), V, axes=(0, 0))[:-1]

@@ -24,7 +24,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .basis import make_kgrid
+from .basis import KGrid
 from .forward import CauchyData, Coefficient, Grid2D
 from .inversion import IterationRecord
 
@@ -154,7 +154,7 @@ def read_cauchy(path) -> CauchyData:
     if len(rows) != grid.n_nodes * n_k:
         raise ValueError(f"{path}: expected {grid.n_nodes * n_k} data rows, found {len(rows)}")
     with _located(where):
-        kg = make_kgrid(k_min, k_max, n_k)
+        kg = KGrid(k_min, k_max, n_k)
     shape = (grid.n_nodes, n_k)
     index, vals = _parse_rows(path, rows, "j k_index Re(g0) Im(g0) Re(g1) Im(g1)", 2, shape)
     g0 = np.zeros(shape, dtype=complex)

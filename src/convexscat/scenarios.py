@@ -18,7 +18,7 @@ from typing import ClassVar
 
 import yaml
 
-from .basis import _check_fields, make_kgrid
+from .basis import KGrid, _check_fields
 from .forward import (
     CauchyData,
     Disk,
@@ -70,7 +70,7 @@ class Scenario:
         # large to allocate is reported under its key
         Grid2D(self.half_width, self.n_cells)
         try:
-            make_kgrid(self.k_min, self.k_max, self.n_k)
+            KGrid(self.k_min, self.k_max, self.n_k).midpoints
         except MemoryError as exc:
             raise ValueError(f"n_k: {exc}") from None
 
@@ -118,7 +118,7 @@ def simulate_scenario(sc: Scenario):
     even after refinement.
     """
     grid = Grid2D(sc.half_width, sc.n_cells)
-    kgrid = make_kgrid(sc.k_min, sc.k_max, sc.n_k)
+    kgrid = KGrid(sc.k_min, sc.k_max, sc.n_k)
     truth = rasterize(sc.shapes, grid)
 
     fine_grid = Grid2D(sc.half_width, sc.n_cells * sc.refine)

@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
-from .basis import BasisSet, build_basis, make_kgrid
+from .basis import BasisSet, KGrid, build_basis
 from .cylinder import disk_total_field
 from .forward import Disk, Grid2D, IncidentWave, rasterize, solve_forward
 from .inversion import InversionConfig, run_inversion
@@ -46,14 +47,17 @@ class CheckResult:
 
 
 def _default_basis() -> BasisSet:
-    return build_basis(make_kgrid(0.5, 2.0, 50), 4)
+    return build_basis(KGrid(0.5, 2.0, 50), 4)
 
 
 def check_basis_orthonormal(bs: BasisSet | None = None) -> CheckResult:
-    """Gram matrix of the basis against the identity."""
+    """Gram matrix of eval_phi against the identity, in a 64-node Gauss-Legendre
+    rule on [k_min, k_max] that is not the one Gram-Schmidt ran in."""
     bs = _default_basis() if bs is None else bs
-    w = bs.kgrid.quad_weights
-    gram = np.einsum("mq,nq,q->mn", bs.phi, bs.phi, w)
+    t, w = leggauss(64)
+    half = 0.5 * (bs.kgrid.k_max - bs.kgrid.k_min)
+    phi = bs.eval_phi(bs.kgrid.k0 + half * t)
+    gram = np.einsum("mq,nq,q->mn", phi, phi, half * w)
     resid = float(np.abs(gram - np.eye(bs.n_modes)).max())
     return CheckResult("basis orthonormality", resid < 1e-8, resid, 1e-8)
 
@@ -93,7 +97,7 @@ def check_gradient(seed: int = 7, n_directions: int = 20) -> CheckResult:
     """Analytic gradient against central differences on a tiny grid."""
     rng = np.random.default_rng(seed)
     grid = Grid2D(0.8, 6)
-    bs = build_basis(make_kgrid(0.5, 2.0, 50), 2)
+    bs = build_basis(KGrid(0.5, 2.0, 50), 2)
     shape = (bs.n_modes, grid.n_nodes, grid.n_nodes)
 
     def crandn():

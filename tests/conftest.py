@@ -1,13 +1,13 @@
 import pytest
 
-from convexscat.basis import build_basis, make_kgrid
+from convexscat.basis import KGrid, build_basis
 from convexscat.inversion import ablation_no_weight, run_inversion
 from convexscat.scenarios import get_scenario, simulate_scenario
 
 
 @pytest.fixture(scope="session")
 def default_kgrid():
-    return make_kgrid(0.5, 2.0, 50)
+    return KGrid(0.5, 2.0, 50)
 
 
 @pytest.fixture(scope="session")

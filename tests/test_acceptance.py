@@ -16,9 +16,9 @@ import pytest
 from convexscat import (
     Disk,
     InversionConfig,
+    KGrid,
     build_basis,
     get_scenario,
-    make_kgrid,
     run_inversion,
     simulate_scenario,
     write_cauchy,
@@ -46,7 +46,7 @@ def _report(label, **measured):
 
 def test_criterion_1_basis_structure_and_build_time():
     t0 = time.perf_counter()
-    bs = build_basis(make_kgrid(0.5, 2.0, 50), 4)
+    bs = build_basis(KGrid(0.5, 2.0, 50), 4)
     elapsed = time.perf_counter() - t0
 
     structure = check_basis_structure(bs)

@@ -6,6 +6,8 @@ I_p = [t^p e^(2t) / 2] - (p/2) I_(p-1).  That recursion, evaluated in mpmath,
 is the reference nothing in the package shares code with.
 """
 
+from dataclasses import replace
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -14,8 +16,9 @@ from hypothesis import strategies as st
 
 from convexscat.basis import (
     BasisError,
+    KGrid,
+    _quadrature,
     build_basis,
-    make_kgrid,
     project,
 )
 
@@ -35,7 +38,7 @@ def test_quadrature_matches_recursion(default_kgrid):
     # <psi_m, psi_n> = I_(m+n-2) over the shifted interval
     kg = default_kgrid
     n = 4
-    k, w, k0 = kg.quad_nodes, kg.quad_weights, kg.k0
+    (k, w), k0 = _quadrature(kg), kg.k0
     t = k - k0
     moments = _recursion_moments(kg.k_min - k0, kg.k_max - k0, 2 * n - 2)
     for m in range(1, n + 1):
@@ -45,10 +48,18 @@ def test_quadrature_matches_recursion(default_kgrid):
             assert abs(quad - ref) <= 1e-13 * max(1.0, abs(ref))
 
 
+def _gram(bs):
+    """Gram matrix of Phi_n, sampled by eval_phi, in the basis's own quadrature."""
+    k, w = _quadrature(bs.kgrid)
+    phi = bs.eval_phi(k)
+    return np.einsum("mq,nq,q->mn", phi, phi, w)
+
+
 def test_gram_matrix_is_identity(default_basis):
+    # eval_phi is the only source of samples, so this also checks that the
+    # stored coefficients reproduce the Gram-Schmidt output
     bs = default_basis
-    gram = np.einsum("mq,nq,q->mn", bs.phi, bs.phi, bs.kgrid.quad_weights)
-    assert np.abs(gram - np.eye(bs.n_modes)).max() < 1e-12
+    assert np.abs(_gram(bs) - np.eye(bs.n_modes)).max() < 1e-12
 
 
 def test_derivative_matrix_against_mpmath(default_basis):
@@ -96,13 +107,12 @@ def test_B_tensor_symmetric_in_first_pair(default_basis):
     n_modes=st.integers(1, 5),
 )
 def test_structure_holds_on_any_interval(k_min, width, n_modes):
-    kg = make_kgrid(k_min, k_min + width, 10)
+    kg = KGrid(k_min, k_min + width, 10)
     try:
         bs = build_basis(kg, n_modes)
     except BasisError:
         return  # legitimately rejected: interval too narrow for that many modes
-    gram = np.einsum("mq,nq,q->mn", bs.phi, bs.phi, kg.quad_weights)
-    assert np.abs(gram - np.eye(n_modes)).max() < 1e-8
+    assert np.abs(_gram(bs) - np.eye(n_modes)).max() < 1e-8
     assert np.abs(np.diagonal(bs.mat_D) - 1.0).max() < 1e-8
     assert np.abs(np.tril(bs.mat_D, -1)).max() < 1e-8
 
@@ -112,8 +122,8 @@ def test_project_synthesize_roundtrip_converges():
     c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     errs = {}
     for nk in (50, 200):
-        bs = build_basis(make_kgrid(0.5, 2.0, nk), 4)
-        back = project(c @ bs.phi_mid, bs)
+        bs = build_basis(KGrid(0.5, 2.0, nk), 4)
+        back = project(c @ bs.eval_phi(bs.kgrid.midpoints), bs)
         errs[nk] = np.abs(back - c).max() / np.abs(c).max()
     # midpoint-rule projection: second order in the k spacing
     assert errs[50] < 1e-2
@@ -121,24 +131,29 @@ def test_project_synthesize_roundtrip_converges():
     assert errs[50] / errs[200] > 8
 
 
-def test_eval_phi_consistent_with_samples(default_basis):
-    bs = default_basis
-    assert np.allclose(bs.eval_phi(bs.kgrid.quad_nodes), bs.phi, atol=1e-12)
+def test_replaced_grid_carries_its_own_midpoints():
+    # a grid is its three numbers: replacing n_sub moves the midpoints with it
+    kg = replace(KGrid(0.5, 2.0, 50), n_sub=5)
+    assert kg.midpoints.size == 5
+    assert np.array_equal(kg.midpoints, KGrid(0.5, 2.0, 5).midpoints)
+    bs = build_basis(kg, 3)
+    assert project(np.ones(5), bs).shape == (3,)
 
 
 def test_invalid_inputs_rejected():
     with pytest.raises(ValueError):
-        build_basis(make_kgrid(0.5, 2.0, 5), 0)
+        build_basis(KGrid(0.5, 2.0, 5), 0)
     # more modes than quadrature nodes are refused before any psi_n is sampled
-    kg = make_kgrid(0.5, 2.0, 5)
-    for n_modes in (kg.quad_nodes.size + 1, 10**30):
-        with pytest.raises(BasisError, match=f"exceeds the {kg.quad_nodes.size} quadrature"):
+    kg = KGrid(0.5, 2.0, 5)
+    n_nodes = _quadrature(kg)[0].size
+    for n_modes in (n_nodes + 1, 10**30):
+        with pytest.raises(BasisError, match=f"exceeds the {n_nodes} quadrature"):
             build_basis(kg, n_modes)
     with pytest.raises(ValueError):
-        make_kgrid(2.0, 0.5, 5)
+        KGrid(2.0, 0.5, 5)
     with pytest.raises(ValueError):
-        make_kgrid(0.5, 2.0, 0)
+        KGrid(0.5, 2.0, 0)
     # a subinterval count must be an integer: 2.5 would put a midpoint at k_max
     for n_sub in (2.5, True, 3.0):
         with pytest.raises(ValueError, match="n_sub"):
-            make_kgrid(0.5, 2.0, n_sub)
+            KGrid(0.5, 2.0, n_sub)

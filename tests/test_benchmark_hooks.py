@@ -13,7 +13,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from convexscat import Disk, Grid2D, forward, make_kgrid, rasterize
+from convexscat import Disk, Grid2D, KGrid, forward, rasterize
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -40,7 +40,7 @@ def test_multi_solve_calls_solve_forward_once_per_wavenumber(monkeypatch):
     solve = forward.solve_forward
     monkeypatch.setattr(forward, "solve_forward",
                         lambda coeff, k, *rest: calls.append(k) or solve(coeff, k, *rest))
-    kg = make_kgrid(0.5, 2.0, 3)
+    kg = KGrid(0.5, 2.0, 3)
     coeff = rasterize([Disk(center=(0.0, 0.3), radius=0.2, value=1.0)], Grid2D(0.8, 8))
     forward.solve_forward_multi(coeff, kg)
     assert calls == list(kg.midpoints)

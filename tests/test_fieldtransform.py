@@ -7,7 +7,9 @@ from convexscat import (
     Disk,
     Grid2D,
     IncidentWave,
+    KGrid,
     NearZeroTotalField,
+    build_basis,
     cauchy_to_v_data,
     log_to_coeffs,
     project,
@@ -141,7 +143,7 @@ def test_truncation_residual_small_on_reference_disk(default_basis, disk_data):
     # four modes carry the simulated log field to about one percent
     _, _, _, lf, _ = disk_data
     V = log_to_coeffs(lf, default_basis)
-    synth = np.moveaxis(V, 0, -1) @ default_basis.phi_mid
+    synth = np.moveaxis(V, 0, -1) @ default_basis.eval_phi(default_basis.kgrid.midpoints)
     v_mid = np.moveaxis(lf.v, 0, -1)
     resid = np.linalg.norm(synth - v_mid) / np.linalg.norm(v_mid)
     assert resid < 0.1
@@ -183,6 +185,18 @@ def test_trace_transform_is_the_field_map_on_the_top_row(default_kgrid, default_
     cd = trace_cauchy(fields, truth, default_kgrid)
     V = log_to_coeffs(total_to_log(fields, grid, default_kgrid), default_basis)
     assert np.array_equal(cauchy_to_v_data(cd, default_basis)[0], V[:, -1, :])
+
+
+def test_trace_transform_refuses_a_basis_on_another_grid():
+    # grids are compared by value: an interval off by 1e-5 and a midpoint
+    # count off by one are both refused before any projection
+    grid = Grid2D(0.8, 8)
+    for data_kg, basis_kg in ((KGrid(0.5, 2.0, 50), KGrid(0.5, 2.00001, 50)),
+                              (KGrid(0.5, 2.0, 12), KGrid(0.5, 2.0, 11))):
+        g0 = np.ones((grid.n_nodes, data_kg.n_sub), dtype=complex)
+        cd = CauchyData(grid=grid, kgrid=data_kg, g0=g0, g1=np.zeros_like(g0))
+        with pytest.raises(ValueError, match="different wavenumber grids"):
+            cauchy_to_v_data(cd, build_basis(basis_kg, 2))
 
 
 def test_trace_transform_refuses_near_zero_trace(default_kgrid, default_basis):
@@ -268,6 +282,9 @@ def test_recovery_refuses_tiny_grids(default_basis):
     # mode fields and grid must agree
     with pytest.raises(ValueError):
         recover_coefficient(np.zeros((4, 9, 9), dtype=complex), default_basis, Grid2D(0.8, 9))
+    # and so must the mode count and the basis
+    with pytest.raises(ValueError, match="3 mode fields for a basis of 4 modes"):
+        recover_coefficient(np.zeros((3, 9, 9), dtype=complex), default_basis, Grid2D(0.8, 8))
 
 
 def test_smoothing_is_off_at_zero_width():

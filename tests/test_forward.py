@@ -16,11 +16,11 @@ from convexscat import (
     Disk,
     Grid2D,
     IncidentWave,
+    KGrid,
     Rectangle,
     ablation_no_weight,
     add_noise,
     disk_total_field,
-    make_kgrid,
     rasterize,
     solve_forward,
     solve_forward_multi,
@@ -341,7 +341,7 @@ def test_solver_rejects_nonpositive_wavenumber():
 def test_multi_solve_stacks_per_wavenumber():
     grid = Grid2D(0.8, 16)
     truth = rasterize([DISK], grid)
-    kg = make_kgrid(0.5, 2.0, 3)
+    kg = KGrid(0.5, 2.0, 3)
     stack = solve_forward_multi(truth, kg)
     assert stack.shape == (3, 17, 17)
     for m, k in enumerate(kg.midpoints):
@@ -568,7 +568,7 @@ def test_multi_solve_stall_at_the_lowest_k_raises_at_the_first_midpoint(default_
 def test_trace_of_zero_coefficient_is_incident_data():
     grid = Grid2D(0.8, 12)
     coeff = rasterize([], grid)
-    kg = make_kgrid(0.5, 2.0, 4)
+    kg = KGrid(0.5, 2.0, 4)
     fields = solve_forward_multi(coeff, kg)
     cd = trace_cauchy(fields, coeff, kg)
     ks = kg.midpoints
@@ -579,7 +579,7 @@ def test_trace_of_zero_coefficient_is_incident_data():
 
 def test_trace_derivative_matches_one_sided_differences():
     # kernel-differentiated g1 against a 4th-order stencil on the solved rows
-    kg = make_kgrid(0.5, 2.0, 6)
+    kg = KGrid(0.5, 2.0, 6)
 
     def gap(ncells):
         grid = Grid2D(0.8, ncells)
@@ -601,7 +601,7 @@ def test_trace_matches_direct_kernel_sum():
     # both edge columns, so the column offset n-1 is exercised too
     grid = Grid2D(0.8, 12)
     n = grid.n_nodes
-    kg = make_kgrid(0.5, 2.0, 3)
+    kg = KGrid(0.5, 2.0, 3)
     rng = np.random.default_rng(11)
     a = np.zeros((n, n))
     a[2:9, :] = rng.uniform(0.2, 3.0, (7, n))
@@ -626,7 +626,7 @@ def test_trace_matches_direct_kernel_sum():
 
 def test_trace_refuses_support_on_measurement_row():
     grid = Grid2D(0.8, 12)
-    kg = make_kgrid(0.5, 2.0, 3)
+    kg = KGrid(0.5, 2.0, 3)
     a = np.zeros((grid.n_nodes, grid.n_nodes))
     a[-1, 5] = 1.0
     coeff = Coefficient(grid, a)
@@ -637,7 +637,7 @@ def test_trace_refuses_support_on_measurement_row():
 
 def test_trace_refuses_fields_of_the_wrong_shape():
     grid = Grid2D(0.8, 12)
-    kg = make_kgrid(0.5, 2.0, 3)
+    kg = KGrid(0.5, 2.0, 3)
     coeff = rasterize([DISK], grid)
     fields = solve_forward_multi(coeff, kg)
     for bad in (fields[:2], fields[:, :-1, :], fields[0]):
@@ -738,7 +738,7 @@ def test_rasterize_rejects_boundary_support():
 def _small_cauchy():
     grid = Grid2D(0.8, 12)
     truth = rasterize([DISK], grid)
-    kg = make_kgrid(0.5, 2.0, 5)
+    kg = KGrid(0.5, 2.0, 5)
     fields = solve_forward_multi(truth, kg)
     return trace_cauchy(fields, truth, kg)
 
@@ -789,7 +789,7 @@ def test_grid_validation_and_geometry():
             Grid2D(0.8, n_cells)
     for k_min, k_max in ((0.5, float("inf")), (float("nan"), 2.0), (0.5, float("nan"))):
         with pytest.raises(ValueError):
-            make_kgrid(k_min, k_max, 4)
+            KGrid(k_min, k_max, 4)
     grid = Grid2D(0.8, 28)
     assert grid.n_nodes == 29
     assert grid.h == pytest.approx(1.6 / 28)

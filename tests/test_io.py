@@ -23,7 +23,7 @@ from convexscat import (
     Grid2D,
     InversionConfig,
     IterationRecord,
-    make_kgrid,
+    KGrid,
     read_cauchy,
     read_coefficient,
     read_history,
@@ -37,7 +37,7 @@ from convexscat import (
 def _random_cauchy(seed=3, n_cells=6, n_k=4, noise=0.05, noise_seed=11):
     rng = np.random.default_rng(seed)
     grid = Grid2D(0.8, n_cells)
-    kg = make_kgrid(0.5, 2.0, n_k)
+    kg = KGrid(0.5, 2.0, n_k)
     shape = (grid.n_nodes, n_k)
     # spread exponents so the repr round-trip is exercised on awkward values
     scale = 10.0 ** rng.integers(-8, 8, size=shape)
@@ -222,7 +222,7 @@ def test_coefficient_reader_rejects_malformed_files(tmp_path):
 
 def _small_files():
     grid = Grid2D(0.8, 2)
-    kg = make_kgrid(0.5, 2.0, 2)
+    kg = KGrid(0.5, 2.0, 2)
     rng = np.random.default_rng(1)
     g = rng.standard_normal((2, grid.n_nodes, 2)) + 1j * rng.standard_normal((2, grid.n_nodes, 2))
     return {

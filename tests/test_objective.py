@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 from convexscat import (
     Grid2D,
     InversionConfig,
+    KGrid,
     build_basis,
     evaluate_and_gradient,
-    make_kgrid,
 )
 from convexscat.objective import _carleman_weight, _q_interior
 
@@ -27,7 +27,7 @@ from convexscat.objective import _carleman_weight, _q_interior
 @pytest.fixture(scope="module")
 def small_basis():
     # cheap two-mode basis for gradient instances
-    return build_basis(make_kgrid(0.5, 2.0, 12), 2)
+    return build_basis(KGrid(0.5, 2.0, 12), 2)
 
 
 def _rand_field(grid, n_modes, rng, scale=0.1):
@@ -126,7 +126,7 @@ def _loop_J(W, params):
 def test_value_matches_loop_oracle_tiny():
     # single mode, 5x5 grid, no carrier: the smallest nontrivial instance
     grid = Grid2D(0.8, 4)
-    bs = build_basis(make_kgrid(0.5, 2.0, 12), 1)
+    bs = build_basis(KGrid(0.5, 2.0, 12), 1)
     rng = np.random.default_rng(3)
     W = _rand_field(grid, 1, rng, scale=0.5)
     params = _params(bs, _zero_field(grid, 1), grid)
@@ -140,7 +140,7 @@ def test_value_matches_loop_oracle_with_carrier():
     # same node count with another spacing, and other penalty weights on the
     # first grid, so operators or forms cached under too short a key show
     grid = Grid2D(0.8, 7)
-    bs = build_basis(make_kgrid(0.5, 2.0, 12), 3)
+    bs = build_basis(KGrid(0.5, 2.0, 12), 3)
     rng = np.random.default_rng(11)
     W = _rand_field(grid, 3, rng, scale=0.3)
     F = _rand_field(grid, 3, rng, scale=0.2)
@@ -157,7 +157,7 @@ def test_value_matches_loop_oracle_with_carrier():
 
 def test_residual_zero_for_constant_field():
     grid = Grid2D(0.8, 6)
-    bs = build_basis(make_kgrid(0.5, 2.0, 12), 2)
+    bs = build_basis(KGrid(0.5, 2.0, 12), 2)
     data = np.ones((2, 7, 7), dtype=complex) * (1.3 - 0.4j)
     q = _q_interior(data, bs, grid)[0]
     assert q.shape == (2, 5, 5)
@@ -167,7 +167,7 @@ def test_residual_zero_for_constant_field():
 def test_residual_matches_hand_stencil_on_3x3():
     # one interior node; recompute the single residual component by hand
     grid = Grid2D(0.8, 2)
-    bs = build_basis(make_kgrid(0.5, 2.0, 12), 1)
+    bs = build_basis(KGrid(0.5, 2.0, 12), 1)
     h = grid.h
     vals = np.array(
         [
@@ -190,7 +190,7 @@ def test_residual_matches_hand_stencil_on_3x3():
 def test_residual_quadratic_in_x2_closed_form():
     # Vhat_1 = x2^2 collapses every stencil to a closed form in x2
     grid = Grid2D(0.8, 8)
-    bs = build_basis(make_kgrid(0.5, 2.0, 12), 1)
+    bs = build_basis(KGrid(0.5, 2.0, 12), 1)
     h = grid.h
     _, X2 = grid.mesh()
     q = _q_interior((X2**2).astype(complex)[None], bs, grid)[0][0]
@@ -303,7 +303,7 @@ def _h2_form_matrix(grid, rho, alpha1, alpha2):
 def test_pure_regularizer_gradient_matches_explicit_matrix():
     # zero out D, S, B so only the quadratic regularizers remain
     grid = Grid2D(0.8, 4)
-    bs = build_basis(make_kgrid(0.5, 2.0, 12), 1)
+    bs = build_basis(KGrid(0.5, 2.0, 12), 1)
     bs0 = replace(
         bs,
         mat_D=np.zeros_like(bs.mat_D),

@@ -18,12 +18,12 @@ from convexscat import (
     Disk,
     Grid2D,
     InversionConfig,
+    KGrid,
     Rectangle,
     Scenario,
     config_from_dict,
     get_scenario,
     load_scenario,
-    make_kgrid,
     rasterize,
     save_scenario,
     simulate_scenario,
@@ -164,7 +164,7 @@ def test_scenario_stores_python_numbers():
     sc = Scenario("x", (), half_width=1, n_cells=np.int64(8), k_max=10**30, seed=None)
     assert (type(sc.half_width), type(sc.n_cells), type(sc.k_max)) == (float, int, float)
     assert json.loads(json.dumps(scenario_document(sc)))["k_max"] == 1e30
-    assert make_kgrid(sc.k_min, sc.k_max, sc.n_k).midpoints.dtype == float
+    assert KGrid(sc.k_min, sc.k_max, sc.n_k).midpoints.dtype == float
 
 
 def test_readme_yaml_example_shows_the_defaults(tmp_path):
@@ -221,7 +221,7 @@ def test_simulate_traces_the_refined_solve():
     truth, clean, _ = simulate_scenario(sc)
 
     fine_grid = Grid2D(sc.half_width, sc.n_cells * 2)
-    kgrid = make_kgrid(sc.k_min, sc.k_max, sc.n_k)
+    kgrid = KGrid(sc.k_min, sc.k_max, sc.n_k)
     fine = rasterize(sc.shapes, fine_grid)
     cd_fine = trace_cauchy(solve_forward_multi(fine, kgrid), fine, kgrid)
 

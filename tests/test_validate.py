@@ -8,7 +8,7 @@ gates, not re-run here.
 
 import dataclasses
 
-from convexscat import build_basis, make_kgrid
+from convexscat import KGrid, build_basis
 from convexscat.validate import (
     CheckResult,
     check_basis_orthonormal,
@@ -18,7 +18,7 @@ from convexscat.validate import (
 
 
 def _basis():
-    return build_basis(make_kgrid(0.5, 2.0, 12), 3)
+    return build_basis(KGrid(0.5, 2.0, 12), 3)
 
 
 def test_checks_pass_on_a_clean_basis():
@@ -39,9 +39,9 @@ def test_corrupted_derivative_matrix_is_caught():
 
 def test_corrupted_basis_vectors_fail_orthonormality():
     bs = _basis()
-    bad_phi = bs.phi.copy()
-    bad_phi[1] *= 1.01
-    res = check_basis_orthonormal(dataclasses.replace(bs, phi=bad_phi))
+    bad_coeff = bs.coeff.copy()
+    bad_coeff[1] *= 1.01
+    res = check_basis_orthonormal(dataclasses.replace(bs, coeff=bad_coeff))
     assert not res.passed
 
 
