@@ -12,33 +12,44 @@ index offset between two nodes, so it is applied as one FFT convolution, as
 in G. Vainikko, Fast solvers of the Lippmann-Schwinger equation (2000).
 Since a u vanishes where a does, the system is solved by GMRES (Saad and
 Schultz, 1986) on the bounding box of the support only, at one FFT pair plus
-BLAS calls per step.  One more convolution, from the box to the grid, is
-the restart residual at the end of each GMRES cycle; the last one extends
-the field to the whole grid and checks the full-grid residual.  A solve
-whose restart residuals show that it cannot pass that check in the steps
-left ends at once and raises IllConditionedSystem.  Both products, and the
-trace kernel, take their Hankel values from the real-argument Bessel
-functions H_m = J_m + i Y_m; the products' kernel table evaluates H_0 once
-per distinct lattice radius, from an index of the offsets built once per
-grid size, and gathers it onto the offsets, the same bits as one
-evaluation per offset.  The products' FFTs call scipy's pocketfft kernel
-directly (_fft2), with the scaling and the single thread scipy.fft.fft2 and
-ifft2 use, so the values are the same bits without the public functions'
-per-call argument handling; and each product keeps its zero-padded input
-and its spectrum buffer across calls, so a GMRES step allocates no array
-for its FFT pair.
+BLAS calls per step.  A solve returns the field on a window, a pair of grid
+slices that contains the box (by default the whole grid): off the box the
+field is the representation formula u = u_in + k^2 h^2 K(a u_B).  One
+convolution from the box to the window gives those values and is the
+restart residual at the end of each GMRES cycle; for the box window it is
+GMRES's own product.  The last one gives the residual check, which bounds
+the residual of the whole-grid system for the field the formula extends,
+whatever the window.  A solve whose restart residuals show that it cannot
+pass that check in the steps left ends at once and raises
+IllConditionedSystem.  Both products, and the trace kernels, take their
+Hankel values from the real-argument Bessel functions H_m = J_m + i Y_m;
+the products' kernel table covers only the lattice offsets the window
+needs, evaluates H_0 once per distinct lattice radius, from an index of the
+offsets built once per lattice size, and gathers it onto the offsets, the
+same bits as one evaluation per offset on the whole grid's lattice.  The
+products' FFTs call scipy's pocketfft kernel directly (_fft2), with the
+scaling and the single thread scipy.fft.fft2 and ifft2 use, so the values
+are the same bits without the public functions' per-call argument
+handling; and each product keeps its zero-padded input and its spectrum
+buffer across calls, so a GMRES step allocates no array for its FFT pair.
 
 u/u_in is analytic in k, so the fields at all wavenumber midpoints come from
 solves at nested Chebyshev-Lobatto nodes in k (5, 10, 20 or 40 intervals
-over [first midpoint, last midpoint]) and barycentric interpolation, as in
-L. N. Trefethen, Approximation Theory and Approximation Practice (2013).  A
-level is accepted when its last two Chebyshev coefficients, from one DCT-I,
-are at the residual bound; every interpolated field must then pass the same
-full-grid residual check as a solve, computed for a chunk of wavenumbers at
-a time, or it is solved directly.  Data not resolved with fewer nodes than
-midpoints are solved midpoint by midpoint, as are grids of at most six
-midpoints.  A failed solve raises its IllConditionedSystem unchanged, and the
-lowest midpoint is always solved first.
+over [first midpoint, last midpoint]) and barycentric interpolation on the
+window's nodes, as in L. N. Trefethen, Approximation Theory and
+Approximation Practice (2013).  A level is accepted when its last two
+Chebyshev coefficients, from one DCT-I, are at the residual bound; every
+interpolated field must then pass the same residual check as a solve,
+computed for a chunk of wavenumbers at a time, or it is solved directly.
+Data not resolved with fewer nodes than midpoints are solved midpoint by
+midpoint, as are grids of at most six midpoints.  A failed solve raises its
+IllConditionedSystem unchanged, and the lowest midpoint is always solved
+first.
+
+The Cauchy data on the measurement line need the field only where a != 0:
+trace_cauchy reads g0 and g1 off the representation formula from fields on
+the support box, so simulate solves, interpolates and checks nothing else.
+The inversion's log map needs the whole grid and asks for it.
 
 One reuse makes the repeated stacks of an inversion cheaper: each node a
 finer level adds starts GMRES from the coarser level's interpolant, which is
@@ -58,8 +69,8 @@ from itertools import product
 import numpy as np
 from scipy.fft import dct, fft, ifft, next_fast_len
 from scipy.fft._pocketfft.pypocketfft import c2c
-from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dznrm2, zgemv
+from scipy.linalg.lapack import ztrtrs
 from scipy.special import j0, j1, y0, y1
 
 from .basis import KGrid, _check_fields
@@ -87,7 +98,7 @@ _EULER_GAMMA = float(np.euler_gamma)
 # RESIDUAL_BOUND within the 500 ends at a restart before the cap (_gmres).
 GMRES_MAX_ITER = 500
 GMRES_RESTART = 100
-# Relative full-grid residual a field must be below, solved or interpolated
+# Relative whole-grid residual a field must be below, solved or interpolated
 # in k; a solve above it raises IllConditionedSystem.
 RESIDUAL_BOUND = 1e-10
 
@@ -304,36 +315,40 @@ class CauchyData:
 
 
 @functools.lru_cache(maxsize=8)
-def _lattice_radii(n: int):
-    """Distinct nonzero radii of the n x n offset lattice, and where each offset reads.
+def _lattice_radii(rows: int, cols: int):
+    """Distinct nonzero radii of the rows x cols offset lattice, and where each offset reads.
 
     H0(k h r) depends on an offset (di, dj) only through r^2 = di^2 + dj^2,
-    which takes far fewer values than there are offsets (1267 of 3248 at
-    n = 57).  Returns sqrt of the sorted distinct nonzero r^2 and the (n, n)
-    index of each offset into [self cell, radii...]; both are read-only,
-    since the cache hands the same arrays to every caller.
+    which takes far fewer values than there are offsets (1267 of 3248 on
+    the 57 x 57 lattice).  Returns sqrt of the sorted distinct nonzero r^2
+    and the (rows, cols) index of each offset into [self cell, radii...];
+    both are read-only, since the cache hands the same arrays to every
+    caller.
     """
-    off = np.arange(n)
-    r2, index = np.unique((off[:, None] ** 2 + off[None, :] ** 2).ravel(), return_inverse=True)
+    r2, index = np.unique((np.arange(rows)[:, None] ** 2 + np.arange(cols)[None, :] ** 2).ravel(),
+                          return_inverse=True)
     radii = np.sqrt(r2[1:])
-    index = index.reshape(n, n)
+    index = index.reshape(rows, cols)
     radii.flags.writeable = index.flags.writeable = False
     return radii, index
 
 
-def _kernel_table(grid: Grid2D, k) -> np.ndarray:
-    """Kernel value (i/4)H0(k r) by absolute index offset (di, dj).
+def _kernel_table(grid: Grid2D, k, shape=None) -> np.ndarray:
+    """Kernel value (i/4)H0(k r) by absolute index offset (di, dj), for the
+    offsets di < shape[0], dj < shape[1]; by default every offset on the grid.
 
     H0 = J0 + i Y0 is evaluated from the real-argument Bessel functions once
     per distinct lattice radius (_lattice_radii, one index per lattice size)
-    and gathered onto the offsets, the same bits as an evaluation on every
-    offset.  Entry (0, 0) holds the cell average of the small-argument
-    expansion over the equal-area disk of radius rho0 = h/sqrt(pi), so
-    multiplying the whole table by the uniform weight h^2 yields the
-    corrected Nystrom weights.  For an array of wavenumbers the tables are
-    stacked along its axes, from one Bessel evaluation.
+    and gathered onto the offsets.  An offset's argument k h r does not
+    depend on the lattice size, so a table of any shape holds the same bits
+    as an evaluation on every offset of the whole grid.  Entry (0, 0) holds
+    the cell average of the small-argument expansion over the equal-area
+    disk of radius rho0 = h/sqrt(pi), so multiplying the whole table by the
+    uniform weight h^2 yields the corrected Nystrom weights.  For an array
+    of wavenumbers the tables are stacked along its axes, from one Bessel
+    evaluation.
     """
-    radii, index = _lattice_radii(grid.n_nodes)
+    radii, index = _lattice_radii(*(shape or (grid.n_nodes, grid.n_nodes)))
     k = np.asarray(k, dtype=float)[..., None]
     kr = (k * grid.h) * radii
     values = np.empty(k.shape[:-1] + (1 + radii.size,), dtype=complex)
@@ -432,7 +447,8 @@ def _gmres(apply, b: np.ndarray, residual, x0=None, accept=None):
     in the steps left: beta (beta / beta_0)^((GMRES_MAX_ITER - s) / s) >=
     accept.  Restarted GMRES can speed up or slow down from one cycle to
     the next, so one cycle's rate alone would cut slow but converging solves.
-    A Krylov column whose norm is not finite raises IllConditionedSystem.
+    A Krylov column whose norm is not finite, or a singular triangular
+    factor of the cycle's least-squares problem, raises IllConditionedSystem.
     """
     tol = 1e-12 * dznrm2(b)
     if accept is None:
@@ -480,7 +496,11 @@ def _gmres(apply, b: np.ndarray, residual, x0=None, accept=None):
                 break
             w /= h_norm
         m = len(cs)
-        y = solve_triangular(R[:m, :m], np.array(g[:m]))
+        # the LAPACK call scipy.linalg.solve_triangular makes for this
+        # C-ordered slice, the same bits without its argument handling
+        y, info = ztrtrs(R[:m, :m].T, np.array(g[:m]), lower=1, trans=1)
+        if info > 0:
+            raise IllConditionedSystem(f"GMRES least-squares factor is singular at column {info}")
         zgemv(1.0, V[:, :m], y, beta=1.0, y=x, overwrite_y=True)
         r = residual(x)
         beta = dznrm2(r)
@@ -492,34 +512,59 @@ def _gmres(apply, b: np.ndarray, residual, x0=None, accept=None):
 
 
 def _support_box(a: np.ndarray):
-    """Grid slices of the bounding box of the nonzero entries of a."""
+    """Grid slices of the bounding box of the nonzero entries of a; empty
+    slices when a is zero everywhere."""
     rows = np.flatnonzero(np.any(a != 0, axis=1))
     cols = np.flatnonzero(np.any(a != 0, axis=0))
-    return slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
+    if not rows.size:
+        return slice(0, 0), slice(0, 0)
+    return slice(int(rows[0]), int(rows[-1]) + 1), slice(int(cols[0]), int(cols[-1]) + 1)
+
+
+def _window(grid: Grid2D, box, window):
+    """Window slices of the grid (None: the whole grid), the box's slices
+    within the window, and the shape of the offset lattice between the two.
+
+    A window must be a pair of unit-step slices that contains the box.
+    """
+    spans = [w.indices(grid.n_nodes) for w in window or (slice(None), slice(None))]
+    if len(spans) != 2 or not all(step == 1 and start <= b.start and b.stop <= stop
+                                  for (start, stop, step), b in zip(spans, box)):
+        raise ValueError(f"window {window} is not two unit-step slices of the grid "
+                         f"that contain the support box {box}")
+    window = tuple(slice(start, stop) for start, stop, _ in spans)
+    inner = tuple(slice(b.start - w.start, b.stop - w.start) for b, w in zip(box, window))
+    extent = tuple(max(b.stop - w.start, w.stop - b.start) for b, w in zip(box, window))
+    return window, inner, extent
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def solve_forward(coeff: Coefficient, k: float, start=None) -> np.ndarray:
-    """Total field u on every grid node for one wavenumber.
+def solve_forward(coeff: Coefficient, k: float, start=None, window=None) -> np.ndarray:
+    """Total field u on the nodes of window for one wavenumber.
 
-    The product a u vanishes off the bounding box B (p x q nodes) of the
-    nonzero quadrature mean, so the Nystrom equations on B alone,
+    window is a pair of grid slices that contains the bounding box B (p x q
+    nodes) of the nonzero quadrature mean; None is the whole grid.  The
+    product a u vanishes off B, so the Nystrom equations on B alone,
 
         u_B - k^2 h^2 K_BB (a u)_B = u_in on B,
 
     are an exact subsystem.  GMRES solves it with one FFT pair per step, on
     a circulant of about (2p) x (2q) filled from the kernel table prescaled
-    by k^2 h^2.  The box-to-grid convolution c = k^2 h^2 K (a u_B), on a
-    circulant of about (n + p) x (n + q), is the restart residual: its box
-    window gives r_B = u_in,B + c_B - u_B at the end of each GMRES cycle.
-    The last one extends the field, u = u_in + c off B and u = u_B on B,
-    and gives the residual of the full-grid system, |u - c - u_in| / |u_in|,
-    which is zero off B by construction and the box residual on B; a solve
-    whose residual is not below RESIDUAL_BOUND raises IllConditionedSystem.
-    Since the restart residual is the full-grid residual, GMRES gets the
-    bound RESIDUAL_BOUND |u_in| as the residual it must reach and stops at
-    the first restart whose average rate cannot reach it in the steps left;
-    the error then says that GMRES stagnated and after how many steps.  A
+    by k^2 h^2.  The box-to-window convolution c = k^2 h^2 K (a u_B) is the
+    restart residual: its box nodes give r_B = u_in,B + c_B - u_B at the end
+    of each GMRES cycle.  For the box window it is the GMRES product itself;
+    for a larger window it is a circulant of about (w1 + p) x (w2 + q) from
+    a table of only the offsets between B and the window.  The last one
+    extends the field by the representation formula, u = u_in + c off B
+    and u = u_B on B, and gives the residual |u - c - u_in| / |u_in| over
+    the window.  |u_in| is the whole grid's, and the residual of the
+    extended field is zero off B by construction, so the check bounds the
+    residual of the whole-grid system whatever the window; a solve whose
+    residual is not below RESIDUAL_BOUND raises IllConditionedSystem.
+    Since the restart residual is that residual, GMRES gets the bound
+    RESIDUAL_BOUND |u_in| as the residual it must reach and stops at the
+    first restart whose average rate cannot reach it in the steps left; the
+    error then says that GMRES stagnated and after how many steps.  A
     quadrature mean that is not finite everywhere, or a Krylov column that
     overflows, raises IllConditionedSystem before any step uses it; so an
     overflow is reported by that error, not by a floating-point warning.
@@ -537,15 +582,15 @@ def solve_forward(coeff: Coefficient, k: float, start=None) -> np.ndarray:
         raise IllConditionedSystem(f"scattering solve at k={k}: coefficient is not finite "
                                    f"at {int(np.sum(~np.isfinite(a)))} nodes")
     if not np.any(a):
-        return u_in.copy()
+        return u_in[window or slice(None)].copy()
 
     box = _support_box(a)
+    window, inner, extent = _window(grid, box, window)
     a_box = a[box]
     p, q = a_box.shape
-    table = (k * k * grid.h ** 2) * _kernel_table(grid, k)
+    table = (k * k * grid.h ** 2) * _kernel_table(grid, k, extent)
     box_product = _offset_product(table, a_box, box, box)
-    full = (slice(0, n), slice(0, n))
-    extension = _offset_product(table, a_box, box, full)
+    extension = box_product if window == box else _offset_product(table, a_box, box, window)
     c = None
 
     def apply(v):
@@ -553,10 +598,12 @@ def solve_forward(coeff: Coefficient, k: float, start=None) -> np.ndarray:
         return (v - box_product(v)).ravel()
 
     def residual(x):
+        # for the box window c is box_product's buffer, which the next apply
+        # overwrites; GMRES returns right after its last residual call
         nonlocal c
         x = x.reshape(p, q)
         c = extension(x)
-        return (u_in[box] + c[box] - x).ravel()
+        return (u_in[box] + c[inner] - x).ravel()
 
     in_norm = np.linalg.norm(u_in)
     try:
@@ -567,9 +614,9 @@ def solve_forward(coeff: Coefficient, k: float, start=None) -> np.ndarray:
         raise IllConditionedSystem(f"scattering solve at k={k}: {exc}") from None
     if c is None:  # the start met the tolerance, so no cycle extended it
         residual(u_box)
-    u = u_in + c
-    u[box] = u_box.reshape(p, q)
-    resid = np.linalg.norm(u - c - u_in) / in_norm
+    u = u_in[window] + c
+    u[inner] = u_box.reshape(p, q)
+    resid = np.linalg.norm(u - c - u_in[window]) / in_norm
     if not resid < RESIDUAL_BOUND:  # also true for a non-finite u, whose residual is nan or inf
         stopped = (f"stagnated after {iterations} of {GMRES_MAX_ITER}"
                    if iterations < GMRES_MAX_ITER and math.isfinite(resid)
@@ -581,32 +628,34 @@ def solve_forward(coeff: Coefficient, k: float, start=None) -> np.ndarray:
     return u
 
 
-def solve_forward_multi(coeff: Coefficient, kgrid: KGrid) -> np.ndarray:
-    """Fields for all wavenumber midpoints, stacked as (n_k, n_nodes, n_nodes).
+def solve_forward_multi(coeff: Coefficient, kgrid: KGrid, window=None) -> np.ndarray:
+    """Fields on window for all wavenumber midpoints, stacked as (n_k, rows, columns).
 
-    Each field is either a solve_forward solve or an interpolant in k that
-    passes solve_forward's residual bound.  solve_forward runs at nested
-    Chebyshev-Lobatto nodes of [first midpoint, last midpoint] and the
-    other midpoints are interpolated (_chebyshev_fields).  One loop then
-    solves every midpoint left without a field directly, in ascending k,
-    and the first of them that fails raises its IllConditionedSystem: the
-    interpolants that fail the residual check, or every midpoint not yet
-    solved when u/u_in is not resolved by a level with fewer nodes than
-    midpoints or a node after the first fails to solve.  The first node is
-    the first midpoint, so a system that stalls at the lowest wavenumber
-    raises on the first solve, as the midpoint-by-midpoint loop did.  A
-    midpoint whose interpolant passes the check is not solved, so its own
-    solve cannot fail.  Direct midpoint solves start from zero, so each
-    equals solve_forward(coeff, k).
+    window is solve_forward's: a pair of grid slices that contains the
+    support box, by default the whole grid.  Each field is either a
+    solve_forward solve or an interpolant in k that passes solve_forward's
+    residual check.  solve_forward runs at nested Chebyshev-Lobatto nodes of
+    [first midpoint, last midpoint] and the other midpoints are interpolated
+    on the window's nodes (_chebyshev_fields).  One loop then solves every
+    midpoint left without a field directly, in ascending k, and the first of
+    them that fails raises its IllConditionedSystem: the interpolants that
+    fail the residual check, or every midpoint not yet solved when u/u_in is
+    not resolved by a level with fewer nodes than midpoints or a node after
+    the first fails to solve.  The first node is the first midpoint, so a
+    system that stalls at the lowest wavenumber raises on the first solve,
+    as the midpoint-by-midpoint loop did.  A midpoint whose interpolant
+    passes the check is not solved, so its own solve cannot fail.  Direct
+    midpoint solves start from zero, so each equals
+    solve_forward(coeff, k, None, window).
     """
     ks = kgrid.midpoints
     levels = [m for m in K_LEVELS if m + 1 < ks.size]
     fields = {}
     if levels and np.any(coeff.quadrature_mean()):
-        _chebyshev_fields(coeff, ks, levels, fields)
+        _chebyshev_fields(coeff, ks, levels, fields, window)
     for m, k in enumerate(ks):
         if m not in fields:
-            fields[m] = solve_forward(coeff, k)
+            fields[m] = solve_forward(coeff, k, None, window)
     return np.stack([fields[m] for m in range(ks.size)])
 
 
@@ -623,8 +672,9 @@ def _barycentric(x: np.ndarray, f: np.ndarray, targets: np.ndarray) -> np.ndarra
     return (weights @ f.reshape(x.size, -1)).reshape((targets.size,) + f.shape[1:])
 
 
-def _chebyshev_fields(coeff: Coefficient, ks: np.ndarray, levels, fields: dict) -> None:
-    """Fill fields (midpoint index -> field) from solves at Chebyshev-Lobatto nodes in k.
+def _chebyshev_fields(coeff: Coefficient, ks: np.ndarray, levels, fields: dict, window) -> None:
+    """Fill fields (midpoint index -> field on window) from solves at
+    Chebyshev-Lobatto nodes in k.
 
     Level m has the m + 1 nodes c - r cos(pi j / m), j = 0..m, of
     [ks[0], ks[-1]], and each level's nodes include the previous level's,
@@ -632,17 +682,19 @@ def _chebyshev_fields(coeff: Coefficient, ks: np.ndarray, levels, fields: dict) 
     nodes start GMRES from zero; every node a later level adds starts from
     the previous level's interpolant of u/u_in times u_in on the support
     box, which is already close to the solution.  One DCT-I over a level's
-    nodes gives the Chebyshev coefficients of u/u_in on every grid node; the
-    level is accepted when the last two are at most RESIDUAL_BOUND
+    nodes gives the Chebyshev coefficients of u/u_in on every window node;
+    the level is accepted when the last two are at most RESIDUAL_BOUND
     max |u/u_in|.  If the decay down to them, extrapolated geometrically,
     needs more than levels[-1] intervals, or a node after the first fails to
     solve, this returns with only the nodes that are midpoints in fields.
     On acceptance every other midpoint gets the barycentric interpolant of
-    u/u_in times u_in, checked against the full-grid residual bound
+    u/u_in times u_in, checked against solve_forward's residual bound
     (_interpolation_residuals); only the fields that pass it are kept.
     """
     grid = coeff.grid
     box = _support_box(coeff.quadrature_mean())
+    window, inner, _ = _window(grid, box, window)
+    x2 = grid.nodes[window[0], None]
     finest = K_LEVELS[-1]
     nodes = 0.5 * (ks[0] + ks[-1]) - 0.5 * (ks[-1] - ks[0]) * np.cos(
         np.pi * np.arange(finest + 1) / finest)
@@ -655,18 +707,18 @@ def _chebyshev_fields(coeff: Coefficient, ks: np.ndarray, levels, fields: dict) 
         new = [j for j in taken if j not in ratio]
         starts = [None] * len(new)
         if coarse is not None:
-            starts = _barycentric(nodes[coarse], f[(Ellipsis,) + box], nodes[new])
-            starts *= IncidentWave.field(grid.nodes[:, None], nodes[new][:, None, None])[:, box[0]]
+            starts = _barycentric(nodes[coarse], f[(Ellipsis,) + inner], nodes[new])
+            starts *= IncidentWave.field(grid.nodes[box[0], None], nodes[new][:, None, None])
         for j, start in zip(new, starts):
             try:
-                u = solve_forward(coeff, nodes[j], start)
+                u = solve_forward(coeff, nodes[j], start, window)
             except IllConditionedSystem:
                 if j == 0:  # the first midpoint: the per-midpoint loop fails here too
                     raise
                 return
             if nodes[j] in midpoint:
                 fields[midpoint[nodes[j]]] = u
-            ratio[j] = u / IncidentWave.field(grid.nodes[:, None], nodes[j])
+            ratio[j] = u / IncidentWave.field(x2, nodes[j])
         f = np.stack([ratio[j] for j in taken])
         cheb = np.abs(dct(f, type=1, axis=0)).max(axis=(1, 2)) / level
         tail = max(cheb[-2], cheb[-1] / 2) / np.abs(f).max()
@@ -679,17 +731,21 @@ def _chebyshev_fields(coeff: Coefficient, ks: np.ndarray, levels, fields: dict) 
 
     missing = [m for m in range(ks.size) if m not in fields]
     interpolated = _barycentric(nodes[taken], f, ks[missing])
-    interpolated *= IncidentWave.field(grid.nodes[:, None], ks[missing][:, None, None])
-    resid = _interpolation_residuals(coeff, ks[missing], interpolated)
+    interpolated *= IncidentWave.field(x2, ks[missing][:, None, None])
+    resid = _interpolation_residuals(coeff, ks[missing], interpolated, window)
     # a non-finite residual fails the check too
     fields.update((m, u) for m, u, ok in zip(missing, interpolated, resid < RESIDUAL_BOUND) if ok)
 
 
-def _interpolation_residuals(coeff: Coefficient, ks: np.ndarray, fields: np.ndarray) -> np.ndarray:
-    """|u - k^2 h^2 K(a u) - u_in| / |u_in| on the full grid, per field of the stack.
+def _interpolation_residuals(coeff: Coefficient, ks: np.ndarray, fields: np.ndarray,
+                             window=None) -> np.ndarray:
+    """solve_forward's residual |u - k^2 h^2 K(a u_B) - u_in| / |u_in| per
+    field of the stack, each field on window (None: the whole grid).
 
-    The box-to-grid products run in chunks of wavenumbers, each from one
-    Bessel table evaluation, one batch of circulants and one FFT pair
+    As in solve_forward, the difference is taken over the window and the
+    norm of u_in over the whole grid.  The box-to-window products run in
+    chunks of wavenumbers, each from one Bessel table evaluation on the
+    offsets the window needs, one batch of circulants and one FFT pair
     (_offset_product of a stacked table), with at most _CHUNK_ENTRIES
     circulant entries per chunk.
     """
@@ -697,73 +753,87 @@ def _interpolation_residuals(coeff: Coefficient, ks: np.ndarray, fields: np.ndar
     n = grid.n_nodes
     a = coeff.quadrature_mean()
     box = _support_box(a)
+    window, inner, extent = _window(grid, box, window)
     a_box = a[box]
-    full = (slice(0, n), slice(0, n))
-    entries = next_fast_len(n + a_box.shape[0] - 1) * next_fast_len(n + a_box.shape[1] - 1)
+    entries = math.prod(next_fast_len(w.stop - w.start + b.stop - b.start - 1)
+                        for b, w in zip(box, window))
     chunk = max(1, _CHUNK_ENTRIES // entries)
     resid = np.empty(ks.size)
     for s in range(0, ks.size, chunk):
         k = ks[s:s + chunk]
-        table = (k * k * grid.h ** 2)[:, None, None] * _kernel_table(grid, k)
-        extension = _offset_product(table, a_box, box, full)
+        table = (k * k * grid.h ** 2)[:, None, None] * _kernel_table(grid, k, extent)
+        extension = _offset_product(table, a_box, box, window)
         u = fields[s:s + chunk]
-        u_in = np.broadcast_to(IncidentWave.field(grid.nodes[:, None], k[:, None, None]), u.shape)
-        c = extension(u[(Ellipsis,) + box])
-        resid[s:s + chunk] = (np.linalg.norm(u - c - u_in, axis=(1, 2))
-                              / np.linalg.norm(u_in, axis=(1, 2)))
+        u_in = IncidentWave.field(grid.nodes[:, None], k[:, None, None])
+        c = extension(u[(Ellipsis,) + inner])
+        resid[s:s + chunk] = (np.linalg.norm(u - c - u_in[:, window[0]], axis=(1, 2))
+                              / np.linalg.norm(np.broadcast_to(u_in, (k.size, n, n)), axis=(1, 2)))
     return resid
 
 
 def trace_cauchy(fields: np.ndarray, coeff: Coefficient, kgrid: KGrid) -> CauchyData:
-    """Cauchy traces (g0, g1) on the top boundary from solved fields.
+    """Cauchy traces (g0, g1) on the top boundary from fields on the support box.
 
-    g0 is the top row of each field.  g1 is the exact incident derivative
-    plus the x2-derivative of the integral representation,
+    fields are the (n_k, p, q) values of u on the bounding box B of the
+    nonzero quadrature mean, solve_forward_multi(coeff, kgrid, B).  Both
+    traces are the incident wave's plus the representation formula's,
 
-        k^2 h^2 sum_y dK(x - y) a(y) u(y),  dK = -(i/4) k H1^(1)(k r) (x2 - y2) / r.
+        g0 = u_in + k^2 h^2 sum_y K(x - y) a(y) u(y),   K = (i/4) H0^(1)(k r),
+        g1 = d u_in / dx2 + k^2 h^2 sum_y dK(x - y) a(y) u(y),
+        dK = -(i/4) k H1^(1)(k r) (x2 - y2) / r,
 
-    On the uniform grid dK depends only on the lattice offset between a top
-    row node and a support node: the row offset di from the support row up to
-    the boundary and the column offset |dj| in 0..n-1.  The offset table is
-    filled by one H1 = J1 + i Y1 evaluation over (wavenumber, support row,
-    |dj|).  Each (wavenumber, support row) pair is then a Toeplitz product
-    along the row with a*u, and all of them run as one batched 1D FFT
-    convolution whose spectra are summed over the support rows before the
-    inverse transform.  The support must stay below the boundary, so
-    di >= 1 and every r is strictly positive; support on the top row itself
-    would put the kernel's singularity on a measurement node and is refused.
+    so g0 is the top row a solve would extend the field to.  On the uniform
+    grid K and dK depend only on the lattice offset between a top row node
+    and a support node: the row offset di from the support row up to the
+    boundary and the column offset |dj|.  Both tables are filled from one
+    array of arguments k h r over (wavenumber, support row, |dj|), by
+    H0 = J0 + i Y0 and H1 = J1 + i Y1.  Each (wavenumber, support row) pair
+    is then a Toeplitz product from the box columns to every column, and
+    per kernel all of them run as one batched 1D FFT convolution whose
+    spectra are summed over the support rows before the inverse transform.
+    The support must stay below the boundary, so di >= 1 and every r is
+    strictly positive; support on the top row itself would put the kernels'
+    singularity on a measurement node and is refused.  A null scatterer has
+    no box, takes fields of shape (n_k, 0, 0) and has the incident traces.
     """
     grid = coeff.grid
     n = grid.n_nodes
-    fields = np.asarray(fields)
-    if fields.shape != (kgrid.n_sub, n, n):
-        raise ValueError(
-            f"fields must have shape (n_k, n_nodes, n_nodes) = {(kgrid.n_sub, n, n)}, "
-            f"got {fields.shape}"
-        )
     mean = coeff.quadrature_mean()
-    rows = np.flatnonzero(np.any(mean != 0, axis=1))
-    if rows.size and rows[-1] == grid.gamma_row:
+    support = np.any(mean != 0, axis=1)
+    if support[grid.gamma_row]:
         raise ValueError(
             f"coefficient support reaches the measurement row i = {grid.gamma_row} "
             f"(x2 = {grid.half_width}), where the trace kernel is singular"
         )
-    g0 = fields[:, grid.gamma_row, :].T.copy()
-
-    ks = kgrid.midpoints[:, None, None]
-    di = (grid.gamma_row - rows)[:, None]
-    rho = np.hypot(di, np.arange(n)[None, :])
-    kr = ks * grid.h * rho
-    table = (-0.25j * grid.h ** 2) * ks ** 3 * (j1(kr) + 1j * y1(kr)) * (di / rho)
-    size = next_fast_len(2 * n - 1)
-    circ = np.zeros(table.shape[:2] + (size,), dtype=complex)
-    circ[..., :n] = table
-    circ[..., size - n + 1:] = table[..., :0:-1]
-    au_hat = fft(mean[rows] * fields[:, rows, :], size)
-    scattered = ifft(np.einsum("mrf,mrf->mf", fft(circ), au_hat))[:, :n]
+    box = _support_box(mean)
+    shape = (kgrid.n_sub, box[0].stop - box[0].start, box[1].stop - box[1].start)
+    fields = np.asarray(fields)
+    if fields.shape != shape:
+        raise ValueError(f"fields must have shape (n_k, box rows, box columns) = {shape}, "
+                         f"got {fields.shape}")
 
     k = kgrid.midpoints
-    g1 = 1j * k * IncidentWave.direction[1] * IncidentWave.field(grid.half_width, k) + scattered.T
+    u_in = IncidentWave.field(grid.half_width, k)
+    g0 = np.tile(u_in, (n, 1))
+    g1 = np.tile(1j * k * IncidentWave.direction[1] * u_in, (n, 1))
+    rows = np.flatnonzero(support[box[0]])
+    if rows.size:
+        ks = k[:, None, None]
+        di = (grid.gamma_row - box[0].start - rows)[:, None]
+        # top-row column j and box column c0 + i are |j - i - c0| apart; the
+        # circulant holds that offset at e = j - i in 1-q..n-1, e < 0 wrapped
+        c0, q = box[1].start, shape[2]
+        rho = np.hypot(di, np.arange(max(c0 + q, n - c0))[None, :])
+        kr = ks * grid.h * rho
+        tables = ((0.25j * grid.h ** 2) * ks ** 2 * (j0(kr) + 1j * y0(kr)),
+                  (-0.25j * grid.h ** 2) * ks ** 3 * (j1(kr) + 1j * y1(kr)) * (di / rho))
+        size = next_fast_len(n + q - 1)
+        e = np.r_[0:n, 1 - q:0]
+        au_hat = fft(mean[box][rows] * fields[:, rows, :], size)
+        for g, table in zip((g0, g1), tables):
+            circ = np.zeros(table.shape[:2] + (size,), dtype=complex)
+            circ[..., e % size] = table[..., np.abs(e - c0)]
+            g += ifft(np.einsum("mrf,mrf->mf", fft(circ), au_hat))[:, :n].T
     return CauchyData(grid=grid, kgrid=kgrid, g0=g0, g1=g1, noise_level=0.0, seed=None)
 
 

@@ -24,6 +24,7 @@ from .forward import (
     Disk,
     Grid2D,
     Rectangle,
+    _support_box,
     add_noise,
     rasterize,
     solve_forward_multi,
@@ -113,6 +114,8 @@ def simulate_scenario(sc: Scenario):
 
     Returns (truth coefficient on the reconstruction grid, clean data, noisy
     data); the latter two coincide when the scenario is noise free.  The
+    fields are solved on the fine grid's support box only, from which
+    trace_cauchy reads the data by the representation formula.  The
     noise is drawn with sc.seed; replace(sc, seed=...) draws another.  Geometry
     is validated on both grids, so inclusions must stay clear of the boundary
     even after refinement.
@@ -123,7 +126,8 @@ def simulate_scenario(sc: Scenario):
 
     fine_grid = Grid2D(sc.half_width, sc.n_cells * sc.refine)
     fine = rasterize(sc.shapes, fine_grid) if sc.refine > 1 else truth
-    cd_fine = trace_cauchy(solve_forward_multi(fine, kgrid), fine, kgrid)
+    box = _support_box(fine.quadrature_mean())
+    cd_fine = trace_cauchy(solve_forward_multi(fine, kgrid, box), fine, kgrid)
     clean = CauchyData(
         grid=grid,
         kgrid=kgrid,

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.fft
 from scipy.ndimage import gaussian_filter
-from scipy.special import hankel1, j0, y0
+from scipy.special import hankel1, j0, j1, y0, y1
 
 from convexscat import (
     Coefficient,
@@ -99,8 +99,12 @@ def test_kernel_table_matches_hankel_function(ncells, k):
     rho0 = grid.h / np.sqrt(np.pi)
     self_cell = 0.25j - (np.euler_gamma + np.log(k * rho0 / 2) - 0.5) / (2 * np.pi)
     assert np.all(np.abs(table[..., 0, 0] - self_cell) <= 1e-15 * np.abs(self_cell))
+    # a window's table covers only the offsets it needs: a smaller lattice,
+    # square or not, holds the same bits at the same offsets
+    for shape in ((n, n), (1, 1), (n // 2, n), (3, n // 3 + 1)):
+        assert np.array_equal(_kernel_table(grid, k, shape), table[..., :shape[0], :shape[1]])
     # the cache hands its geometry to every caller, so no caller may write to it
-    radii, index = _lattice_radii(n)
+    radii, index = _lattice_radii(n, n - 3)
     assert not radii.flags.writeable and not index.flags.writeable
 
 
@@ -261,6 +265,14 @@ def test_gmres_from_a_start_vector():
         assert np.linalg.norm(b - A @ solution) <= 1e-12 * np.linalg.norm(b)
 
 
+def test_gmres_singular_least_squares_factor_is_refused():
+    # the zero operator leaves a zero pivot in the cycle's triangular factor;
+    # the triangular solve reports it as a failed solve, not a LinAlgError
+    b = np.ones(4, dtype=complex)
+    with pytest.raises(IllConditionedSystem, match="least-squares factor is singular at column 1"):
+        _gmres(lambda v: 0.0 * v, b, lambda x: b)
+
+
 def test_gmres_stops_after_a_cycle_without_progress():
     # the cyclic shift maps e_j to e_(j+1), so from b = e_1 every Krylov step
     # leaves the residual at |b| until the basis holds all n > GMRES_RESTART
@@ -308,12 +320,15 @@ def test_unweighted_run_fails_fast_with_the_records_of_a_full_stall(example1_sim
     assert np.array_equal(full.coefficient.values, fast.coefficient.values)
 
 
-def test_solve_from_its_own_solution_extends_it_to_the_grid(monkeypatch):
+@pytest.mark.parametrize("boxed", [False, True], ids=["grid", "box"])
+def test_solve_from_its_own_solution_extends_it_to_the_grid(boxed, monkeypatch):
     # a start that already meets the tolerance runs no GMRES cycle, so the
-    # box-to-grid extension and the residual check run on the start itself
+    # box-to-window extension and the residual check run on the start
+    # itself; on the box window that product is GMRES's own
     coeff = rasterize([DISK], Grid2D(0.8, 16))
-    u = solve_forward(coeff, 1.0)
     box = forward._support_box(coeff.quadrature_mean())
+    window = box if boxed else None
+    u = solve_forward(coeff, 1.0, None, window)
     gmres = forward._gmres
     steps = []
 
@@ -323,7 +338,7 @@ def test_solve_from_its_own_solution_extends_it_to_the_grid(monkeypatch):
         return x, iterations
 
     monkeypatch.setattr(forward, "_gmres", counted)
-    again = solve_forward(coeff, 1.0, u[box])
+    again = solve_forward(coeff, 1.0, u if boxed else u[box], window)
     assert steps == [0]
     assert np.max(np.abs(again - u)) <= 1e-12 * np.max(np.abs(u))
 
@@ -407,6 +422,44 @@ def test_multi_solve_interpolates_in_k(case, default_kgrid, monkeypatch):
         assert _full_grid_residual(coeff, k, stack[m]) < 1e-10
 
 
+def _grown(box, rows, cols):
+    # the box grown by rows and cols nodes on each side: a window between
+    # the box and the whole grid
+    return slice(box[0].start - rows, box[0].stop + rows), slice(box[1].start - cols, box[1].stop + cols)
+
+
+@pytest.mark.parametrize("case", ["example1-28", "example2b-56"])
+def test_windowed_solves_are_the_whole_grid_fields_on_the_window(case, default_kgrid,
+                                                                 monkeypatch):
+    # the box window and a larger one hold the whole-grid field's values on
+    # their nodes, and every directly solved midpoint is solve_forward's
+    # field on that window, bit for bit
+    name, ncells = case.split("-")
+    coeff = rasterize(get_scenario(name).shapes, Grid2D(0.8, int(ncells)))
+    box = forward._support_box(coeff.quadrature_mean())
+    whole = solve_forward_multi(coeff, default_kgrid)
+    ks = default_kgrid.midpoints
+    for window in (box, _grown(box, 3, 1)):
+        calls, solve = _count_solves(monkeypatch)
+        stack = forward.solve_forward_multi(coeff, default_kgrid, window)
+        assert len(calls) < ks.size
+        assert stack.shape == (ks.size,) + whole[(0,) + window].shape
+        part = whole[(Ellipsis,) + window]
+        assert np.max(np.abs(stack - part)) <= 1e-12 * np.max(np.abs(part))
+        for m, k in enumerate(ks):
+            if k in calls:
+                assert np.array_equal(stack[m], solve(coeff, k, None, window))
+        monkeypatch.undo()
+
+
+def test_a_window_must_contain_the_support_box():
+    coeff = rasterize([DISK], Grid2D(0.8, 16))
+    box = forward._support_box(coeff.quadrature_mean())
+    for window in (_grown(box, -1, 0), (box[0], slice(0, 17, 2)), (box[0],)):
+        with pytest.raises(ValueError, match="contain the support box"):
+            solve_forward(coeff, 1.0, None, window)
+
+
 def test_batched_residuals_match_one_product_per_wavenumber(default_kgrid):
     # the chunked residual check against one unbatched grid-to-grid product
     # per field, on fields perturbed away from the solution; 50 wavenumbers
@@ -473,24 +526,27 @@ def test_multi_solve_falls_back_on_high_contrast(default_kgrid, monkeypatch):
         assert np.array_equal(stack[m], solve(coeff, k))
 
 
-def test_multi_solve_replaces_a_field_that_fails_the_residual_check(default_kgrid, monkeypatch):
+@pytest.mark.parametrize("boxed", [False, True], ids=["grid", "box"])
+def test_multi_solve_replaces_a_field_that_fails_the_residual_check(boxed, default_kgrid,
+                                                                    monkeypatch):
     check = forward._interpolation_residuals
     refused = []
 
-    def failing(coeff, ks, fields):
-        resid = check(coeff, ks, fields)
+    def failing(coeff, ks, fields, *rest):
+        resid = check(coeff, ks, fields, *rest)
         refused.extend(ks[[5, 20]])
         resid[5], resid[20] = 1.0, np.nan
         return resid
 
     monkeypatch.setattr(forward, "_interpolation_residuals", failing)
     coeff = rasterize(get_scenario("example1").shapes, Grid2D(0.8, 28))
+    window = forward._support_box(coeff.quadrature_mean()) if boxed else None
     calls, solve = _count_solves(monkeypatch)
-    stack = forward.solve_forward_multi(coeff, default_kgrid)
+    stack = forward.solve_forward_multi(coeff, default_kgrid, window)
     assert calls[-2:] == refused
     for k in refused:
         m = int(np.flatnonzero(default_kgrid.midpoints == k)[0])
-        assert np.array_equal(stack[m], solve(coeff, k))
+        assert np.array_equal(stack[m], solve(coeff, k, None, window))
 
 
 def test_multi_solve_falls_back_when_a_node_fails(default_kgrid, monkeypatch):
@@ -565,11 +621,19 @@ def test_multi_solve_stall_at_the_lowest_k_raises_at_the_first_midpoint(default_
     assert calls == [default_kgrid.midpoints[0]]
 
 
+def _box_fields(coeff, kg):
+    # solve_forward_multi on the coefficient's support box, the fields
+    # trace_cauchy reads
+    return solve_forward_multi(coeff, kg, forward._support_box(coeff.quadrature_mean()))
+
+
 def test_trace_of_zero_coefficient_is_incident_data():
+    # a null scatterer has no box: no field values, and the incident traces
     grid = Grid2D(0.8, 12)
     coeff = rasterize([], grid)
     kg = KGrid(0.5, 2.0, 4)
-    fields = solve_forward_multi(coeff, kg)
+    fields = _box_fields(coeff, kg)
+    assert fields.shape == (4, 0, 0)
     cd = trace_cauchy(fields, coeff, kg)
     ks = kg.midpoints
     u_in = IncidentWave.field(grid.half_width, ks)
@@ -585,7 +649,7 @@ def test_trace_derivative_matches_one_sided_differences():
         grid = Grid2D(0.8, ncells)
         truth = rasterize([DISK], grid)
         f = solve_forward_multi(truth, kg)
-        cd = trace_cauchy(f, truth, kg)
+        cd = trace_cauchy(f[(Ellipsis,) + forward._support_box(truth.quadrature_mean())], truth, kg)
         fd = (25 * f[:, -1, :] - 48 * f[:, -2, :] + 36 * f[:, -3, :]
               - 16 * f[:, -4, :] + 3 * f[:, -5, :]) / (12 * grid.h)
         return np.max(np.abs(fd.T - cd.g1)) / np.max(np.abs(cd.g1))
@@ -595,33 +659,89 @@ def test_trace_derivative_matches_one_sided_differences():
     assert coarse / fine > 8
 
 
-def test_trace_matches_direct_kernel_sum():
-    # the offset-table trace against the kernel summed over the full
-    # (top row x support) distance matrix; support spans several rows and
-    # both edge columns, so the column offset n-1 is exercised too
-    grid = Grid2D(0.8, 12)
-    n = grid.n_nodes
-    kg = KGrid(0.5, 2.0, 3)
-    rng = np.random.default_rng(11)
-    a = np.zeros((n, n))
-    a[2:9, :] = rng.uniform(0.2, 3.0, (7, n))
-    a[4, 3:6] = 0.0
-    coeff = Coefficient(grid, a)
-    fields = solve_forward_multi(coeff, kg)
-    cd = trace_cauchy(fields, coeff, kg)
-
+def _direct_kernel_traces(fields, coeff, kg):
+    # (g0, g1) from the kernels summed over the full (top row x support)
+    # distance matrix, with scipy's Hankel routine; fields on the whole grid
+    grid = coeff.grid
+    a = coeff.quadrature_mean()
     x1, x2_top = grid.nodes, grid.half_width
     X1, X2 = grid.mesh()
     sup = a != 0
     y1, y2, a_s = X1[sup], X2[sup], a[sup]
+    g0, g1 = [], []
     for m, k in enumerate(kg.midpoints):
         dx2 = x2_top - y2[None, :]
         r = np.hypot(x1[:, None] - y1[None, :], dx2)
+        K = 0.25j * hankel1(0, k * r)
         dK = -0.25j * k * hankel1(1, k * r) * dx2 / r
-        g1_in = 1j * k * IncidentWave.direction[1] * IncidentWave.field(x2_top, k)
-        g1 = g1_in + (k * k * grid.h ** 2) * (dK @ (a_s * fields[m][sup]))
-        assert np.max(np.abs(cd.g1[:, m] - g1)) <= 1e-12 * np.max(np.abs(g1))
-    assert np.array_equal(cd.g0, fields[:, -1, :].T)
+        au = (k * k * grid.h ** 2) * a_s * fields[m][sup]
+        u_in = IncidentWave.field(x2_top, k)
+        g0.append(u_in + K @ au)
+        g1.append(1j * k * IncidentWave.direction[1] * u_in + dK @ au)
+    return np.stack(g0, axis=1), np.stack(g1, axis=1)
+
+
+def _holed_rows(grid):
+    # support over several rows and both edge columns, so the column offset
+    # n-1 is exercised too, with a hole inside
+    n = grid.n_nodes
+    a = np.zeros((n, n))
+    a[2:9, :] = np.random.default_rng(11).uniform(0.2, 3.0, (7, n))
+    a[4, 3:6] = 0.0
+    return Coefficient(grid, a)
+
+
+@pytest.mark.parametrize("case", ["holed-rows", "example1", "example2b"])
+def test_trace_matches_direct_kernel_sum(case):
+    # the offset-table traces from the box part of whole-grid fields against
+    # the kernels summed over the full distance matrix; g0 is the field's top
+    # row, and so up to rounding what today's whole-grid solve extends it to
+    grid = Grid2D(0.8, 12 if case == "holed-rows" else 28)
+    coeff = _holed_rows(grid) if case == "holed-rows" else rasterize(get_scenario(case).shapes, grid)
+    kg = KGrid(0.5, 2.0, 3)
+    fields = solve_forward_multi(coeff, kg)
+    box = forward._support_box(coeff.quadrature_mean())
+    cd = trace_cauchy(fields[(Ellipsis,) + box], coeff, kg)
+    for got, direct in zip((cd.g0, cd.g1), _direct_kernel_traces(fields, coeff, kg)):
+        assert np.max(np.abs(got - direct)) <= 1e-12 * np.max(np.abs(direct))
+    top = fields[:, -1, :].T
+    assert np.max(np.abs(cd.g0 - top)) <= 1e-13 * np.max(np.abs(top))
+
+
+def _whole_grid_traces(fields, coeff, kg):
+    # the traces as read from whole-grid fields before the box window: g0 the
+    # top row, g1 the incident derivative plus one FFT convolution of H1 rows
+    # along whole rows of a u
+    grid = coeff.grid
+    n = grid.n_nodes
+    mean = coeff.quadrature_mean()
+    rows = np.flatnonzero(np.any(mean != 0, axis=1))
+    ks = kg.midpoints[:, None, None]
+    di = (grid.gamma_row - rows)[:, None]
+    rho = np.hypot(di, np.arange(n)[None, :])
+    kr = ks * grid.h * rho
+    table = (-0.25j * grid.h ** 2) * ks ** 3 * (j1(kr) + 1j * y1(kr)) * (di / rho)
+    size = scipy.fft.next_fast_len(2 * n - 1)
+    circ = np.zeros(table.shape[:2] + (size,), dtype=complex)
+    circ[..., :n] = table
+    circ[..., size - n + 1:] = table[..., :0:-1]
+    au_hat = scipy.fft.fft(mean[rows] * fields[:, rows, :], size)
+    scattered = scipy.fft.ifft(np.einsum("mrf,mrf->mf", scipy.fft.fft(circ), au_hat))[:, :n]
+    k = kg.midpoints
+    g1 = 1j * k * IncidentWave.direction[1] * IncidentWave.field(grid.half_width, k) + scattered.T
+    return fields[:, grid.gamma_row, :].T, g1
+
+
+@pytest.mark.parametrize("name", ["example1", "example2b"])
+def test_box_traces_match_the_whole_grid_traces(name, default_kgrid):
+    # the simulate path, box fields and the representation formula, against
+    # the top row and the H1 convolution of whole-grid fields: one disk and
+    # two, on the refined grid simulate solves them on
+    coeff = rasterize(get_scenario(name).shapes, Grid2D(0.8, 56))
+    cd = trace_cauchy(_box_fields(coeff, default_kgrid), coeff, default_kgrid)
+    reference = _whole_grid_traces(solve_forward_multi(coeff, default_kgrid), coeff, default_kgrid)
+    for got, ref in zip((cd.g0, cd.g1), reference):
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_trace_refuses_support_on_measurement_row():
@@ -630,7 +750,7 @@ def test_trace_refuses_support_on_measurement_row():
     a = np.zeros((grid.n_nodes, grid.n_nodes))
     a[-1, 5] = 1.0
     coeff = Coefficient(grid, a)
-    fields = solve_forward_multi(rasterize([], grid), kg)
+    fields = np.ones((3, 1, 1), dtype=complex)  # the shape of its box
     with pytest.raises(ValueError, match=r"measurement row i = 12"):
         trace_cauchy(fields, coeff, kg)
 
@@ -639,8 +759,9 @@ def test_trace_refuses_fields_of_the_wrong_shape():
     grid = Grid2D(0.8, 12)
     kg = KGrid(0.5, 2.0, 3)
     coeff = rasterize([DISK], grid)
-    fields = solve_forward_multi(coeff, kg)
-    for bad in (fields[:2], fields[:, :-1, :], fields[0]):
+    fields = _box_fields(coeff, kg)
+    # whole-grid fields are refused too: the traces read the box only
+    for bad in (fields[:2], fields[:, :-1, :], fields[0], solve_forward_multi(coeff, kg)):
         with pytest.raises(ValueError, match=r"fields must have shape"):
             trace_cauchy(bad, coeff, kg)
 
@@ -739,8 +860,7 @@ def _small_cauchy():
     grid = Grid2D(0.8, 12)
     truth = rasterize([DISK], grid)
     kg = KGrid(0.5, 2.0, 5)
-    fields = solve_forward_multi(truth, kg)
-    return trace_cauchy(fields, truth, kg)
+    return trace_cauchy(_box_fields(truth, kg), truth, kg)
 
 
 def test_noise_level_is_exact_in_weighted_norm():
