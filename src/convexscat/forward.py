@@ -110,13 +110,18 @@ K_LEVELS = (5, 10, 20, 40)
 _CHUNK_ENTRIES = 1 << 14
 # Sample points per block of the rasterizer's cut-cell quadrature
 # (_cell_averages): 256 KB per float array, 2 cut cells of 128 x 128 samples
-# or 5 node rows of the 5 x 5 probe at 224 cells, so the quadrature's
-# memory does not grow with the interface; all cut cells of example2b at
-# once take 14.5 MB per array at 56 cells and 59 MB at 224.  A block's
-# temporaries then fit in a 2 MB L2 cache: on a 2-core Xeon, rasterizing
-# example2b at 28 and 56 cells took about 13 ms, against 25 ms with 1 MB
-# blocks or all cut cells at once.
+# or 1310 cells of the 5 x 5 probe, so the quadrature's memory does not
+# grow with the interface; all cut cells of example2b at once take 14.5 MB
+# per array at 56 cells and 59 MB at 224.  A block's temporaries then fit
+# in a 2 MB L2 cache: on a 2-core Xeon, rasterizing example2b at 28 and 56
+# cells took about 13 ms, against 25 ms with 1 MB blocks or all cut cells
+# at once.
 _RASTER_BLOCK = 1 << 15
+# Relative margin by which the rasterizer widens each shape's bounds before
+# it skips the shape in a cell: a sample a rounding error outside the exact
+# extent can still pass the shape's own float test (d1^2 + d2^2 <= r^2 of a
+# disk), and the widened box must hold every sample that does.
+_BOX_MARGIN = 1e-9
 
 
 class IllConditionedSystem(RuntimeError):
@@ -184,6 +189,11 @@ class Disk:
         d2 = np.asarray(x2) - self.center[1]
         return d1 * d1 + d2 * d2 <= self.radius * self.radius
 
+    def bounds(self):
+        """Corners (lo, hi) of the axis-aligned box around the disk."""
+        (c1, c2), r = self.center, self.radius
+        return (c1 - r, c2 - r), (c1 + r, c2 + r)
+
 
 @dataclass(frozen=True)
 class Rectangle:
@@ -204,6 +214,10 @@ class Rectangle:
         x2 = np.asarray(x2)
         return (x1 >= self.lo[0]) & (x1 <= self.hi[0]) & (x2 >= self.lo[1]) & (x2 <= self.hi[1])
 
+    def bounds(self):
+        """Corners (lo, hi) of the rectangle."""
+        return self.lo, self.hi
+
 
 @dataclass(frozen=True)
 class Coefficient:
@@ -213,7 +227,12 @@ class Coefficient:
     integrated from the shape geometry.  The solver uses it as the quadrature
     mass of the cell so that interface cells contribute their true area;
     point values stay crisp membership samples.  Without it (coefficients
-    produced by the inversion itself) the node value stands in for the mean.
+    produced by the inversion itself, and the reconstruction grid's truth)
+    the node value stands in for the mean.
+
+    A coefficient's arrays are not written after construction, so box, the
+    support box every solve and trace reads, is computed once per
+    coefficient.
     """
 
     grid: Grid2D
@@ -223,6 +242,12 @@ class Coefficient:
     def quadrature_mean(self) -> np.ndarray:
         return self.values if self.cell_mean is None else self.cell_mean
 
+    @functools.cached_property
+    def box(self):
+        """Grid slices of the bounding box of the nonzero quadrature mean;
+        empty slices for a zero coefficient."""
+        return _support_box(self.quadrature_mean())
+
 
 def _stack_values(shapes, x1, x2):
     vals = np.zeros(np.broadcast(x1, x2).shape)
@@ -231,60 +256,116 @@ def _stack_values(shapes, x1, x2):
     return vals
 
 
-def _cell_averages(shapes, grid: Grid2D, values: np.ndarray, n_sub: int = 128) -> np.ndarray:
-    """Average each shape stack over every node's h x h cell.
+def _reach(shapes, grid: Grid2D) -> np.ndarray:
+    """Mask of shape (shapes, n_nodes, n_nodes): whether each shape's bounds,
+    widened by _BOX_MARGIN of the largest coordinate involved, meet node
+    (i, j)'s h x h cell.  Every sample of a cell at which a shape's own
+    contains holds lies in the widened bounds, so a shape that does not
+    reach a cell contains none of its probe or quadrature samples."""
+    x = grid.nodes
+    reach = np.empty((len(shapes), grid.n_nodes, grid.n_nodes), dtype=bool)
+    for s, shape in enumerate(shapes):
+        lo, hi = shape.bounds()
+        pad = 0.5 * grid.h + _BOX_MARGIN * max(grid.half_width, *map(abs, lo + hi))
+        rows = (x >= lo[1] - pad) & (x <= hi[1] + pad)
+        cols = (x >= lo[0] - pad) & (x <= hi[0] + pad)
+        reach[s] = rows[:, None] & cols[None, :]
+    return reach
 
-    Cells are probed on a coarse 5x5 pattern; only cells the interface cuts
-    get the dense n_sub x n_sub midpoint average.  Both passes go through
-    the grid in blocks of at most _RASTER_BLOCK sample points, the probe by
-    node rows and the average by cut cells, so the arrays stay the same
-    size however long the interface is.  Each cell's samples, membership
-    tests and mean are the same expressions as over the whole grid at once.
+
+def _sample_cells(shapes, reach, x1, x2, offsets, reduce, out):
+    """out[c] = reduce(stack) for the stack of shapes on the samples
+    (x1[c] + offsets[a], x2[c] + offsets[b]) of each cell c, in blocks of at
+    most _RASTER_BLOCK samples; returns out.  A block stacks only the shapes
+    that reach one of its cells (reach[:, c]), in their order, so a later
+    shape still wins."""
+    cells = max(1, _RASTER_BLOCK // offsets.size ** 2)
+    for c in range(0, x1.size, cells):
+        block = slice(c, c + cells)
+        near = [shape for shape, hit in zip(shapes, reach[:, block].any(axis=1)) if hit]
+        out[block] = reduce(_stack_values(near, x1[block, None, None] + offsets[None, :, None],
+                                          x2[block, None, None] + offsets[None, None, :]))
+    return out
+
+
+def _cell_averages(shapes, grid: Grid2D, values: np.ndarray, cells=None,
+                   n_sub: int = 128) -> np.ndarray:
+    """Average each shape stack over the h x h cell of every node, or of the
+    nodes where the mask cells is true; elsewhere the node value stands in.
+
+    Only the cells some shape reaches (_reach) are probed, on a 5x5 pattern
+    that includes the cell's edges: every sample of any other cell lies
+    outside every shape, so the cell is not cut and its mean is its node
+    value.  Only cells the interface cuts get the dense n_sub x n_sub
+    midpoint average.  Both passes go through their cells in blocks of at
+    most _RASTER_BLOCK sample points (_sample_cells), so the arrays stay the
+    same size however long the interface is, and each block stacks only the
+    shapes that reach one of its cells.  A skipped shape contains none of
+    the block's samples, so each cell's samples, membership tests and mean
+    are the same expressions and values as with every shape on every cell.
     """
     X1, X2 = grid.mesh()
+    reach = _reach(shapes, grid)
+    near = np.any(reach, axis=0)
+    if cells is not None:
+        near &= cells
     probe = np.linspace(-0.5, 0.5, 5) * grid.h
-    cut = np.empty(values.shape, dtype=bool)
-    rows = max(1, _RASTER_BLOCK // (probe.size ** 2 * grid.n_nodes))
-    for i in range(0, grid.n_nodes, rows):
-        p1 = X1[i:i + rows, :, None, None] + probe[None, None, :, None]
-        p2 = X2[i:i + rows, :, None, None] + probe[None, None, None, :]
-        probed = _stack_values(shapes, p1, p2)
-        cut[i:i + rows] = probed.max(axis=(2, 3)) != probed.min(axis=(2, 3))
-
-    mean = values.astype(float).copy()
-    x1, x2 = X1[cut], X2[cut]
-    averages = np.empty(x1.size)
+    cut = np.zeros(values.shape, dtype=bool)
+    cut[near] = _sample_cells(shapes, reach[:, near], X1[near], X2[near], probe,
+                              lambda s: s.max(axis=(1, 2)) != s.min(axis=(1, 2)),
+                              np.empty(np.count_nonzero(near), dtype=bool))
+    mean = values.astype(float)
     sub = ((np.arange(n_sub) + 0.5) / n_sub - 0.5) * grid.h
-    cells = max(1, _RASTER_BLOCK // n_sub ** 2)
-    for c in range(0, x1.size, cells):
-        s1 = x1[c:c + cells, None, None] + sub[None, :, None]
-        s2 = x2[c:c + cells, None, None] + sub[None, None, :]
-        averages[c:c + cells] = _stack_values(shapes, s1, s2).mean(axis=(1, 2))
-    mean[cut] = averages
+    mean[cut] = _sample_cells(shapes, reach[:, cut], X1[cut], X2[cut], sub,
+                              lambda s: s.mean(axis=(1, 2)), np.empty(np.count_nonzero(cut)))
     return mean
 
 
-def rasterize(shapes, grid: Grid2D) -> Coefficient:
-    """Sample shapes onto the grid by node-center membership, later shapes winning.
-
-    Enforces the synthetic-truth contract: nonnegative values and no support
-    on the domain boundary.
-    """
+def _rasterize(shapes, grid: Grid2D, cells=None):
+    """Node values and cell means of the shapes (_cell_averages, on every
+    cell or on the mask cells), checked against the synthetic-truth
+    contract: nonnegative values, and no support on the domain boundary,
+    neither at a boundary node nor in the mean of its cell."""
     X1, X2 = grid.mesh()
     values = _stack_values(shapes, X1, X2)
-    cell_mean = _cell_averages(shapes, grid, values)
+    cell_mean = _cell_averages(shapes, grid, values, cells)
     if np.any(values < 0):
         raise ValueError(f"synthetic coefficient must be nonnegative, got {float(values.min())!r}")
-    edge = np.zeros_like(values, dtype=bool)
-    edge[0, :] = edge[-1, :] = edge[:, 0] = edge[:, -1] = True
-    bad = edge & ((values != 0) | (cell_mean != 0))
+    bad = (values != 0) | (cell_mean != 0)
+    bad[1:-1, 1:-1] = False
     if np.any(bad):
         ii, jj = np.nonzero(bad)
         where = ", ".join(f"(i={i + 1}, j={j + 1})" for i, j in zip(ii[:5], jj[:5]))
         raise ValueError(
             f"support touches the domain boundary at {ii.size} nodes, first at {where}"
         )
+    return values, cell_mean
+
+
+def rasterize(shapes, grid: Grid2D) -> Coefficient:
+    """Sample shapes onto the grid by node-center membership, later shapes
+    winning, with every node's cell mean (_cell_averages) for the solver's
+    quadrature.
+
+    Enforces the synthetic-truth contract: nonnegative values and no support
+    on the domain boundary.
+    """
+    values, cell_mean = _rasterize(shapes, grid)
     return Coefficient(grid=grid, values=values, cell_mean=cell_mean)
+
+
+def _rasterize_nodes(shapes, grid: Grid2D) -> Coefficient:
+    """rasterize's node values alone, without cell means: the truth a
+    reconstruction on the grid is compared with, which needs no quadrature.
+
+    The contract is checked as rasterize checks it, with the same message,
+    but cell means are computed only on the boundary ring, the only cells
+    the boundary check reads.
+    """
+    ring = np.ones((grid.n_nodes, grid.n_nodes), dtype=bool)
+    ring[1:-1, 1:-1] = False
+    values, _ = _rasterize(shapes, grid, ring)
+    return Coefficient(grid=grid, values=values)
 
 
 class IncidentWave:
@@ -584,7 +665,7 @@ def solve_forward(coeff: Coefficient, k: float, start=None, window=None) -> np.n
     if not np.any(a):
         return u_in[window or slice(None)].copy()
 
-    box = _support_box(a)
+    box = coeff.box
     window, inner, extent = _window(grid, box, window)
     a_box = a[box]
     p, q = a_box.shape
@@ -692,7 +773,7 @@ def _chebyshev_fields(coeff: Coefficient, ks: np.ndarray, levels, fields: dict, 
     (_interpolation_residuals); only the fields that pass it are kept.
     """
     grid = coeff.grid
-    box = _support_box(coeff.quadrature_mean())
+    box = coeff.box
     window, inner, _ = _window(grid, box, window)
     x2 = grid.nodes[window[0], None]
     finest = K_LEVELS[-1]
@@ -751,10 +832,9 @@ def _interpolation_residuals(coeff: Coefficient, ks: np.ndarray, fields: np.ndar
     """
     grid = coeff.grid
     n = grid.n_nodes
-    a = coeff.quadrature_mean()
-    box = _support_box(a)
+    box = coeff.box
     window, inner, extent = _window(grid, box, window)
-    a_box = a[box]
+    a_box = coeff.quadrature_mean()[box]
     entries = math.prod(next_fast_len(w.stop - w.start + b.stop - b.start - 1)
                         for b, w in zip(box, window))
     chunk = max(1, _CHUNK_ENTRIES // entries)
@@ -785,9 +865,12 @@ def trace_cauchy(fields: np.ndarray, coeff: Coefficient, kgrid: KGrid) -> Cauchy
     so g0 is the top row a solve would extend the field to.  On the uniform
     grid K and dK depend only on the lattice offset between a top row node
     and a support node: the row offset di from the support row up to the
-    boundary and the column offset |dj|.  Both tables are filled from one
-    array of arguments k h r over (wavenumber, support row, |dj|), by
-    H0 = J0 + i Y0 and H1 = J1 + i Y1.  Each (wavenumber, support row) pair
+    boundary and the column offset |dj|.  Both kernels are evaluated by
+    H0 = J0 + i Y0 and H1 = J1 + i Y1 once per wavenumber and distinct
+    radius r = hypot(di, |dj|) and gathered onto the circulant entries: the
+    same bits as one evaluation per offset.  Radii are grouped by the float
+    np.hypot returns, not by di^2 + dj^2, since sqrt(di^2 + dj^2) and hypot
+    differ in the last bit on some offsets.  Each (wavenumber, support row) pair
     is then a Toeplitz product from the box columns to every column, and
     per kernel all of them run as one batched 1D FFT convolution whose
     spectra are summed over the support rows before the inverse transform.
@@ -805,7 +888,7 @@ def trace_cauchy(fields: np.ndarray, coeff: Coefficient, kgrid: KGrid) -> Cauchy
             f"coefficient support reaches the measurement row i = {grid.gamma_row} "
             f"(x2 = {grid.half_width}), where the trace kernel is singular"
         )
-    box = _support_box(mean)
+    box = coeff.box
     shape = (kgrid.n_sub, box[0].stop - box[0].start, box[1].stop - box[1].start)
     fields = np.asarray(fields)
     if fields.shape != shape:
@@ -818,21 +901,29 @@ def trace_cauchy(fields: np.ndarray, coeff: Coefficient, kgrid: KGrid) -> Cauchy
     g1 = np.tile(1j * k * IncidentWave.direction[1] * u_in, (n, 1))
     rows = np.flatnonzero(support[box[0]])
     if rows.size:
-        ks = k[:, None, None]
         di = (grid.gamma_row - box[0].start - rows)[:, None]
         # top-row column j and box column c0 + i are |j - i - c0| apart; the
-        # circulant holds that offset at e = j - i in 1-q..n-1, e < 0 wrapped
+        # circulant holds that offset at e = j - i in 1-q..n-1, e < 0 wrapped.
+        # index maps each circulant entry to its distinct radius, and the
+        # entries that hold no offset to an appended zero kernel value
         c0, q = box[1].start, shape[2]
-        rho = np.hypot(di, np.arange(max(c0 + q, n - c0))[None, :])
-        kr = ks * grid.h * rho
-        tables = ((0.25j * grid.h ** 2) * ks ** 2 * (j0(kr) + 1j * y0(kr)),
-                  (-0.25j * grid.h ** 2) * ks ** 3 * (j1(kr) + 1j * y1(kr)) * (di / rho))
         size = next_fast_len(n + q - 1)
         e = np.r_[0:n, 1 - q:0]
+        rho = np.hypot(di, np.abs(e - c0)[None, :])
+        radii, inverse = np.unique(rho.ravel(), return_inverse=True)
+        index = np.full((rows.size, size), radii.size)
+        index[:, e % size] = inverse.reshape(rho.shape)
+        ratio = np.zeros((rows.size, size))
+        ratio[:, e % size] = di / rho
+        ks = k[:, None]
+        kr = (ks * grid.h) * radii
+        kernels = np.zeros((2, k.size, radii.size + 1), dtype=complex)
+        kernels[0, :, :-1] = (0.25j * grid.h ** 2) * ks ** 2 * (j0(kr) + 1j * y0(kr))
+        kernels[1, :, :-1] = (-0.25j * grid.h ** 2) * ks ** 3 * (j1(kr) + 1j * y1(kr))
         au_hat = fft(mean[box][rows] * fields[:, rows, :], size)
-        for g, table in zip((g0, g1), tables):
-            circ = np.zeros(table.shape[:2] + (size,), dtype=complex)
-            circ[..., e % size] = table[..., np.abs(e - c0)]
+        circs = np.take(kernels, index, axis=2)
+        circs[1] *= ratio
+        for g, circ in zip((g0, g1), circs):
             g += ifft(np.einsum("mrf,mrf->mf", fft(circ), au_hat))[:, :n].T
     return CauchyData(grid=grid, kgrid=kgrid, g0=g0, g1=g1, noise_level=0.0, seed=None)
 

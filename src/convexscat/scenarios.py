@@ -24,7 +24,7 @@ from .forward import (
     Disk,
     Grid2D,
     Rectangle,
-    _support_box,
+    _rasterize_nodes,
     add_noise,
     rasterize,
     solve_forward_multi,
@@ -116,18 +116,25 @@ def simulate_scenario(sc: Scenario):
     data); the latter two coincide when the scenario is noise free.  The
     fields are solved on the fine grid's support box only, from which
     trace_cauchy reads the data by the representation formula.  The
-    noise is drawn with sc.seed; replace(sc, seed=...) draws another.  Geometry
-    is validated on both grids, so inclusions must stay clear of the boundary
-    even after refinement.
+    noise is drawn with sc.seed; replace(sc, seed=...) draws another.
+
+    Both grids are checked for support on the domain boundary, so
+    inclusions must stay clear of it on either.  With refine > 1 the truth
+    is _rasterize_nodes on the reconstruction grid: node values, checked at
+    the boundary nodes and the means of their cells only, and before the
+    fine grid, so a scene that fails on both is reported with the
+    reconstruction grid's nodes.  The fine grid is rasterized once, with
+    the cell means its solves need.  With refine == 1 the truth is that
+    fine rasterization itself.
     """
     grid = Grid2D(sc.half_width, sc.n_cells)
     kgrid = KGrid(sc.k_min, sc.k_max, sc.n_k)
-    truth = rasterize(sc.shapes, grid)
-
-    fine_grid = Grid2D(sc.half_width, sc.n_cells * sc.refine)
-    fine = rasterize(sc.shapes, fine_grid) if sc.refine > 1 else truth
-    box = _support_box(fine.quadrature_mean())
-    cd_fine = trace_cauchy(solve_forward_multi(fine, kgrid, box), fine, kgrid)
+    if sc.refine > 1:
+        truth = _rasterize_nodes(sc.shapes, grid)
+        fine = rasterize(sc.shapes, Grid2D(sc.half_width, sc.n_cells * sc.refine))
+    else:
+        truth = fine = rasterize(sc.shapes, grid)
+    cd_fine = trace_cauchy(solve_forward_multi(fine, kgrid, fine.box), fine, kgrid)
     clean = CauchyData(
         grid=grid,
         kgrid=kgrid,

@@ -8,6 +8,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.ndimage import gaussian_filter
 from scipy.special import hankel1, j0, j1, y0, y1
 
@@ -799,25 +801,28 @@ def test_rasterize_membership_and_overlap():
     assert np.any(cut)
 
 
+def _stack_every_shape(shapes, x1, x2):
+    vals = np.zeros(np.broadcast(x1, x2).shape)
+    for shape in shapes:
+        vals[shape.contains(x1, x2)] = shape.value
+    return vals
+
+
 def _one_shot_cell_mean(shapes, grid, values, n_sub=128):
     # the rasterizer's cut-cell quadrature over the whole grid at once: a
     # 5x5 probe of every cell, then one n_sub x n_sub midpoint average of
-    # every cut cell, later shapes winning
-    def stack(x1, x2):
-        vals = np.zeros(np.broadcast(x1, x2).shape)
-        for shape in shapes:
-            vals[shape.contains(x1, x2)] = shape.value
-        return vals
-
+    # every cut cell, every shape stacked on every sample, later shapes
+    # winning
     X1, X2 = grid.mesh()
     probe = np.linspace(-0.5, 0.5, 5) * grid.h
-    probed = stack(X1[..., None, None] + probe[None, None, :, None],
-                   X2[..., None, None] + probe[None, None, None, :])
+    probed = _stack_every_shape(shapes, X1[..., None, None] + probe[None, None, :, None],
+                                X2[..., None, None] + probe[None, None, None, :])
     cut = probed.max(axis=(2, 3)) != probed.min(axis=(2, 3))
     mean = values.astype(float).copy()
     sub = (np.arange(n_sub) + 0.5) / n_sub - 0.5
-    mean[cut] = stack(X1[cut][:, None, None] + (sub * grid.h)[None, :, None],
-                      X2[cut][:, None, None] + (sub * grid.h)[None, None, :]).mean(axis=(1, 2))
+    mean[cut] = _stack_every_shape(
+        shapes, X1[cut][:, None, None] + (sub * grid.h)[None, :, None],
+        X2[cut][:, None, None] + (sub * grid.h)[None, None, :]).mean(axis=(1, 2))
     return mean
 
 
@@ -831,6 +836,143 @@ def test_blocked_cell_mean_is_bit_identical_to_the_one_shot_quadrature(name, ref
     coeff = rasterize(sc.shapes, grid)
     reference = _one_shot_cell_mean(sc.shapes, grid, coeff.values)
     assert coeff.cell_mean.tobytes() == reference.tobytes()
+
+
+def _probe_line(grid, node, point):
+    # node coordinate plus the probe's point-th offset (0..4, 0 and 4 the
+    # cell edges), in the float the rasterizer's probe computes
+    return float(grid.nodes[node] + np.linspace(-0.5, 0.5, 5)[point] * grid.h)
+
+
+# On these grids x_n - h/2 + h/2 rounds below x_n for node n = 13 (28 cells)
+# and n = 27 (56 cells), so a culling box that is not widened misses a shape
+# that reaches exactly that cell edge.  A rectangle whose right edge is the
+# left edge of column 13 and whose bottom edge is the probe line a quarter
+# cell above node row 10:
+EDGE_GRID = Grid2D(0.8, 28)
+EDGE_RECTANGLE = Rectangle(lo=(-0.3, _probe_line(EDGE_GRID, 10, 3)),
+                           hi=(_probe_line(EDGE_GRID, 13, 0), 0.4), value=0.7)
+# A disk tangent from below to the bottom edge of cell (27, 13), over a
+# rectangle of a value whose 128 x 128-sample mean is not the value itself.
+# The rectangle's box reaches rows 1.. and columns 3..52, so 26 x 50 + 10 =
+# 1310 probed cells precede the cell: it is the first of the second probe
+# block, and none of that block's other cells reaches the disk.
+BLOCK_GRID = Grid2D(0.8, 56)
+TANGENT_DISK = Disk(center=(float(BLOCK_GRID.nodes[13]), _probe_line(BLOCK_GRID, 27, 0) - 0.1),
+                    radius=0.1, value=2.0)
+UNDER_TANGENT = Rectangle(lo=(_probe_line(BLOCK_GRID, 3, 3), _probe_line(BLOCK_GRID, 1, 3)),
+                          hi=(_probe_line(BLOCK_GRID, 52, 1), 0.35), value=0.3)
+
+EDGE_SCENES = {
+    # the later shape wins where both reach a cell, also in culled blocks
+    "rectangle-over-disk": ((Disk(center=(0.0, 0.1), radius=0.3, value=2.0),
+                             Rectangle(lo=(-0.05, -0.1), hi=(0.4, 0.3), value=1.5)), EDGE_GRID),
+    "rectangle-edge-on-probe-lines": ((EDGE_RECTANGLE,), EDGE_GRID),
+    "disk-tangent-to-a-probe-block": ((UNDER_TANGENT, TANGENT_DISK), BLOCK_GRID),
+}
+
+
+def test_edge_scenes_touch_the_edge_that_an_unwidened_box_misses():
+    rect_x1 = EDGE_RECTANGLE.bounds()[1][0]
+    assert EDGE_RECTANGLE.contains(rect_x1, EDGE_GRID.nodes[14])
+    assert not EDGE_GRID.nodes[13] <= rect_x1 + 0.5 * EDGE_GRID.h
+    disk_x2 = _probe_line(BLOCK_GRID, 27, 0)
+    assert TANGENT_DISK.contains(BLOCK_GRID.nodes[13], disk_x2)
+    assert not BLOCK_GRID.nodes[27] <= TANGENT_DISK.bounds()[1][1] + 0.5 * BLOCK_GRID.h
+    near = np.any(forward._reach(EDGE_SCENES["disk-tangent-to-a-probe-block"][0], BLOCK_GRID),
+                  axis=0)
+    assert np.count_nonzero(near[:27]) + np.count_nonzero(near[27, :13]) == (
+        forward._RASTER_BLOCK // 25)
+    assert np.full((1, 128, 128), 0.3).mean(axis=(1, 2))[0] != 0.3
+
+
+def _assert_rasterize_is_unculled(shapes, grid):
+    coeff = rasterize(shapes, grid)
+    X1, X2 = grid.mesh()
+    values = _stack_every_shape(shapes, X1, X2)
+    assert coeff.values.tobytes() == values.tobytes()
+    assert coeff.cell_mean.tobytes() == _one_shot_cell_mean(shapes, grid, values).tobytes()
+
+
+@pytest.mark.parametrize("n_cells", [28, 56, 112])
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_culled_rasterize_is_bit_identical_to_every_shape_on_every_cell(name, n_cells):
+    # the probe runs only on cells some shape's box reaches and each block
+    # of cut cells stacks only the shapes whose box reaches it: the same
+    # samples, tests and means as with no culling at all
+    _assert_rasterize_is_unculled(get_scenario(name).shapes, Grid2D(0.8, n_cells))
+
+
+@pytest.mark.parametrize("scene", sorted(EDGE_SCENES))
+def test_culled_rasterize_is_bit_identical_on_edge_scenes(scene):
+    _assert_rasterize_is_unculled(*EDGE_SCENES[scene])
+
+
+# shapes clear of the boundary ring of a grid of at least 16 cells on
+# (-0.8, 0.8)^2; coordinates are drawn uniformly or snapped to a probe line
+_COORD = st.floats(-0.5, 0.3)
+_SIZE = st.floats(0.01, 0.25)
+_VALUE = st.sampled_from([0.3, 0.7, 1.5, 2.0, 3.0])
+
+
+@st.composite
+def _scene(draw):
+    n_cells = draw(st.sampled_from([16, 28, 40]))
+    grid = Grid2D(0.8, n_cells)
+    probe = np.linspace(-0.5, 0.5, 5) * grid.h
+
+    def coord():
+        if draw(st.booleans()):
+            return draw(_COORD)
+        node = grid.nodes[draw(st.integers(n_cells // 4, 5 * n_cells // 8))]
+        return float(node + probe[draw(st.integers(0, 4))])
+
+    shapes = []
+    for _ in range(draw(st.integers(1, 3))):
+        lo = (coord(), coord())
+        if draw(st.booleans()):
+            shapes.append(Disk(center=lo, radius=draw(_SIZE), value=draw(_VALUE)))
+        else:
+            hi = (lo[0] + draw(_SIZE), lo[1] + draw(_SIZE))
+            shapes.append(Rectangle(lo=lo, hi=hi, value=draw(_VALUE)))
+    return tuple(shapes), grid
+
+
+@settings(max_examples=25, deadline=None)
+@given(scene=_scene())
+def test_culled_rasterize_is_bit_identical_on_drawn_scenes(scene):
+    _assert_rasterize_is_unculled(*scene)
+
+
+@settings(max_examples=50, deadline=None)
+@given(scene=_scene())
+def test_a_shape_reaches_every_cell_where_it_contains_a_probe_sample(scene):
+    # the culling contract: a shape skipped for a cell contains none of its
+    # samples.  The probe's edge samples are the only ones that can lie a
+    # rounding error outside a cell's h x h neighbourhood, so they are the
+    # ones that need the widened box
+    shapes, grid = scene
+    X1, X2 = grid.mesh()
+    probe = np.linspace(-0.5, 0.5, 5) * grid.h
+    p1 = X1[..., None, None] + probe[None, None, :, None]
+    p2 = X2[..., None, None] + probe[None, None, None, :]
+    for shape, reach in zip(shapes, forward._reach(shapes, grid)):
+        assert np.all(reach[shape.contains(p1, p2).any(axis=(2, 3))])
+
+
+def test_a_shape_reaches_the_cell_whose_edge_it_touches():
+    assert forward._reach([EDGE_RECTANGLE], EDGE_GRID)[0][14, 13]
+    assert forward._reach([TANGENT_DISK], BLOCK_GRID)[0][27, 13]
+
+
+def test_coefficient_box_is_the_support_box_computed_once():
+    coeff = rasterize(get_scenario("example2b").shapes, Grid2D(0.8, 56))
+    box = coeff.box
+    assert box == forward._support_box(coeff.quadrature_mean())
+    assert coeff.box is box
+    assert Coefficient(grid=coeff.grid, values=coeff.values).box == forward._support_box(
+        coeff.values)
+    assert rasterize([], coeff.grid).box == (slice(0, 0), slice(0, 0))
 
 
 def test_rasterize_memory_does_not_grow_with_the_interface():

@@ -249,6 +249,47 @@ def test_simulate_traces_the_refined_solve():
     assert not np.allclose(clean.g0, cd_coarse.g0)
 
 
+@pytest.mark.parametrize("refine", [1, 2, 3])
+def test_simulate_truth_is_the_rasterized_node_values(refine):
+    # with refine > 1 the truth is checked and sampled without the solver's
+    # cell means, which it does not carry; with refine == 1 it is the
+    # solved coefficient itself
+    shapes = (Disk(center=(0.0, 0.1), radius=0.3, value=2.0),
+              Rectangle(lo=(-0.05, -0.1), hi=(0.4, 0.3), value=1.5))
+    sc = Scenario("truth", shapes, noise_level=0.0, refine=refine, n_cells=12, n_k=3)
+    truth, _, _ = simulate_scenario(sc)
+    coeff = rasterize(shapes, Grid2D(sc.half_width, sc.n_cells))
+    assert np.array_equal(truth.values, coeff.values)
+    if refine == 1:
+        assert np.array_equal(truth.cell_mean, coeff.cell_mean)
+    else:
+        assert truth.cell_mean is None
+
+
+def test_a_scene_in_the_band_between_the_edge_cells_is_refused():
+    # the disk reaches x2 = 0.78: into the top edge cells of the 28-cell
+    # reconstruction grid (from 0.8 - h/2 = 0.771) but not those of the
+    # 56-cell fine grid (from 0.786), and no node; only the cell means of
+    # the reconstruction grid's boundary ring see it
+    sc = Scenario("band", (Disk(center=(0.0, 0.6), radius=0.18, value=1.0),), n_k=3)
+    rasterize(sc.shapes, Grid2D(sc.half_width, sc.n_cells * sc.refine))
+    with pytest.raises(ValueError) as exc:
+        simulate_scenario(sc)
+    assert str(exc.value) == ("support touches the domain boundary at 3 nodes, first at "
+                              "(i=29, j=14), (i=29, j=15), (i=29, j=16)")
+
+
+def test_a_scene_over_both_boundaries_is_reported_on_the_reconstruction_grid():
+    sc = Scenario("both", (Disk(center=(0.0, 0.65), radius=0.2, value=1.0),), n_k=3)
+    with pytest.raises(ValueError, match=r"at 11 nodes, first at \(i=57, j=24\)"):
+        rasterize(sc.shapes, Grid2D(sc.half_width, sc.n_cells * sc.refine))
+    with pytest.raises(ValueError) as exc:
+        simulate_scenario(sc)
+    assert str(exc.value) == ("support touches the domain boundary at 7 nodes, first at "
+                              "(i=29, j=12), (i=29, j=13), (i=29, j=14), (i=29, j=15), "
+                              "(i=29, j=16)")
+
+
 def test_refined_grid_trace_is_closer_to_the_disk_series():
     # example1's clean g0 against the analytic disk series: on the 56-cell
     # grid (solved on 112 cells) it is inside criterion 2's 1% and closer
