@@ -12,14 +12,14 @@ index offset between two nodes, so it is applied as one FFT convolution, as
 in G. Vainikko, Fast solvers of the Lippmann-Schwinger equation (2000).
 Since a u vanishes where a does, the system is solved by GMRES (Saad and
 Schultz, 1986) on the bounding box of the support only, at one FFT pair plus
-BLAS calls per step.  A solve returns the field on a window, a pair of grid
-slices that contains the box (by default the whole grid): off the box the
+BLAS calls per step.  A solve returns the field on a window, either the
+whole grid (the default) or the support box itself: off the box the
 field is the representation formula u = u_in + k^2 h^2 K(a u_B).  One
 convolution from the box to the window gives those values and is the
 restart residual at the end of each GMRES cycle; for the box window it is
 GMRES's own product.  The last one gives the residual check, which bounds
 the residual of the whole-grid system for the field the formula extends,
-whatever the window.  A solve whose restart residuals show that it cannot
+on either window.  A solve whose restart residuals show that it cannot
 pass that check in the steps left ends at once and raises
 IllConditionedSystem.  Both products, and the trace kernels, take their
 Hankel values from the real-argument Bessel functions H_m = J_m + i Y_m;
@@ -117,6 +117,8 @@ _CHUNK_ENTRIES = 1 << 14
 # cells took about 13 ms, against 25 ms with 1 MB blocks or all cut cells
 # at once.
 _RASTER_BLOCK = 1 << 15
+# Midpoint samples per side of a cut cell in the rasterizer's cell average.
+_CELL_SAMPLES = 128
 # Relative margin by which the rasterizer widens each shape's bounds before
 # it skips the shape in a cell: a sample a rounding error outside the exact
 # extent can still pass the shape's own float test (d1^2 + d2^2 <= r^2 of a
@@ -184,6 +186,11 @@ class Disk:
         if self.radius <= 0:
             raise ValueError(f"radius must be positive, got {self.radius!r}")
 
+    # d1 * d1 overflows to inf only more than 1e154 from the center, where
+    # the test then holds just when r * r is inf too: right up to rounding
+    # for a disk that meets the domain, the only kind _rasterize samples,
+    # since every domain point is within r + 2 sqrt(2) half_width of it.
+    @np.errstate(over="ignore")
     def contains(self, x1, x2):
         d1 = np.asarray(x1) - self.center[0]
         d2 = np.asarray(x2) - self.center[1]
@@ -288,15 +295,14 @@ def _sample_cells(shapes, reach, x1, x2, offsets, reduce, out):
     return out
 
 
-def _cell_averages(shapes, grid: Grid2D, values: np.ndarray, cells=None,
-                   n_sub: int = 128) -> np.ndarray:
+def _cell_averages(shapes, grid: Grid2D, values: np.ndarray, cells=None) -> np.ndarray:
     """Average each shape stack over the h x h cell of every node, or of the
     nodes where the mask cells is true; elsewhere the node value stands in.
 
     Only the cells some shape reaches (_reach) are probed, on a 5x5 pattern
     that includes the cell's edges: every sample of any other cell lies
     outside every shape, so the cell is not cut and its mean is its node
-    value.  Only cells the interface cuts get the dense n_sub x n_sub
+    value.  Only cells the interface cuts get the dense _CELL_SAMPLES^2
     midpoint average.  Both passes go through their cells in blocks of at
     most _RASTER_BLOCK sample points (_sample_cells), so the arrays stay the
     same size however long the interface is, and each block stacks only the
@@ -315,7 +321,7 @@ def _cell_averages(shapes, grid: Grid2D, values: np.ndarray, cells=None,
                               lambda s: s.max(axis=(1, 2)) != s.min(axis=(1, 2)),
                               np.empty(np.count_nonzero(near), dtype=bool))
     mean = values.astype(float)
-    sub = ((np.arange(n_sub) + 0.5) / n_sub - 0.5) * grid.h
+    sub = ((np.arange(_CELL_SAMPLES) + 0.5) / _CELL_SAMPLES - 0.5) * grid.h
     mean[cut] = _sample_cells(shapes, reach[:, cut], X1[cut], X2[cut], sub,
                               lambda s: s.mean(axis=(1, 2)), np.empty(np.count_nonzero(cut)))
     return mean
@@ -324,8 +330,15 @@ def _cell_averages(shapes, grid: Grid2D, values: np.ndarray, cells=None,
 def _rasterize(shapes, grid: Grid2D, cells=None):
     """Node values and cell means of the shapes (_cell_averages, on every
     cell or on the mask cells), checked against the synthetic-truth
-    contract: nonnegative values, and no support on the domain boundary,
-    neither at a boundary node nor in the mean of its cell."""
+    contract: every shape's bounds meet the closed domain, checked before
+    any sampling, nonnegative values, and no support on the domain
+    boundary, neither at a boundary node nor in the mean of its cell."""
+    r = grid.half_width
+    for i, shape in enumerate(shapes):
+        lo, hi = shape.bounds()
+        if not (lo[0] <= r and lo[1] <= r and hi[0] >= -r and hi[1] >= -r):
+            raise ValueError(f"shapes[{i}] lies wholly outside the domain [-{r}, {r}]^2: "
+                             f"its bounds are {lo} to {hi}")
     X1, X2 = grid.mesh()
     values = _stack_values(shapes, X1, X2)
     cell_mean = _cell_averages(shapes, grid, values, cells)
@@ -603,17 +616,14 @@ def _support_box(a: np.ndarray):
 
 
 def _window(grid: Grid2D, box, window):
-    """Window slices of the grid (None: the whole grid), the box's slices
-    within the window, and the shape of the offset lattice between the two.
-
-    A window must be a pair of unit-step slices that contains the box.
-    """
-    spans = [w.indices(grid.n_nodes) for w in window or (slice(None), slice(None))]
-    if len(spans) != 2 or not all(step == 1 and start <= b.start and b.stop <= stop
-                                  for (start, stop, step), b in zip(spans, box)):
-        raise ValueError(f"window {window} is not two unit-step slices of the grid "
-                         f"that contain the support box {box}")
-    window = tuple(slice(start, stop) for start, stop, _ in spans)
+    """The window's slices, the box's slices within it, and the shape of the
+    offset lattice between the two.  A window is the whole grid (None or its
+    slices) or box itself; any other raises ValueError."""
+    whole = (slice(0, grid.n_nodes),) * 2
+    window = whole if window is None else window
+    if window not in (whole, box):
+        raise ValueError(f"window {window} is neither the whole grid {whole} "
+                         f"nor the support box {box}")
     inner = tuple(slice(b.start - w.start, b.stop - w.start) for b, w in zip(box, window))
     extent = tuple(max(b.stop - w.start, w.stop - b.start) for b, w in zip(box, window))
     return window, inner, extent
@@ -623,8 +633,8 @@ def _window(grid: Grid2D, box, window):
 def solve_forward(coeff: Coefficient, k: float, start=None, window=None) -> np.ndarray:
     """Total field u on the nodes of window for one wavenumber.
 
-    window is a pair of grid slices that contains the bounding box B (p x q
-    nodes) of the nonzero quadrature mean; None is the whole grid.  The
+    window is the whole grid (None or its slices) or the bounding box B
+    (p x q nodes) of the nonzero quadrature mean, coeff.box.  The
     product a u vanishes off B, so the Nystrom equations on B alone,
 
         u_B - k^2 h^2 K_BB (a u)_B = u_in on B,
@@ -634,13 +644,13 @@ def solve_forward(coeff: Coefficient, k: float, start=None, window=None) -> np.n
     by k^2 h^2.  The box-to-window convolution c = k^2 h^2 K (a u_B) is the
     restart residual: its box nodes give r_B = u_in,B + c_B - u_B at the end
     of each GMRES cycle.  For the box window it is the GMRES product itself;
-    for a larger window it is a circulant of about (w1 + p) x (w2 + q) from
-    a table of only the offsets between B and the window.  The last one
+    for the whole grid it is a circulant of about (n + p) x (n + q) from a
+    table of only the offsets between B and the grid.  The last one
     extends the field by the representation formula, u = u_in + c off B
     and u = u_B on B, and gives the residual |u - c - u_in| / |u_in| over
     the window.  |u_in| is the whole grid's, and the residual of the
     extended field is zero off B by construction, so the check bounds the
-    residual of the whole-grid system whatever the window; a solve whose
+    residual of the whole-grid system on either window; a solve whose
     residual is not below RESIDUAL_BOUND raises IllConditionedSystem.
     Since the restart residual is that residual, GMRES gets the bound
     RESIDUAL_BOUND |u_in| as the residual it must reach and stops at the
@@ -662,11 +672,11 @@ def solve_forward(coeff: Coefficient, k: float, start=None, window=None) -> np.n
     if not np.all(np.isfinite(a)):
         raise IllConditionedSystem(f"scattering solve at k={k}: coefficient is not finite "
                                    f"at {int(np.sum(~np.isfinite(a)))} nodes")
-    if not np.any(a):
-        return u_in[window or slice(None)].copy()
-
     box = coeff.box
     window, inner, extent = _window(grid, box, window)
+    if not np.any(a):
+        return u_in[window].copy()
+
     a_box = a[box]
     p, q = a_box.shape
     table = (k * k * grid.h ** 2) * _kernel_table(grid, k, extent)
@@ -712,8 +722,8 @@ def solve_forward(coeff: Coefficient, k: float, start=None, window=None) -> np.n
 def solve_forward_multi(coeff: Coefficient, kgrid: KGrid, window=None) -> np.ndarray:
     """Fields on window for all wavenumber midpoints, stacked as (n_k, rows, columns).
 
-    window is solve_forward's: a pair of grid slices that contains the
-    support box, by default the whole grid.  Each field is either a
+    window is solve_forward's: the whole grid (None or its slices), the
+    default, or the support box coeff.box.  Each field is either a
     solve_forward solve or an interpolant in k that passes solve_forward's
     residual check.  solve_forward runs at nested Chebyshev-Lobatto nodes of
     [first midpoint, last midpoint] and the other midpoints are interpolated

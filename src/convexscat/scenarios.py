@@ -3,7 +3,7 @@
 A scenario describes the measurement only: the true inclusions, the grid,
 the wavenumber range and the noise.  The method parameters are no part of
 it; they enter the inversion only through its InversionConfig.  Truth data
-is produced on a refine-times finer grid than the reconstruction grid and
+is produced on a REFINE-times finer grid than the reconstruction grid and
 subsampled back, so the inversion never sees fields computed with its own
 discretization.
 
@@ -43,14 +43,19 @@ __all__ = [
     "scenario_document",
 ]
 
+# the inversion must never see fields computed with its own discretization
+REFINE = 2
+
 
 @dataclass(frozen=True)
 class Scenario:
+    """A measurement in nine keys: name, shapes, noise_level, seed, the
+    reconstruction grid's half_width and n_cells, and k_min, k_max, n_k."""
+
     name: str
     shapes: tuple
     noise_level: float = 0.05
     seed: int | None = 0
-    refine: int = 2
     half_width: float = 0.8
     n_cells: int = 28
     k_min: float = 0.5
@@ -119,27 +124,23 @@ def simulate_scenario(sc: Scenario):
     noise is drawn with sc.seed; replace(sc, seed=...) draws another.
 
     Both grids are checked for support on the domain boundary, so
-    inclusions must stay clear of it on either.  With refine > 1 the truth
-    is _rasterize_nodes on the reconstruction grid: node values, checked at
+    inclusions must stay clear of it on either.  The truth is
+    _rasterize_nodes on the reconstruction grid: node values, checked at
     the boundary nodes and the means of their cells only, and before the
     fine grid, so a scene that fails on both is reported with the
-    reconstruction grid's nodes.  The fine grid is rasterized once, with
-    the cell means its solves need.  With refine == 1 the truth is that
-    fine rasterization itself.
+    reconstruction grid's nodes.  The REFINE-times finer grid is
+    rasterized once, with the cell means its solves need.
     """
     grid = Grid2D(sc.half_width, sc.n_cells)
     kgrid = KGrid(sc.k_min, sc.k_max, sc.n_k)
-    if sc.refine > 1:
-        truth = _rasterize_nodes(sc.shapes, grid)
-        fine = rasterize(sc.shapes, Grid2D(sc.half_width, sc.n_cells * sc.refine))
-    else:
-        truth = fine = rasterize(sc.shapes, grid)
+    truth = _rasterize_nodes(sc.shapes, grid)
+    fine = rasterize(sc.shapes, Grid2D(sc.half_width, sc.n_cells * REFINE))
     cd_fine = trace_cauchy(solve_forward_multi(fine, kgrid, fine.box), fine, kgrid)
     clean = CauchyData(
         grid=grid,
         kgrid=kgrid,
-        g0=cd_fine.g0[:: sc.refine].copy(),
-        g1=cd_fine.g1[:: sc.refine].copy(),
+        g0=cd_fine.g0[::REFINE].copy(),
+        g1=cd_fine.g1[::REFINE].copy(),
     )
     noisy = add_noise(clean, sc.noise_level, seed=sc.seed)
     return truth, clean, noisy

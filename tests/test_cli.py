@@ -373,8 +373,8 @@ def test_simulate_rejects_malformed_scenario_yaml_before_any_output(tmp_path, ca
     ("- {type: disk, center: 0.4, radius: 0.2, value: 1.5}",
      "shapes[1]: center must be a pair of numbers [x1, x2], got 0.4"),
     ("n_cells: 28.5", "n_cells must be an integer >= 2, got 28.5"),
-    ("refine: 1.5", "refine must be an integer >= 1, got 1.5"),
-    ("refine: true", "refine must be an integer >= 1, got True"),
+    # the grid simulate solves on is no part of a scene
+    ("refine: 2", "unknown scenario keys: refine"),
     ("noise_level: abc", "noise_level must be a finite number, got 'abc'"),
     ("name: [1, 2]", "name must be a string, got [1, 2]"),
     # a scene holds no method parameters: its config key is refused whatever it holds
@@ -385,9 +385,18 @@ def test_simulate_rejects_malformed_scenario_yaml_before_any_output(tmp_path, ca
     ("config: {lam: 0.0}", "unknown scenario keys: config"),
     ("- {type: disk, center: [0.0, 0.4], radius: 0.2, value: 1.5, colour: red}",
      "shapes[1]: unknown disk keys: colour"),
-], ids=["list", "no-radius", "scalar-center", "fractional-n_cells", "fractional-refine",
-        "bool-refine", "text-noise_level", "list-name", "list-config", "scalar-config",
-        "int-key", "int-config-key", "config-key", "extra-disk-key"])
+    # a shape wholly outside the domain is refused before it is sampled, so
+    # a far disk overflows nothing
+    ("- {type: disk, center: [1.0e+200, 0.0], radius: 0.1, value: 1.5}",
+     "shapes[1] lies wholly outside the domain [-0.8, 0.8]^2: "
+     "its bounds are (1e+200, -0.1) to (1e+200, 0.1)"),
+    ("- {type: rectangle, lo: [5, 5], hi: [6, 6], value: 1.5}",
+     "shapes[1] lies wholly outside the domain [-0.8, 0.8]^2: "
+     "its bounds are (5.0, 5.0) to (6.0, 6.0)"),
+], ids=["list", "no-radius", "scalar-center", "fractional-n_cells", "refine",
+        "text-noise_level", "list-name", "list-config", "scalar-config",
+        "int-key", "int-config-key", "config-key", "extra-disk-key", "far-disk",
+        "far-rectangle"])
 def test_simulate_rejects_a_malformed_scene_before_any_output(tmp_path, capsys, line, message):
     # one shape or top-level value of an otherwise valid scene is malformed
     scene = tmp_path / "bad.yaml"
@@ -486,7 +495,7 @@ def test_invert_rejects_data_the_loop_cannot_use_before_any_output(tmp_path, cap
     # the data file parses, but its 3-node grid is too coarse for the
     # recovery stencils; invert must not leave an empty --out behind
     scene = tmp_path / "coarse.yaml"
-    scene.write_text("shapes: []\nnoise_level: 0.0\nn_cells: 2\nrefine: 1\nn_k: 4\n")
+    scene.write_text("shapes: []\nnoise_level: 0.0\nn_cells: 2\nn_k: 4\n")
     sim = tmp_path / "sim"
     assert main(["simulate", "--scenario", str(scene), "--out", str(sim)]) == 0
     out = tmp_path / "out"

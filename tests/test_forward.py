@@ -425,41 +425,56 @@ def test_multi_solve_interpolates_in_k(case, default_kgrid, monkeypatch):
 
 
 def _grown(box, rows, cols):
-    # the box grown by rows and cols nodes on each side: a window between
-    # the box and the whole grid
+    # the box grown by rows and cols nodes on each side
     return slice(box[0].start - rows, box[0].stop + rows), slice(box[1].start - cols, box[1].stop + cols)
 
 
 @pytest.mark.parametrize("case", ["example1-28", "example2b-56"])
 def test_windowed_solves_are_the_whole_grid_fields_on_the_window(case, default_kgrid,
                                                                  monkeypatch):
-    # the box window and a larger one hold the whole-grid field's values on
-    # their nodes, and every directly solved midpoint is solve_forward's
-    # field on that window, bit for bit
+    # the box window holds the whole-grid field's values on its nodes, and
+    # every directly solved midpoint is solve_forward's field on the box,
+    # bit for bit
     name, ncells = case.split("-")
     coeff = rasterize(get_scenario(name).shapes, Grid2D(0.8, int(ncells)))
     box = forward._support_box(coeff.quadrature_mean())
     whole = solve_forward_multi(coeff, default_kgrid)
     ks = default_kgrid.midpoints
-    for window in (box, _grown(box, 3, 1)):
-        calls, solve = _count_solves(monkeypatch)
-        stack = forward.solve_forward_multi(coeff, default_kgrid, window)
-        assert len(calls) < ks.size
-        assert stack.shape == (ks.size,) + whole[(0,) + window].shape
-        part = whole[(Ellipsis,) + window]
-        assert np.max(np.abs(stack - part)) <= 1e-12 * np.max(np.abs(part))
-        for m, k in enumerate(ks):
-            if k in calls:
-                assert np.array_equal(stack[m], solve(coeff, k, None, window))
-        monkeypatch.undo()
+    calls, solve = _count_solves(monkeypatch)
+    stack = forward.solve_forward_multi(coeff, default_kgrid, box)
+    assert len(calls) < ks.size
+    assert stack.shape == (ks.size,) + whole[(0,) + box].shape
+    part = whole[(Ellipsis,) + box]
+    assert np.max(np.abs(stack - part)) <= 1e-12 * np.max(np.abs(part))
+    for m, k in enumerate(ks):
+        if k in calls:
+            assert np.array_equal(stack[m], solve(coeff, k, None, box))
 
 
 def test_a_window_must_contain_the_support_box():
     coeff = rasterize([DISK], Grid2D(0.8, 16))
     box = forward._support_box(coeff.quadrature_mean())
     for window in (_grown(box, -1, 0), (box[0], slice(0, 17, 2)), (box[0],)):
-        with pytest.raises(ValueError, match="contain the support box"):
+        with pytest.raises(ValueError, match="neither the whole grid .* nor the support box"):
             solve_forward(coeff, 1.0, None, window)
+    # the whole grid's slices are the default window
+    whole = (slice(0, 17), slice(0, 17))
+    assert np.array_equal(solve_forward(coeff, 1.0, None, whole), solve_forward(coeff, 1.0))
+    # a null scatterer's window is checked too: its box is empty
+    null = rasterize([], coeff.grid)
+    assert solve_forward(null, 1.0, None, null.box).shape == (0, 0)
+    with pytest.raises(ValueError, match="neither the whole grid .* nor the support box"):
+        solve_forward(null, 1.0, None, (box[0], slice(0, 17, 2)))
+
+
+@pytest.mark.parametrize("solve", ["solve_forward", "solve_forward_multi"])
+def test_a_window_grown_from_the_box_is_refused(solve, default_kgrid):
+    # a window is the whole grid or the support box, nothing in between
+    coeff = rasterize([DISK], Grid2D(0.8, 16))
+    box = forward._support_box(coeff.quadrature_mean())
+    k = 1.0 if solve == "solve_forward" else default_kgrid
+    with pytest.raises(ValueError, match="neither the whole grid .* nor the support box"):
+        getattr(forward, solve)(coeff, k, window=_grown(box, 3, 1))
 
 
 def test_batched_residuals_match_one_product_per_wavenumber(default_kgrid):
@@ -996,6 +1011,22 @@ def test_rasterize_rejects_boundary_support():
     # and negative synthetic values
     with pytest.raises(ValueError):
         rasterize([Disk(center=(0.0, 0.0), radius=0.2, value=-1.0)], grid)
+
+
+def test_rasterize_refuses_a_shape_outside_the_domain_before_sampling():
+    # a far disk is refused by its bounds, so its overflowing squares are
+    # never computed; a shape that meets the closed domain, even one of
+    # radius 1e200, reaches the boundary check without a warning
+    grid = Grid2D(0.8, 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^shapes\[1\] lies wholly outside the domain "
+                                             r"\[-0\.8, 0\.8\]\^2"):
+            rasterize([DISK, Disk(center=(1e200, 0.0), radius=0.1, value=1.0)], grid)
+        for shape in (Disk(center=(1e200, 0.0), radius=1e200, value=1.0),
+                      Rectangle(lo=(0.8, -0.1), hi=(1.0, 0.1), value=1.0)):
+            with pytest.raises(ValueError, match="support touches the domain boundary"):
+                rasterize([shape], grid)
 
 
 def _small_cauchy():

@@ -33,18 +33,17 @@ from convexscat import (
     trace_cauchy,
 )
 from convexscat.forward import _support_box
-from convexscat.scenarios import BUILTIN_SCENARIOS, scenario_document
+from convexscat.scenarios import BUILTIN_SCENARIOS, REFINE, scenario_document
 
 SMALL = InversionConfig(n_modes=2)
 
 
-def _small_disk(noise=0.05, seed=1, refine=2):
+def _small_disk(noise=0.05, seed=1):
     return Scenario(
         "small-disk",
         (Disk(center=(0.0, 0.4), radius=0.25, value=1.5),),
         noise_level=noise,
         seed=seed,
-        refine=refine,
         n_cells=8,
         n_k=3,
     )
@@ -73,11 +72,9 @@ def test_get_scenario_unknown_name():
 
 def test_scenario_validation():
     with pytest.raises(ValueError):
-        _small_disk(refine=0)
-    with pytest.raises(ValueError):
         _small_disk(noise=-0.01)
     # every field is checked where it enters, and the error names it
-    for key, value in (("refine", 1.5), ("refine", True), ("n_cells", 28.5), ("n_k", 50.0),
+    for key, value in (("n_cells", 28.5), ("n_k", 50.0),
                        ("noise_level", "abc"), ("noise_level", float("nan")),
                        ("half_width", float("inf")), ("k_min", None), ("k_max", True),
                        ("seed", -1), ("seed", 1.0), ("seed", False), ("name", [1, 2])):
@@ -124,7 +121,6 @@ def test_yaml_roundtrip_custom_fields(tmp_path):
         ),
         noise_level=0.03,
         seed=None,
-        refine=3,
         half_width=0.9,
         n_cells=12,
         k_min=0.4,
@@ -222,24 +218,24 @@ def test_simulate_traces_the_refined_solve():
     reconstruction nodes, not from a solve on the coarse grid itself.  They
     are traced from the fields on the fine support box, and agree with the
     top row of the whole-grid fields up to rounding."""
-    sc = _small_disk(noise=0.0, refine=2)
+    sc = _small_disk(noise=0.0)
     truth, clean, _ = simulate_scenario(sc)
 
-    fine_grid = Grid2D(sc.half_width, sc.n_cells * 2)
+    fine_grid = Grid2D(sc.half_width, sc.n_cells * REFINE)
     kgrid = KGrid(sc.k_min, sc.k_max, sc.n_k)
     fine = rasterize(sc.shapes, fine_grid)
     box = _support_box(fine.quadrature_mean())
     cd_fine = trace_cauchy(solve_forward_multi(fine, kgrid, box), fine, kgrid)
 
-    assert np.array_equal(clean.g0, cd_fine.g0[::2])
-    assert np.array_equal(clean.g1, cd_fine.g1[::2])
+    assert np.array_equal(clean.g0, cd_fine.g0[::REFINE])
+    assert np.array_equal(clean.g1, cd_fine.g1[::REFINE])
     assert truth.grid.n_cells == sc.n_cells
 
     whole = solve_forward_multi(fine, kgrid)
-    top = whole[:, -1, ::2].T
+    top = whole[:, -1, ::REFINE].T
     assert np.max(np.abs(clean.g0 - top)) <= 1e-13 * np.max(np.abs(top))
     cd_whole = trace_cauchy(whole[(Ellipsis,) + box], fine, kgrid)
-    assert np.max(np.abs(clean.g1 - cd_whole.g1[::2])) <= 1e-13 * np.max(np.abs(clean.g1))
+    assert np.max(np.abs(clean.g1 - cd_whole.g1[::REFINE])) <= 1e-13 * np.max(np.abs(clean.g1))
 
     coarse = rasterize(sc.shapes, truth.grid)
     coarse_box = _support_box(coarse.quadrature_mean())
@@ -249,21 +245,16 @@ def test_simulate_traces_the_refined_solve():
     assert not np.allclose(clean.g0, cd_coarse.g0)
 
 
-@pytest.mark.parametrize("refine", [1, 2, 3])
-def test_simulate_truth_is_the_rasterized_node_values(refine):
-    # with refine > 1 the truth is checked and sampled without the solver's
-    # cell means, which it does not carry; with refine == 1 it is the
-    # solved coefficient itself
+def test_simulate_truth_is_the_rasterized_node_values():
+    # the truth is checked and sampled without the solver's cell means,
+    # which it does not carry
     shapes = (Disk(center=(0.0, 0.1), radius=0.3, value=2.0),
               Rectangle(lo=(-0.05, -0.1), hi=(0.4, 0.3), value=1.5))
-    sc = Scenario("truth", shapes, noise_level=0.0, refine=refine, n_cells=12, n_k=3)
+    sc = Scenario("truth", shapes, noise_level=0.0, n_cells=12, n_k=3)
     truth, _, _ = simulate_scenario(sc)
     coeff = rasterize(shapes, Grid2D(sc.half_width, sc.n_cells))
     assert np.array_equal(truth.values, coeff.values)
-    if refine == 1:
-        assert np.array_equal(truth.cell_mean, coeff.cell_mean)
-    else:
-        assert truth.cell_mean is None
+    assert truth.cell_mean is None
 
 
 def test_a_scene_in_the_band_between_the_edge_cells_is_refused():
@@ -272,7 +263,7 @@ def test_a_scene_in_the_band_between_the_edge_cells_is_refused():
     # 56-cell fine grid (from 0.786), and no node; only the cell means of
     # the reconstruction grid's boundary ring see it
     sc = Scenario("band", (Disk(center=(0.0, 0.6), radius=0.18, value=1.0),), n_k=3)
-    rasterize(sc.shapes, Grid2D(sc.half_width, sc.n_cells * sc.refine))
+    rasterize(sc.shapes, Grid2D(sc.half_width, sc.n_cells * REFINE))
     with pytest.raises(ValueError) as exc:
         simulate_scenario(sc)
     assert str(exc.value) == ("support touches the domain boundary at 3 nodes, first at "
@@ -282,7 +273,7 @@ def test_a_scene_in_the_band_between_the_edge_cells_is_refused():
 def test_a_scene_over_both_boundaries_is_reported_on_the_reconstruction_grid():
     sc = Scenario("both", (Disk(center=(0.0, 0.65), radius=0.2, value=1.0),), n_k=3)
     with pytest.raises(ValueError, match=r"at 11 nodes, first at \(i=57, j=24\)"):
-        rasterize(sc.shapes, Grid2D(sc.half_width, sc.n_cells * sc.refine))
+        rasterize(sc.shapes, Grid2D(sc.half_width, sc.n_cells * REFINE))
     with pytest.raises(ValueError) as exc:
         simulate_scenario(sc)
     assert str(exc.value) == ("support touches the domain boundary at 7 nodes, first at "
