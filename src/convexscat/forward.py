@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 from itertools import product
 
@@ -119,6 +120,9 @@ _CHUNK_ENTRIES = 1 << 14
 _RASTER_BLOCK = 1 << 15
 # Midpoint samples per side of a cut cell in the rasterizer's cell average.
 _CELL_SAMPLES = 128
+# Largest |value| of a shape: the cell average sums _CELL_SAMPLES^2 samples,
+# and that sum must stay finite.
+_VALUE_MAX = sys.float_info.max / _CELL_SAMPLES ** 2
 # Relative margin by which the rasterizer widens each shape's bounds before
 # it skips the shape in a cell: a sample a rounding error outside the exact
 # extent can still pass the shape's own float test (d1^2 + d2^2 <= r^2 of a
@@ -330,15 +334,19 @@ def _cell_averages(shapes, grid: Grid2D, values: np.ndarray, cells=None) -> np.n
 def _rasterize(shapes, grid: Grid2D, cells=None):
     """Node values and cell means of the shapes (_cell_averages, on every
     cell or on the mask cells), checked against the synthetic-truth
-    contract: every shape's bounds meet the closed domain, checked before
-    any sampling, nonnegative values, and no support on the domain
-    boundary, neither at a boundary node nor in the mean of its cell."""
+    contract: every shape's bounds meet the closed domain and its |value|
+    is at most _VALUE_MAX, both checked before any sampling, nonnegative
+    values, and no support on the domain boundary, neither at a boundary
+    node nor in the mean of its cell."""
     r = grid.half_width
     for i, shape in enumerate(shapes):
         lo, hi = shape.bounds()
         if not (lo[0] <= r and lo[1] <= r and hi[0] >= -r and hi[1] >= -r):
             raise ValueError(f"shapes[{i}] lies wholly outside the domain [-{r}, {r}]^2: "
                              f"its bounds are {lo} to {hi}")
+        if abs(shape.value) > _VALUE_MAX:
+            raise ValueError(f"shapes[{i}]: value must be at most {_VALUE_MAX!r} in magnitude, "
+                             f"got {shape.value!r}")
     X1, X2 = grid.mesh()
     values = _stack_values(shapes, X1, X2)
     cell_mean = _cell_averages(shapes, grid, values, cells)
@@ -427,9 +435,9 @@ def _lattice_radii(rows: int, cols: int):
     return radii, index
 
 
-def _kernel_table(grid: Grid2D, k, shape=None) -> np.ndarray:
+def _kernel_table(grid: Grid2D, k, shape) -> np.ndarray:
     """Kernel value (i/4)H0(k r) by absolute index offset (di, dj), for the
-    offsets di < shape[0], dj < shape[1]; by default every offset on the grid.
+    offsets di < shape[0], dj < shape[1].
 
     H0 = J0 + i Y0 is evaluated from the real-argument Bessel functions once
     per distinct lattice radius (_lattice_radii, one index per lattice size)
@@ -442,7 +450,7 @@ def _kernel_table(grid: Grid2D, k, shape=None) -> np.ndarray:
     of wavenumbers the tables are stacked along its axes, from one Bessel
     evaluation.
     """
-    radii, index = _lattice_radii(*(shape or (grid.n_nodes, grid.n_nodes)))
+    radii, index = _lattice_radii(*shape)
     k = np.asarray(k, dtype=float)[..., None]
     kr = (k * grid.h) * radii
     values = np.empty(k.shape[:-1] + (1 + radii.size,), dtype=complex)
@@ -617,13 +625,12 @@ def _support_box(a: np.ndarray):
 
 def _window(grid: Grid2D, box, window):
     """The window's slices, the box's slices within it, and the shape of the
-    offset lattice between the two.  A window is the whole grid (None or its
-    slices) or box itself; any other raises ValueError."""
-    whole = (slice(0, grid.n_nodes),) * 2
-    window = whole if window is None else window
-    if window not in (whole, box):
-        raise ValueError(f"window {window} is neither the whole grid {whole} "
-                         f"nor the support box {box}")
+    offset lattice between the two.  A window is the whole grid (None) or
+    box itself; any other raises ValueError."""
+    if window is None:
+        window = (slice(0, grid.n_nodes),) * 2
+    elif window != box:
+        raise ValueError(f"window {window} is neither None nor the support box {box}")
     inner = tuple(slice(b.start - w.start, b.stop - w.start) for b, w in zip(box, window))
     extent = tuple(max(b.stop - w.start, w.stop - b.start) for b, w in zip(box, window))
     return window, inner, extent
@@ -633,7 +640,7 @@ def _window(grid: Grid2D, box, window):
 def solve_forward(coeff: Coefficient, k: float, start=None, window=None) -> np.ndarray:
     """Total field u on the nodes of window for one wavenumber.
 
-    window is the whole grid (None or its slices) or the bounding box B
+    window is the whole grid (None) or the bounding box B
     (p x q nodes) of the nonzero quadrature mean, coeff.box.  The
     product a u vanishes off B, so the Nystrom equations on B alone,
 
@@ -722,7 +729,7 @@ def solve_forward(coeff: Coefficient, k: float, start=None, window=None) -> np.n
 def solve_forward_multi(coeff: Coefficient, kgrid: KGrid, window=None) -> np.ndarray:
     """Fields on window for all wavenumber midpoints, stacked as (n_k, rows, columns).
 
-    window is solve_forward's: the whole grid (None or its slices), the
+    window is solve_forward's: the whole grid (None), the
     default, or the support box coeff.box.  Each field is either a
     solve_forward solve or an interpolant in k that passes solve_forward's
     residual check.  solve_forward runs at nested Chebyshev-Lobatto nodes of
@@ -784,8 +791,8 @@ def _chebyshev_fields(coeff: Coefficient, ks: np.ndarray, levels, fields: dict, 
     """
     grid = coeff.grid
     box = coeff.box
-    window, inner, _ = _window(grid, box, window)
-    x2 = grid.nodes[window[0], None]
+    slices, inner, _ = _window(grid, box, window)
+    x2 = grid.nodes[slices[0], None]
     finest = K_LEVELS[-1]
     nodes = 0.5 * (ks[0] + ks[-1]) - 0.5 * (ks[-1] - ks[0]) * np.cos(
         np.pi * np.arange(finest + 1) / finest)
@@ -829,7 +836,7 @@ def _chebyshev_fields(coeff: Coefficient, ks: np.ndarray, levels, fields: dict, 
 
 
 def _interpolation_residuals(coeff: Coefficient, ks: np.ndarray, fields: np.ndarray,
-                             window=None) -> np.ndarray:
+                             window) -> np.ndarray:
     """solve_forward's residual |u - k^2 h^2 K(a u_B) - u_in| / |u_in| per
     field of the stack, each field on window (None: the whole grid).
 

@@ -174,10 +174,11 @@ def _run_loop(cd: CauchyData, cfg: InversionConfig, keep_best: bool):
         if stop:
             break
 
-    final_V = best[1] if keep_best else V
-    a_final = recover_coefficient(final_V, bs, grid).values
+    # a tolerance or cap stop recovered a_n from V itself
+    if keep_best or error is not None:
+        a_n = recover_coefficient(best[1] if keep_best else V, bs, grid)
     return InversionResult(
-        coefficient=Coefficient(grid=grid, values=np.maximum(a_final, 0.0)),
+        coefficient=Coefficient(grid=grid, values=np.maximum(a_n.values, 0.0)),
         records=tuple(records),
         stop=stop,
         config=cfg,

@@ -111,17 +111,31 @@ def test_simulate_is_deterministic(scene_file, sim_dir, tmp_path):
     )
 
 
-@pytest.mark.parametrize("scene", ["example1", "custom"])
+_SCENE_FILES = {
+    # keys left at their defaults, and a float given as an integer
+    "custom": "shapes:\n"
+              "- {type: rectangle, lo: [-0.3, 0.1], hi: [0.2, 0.5], value: 2}\n"
+              "- {type: disk, center: [0.4, 0.3], radius: 0.15, value: 1.25}\n"
+              "half_width: 1\nn_cells: 12\nn_k: 6\nseed: 4\n",
+    # a refined grid: 56 cells, solved on the 112-cell support box
+    "example1-56": "name: example1-56\nseed: 0\nn_cells: 56\nshapes:\n"
+                   "- {type: disk, center: [0.0, 0.45], radius: 0.2, value: 3.0}\n",
+    # a rectangle drawn over a disk: the later shape wins in the culled
+    # cut-cell quadrature
+    "rectangle-over-disk": "name: rectangle-over-disk\nseed: 0\nshapes:\n"
+                           "- {type: disk, center: [0.0, 0.4], radius: 0.2, value: 2.0}\n"
+                           "- {type: rectangle, lo: [-0.05, 0.3], hi: [0.25, 0.5], value: 1.5}\n",
+}
+
+
+@pytest.mark.parametrize("scene", ["example1", *_SCENE_FILES])
 def test_simulate_manifest_reproduces_its_run(scene, tmp_path):
     # the manifest's config, dumped as YAML, is a scene file that simulates
-    # to the same data files; the custom scene leaves keys at their defaults
-    # and gives a float as an integer
-    if scene == "custom":
-        scene = tmp_path / "custom.yaml"
-        scene.write_text("shapes:\n"
-                         "- {type: rectangle, lo: [-0.3, 0.1], hi: [0.2, 0.5], value: 2}\n"
-                         "- {type: disk, center: [0.4, 0.3], radius: 0.15, value: 1.25}\n"
-                         "half_width: 1\nn_cells: 12\nn_k: 6\nseed: 4\n")
+    # to the same data files
+    if scene in _SCENE_FILES:
+        text = _SCENE_FILES[scene]
+        scene = tmp_path / f"{scene}.yaml"
+        scene.write_text(text)
     sim = tmp_path / "sim"
     assert main(["simulate", "--scenario", str(scene), "--out", str(sim)]) == 0
     doc = _manifest(sim)
@@ -226,6 +240,8 @@ def test_invert_no_carleman_runs_the_comparison(sim_dir, config_file, tmp_path, 
     assert len(err) == 1 and err[0].startswith("warning: re-solve failed at n=")
     coeff = read_coefficient(tmp_path / "coefficient.txt")
     assert np.isfinite(coeff.values).all()
+    records = read_history(tmp_path / "history.txt")
+    assert [r.n for r in records] == list(range(len(records)))
 
 
 def test_invert_resolve_failure_is_exit_4(sim_dir, tmp_path, capsys):
@@ -416,19 +432,30 @@ _DISK = "- {type: disk, center: [0.0, 0.4], radius: 0.2, value: 1.5}"
     (f"{_DISK}\nk_min: 3.0", [], "need 0 < k_min < k_max < inf, got [3.0, 2.0]"),
     (f"{_DISK}\nhalf_width: -0.8", [], "half_width must be positive and finite, got -0.8"),
     (_DISK.replace("0.2", "0.5"), [], "support touches the domain boundary at"),
+    # reaches into the reconstruction grid's edge cells but not the fine
+    # grid's, and touches no node: the truth's boundary-ring cell means see it
+    ("- {type: disk, center: [0.0, 0.6], radius: 0.18, value: 1.0}", [],
+     "support touches the domain boundary at"),
     (_DISK.replace("1.5", "-1.5"), [], "synthetic coefficient must be nonnegative, got -1.5"),
     (None, ["--seed", "-1"], "seed must be an integer >= 0 or null, got -1"),
     (_DISK.replace("[0.0", "[.nan"), [], "shapes[0]: center must be a pair of numbers [x1, x2]"),
     (_DISK.replace("0.2", ".nan"), [], "shapes[0]: radius must be a finite number, got nan"),
     (_DISK.replace("1.5", ".inf"), [], "shapes[0]: value must be a finite number, got inf"),
     (_DISK.replace("0.2", str(10**400)), [], "shapes[0]: radius must be a finite number"),
+    # the cut-cell mean sums 128 x 128 samples of the value, which must not
+    # overflow; refused before any sampling, so no numpy warning is raised
+    (_DISK.replace("1.5", "1.0e+308"), [],
+     "shapes[0]: value must be at most 1.0972248137587376e+304 in magnitude, got 1e+308"),
+    (_DISK.replace("1.5", "-1.0e+308"), [],
+     "shapes[0]: value must be at most 1.0972248137587376e+304 in magnitude, got -1e+308"),
     (f"{_DISK}\nn_k: 1000000000000000000", [], "n_k: Unable to allocate"),
     (_DISK.replace("0.2", "-0.2"), [], "shapes[0]: radius must be positive, got -0.2"),
     ("- {type: rectangle, lo: [0.3, 0.2], hi: [0.1, 0.4], value: 1.5}", [],
      "shapes[0]: rectangle corners must satisfy lo < hi componentwise, "
      "got lo (0.3, 0.2), hi (0.1, 0.4)"),
-], ids=["k_min-above-k_max", "negative-half_width", "disk-on-boundary", "negative-value",
-        "negative-seed", "nan-center", "nan-radius", "inf-value", "huge-radius", "huge-n_k",
+], ids=["k_min-above-k_max", "negative-half_width", "disk-on-boundary", "band-disk",
+        "negative-value", "negative-seed", "nan-center", "nan-radius", "inf-value",
+        "huge-radius", "overflowing-value", "overflowing-negative-value", "huge-n_k",
         "negative-radius", "inverted-rectangle"])
 def test_simulate_rejects_a_bad_scene_value_before_any_output(tmp_path, capsys, shapes, argv,
                                                                message):

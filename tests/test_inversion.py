@@ -121,6 +121,28 @@ def test_clamping_is_output_only(small_case, monkeypatch):
     assert np.array_equal(res.coefficient.values, np.maximum(recovered[-1], 0))
 
 
+@pytest.mark.parametrize("stop, changes", [
+    ("tolerance", {}), ("iteration_cap", dict(max_iterations=1, tolerance=1e-12))],
+    ids=["tolerance", "iteration_cap"])
+def test_a_run_that_stops_recovers_one_coefficient_per_record(small_case, monkeypatch, stop,
+                                                              changes):
+    # the stop iterate's coefficient gives the last record's a_max and the
+    # result, from one recovery
+    cfg, _, noisy = small_case
+    recovered = []
+
+    def recover(*args):
+        recovered.append(recover_coefficient(*args))
+        return recovered[-1]
+
+    monkeypatch.setattr(inversion, "recover_coefficient", recover)
+    res = run_inversion(noisy, replace(cfg, **changes))
+    assert res.stop == stop
+    assert len(recovered) == len(res.records)
+    assert res.records[-1].a_max == recovered[-1].values.max()
+    assert np.array_equal(res.coefficient.values, np.maximum(recovered[-1].values, 0))
+
+
 def test_runs_are_deterministic(small_case):
     cfg, _, noisy = small_case
     a = run_inversion(noisy, cfg)
