@@ -211,7 +211,8 @@ def build_basis(kg: KGrid, n_modes: int) -> BasisSet:
                 c -= r * coeff[m]
         nrm = np.sqrt(np.sum(w * v * v))
         ref = np.sqrt(np.sum(w * psi[n] * psi[n]))
-        if nrm < GS_DEPENDENCE_TOL * ref:
+        # not >: samples whose squares underflow give 0 on both sides
+        if not nrm > GS_DEPENDENCE_TOL * ref:
             raise BasisError(
                 f"psi_{n + 1} is numerically dependent on psi_1..psi_{n} "
                 f"(residual {nrm:.3e} vs norm {ref:.3e}); reduce n_modes"

@@ -23,15 +23,18 @@ def _chi0(t: np.ndarray, half_width: float, xi: float) -> np.ndarray:
     return out
 
 
-def build_cutoff(xi: float, grid: Grid2D) -> np.ndarray:
+def build_cutoff(grid: Grid2D) -> np.ndarray:
     """Sample chi(t) = chi0(t) / (chi0(t) + chi0(R - t - 2 xi)) on grid rows.
 
-    chi is 0 below -xi and 1 above R - xi, R = grid.half_width.  The bump
-    halves never vanish together on [-R, R]; this is asserted, not patched.
+    R = grid.half_width and the transition width is xi = R/10: chi is 0
+    below -xi and 1 above R - xi.  A half_width so small that R/10
+    underflows to 0 raises ValueError.  The bump halves never vanish
+    together on [-R, R]; this is asserted, not patched.
     """
     half_width = grid.half_width
-    if not (0 < xi < half_width):
-        raise ValueError("need 0 < xi < half_width")
+    xi = half_width / 10
+    if not xi > 0:
+        raise ValueError(f"the cutoff width R/10 underflows to 0 at half_width {half_width!r}")
     t = grid.nodes
     c_lo = _chi0(t, half_width, xi)
     c_hi = _chi0(half_width - t - 2 * xi, half_width, xi)
@@ -49,7 +52,7 @@ def build_carrier(G0: np.ndarray, G1: np.ndarray, chi: np.ndarray, grid: Grid2D)
     Because the x2-dependent factors do not involve k, combining the already
     projected data is identical to projecting the lifted scalar field; on the
     top row chi = 1 and the linear term vanishes, so F equals G0 there
-    exactly, and the discrete Neumann trace is G1 once h < xi.
+    exactly, and the discrete Neumann trace is G1 once h < R/10.
     """
     G0 = np.asarray(G0)
     G1 = np.asarray(G1)

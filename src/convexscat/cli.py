@@ -192,7 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     pi.add_argument("--config", default=None, help="YAML mapping of config overrides")
     pi.add_argument("--out", required=True, help="output directory")
     pi.add_argument("--no-carleman", action="store_true",
-                    help="comparison run: weight off, fixed 20 iterations, best iterate kept")
+                    help="comparison run: weight off, at most 20 iterations with no tolerance "
+                         "stop (a failed re-solve ends it early), best iterate kept")
     pi.set_defaults(func=cmd_invert)
 
     pv = sub.add_parser("validate", help="run the built-in check suite")

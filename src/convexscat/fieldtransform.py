@@ -13,6 +13,8 @@ node (x1_j, x2_i).
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +37,9 @@ __all__ = [
 # Below this magnitude the normalized field is treated as a genuine zero of u
 # and the logarithmic change of variables is refused.
 P_FLOOR = 1e-8
+# Smallest wavenumber whose 1/k^2 in v = Log(p)/k^2 is a finite double;
+# cauchy_to_v_data refuses data below it.
+K_FLOOR = 1 / math.sqrt(sys.float_info.max)
 
 
 class NearZeroTotalField(RuntimeError):
@@ -99,6 +104,9 @@ def cauchy_to_v_data(cd: CauchyData, bs: BasisSet):
     if cd.kgrid != bs.kgrid:
         raise ValueError(f"basis and data live on different wavenumber grids: {bs.kgrid}, {cd.kgrid}")
     ks = cd.kgrid.midpoints
+    if not ks[0] >= K_FLOOR:
+        raise ValueError(f"k_min = {cd.kgrid.k_min!r} is too small for the log transform: 1/k^2 "
+                         f"overflows at the lowest midpoint k = {float(ks[0])!r}")
     G0 = log_to_coeffs(_log_map(cd.g0.T, cd.grid.half_width, ks, "cauchy_to_v_data"), bs)
     gt1 = (cd.g1 / cd.g0 - 1j * ks[None, :] * IncidentWave.direction[1]) / ks[None, :] ** 2
     return G0, project(gt1, bs).T.copy()

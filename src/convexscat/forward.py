@@ -12,21 +12,21 @@ index offset between two nodes, so it is applied as one FFT convolution, as
 in G. Vainikko, Fast solvers of the Lippmann-Schwinger equation (2000).
 Since a u vanishes where a does, the system is solved by GMRES (Saad and
 Schultz, 1986) on the bounding box of the support only, at one FFT pair plus
-BLAS calls per step.  A solve returns the field on a window, either the
-whole grid (the default) or the support box itself: off the box the
-field is the representation formula u = u_in + k^2 h^2 K(a u_B).  One
-convolution from the box to the window gives those values and is the
-restart residual at the end of each GMRES cycle; for the box window it is
-GMRES's own product.  The last one gives the residual check, which bounds
-the residual of the whole-grid system for the field the formula extends,
-on either window.  A solve whose restart residuals show that it cannot
-pass that check in the steps left ends at once and raises
-IllConditionedSystem.  Both products, and the trace kernels, take their
-Hankel values from the real-argument Bessel functions H_m = J_m + i Y_m;
-the products' kernel table covers only the lattice offsets the window
-needs, evaluates H_0 once per distinct lattice radius, from an index of the
-offsets built once per lattice size, and gathers it onto the offsets, the
-same bits as one evaluation per offset on the whole grid's lattice.  The
+BLAS calls per step.  A solve returns the field on a window, the whole
+grid or, on_box, the support box itself: off the box the field is the
+representation formula u = u_in + k^2 h^2 K(a u_B).  One convolution from
+the box to the window gives those values and is the restart residual at
+the end of each GMRES cycle; on the box it is GMRES's own product.  The
+last one gives the residual check, which bounds the residual of the
+whole-grid system for the field the formula extends, on either window.  A
+solve whose restart residuals show that it cannot pass that check in the
+steps left ends at once and raises IllConditionedSystem.  Both products,
+and the trace kernels, take their Hankel values from the real-argument
+Bessel functions H_m = J_m + i Y_m; the products' kernel table covers only
+the lattice offsets the window needs, evaluates H_0 once per distinct
+lattice radius, from an index of the offsets built once per lattice size,
+and gathers it onto the offsets, the same bits as one evaluation per offset
+on the whole grid's lattice.  The
 products' FFTs call scipy's pocketfft kernel directly (_fft2), with the
 scaling and the single thread scipy.fft.fft2 and ifft2 use, so the values
 are the same bits without the public functions' per-call argument
@@ -48,8 +48,8 @@ first.
 
 The Cauchy data on the measurement line need the field only where a != 0:
 trace_cauchy reads g0 and g1 off the representation formula from fields on
-the support box, so simulate solves, interpolates and checks nothing else.
-The inversion's log map needs the whole grid and asks for it.
+the support box, so simulate solves, interpolates and checks nothing else
+(on_box).  The inversion's log map needs the whole grid, the default.
 
 One reuse makes the repeated stacks of an inversion cheaper: each node a
 finer level adds starts GMRES from the coarser level's interpolant, which is
@@ -255,9 +255,14 @@ class Coefficient:
 
     @functools.cached_property
     def box(self):
-        """Grid slices of the bounding box of the nonzero quadrature mean;
-        empty slices for a zero coefficient."""
-        return _support_box(self.quadrature_mean())
+        """Grid slices of the bounding box of the nonzero quadrature mean, the
+        window of an on_box solve; empty slices for a zero coefficient."""
+        support = self.quadrature_mean() != 0
+        rows = np.flatnonzero(support.any(axis=1))
+        cols = np.flatnonzero(support.any(axis=0))
+        if not rows.size:
+            return slice(0, 0), slice(0, 0)
+        return slice(int(rows[0]), int(rows[-1]) + 1), slice(int(cols[0]), int(cols[-1]) + 1)
 
 
 def _stack_values(shapes, x1, x2):
@@ -613,36 +618,22 @@ def _gmres(apply, b: np.ndarray, residual, x0=None, accept=None):
     return x, iterations
 
 
-def _support_box(a: np.ndarray):
-    """Grid slices of the bounding box of the nonzero entries of a; empty
-    slices when a is zero everywhere."""
-    rows = np.flatnonzero(np.any(a != 0, axis=1))
-    cols = np.flatnonzero(np.any(a != 0, axis=0))
-    if not rows.size:
-        return slice(0, 0), slice(0, 0)
-    return slice(int(rows[0]), int(rows[-1]) + 1), slice(int(cols[0]), int(cols[-1]) + 1)
-
-
-def _window(grid: Grid2D, box, window):
-    """The window's slices, the box's slices within it, and the shape of the
-    offset lattice between the two.  A window is the whole grid (None) or
-    box itself; any other raises ValueError."""
-    if window is None:
-        window = (slice(0, grid.n_nodes),) * 2
-    elif window != box:
-        raise ValueError(f"window {window} is neither None nor the support box {box}")
+def _window(grid: Grid2D, box, on_box: bool):
+    """The output window's slices, the whole grid or box itself (on_box),
+    the box's slices within it, and the shape of the offset lattice between
+    the two."""
+    window = box if on_box else (slice(0, grid.n_nodes),) * 2
     inner = tuple(slice(b.start - w.start, b.stop - w.start) for b, w in zip(box, window))
     extent = tuple(max(b.stop - w.start, w.stop - b.start) for b, w in zip(box, window))
     return window, inner, extent
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def solve_forward(coeff: Coefficient, k: float, start=None, window=None) -> np.ndarray:
-    """Total field u on the nodes of window for one wavenumber.
-
-    window is the whole grid (None) or the bounding box B
-    (p x q nodes) of the nonzero quadrature mean, coeff.box.  The
-    product a u vanishes off B, so the Nystrom equations on B alone,
+def solve_forward(coeff: Coefficient, k: float, start=None, on_box=False) -> np.ndarray:
+    """Total field u for one wavenumber, on the whole grid or, on_box, on
+    the bounding box B = coeff.box (p x q nodes) of the nonzero quadrature
+    mean alone: the solve's window.  The product a u vanishes off B, so the
+    Nystrom equations on B alone,
 
         u_B - k^2 h^2 K_BB (a u)_B = u_in on B,
 
@@ -650,8 +641,8 @@ def solve_forward(coeff: Coefficient, k: float, start=None, window=None) -> np.n
     a circulant of about (2p) x (2q) filled from the kernel table prescaled
     by k^2 h^2.  The box-to-window convolution c = k^2 h^2 K (a u_B) is the
     restart residual: its box nodes give r_B = u_in,B + c_B - u_B at the end
-    of each GMRES cycle.  For the box window it is the GMRES product itself;
-    for the whole grid it is a circulant of about (n + p) x (n + q) from a
+    of each GMRES cycle.  On the box it is the GMRES product itself; for
+    the whole grid it is a circulant of about (n + p) x (n + q) from a
     table of only the offsets between B and the grid.  The last one
     extends the field by the representation formula, u = u_in + c off B
     and u = u_B on B, and gives the residual |u - c - u_in| / |u_in| over
@@ -680,7 +671,7 @@ def solve_forward(coeff: Coefficient, k: float, start=None, window=None) -> np.n
         raise IllConditionedSystem(f"scattering solve at k={k}: coefficient is not finite "
                                    f"at {int(np.sum(~np.isfinite(a)))} nodes")
     box = coeff.box
-    window, inner, extent = _window(grid, box, window)
+    window, inner, extent = _window(grid, box, on_box)
     if not np.any(a):
         return u_in[window].copy()
 
@@ -688,7 +679,7 @@ def solve_forward(coeff: Coefficient, k: float, start=None, window=None) -> np.n
     p, q = a_box.shape
     table = (k * k * grid.h ** 2) * _kernel_table(grid, k, extent)
     box_product = _offset_product(table, a_box, box, box)
-    extension = box_product if window == box else _offset_product(table, a_box, box, window)
+    extension = box_product if on_box else _offset_product(table, a_box, box, window)
     c = None
 
     def apply(v):
@@ -696,7 +687,7 @@ def solve_forward(coeff: Coefficient, k: float, start=None, window=None) -> np.n
         return (v - box_product(v)).ravel()
 
     def residual(x):
-        # for the box window c is box_product's buffer, which the next apply
+        # on the box c is box_product's buffer, which the next apply
         # overwrites; GMRES returns right after its last residual call
         nonlocal c
         x = x.reshape(p, q)
@@ -726,35 +717,23 @@ def solve_forward(coeff: Coefficient, k: float, start=None, window=None) -> np.n
     return u
 
 
-def solve_forward_multi(coeff: Coefficient, kgrid: KGrid, window=None) -> np.ndarray:
-    """Fields on window for all wavenumber midpoints, stacked as (n_k, rows, columns).
+def solve_forward_multi(coeff: Coefficient, kgrid: KGrid, *, on_box=False) -> np.ndarray:
+    """Fields for all wavenumber midpoints, stacked as (n_k, rows, columns),
+    on solve_forward's window: the whole grid or, on_box, coeff.box.
 
-    window is solve_forward's: the whole grid (None), the
-    default, or the support box coeff.box.  Each field is either a
-    solve_forward solve or an interpolant in k that passes solve_forward's
-    residual check.  solve_forward runs at nested Chebyshev-Lobatto nodes of
-    [first midpoint, last midpoint] and the other midpoints are interpolated
-    on the window's nodes (_chebyshev_fields).  One loop then solves every
-    midpoint left without a field directly, in ascending k, and the first of
-    them that fails raises its IllConditionedSystem: the interpolants that
-    fail the residual check, or every midpoint not yet solved when u/u_in is
-    not resolved by a level with fewer nodes than midpoints or a node after
-    the first fails to solve.  The first node is the first midpoint, so a
-    system that stalls at the lowest wavenumber raises on the first solve,
-    as the midpoint-by-midpoint loop did.  A midpoint whose interpolant
-    passes the check is not solved, so its own solve cannot fail.  Direct
-    midpoint solves start from zero, so each equals
-    solve_forward(coeff, k, None, window).
+    _chebyshev_fields gives the fields of the midpoints that are its nodes
+    in k and the interpolants that pass solve_forward's residual check.
+    Every other midpoint is solved directly, in ascending k and from zero,
+    so its field equals solve_forward(coeff, k, None, on_box); the first of
+    these solves that fails raises its IllConditionedSystem.  The lowest
+    midpoint is the first node, so a system that stalls there raises on the
+    first solve; a midpoint whose interpolant passes the check is not
+    solved, so its own solve cannot fail.
     """
     ks = kgrid.midpoints
-    levels = [m for m in K_LEVELS if m + 1 < ks.size]
-    fields = {}
-    if levels and np.any(coeff.quadrature_mean()):
-        _chebyshev_fields(coeff, ks, levels, fields, window)
-    for m, k in enumerate(ks):
-        if m not in fields:
-            fields[m] = solve_forward(coeff, k, None, window)
-    return np.stack([fields[m] for m in range(ks.size)])
+    fields = _chebyshev_fields(coeff, ks, on_box)
+    return np.stack([fields[m] if m in fields else solve_forward(coeff, k, None, on_box)
+                     for m, k in enumerate(ks)])
 
 
 def _barycentric(x: np.ndarray, f: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -770,9 +749,10 @@ def _barycentric(x: np.ndarray, f: np.ndarray, targets: np.ndarray) -> np.ndarra
     return (weights @ f.reshape(x.size, -1)).reshape((targets.size,) + f.shape[1:])
 
 
-def _chebyshev_fields(coeff: Coefficient, ks: np.ndarray, levels, fields: dict, window) -> None:
-    """Fill fields (midpoint index -> field on window) from solves at
-    Chebyshev-Lobatto nodes in k.
+def _chebyshev_fields(coeff: Coefficient, ks: np.ndarray, on_box: bool) -> dict:
+    """Fields (midpoint index -> field on solve_forward's window) from solves
+    at Chebyshev-Lobatto nodes in k; none for a zero coefficient or for at
+    most six midpoints, since each level must have fewer nodes than those.
 
     Level m has the m + 1 nodes c - r cos(pi j / m), j = 0..m, of
     [ks[0], ks[-1]], and each level's nodes include the previous level's,
@@ -783,16 +763,20 @@ def _chebyshev_fields(coeff: Coefficient, ks: np.ndarray, levels, fields: dict, 
     nodes gives the Chebyshev coefficients of u/u_in on every window node;
     the level is accepted when the last two are at most RESIDUAL_BOUND
     max |u/u_in|.  If the decay down to them, extrapolated geometrically,
-    needs more than levels[-1] intervals, or a node after the first fails to
-    solve, this returns with only the nodes that are midpoints in fields.
-    On acceptance every other midpoint gets the barycentric interpolant of
+    needs more than the last level's intervals, or a node after the first
+    fails to solve, this returns only the nodes that are midpoints.  On
+    acceptance every other midpoint gets the barycentric interpolant of
     u/u_in times u_in, checked against solve_forward's residual bound
-    (_interpolation_residuals); only the fields that pass it are kept.
+    (_interpolation_residuals); only the fields that pass it are returned.
     """
+    fields = {}
+    levels = [m for m in K_LEVELS if m + 1 < ks.size]
+    if not levels or not np.any(coeff.quadrature_mean()):
+        return fields
     grid = coeff.grid
     box = coeff.box
-    slices, inner, _ = _window(grid, box, window)
-    x2 = grid.nodes[slices[0], None]
+    window, inner, _ = _window(grid, box, on_box)
+    x2 = grid.nodes[window[0], None]
     finest = K_LEVELS[-1]
     nodes = 0.5 * (ks[0] + ks[-1]) - 0.5 * (ks[-1] - ks[0]) * np.cos(
         np.pi * np.arange(finest + 1) / finest)
@@ -809,11 +793,11 @@ def _chebyshev_fields(coeff: Coefficient, ks: np.ndarray, levels, fields: dict, 
             starts *= IncidentWave.field(grid.nodes[box[0], None], nodes[new][:, None, None])
         for j, start in zip(new, starts):
             try:
-                u = solve_forward(coeff, nodes[j], start, window)
+                u = solve_forward(coeff, nodes[j], start, on_box)
             except IllConditionedSystem:
                 if j == 0:  # the first midpoint: the per-midpoint loop fails here too
                     raise
-                return
+                return fields
             if nodes[j] in midpoint:
                 fields[midpoint[nodes[j]]] = u
             ratio[j] = u / IncidentWave.field(x2, nodes[j])
@@ -823,22 +807,24 @@ def _chebyshev_fields(coeff: Coefficient, ks: np.ndarray, levels, fields: dict, 
         if tail <= RESIDUAL_BOUND:
             break
         if tail >= 1 or level * math.log(RESIDUAL_BOUND) / math.log(tail) > levels[-1]:
-            return
+            return fields
     else:
-        return
+        return fields
 
     missing = [m for m in range(ks.size) if m not in fields]
     interpolated = _barycentric(nodes[taken], f, ks[missing])
     interpolated *= IncidentWave.field(x2, ks[missing][:, None, None])
-    resid = _interpolation_residuals(coeff, ks[missing], interpolated, window)
+    resid = _interpolation_residuals(coeff, ks[missing], interpolated, on_box)
     # a non-finite residual fails the check too
     fields.update((m, u) for m, u, ok in zip(missing, interpolated, resid < RESIDUAL_BOUND) if ok)
+    return fields
 
 
 def _interpolation_residuals(coeff: Coefficient, ks: np.ndarray, fields: np.ndarray,
-                             window) -> np.ndarray:
+                             on_box: bool) -> np.ndarray:
     """solve_forward's residual |u - k^2 h^2 K(a u_B) - u_in| / |u_in| per
-    field of the stack, each field on window (None: the whole grid).
+    field of the stack, each field on solve_forward's window: the whole
+    grid or, on_box, the support box.
 
     As in solve_forward, the difference is taken over the window and the
     norm of u_in over the whole grid.  The box-to-window products run in
@@ -850,7 +836,7 @@ def _interpolation_residuals(coeff: Coefficient, ks: np.ndarray, fields: np.ndar
     grid = coeff.grid
     n = grid.n_nodes
     box = coeff.box
-    window, inner, extent = _window(grid, box, window)
+    window, inner, extent = _window(grid, box, on_box)
     a_box = coeff.quadrature_mean()[box]
     entries = math.prod(next_fast_len(w.stop - w.start + b.stop - b.start - 1)
                         for b, w in zip(box, window))
@@ -871,9 +857,10 @@ def _interpolation_residuals(coeff: Coefficient, ks: np.ndarray, fields: np.ndar
 def trace_cauchy(fields: np.ndarray, coeff: Coefficient, kgrid: KGrid) -> CauchyData:
     """Cauchy traces (g0, g1) on the top boundary from fields on the support box.
 
-    fields are the (n_k, p, q) values of u on the bounding box B of the
-    nonzero quadrature mean, solve_forward_multi(coeff, kgrid, B).  Both
-    traces are the incident wave's plus the representation formula's,
+    fields are the (n_k, p, q) values of u on the bounding box B = coeff.box
+    of the nonzero quadrature mean, solve_forward_multi(coeff, kgrid,
+    on_box=True).  Both traces are the incident wave's plus the
+    representation formula's,
 
         g0 = u_in + k^2 h^2 sum_y K(x - y) a(y) u(y),   K = (i/4) H0^(1)(k r),
         g1 = d u_in / dx2 + k^2 h^2 sum_y dK(x - y) a(y) u(y),

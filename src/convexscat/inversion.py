@@ -8,7 +8,7 @@ every wavenumber, and maps the new fields back to Vn+1.  The loop stops when
 consecutive functional values differ by less than the tolerance, or at the
 iteration cap, or when a re-solve fails.  Negative values of the final
 coefficient are cut to zero only at output time; inner iterates keep their
-sign.  The grids come from the data, and the cutoff width is xi = R/10.
+sign.  The grids come from the data.
 
 Two ingredients keep the re-solve well posed.  Measured traces are smoothed
 along the line before the carrier is built (white noise at the grid scale
@@ -134,7 +134,7 @@ def _run_loop(cd: CauchyData, cfg: InversionConfig, keep_best: bool):
     G0, G1 = cauchy_to_v_data(cd, bs)
     G0 = smooth_traces(G0, cfg.trace_sigma)
     G1 = smooth_traces(G1, cfg.trace_sigma)
-    chi = build_cutoff(grid.half_width / 10, grid)
+    chi = build_cutoff(grid)
     F = build_carrier(G0, G1, chi, grid)
 
     V = F.copy()
@@ -192,10 +192,11 @@ def run_inversion(cd: CauchyData, cfg: InversionConfig) -> InversionResult:
 
 
 def ablation_no_weight(cd: CauchyData, cfg: InversionConfig) -> InversionResult:
-    """Unweighted comparison run: lam forced to 0, exactly 20 iterations.
+    """Unweighted comparison run: lam forced to 0, at most 20 iterations.
 
-    The tolerance stop is disabled; the returned coefficient comes from the
-    iterate with the smallest functional value, which is the fairest reading
-    of a run that never meets the stopping rule.
+    The tolerance stop is disabled and a failed re-solve ends the run early,
+    as it does on every builtin scene with a scatterer.  The returned
+    coefficient is the iterate with the smallest functional value, the
+    fairest reading of a run that never meets the stopping rule.
     """
     return _run_loop(cd, replace(cfg, lam=0.0, max_iterations=20), keep_best=True)

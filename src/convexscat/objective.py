@@ -30,6 +30,9 @@ from .forward import Grid2D
 __all__ = ["evaluate_and_gradient"]
 
 
+# lam t^2 overflows only on a grid so wide that the weight's limit there,
+# exp(-inf) = 0, is its value
+@np.errstate(over="ignore")
 def _carleman_weight(grid: Grid2D, lam: float, shift: float) -> np.ndarray:
     """phi(x2) = exp(-lam (x2 - shift)^2) on the grid rows; lam = 0 turns it off."""
     t = grid.nodes - shift

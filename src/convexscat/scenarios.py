@@ -135,7 +135,7 @@ def simulate_scenario(sc: Scenario):
     kgrid = KGrid(sc.k_min, sc.k_max, sc.n_k)
     truth = _rasterize_nodes(sc.shapes, grid)
     fine = rasterize(sc.shapes, Grid2D(sc.half_width, sc.n_cells * REFINE))
-    cd_fine = trace_cauchy(solve_forward_multi(fine, kgrid, fine.box), fine, kgrid)
+    cd_fine = trace_cauchy(solve_forward_multi(fine, kgrid, on_box=True), fine, kgrid)
     clean = CauchyData(
         grid=grid,
         kgrid=kgrid,

@@ -32,7 +32,7 @@ def example1_run(example1_sim):
 
 @pytest.fixture(scope="session")
 def example1_ablation(example1_sim):
-    """Unweighted 20-iteration comparison run on the same noisy data."""
+    """Unweighted comparison run, at most 20 iterations, on the same noisy data."""
     _, _, noisy = example1_sim
     cfg = get_scenario("example1").config
     return cfg, ablation_no_weight(noisy, cfg)

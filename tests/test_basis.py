@@ -140,6 +140,13 @@ def test_replaced_grid_carries_its_own_midpoints():
     assert project(np.ones(5), bs).shape == (3,)
 
 
+def test_samples_whose_squares_underflow_are_dependent():
+    # psi_2 ~ 1e-151 on this interval: its squares, and so both sides of the
+    # dependence test, underflow to 0, which must refuse psi_2, not divide by it
+    with pytest.raises(BasisError, match=r"psi_2 is numerically dependent .*residual 0\.000e\+00"):
+        build_basis(KGrid(1e-150, 1.5e-150, 10), 4)
+
+
 def test_invalid_inputs_rejected():
     with pytest.raises(ValueError):
         build_basis(KGrid(0.5, 2.0, 5), 0)

@@ -315,6 +315,39 @@ def test_an_overflowing_penalty_weight_is_an_input_error(sim_dir, tmp_path, caps
     assert not out.exists()
 
 
+def test_a_grid_too_wide_for_the_carleman_weight_is_an_input_error(sim_dir, tmp_path, capsys):
+    # at R = 1e300 lam (x2 - shift)^2 overflows: the weight is exp(-inf) = 0
+    # with no numpy warning, and the run reaches the penalty's refusal
+    data, out = tmp_path / "wide.txt", tmp_path / "out"
+    data.write_text((sim_dir / "cauchy_noisy.txt").read_text().replace("\n# 0.8 16 ", "\n# 1e300 16 "))
+    assert main(["invert", "--data", str(data), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {data}: the penalty form overflows on "
+                                                    "the 16-cell grid (h = 1.25e+299) at rho = 1e-05"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n_modes, message", [
+    (4, "psi_2 is numerically dependent on psi_1..psi_1 (residual 0.000e+00 vs norm 0.000e+00); "
+        "reduce n_modes"),
+    (1, "k_min = 1e-200 is too small for the log transform: 1/k^2 overflows at the lowest "
+        "midpoint k = 1.45e-200"),
+], ids=["basis", "log-transform"])
+def test_wavenumbers_at_the_edge_of_the_double_range_are_an_input_error(tmp_path, capsys,
+                                                                        n_modes, message):
+    # their squares underflow to 0: the basis refuses its second mode, and
+    # with one mode the log transform refuses the data; neither divides by 0
+    scene, sim, out = tmp_path / "tiny-k.yaml", tmp_path / "sim", tmp_path / "out"
+    scene.write_text("shapes: [{type: disk, center: [0.0, 0.4], radius: 0.25, value: 1.5}]\n"
+                     "n_cells: 16\nn_k: 10\nk_min: 1.0e-200\nk_max: 1.0e-199\n")
+    assert main(["simulate", "--scenario", str(scene), "--out", str(sim)]) == 0
+    (tmp_path / "cfg.yaml").write_text(f"n_modes: {n_modes}\n")
+    capsys.readouterr()
+    assert main(["invert", "--data", str(sim / "cauchy_noisy.txt"), "--config",
+                 str(tmp_path / "cfg.yaml"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {sim / 'cauchy_noisy.txt'}: {message}"]
+    assert not out.exists()
+
+
 def test_weighted_resolve_failure_names_the_iteration_and_stores_float_config(sim_dir, tmp_path,
                                                                               capsys):
     # lam: 0 is a YAML integer; the weighted run fails like the one above and

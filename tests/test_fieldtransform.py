@@ -21,7 +21,7 @@ from convexscat import (
     total_to_log,
     trace_cauchy,
 )
-from convexscat.forward import CauchyData, _support_box
+from convexscat.forward import CauchyData
 from convexscat.scenarios import get_scenario
 
 # the nodes recover_coefficient reads a on: rows 1..n-3, columns 1..n-2
@@ -43,8 +43,7 @@ def disk_data(default_kgrid, default_basis):
     truth = rasterize([Disk(center=(0.0, 0.45), radius=0.2, value=3.0)], grid)
     fields = solve_forward_multi(truth, default_kgrid)
     lf = total_to_log(fields, grid, default_kgrid)
-    cd = trace_cauchy(fields[(Ellipsis,) + _support_box(truth.quadrature_mean())], truth,
-                      default_kgrid)
+    cd = trace_cauchy(fields[(Ellipsis,) + truth.box], truth, default_kgrid)
     return grid, truth, fields, lf, cd
 
 
@@ -228,8 +227,7 @@ def test_trace_transform_matches_volume_log_derivative(default_kgrid, default_ba
     truth2 = rasterize([Disk(center=(0.0, 0.45), radius=0.2, value=3.0)], grid2)
     fields2 = solve_forward_multi(truth2, default_kgrid)
     lf2 = total_to_log(fields2, grid2, default_kgrid)
-    cd2 = trace_cauchy(fields2[(Ellipsis,) + _support_box(truth2.quadrature_mean())], truth2,
-                       default_kgrid)
+    cd2 = trace_cauchy(fields2[(Ellipsis,) + truth2.box], truth2, default_kgrid)
     fine = gap(grid2, truth2, fields2, lf2, cd2)
     assert coarse < 6e-3
     assert coarse / fine > 3.0

@@ -54,6 +54,8 @@ def test_zero_coefficient_returns_incident_field():
     u = solve_forward(coeff, 1.3)
     _, X2 = grid.mesh()
     assert np.array_equal(u, IncidentWave.field(X2, 1.3))
+    # its support box is empty, and so is its field on the box
+    assert solve_forward(coeff, 1.3, None, True).shape == (0, 0)
 
 
 def test_incident_wave_is_the_plane_wave_of_its_direction():
@@ -328,9 +330,8 @@ def test_solve_from_its_own_solution_extends_it_to_the_grid(boxed, monkeypatch):
     # box-to-window extension and the residual check run on the start
     # itself; on the box window that product is GMRES's own
     coeff = rasterize([DISK], Grid2D(0.8, 16))
-    box = forward._support_box(coeff.quadrature_mean())
-    window = box if boxed else None
-    u = solve_forward(coeff, 1.0, None, window)
+    box = coeff.box
+    u = solve_forward(coeff, 1.0, None, boxed)
     gmres = forward._gmres
     steps = []
 
@@ -340,7 +341,7 @@ def test_solve_from_its_own_solution_extends_it_to_the_grid(boxed, monkeypatch):
         return x, iterations
 
     monkeypatch.setattr(forward, "_gmres", counted)
-    again = solve_forward(coeff, 1.0, u if boxed else u[box], window)
+    again = solve_forward(coeff, 1.0, u if boxed else u[box], boxed)
     assert steps == [0]
     assert np.max(np.abs(again - u)) <= 1e-12 * np.max(np.abs(u))
 
@@ -424,11 +425,6 @@ def test_multi_solve_interpolates_in_k(case, default_kgrid, monkeypatch):
         assert _full_grid_residual(coeff, k, stack[m]) < 1e-10
 
 
-def _grown(box, rows, cols):
-    # the box grown by rows and cols nodes on each side
-    return slice(box[0].start - rows, box[0].stop + rows), slice(box[1].start - cols, box[1].stop + cols)
-
-
 @pytest.mark.parametrize("case", ["example1-28", "example2b-56"])
 def test_windowed_solves_are_the_whole_grid_fields_on_the_window(case, default_kgrid,
                                                                  monkeypatch):
@@ -437,43 +433,18 @@ def test_windowed_solves_are_the_whole_grid_fields_on_the_window(case, default_k
     # bit for bit
     name, ncells = case.split("-")
     coeff = rasterize(get_scenario(name).shapes, Grid2D(0.8, int(ncells)))
-    box = forward._support_box(coeff.quadrature_mean())
+    box = coeff.box
     whole = solve_forward_multi(coeff, default_kgrid)
     ks = default_kgrid.midpoints
     calls, solve = _count_solves(monkeypatch)
-    stack = forward.solve_forward_multi(coeff, default_kgrid, box)
+    stack = forward.solve_forward_multi(coeff, default_kgrid, on_box=True)
     assert len(calls) < ks.size
     assert stack.shape == (ks.size,) + whole[(0,) + box].shape
     part = whole[(Ellipsis,) + box]
     assert np.max(np.abs(stack - part)) <= 1e-12 * np.max(np.abs(part))
     for m, k in enumerate(ks):
         if k in calls:
-            assert np.array_equal(stack[m], solve(coeff, k, None, box))
-
-
-def test_a_window_must_contain_the_support_box():
-    coeff = rasterize([DISK], Grid2D(0.8, 16))
-    box = forward._support_box(coeff.quadrature_mean())
-    # the whole grid is spelled None only, so its slices are refused too
-    whole = (slice(0, 17), slice(0, 17))
-    for window in (_grown(box, -1, 0), (box[0], slice(0, 17, 2)), (box[0],), whole):
-        with pytest.raises(ValueError, match="neither None nor the support box"):
-            solve_forward(coeff, 1.0, None, window)
-    # a null scatterer's window is checked too: its box is empty
-    null = rasterize([], coeff.grid)
-    assert solve_forward(null, 1.0, None, null.box).shape == (0, 0)
-    with pytest.raises(ValueError, match="neither None nor the support box"):
-        solve_forward(null, 1.0, None, (box[0], slice(0, 17, 2)))
-
-
-@pytest.mark.parametrize("solve", ["solve_forward", "solve_forward_multi"])
-def test_a_window_grown_from_the_box_is_refused(solve, default_kgrid):
-    # a window is the whole grid or the support box, nothing in between
-    coeff = rasterize([DISK], Grid2D(0.8, 16))
-    box = forward._support_box(coeff.quadrature_mean())
-    k = 1.0 if solve == "solve_forward" else default_kgrid
-    with pytest.raises(ValueError, match="neither None nor the support box"):
-        getattr(forward, solve)(coeff, k, window=_grown(box, 3, 1))
+            assert np.array_equal(stack[m], solve(coeff, k, None, True))
 
 
 def test_batched_residuals_match_one_product_per_wavenumber(default_kgrid):
@@ -485,7 +456,7 @@ def test_batched_residuals_match_one_product_per_wavenumber(default_kgrid):
     rng = np.random.default_rng(2)
     fields = np.stack([solve_forward(coeff, k) for k in ks])
     fields *= 1 + 1e-6 * rng.standard_normal(fields.shape)
-    batched = forward._interpolation_residuals(coeff, ks, fields, None)
+    batched = forward._interpolation_residuals(coeff, ks, fields, False)
     direct = [_full_grid_residual(coeff, k, u) for k, u in zip(ks, fields)]
     assert np.allclose(batched, direct, rtol=1e-9, atol=0)
     assert np.all(batched > 1e-8)
@@ -515,7 +486,7 @@ def test_circulant_product_reuses_its_buffers_without_stale_values(default_kgrid
     coeff = rasterize(get_scenario("example1").shapes, Grid2D(0.8, 28))
     grid = coeff.grid
     a = coeff.quadrature_mean()
-    box = forward._support_box(a)
+    box = coeff.box
     full = (slice(0, grid.n_nodes), slice(0, grid.n_nodes))
     k = default_kgrid.midpoints[:3]
     tables = (k * k * grid.h ** 2)[:, None, None] * _kernel_table(grid, k, (grid.n_nodes,) * 2)
@@ -556,13 +527,12 @@ def test_multi_solve_replaces_a_field_that_fails_the_residual_check(boxed, defau
 
     monkeypatch.setattr(forward, "_interpolation_residuals", failing)
     coeff = rasterize(get_scenario("example1").shapes, Grid2D(0.8, 28))
-    window = forward._support_box(coeff.quadrature_mean()) if boxed else None
     calls, solve = _count_solves(monkeypatch)
-    stack = forward.solve_forward_multi(coeff, default_kgrid, window)
+    stack = forward.solve_forward_multi(coeff, default_kgrid, on_box=boxed)
     assert calls[-2:] == refused
     for k in refused:
         m = int(np.flatnonzero(default_kgrid.midpoints == k)[0])
-        assert np.array_equal(stack[m], solve(coeff, k, None, window))
+        assert np.array_equal(stack[m], solve(coeff, k, None, boxed))
 
 
 def test_multi_solve_falls_back_when_a_node_fails(default_kgrid, monkeypatch):
@@ -620,7 +590,7 @@ def test_multi_solve_keeps_no_state_between_calls(default_kgrid):
     grid = Grid2D(0.8, 28)
     a = rasterize(get_scenario("example1").shapes, grid)
     b = _iterate_like(grid)
-    assert forward._support_box(a.quadrature_mean()) != forward._support_box(b.quadrature_mean())
+    assert a.box != b.box
     first = solve_forward_multi(a, default_kgrid)
     solve_forward_multi(b, default_kgrid)
     assert np.array_equal(solve_forward_multi(a, default_kgrid), first)
@@ -637,18 +607,12 @@ def test_multi_solve_stall_at_the_lowest_k_raises_at_the_first_midpoint(default_
     assert calls == [default_kgrid.midpoints[0]]
 
 
-def _box_fields(coeff, kg):
-    # solve_forward_multi on the coefficient's support box, the fields
-    # trace_cauchy reads
-    return solve_forward_multi(coeff, kg, forward._support_box(coeff.quadrature_mean()))
-
-
 def test_trace_of_zero_coefficient_is_incident_data():
     # a null scatterer has no box: no field values, and the incident traces
     grid = Grid2D(0.8, 12)
     coeff = rasterize([], grid)
     kg = KGrid(0.5, 2.0, 4)
-    fields = _box_fields(coeff, kg)
+    fields = solve_forward_multi(coeff, kg, on_box=True)
     assert fields.shape == (4, 0, 0)
     cd = trace_cauchy(fields, coeff, kg)
     ks = kg.midpoints
@@ -665,7 +629,7 @@ def test_trace_derivative_matches_one_sided_differences():
         grid = Grid2D(0.8, ncells)
         truth = rasterize([DISK], grid)
         f = solve_forward_multi(truth, kg)
-        cd = trace_cauchy(f[(Ellipsis,) + forward._support_box(truth.quadrature_mean())], truth, kg)
+        cd = trace_cauchy(f[(Ellipsis,) + truth.box], truth, kg)
         fd = (25 * f[:, -1, :] - 48 * f[:, -2, :] + 36 * f[:, -3, :]
               - 16 * f[:, -4, :] + 3 * f[:, -5, :]) / (12 * grid.h)
         return np.max(np.abs(fd.T - cd.g1)) / np.max(np.abs(cd.g1))
@@ -716,7 +680,7 @@ def test_trace_matches_direct_kernel_sum(case):
     coeff = _holed_rows(grid) if case == "holed-rows" else rasterize(get_scenario(case).shapes, grid)
     kg = KGrid(0.5, 2.0, 3)
     fields = solve_forward_multi(coeff, kg)
-    box = forward._support_box(coeff.quadrature_mean())
+    box = coeff.box
     cd = trace_cauchy(fields[(Ellipsis,) + box], coeff, kg)
     for got, direct in zip((cd.g0, cd.g1), _direct_kernel_traces(fields, coeff, kg)):
         assert np.max(np.abs(got - direct)) <= 1e-12 * np.max(np.abs(direct))
@@ -754,7 +718,7 @@ def test_box_traces_match_the_whole_grid_traces(name, default_kgrid):
     # the top row and the H1 convolution of whole-grid fields: one disk and
     # two, on the refined grid simulate solves them on
     coeff = rasterize(get_scenario(name).shapes, Grid2D(0.8, 56))
-    cd = trace_cauchy(_box_fields(coeff, default_kgrid), coeff, default_kgrid)
+    cd = trace_cauchy(solve_forward_multi(coeff, default_kgrid, on_box=True), coeff, default_kgrid)
     reference = _whole_grid_traces(solve_forward_multi(coeff, default_kgrid), coeff, default_kgrid)
     for got, ref in zip((cd.g0, cd.g1), reference):
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -775,7 +739,7 @@ def test_trace_refuses_fields_of_the_wrong_shape():
     grid = Grid2D(0.8, 12)
     kg = KGrid(0.5, 2.0, 3)
     coeff = rasterize([DISK], grid)
-    fields = _box_fields(coeff, kg)
+    fields = solve_forward_multi(coeff, kg, on_box=True)
     # whole-grid fields are refused too: the traces read the box only
     for bad in (fields[:2], fields[:, :-1, :], fields[0], solve_forward_multi(coeff, kg)):
         with pytest.raises(ValueError, match=r"fields must have shape"):
@@ -982,10 +946,12 @@ def test_a_shape_reaches_the_cell_whose_edge_it_touches():
 def test_coefficient_box_is_the_support_box_computed_once():
     coeff = rasterize(get_scenario("example2b").shapes, Grid2D(0.8, 56))
     box = coeff.box
-    assert box == forward._support_box(coeff.quadrature_mean())
     assert coeff.box is box
-    assert Coefficient(grid=coeff.grid, values=coeff.values).box == forward._support_box(
-        coeff.values)
+    # the bounding box of the cell means, and of the node values without them
+    for c in (coeff, Coefficient(grid=coeff.grid, values=coeff.values)):
+        ii, jj = np.nonzero(c.quadrature_mean())
+        assert c.box == (slice(ii.min(), ii.max() + 1), slice(jj.min(), jj.max() + 1))
+    assert coeff.box != Coefficient(grid=coeff.grid, values=coeff.values).box
     assert rasterize([], coeff.grid).box == (slice(0, 0), slice(0, 0))
 
 
@@ -1032,7 +998,7 @@ def _small_cauchy():
     grid = Grid2D(0.8, 12)
     truth = rasterize([DISK], grid)
     kg = KGrid(0.5, 2.0, 5)
-    return trace_cauchy(_box_fields(truth, kg), truth, kg)
+    return trace_cauchy(solve_forward_multi(truth, kg, on_box=True), truth, kg)
 
 
 def test_noise_level_is_exact_in_weighted_norm():

@@ -32,7 +32,6 @@ from convexscat import (
     solve_forward_multi,
     trace_cauchy,
 )
-from convexscat.forward import _support_box
 from convexscat.scenarios import BUILTIN_SCENARIOS, REFINE, scenario_document
 
 SMALL = InversionConfig(n_modes=2)
@@ -224,8 +223,7 @@ def test_simulate_traces_the_refined_solve():
     fine_grid = Grid2D(sc.half_width, sc.n_cells * REFINE)
     kgrid = KGrid(sc.k_min, sc.k_max, sc.n_k)
     fine = rasterize(sc.shapes, fine_grid)
-    box = _support_box(fine.quadrature_mean())
-    cd_fine = trace_cauchy(solve_forward_multi(fine, kgrid, box), fine, kgrid)
+    cd_fine = trace_cauchy(solve_forward_multi(fine, kgrid, on_box=True), fine, kgrid)
 
     assert np.array_equal(clean.g0, cd_fine.g0[::REFINE])
     assert np.array_equal(clean.g1, cd_fine.g1[::REFINE])
@@ -234,14 +232,11 @@ def test_simulate_traces_the_refined_solve():
     whole = solve_forward_multi(fine, kgrid)
     top = whole[:, -1, ::REFINE].T
     assert np.max(np.abs(clean.g0 - top)) <= 1e-13 * np.max(np.abs(top))
-    cd_whole = trace_cauchy(whole[(Ellipsis,) + box], fine, kgrid)
+    cd_whole = trace_cauchy(whole[(Ellipsis,) + fine.box], fine, kgrid)
     assert np.max(np.abs(clean.g1 - cd_whole.g1[::REFINE])) <= 1e-13 * np.max(np.abs(clean.g1))
 
     coarse = rasterize(sc.shapes, truth.grid)
-    coarse_box = _support_box(coarse.quadrature_mean())
-    cd_coarse = trace_cauchy(
-        solve_forward_multi(coarse, kgrid, coarse_box), coarse, kgrid
-    )
+    cd_coarse = trace_cauchy(solve_forward_multi(coarse, kgrid, on_box=True), coarse, kgrid)
     assert not np.allclose(clean.g0, cd_coarse.g0)
 
 
