@@ -99,7 +99,10 @@ def cauchy_to_v_data(cd: CauchyData, bs: BasisSet):
     g~0 = Log(g0/u_in)/k^2 by total_to_log's map on the row x2 = R, so G0 is
     the top row of log_to_coeffs for fields with trace g0.  By the chain rule
     through v = Log(u/u_in)/k^2, g~1 = (g1/g0 - ik d2)/k^2.  Both are then
-    projected; returned arrays have shape (n_modes, n_nodes).
+    projected; returned arrays have shape (n_modes, n_nodes).  Data whose
+    lowest midpoint is below K_FLOOR, or whose coefficients are not finite
+    (1/k^2 just above K_FLOOR times the log of noisy data overflows in the
+    projection), are refused with a ValueError that names k_min.
     """
     if cd.kgrid != bs.kgrid:
         raise ValueError(f"basis and data live on different wavenumber grids: {bs.kgrid}, {cd.kgrid}")
@@ -107,9 +110,15 @@ def cauchy_to_v_data(cd: CauchyData, bs: BasisSet):
     if not ks[0] >= K_FLOOR:
         raise ValueError(f"k_min = {cd.kgrid.k_min!r} is too small for the log transform: 1/k^2 "
                          f"overflows at the lowest midpoint k = {float(ks[0])!r}")
-    G0 = log_to_coeffs(_log_map(cd.g0.T, cd.grid.half_width, ks, "cauchy_to_v_data"), bs)
-    gt1 = (cd.g1 / cd.g0 - 1j * ks[None, :] * IncidentWave.direction[1]) / ks[None, :] ** 2
-    return G0, project(gt1, bs).T.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        G0 = log_to_coeffs(_log_map(cd.g0.T, cd.grid.half_width, ks, "cauchy_to_v_data"), bs)
+        gt1 = (cd.g1 / cd.g0 - 1j * ks[None, :] * IncidentWave.direction[1]) / ks[None, :] ** 2
+        G1 = project(gt1, bs).T.copy()
+    bad = [name for name, G in (("G0", G0), ("G1", G1)) if not np.all(np.isfinite(G))]
+    if bad:
+        raise ValueError(f"k_min = {cd.kgrid.k_min!r} is too small for the log transform: "
+                         f"the data's basis coefficients {' and '.join(bad)} are not finite")
+    return G0, G1
 
 
 def smooth_traces(G: np.ndarray, sigma: float) -> np.ndarray:

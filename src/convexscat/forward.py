@@ -57,6 +57,18 @@ already close to its field.  The first level's nodes and every midpoint
 solved directly start from zero, so those fields equal solve_forward's.
 Every product builds its kernel spectrum afresh, so a call keeps no state
 for the next one.
+
+rasterize gives each cell an interface cuts the mean of 128 x 128 midpoint
+samples, and it counts them instead of storing them.  Along a vertical line
+of samples a disk or a rectangle holds on one run, whose ends the chord's
+float estimate puts within a sample or two; the shape's own contains, on
+those very sample floats, settles each end (_runs).  The midpoint samples
+of a grid column increase across its cells, so one run per sample line of
+a column serves every cut cell in it, and a cell's count is its share of
+the runs.  The counts are those of testing every shape at every sample,
+later shapes winning, and the mean, value times count over 128^2 summed
+over the shapes, is the float mean of the samples bit for bit for dyadic
+values such as the builtins'.
 """
 
 from __future__ import annotations
@@ -109,16 +121,9 @@ K_LEVELS = (5, 10, 20, 40)
 # Circulant entries per chunk of the batched residual check of interpolated
 # fields: 256 KB per complex array.
 _CHUNK_ENTRIES = 1 << 14
-# Sample points per block of the rasterizer's cut-cell quadrature
-# (_cell_averages): 256 KB per float array, 2 cut cells of 128 x 128 samples
-# or 1310 cells of the 5 x 5 probe, so the quadrature's memory does not
-# grow with the interface; all cut cells of example2b at once take 14.5 MB
-# per array at 56 cells and 59 MB at 224.  A block's temporaries then fit
-# in a 2 MB L2 cache: on a 2-core Xeon, rasterizing example2b at 28 and 56
-# cells took about 13 ms, against 25 ms with 1 MB blocks or all cut cells
-# at once.
-_RASTER_BLOCK = 1 << 15
-# Midpoint samples per side of a cut cell in the rasterizer's cell average.
+# Samples per side of a cell in the rasterizer's probe, edges included, and
+# midpoint samples per side of a cut cell in its cell average.
+_PROBE_SAMPLES = 5
 _CELL_SAMPLES = 128
 # Largest |value| of a shape: the cell average sums _CELL_SAMPLES^2 samples,
 # and that sum must stay finite.
@@ -205,6 +210,20 @@ class Disk:
         (c1, c2), r = self.center, self.radius
         return (c1 - r, c2 - r), (c1 + r, c2 + r)
 
+    @np.errstate(over="ignore", invalid="ignore")
+    def chord(self, x1):
+        """Float estimates, stacked as rows (lo, mid, hi), of where the
+        vertical lines at the points of the 1-D x1 enter, cross the centre
+        of and leave the disk: c2 -+ sqrt(r^2 - d1^2) around mid = c2.
+        contains decides; along a line it holds on one run of x2, which, if
+        not empty, holds the point next to mid from below or from above,
+        since d2^2 grows away from mid on either side.  The half chord of a
+        disk whose r^2 overflows is capped at sqrt(float max): finite, and
+        still wider than the domain."""
+        d1 = np.asarray(x1) - self.center[0]
+        squared = np.fmin(np.fmax(self.radius * self.radius - d1 * d1, 0.0), sys.float_info.max)
+        return self.center[1] + np.sqrt(squared) * np.array([[-1.0], [0.0], [1.0]])
+
 
 @dataclass(frozen=True)
 class Rectangle:
@@ -228,6 +247,11 @@ class Rectangle:
     def bounds(self):
         """Corners (lo, hi) of the rectangle."""
         return self.lo, self.hi
+
+    def chord(self, x1):
+        """Disk.chord for the rectangle: its x2 extent at each x1, which
+        contains decides, with mid = lo[1], the start of the run if any."""
+        return np.array([[self.lo[1]], [self.lo[1]], [self.hi[1]]]) + np.zeros(np.shape(x1))
 
 
 @dataclass(frozen=True)
@@ -289,19 +313,184 @@ def _reach(shapes, grid: Grid2D) -> np.ndarray:
     return reach
 
 
-def _sample_cells(shapes, reach, x1, x2, offsets, reduce, out):
-    """out[c] = reduce(stack) for the stack of shapes on the samples
-    (x1[c] + offsets[a], x2[c] + offsets[b]) of each cell c, in blocks of at
-    most _RASTER_BLOCK samples; returns out.  A block stacks only the shapes
-    that reach one of its cells (reach[:, c]), in their order, so a later
-    shape still wins."""
-    cells = max(1, _RASTER_BLOCK // offsets.size ** 2)
-    for c in range(0, x1.size, cells):
-        block = slice(c, c + cells)
-        near = [shape for shape, hit in zip(shapes, reach[:, block].any(axis=1)) if hit]
-        out[block] = reduce(_stack_values(near, x1[block, None, None] + offsets[None, :, None],
-                                          x2[block, None, None] + offsets[None, None, :]))
-    return out
+def _index(offsets, x):
+    """Estimate of the first index g with offsets[g] >= x, for each x, in
+    0..offsets.size, from the offsets' mean spacing."""
+    step = (offsets[-1] - offsets[0]) / (offsets.size - 1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        g = np.ceil((x - offsets[0]) / step)
+    return np.fmin(np.fmax(g, 0), offsets.size).astype(np.intp)
+
+
+def _first(test, start, lo, hi):
+    """Per row, the first index b in [lo, hi] at which test(rows, b) holds,
+    or hi if there is none, for a test that is false and then true on
+    [lo, hi).  The search steps one index at a time from start, down while
+    the index below passes, then up while the index fails, testing only the
+    rows still moving, so a start d indices off costs about d + 2 tests of
+    its row."""
+    b = np.clip(start, lo, hi)
+    rows = np.flatnonzero(b > lo)
+    while rows.size:
+        rows = rows[test(rows, b[rows] - 1)]
+        b[rows] -= 1
+        rows = rows[b[rows] > lo[rows]]
+    rows = np.flatnonzero(b < hi)
+    while rows.size:
+        rows = rows[~test(rows, b[rows])]
+        b[rows] += 1
+        rows = rows[b[rows] < hi[rows]]
+    return b
+
+
+def _runs(shape, x1, x2, offsets):
+    """Index ranges [start, stop) of the samples (x1[r], x2[r] + offsets[g])
+    that shape contains, per line r, for offsets that increase evenly;
+    returned stacked, shape (2, lines).
+
+    Along a line the shape holds on one run of samples, which, if not
+    empty, holds the sample next to the chord's mid (shape.chord) from
+    below or from above.  The chord's float estimates give each run's ends,
+    and shape.contains, on the very floats a dense evaluation of the
+    samples would test, settles most lines with four samples each; samples
+    off the line count as outside.  A line whose estimated run is not empty
+    has that run if the test holds at both of its ends and fails just
+    outside them.  Of the others, a line has the run that the two samples
+    next to mid hold, none or one or both, if the test fails just beyond
+    them: a line that misses the shape has none, one tangent to it a run of
+    one sample.  The lines left are searched (_seek_runs), so a wrong
+    estimate costs steps, not counts.
+    """
+    chord = shape.chord(x1)
+    mid = chord[1]
+    n = offsets.size
+    run = _index(offsets, chord[::2] - x2)
+    start, stop = run
+    g = run[[0, 1, 0, 1]]
+    g[1:3] -= 1
+    held = shape.contains(x1, x2 + offsets.take(g, mode="clip"))
+    rows = np.flatnonzero(~((start < stop) & held[0] & held[1] & ((start == 0) | ~held[2])
+                            & ((stop == n) | ~held[3])))
+    above = _index(offsets, mid[rows] - x2[rows])
+    g = above + np.arange(-2, 2)[:, None]
+    at = x2[rows] + offsets.take(g, mode="clip")
+    held = shape.contains(x1[rows], at) & (g >= 0) & (g < n)
+    settled = (((above == 0) | (at[1] < mid[rows])) & ((above == n) | (at[2] >= mid[rows]))
+               & ~(held[0] & held[1]) & ~(held[2] & held[3]))
+    run[0, rows[settled]] = (above - held[1])[settled]
+    run[1, rows[settled]] = (above + held[2])[settled]
+    rows = rows[~settled]
+    if rows.size:
+        run[:, rows] = _seek_runs(shape, x1[rows], x2[rows], offsets, mid[rows], run[:, rows],
+                                  above[~settled])
+    return run
+
+
+def _seek_runs(shape, x1, x2, offsets, mid, guess, above):
+    """_runs by search, from guesses of each line's start and stop (stacked
+    in guess) and of its first sample at or above mid.
+
+    The sample next to mid is found first; if the shape contains it, the
+    run's start is the first sample at or below it that the shape contains,
+    and its stop the first one above it that the shape does not (_first).
+    A line whose two samples next to mid are both outside has no run: start
+    = stop = 0.
+    """
+    n = offsets.size
+    none, every = np.zeros(x1.size, dtype=np.intp), np.full(x1.size, n)
+
+    def inside(rows, g):
+        return shape.contains(x1[rows], x2[rows] + offsets[g])
+
+    above = _first(lambda rows, g: x2[rows] + offsets[g] >= mid[rows], above, none, every)
+    below = np.maximum(above - 1, 0)
+    above = np.minimum(above, n - 1)
+    held = inside(slice(None), below)
+    seed = np.where(held, below, above)
+    rest = np.flatnonzero(~held)
+    held[rest] = inside(rest, above[rest])
+    rows = np.flatnonzero(held)
+    seed = seed[rows]
+    run = np.zeros((2, x1.size), dtype=np.intp)
+    run[0, rows] = _first(lambda r, g: inside(rows[r], g), guess[0, rows], none[:rows.size], seed)
+    run[1, rows] = _first(lambda r, g: ~inside(rows[r], g), guess[1, rows], seed + 1,
+                          every[:rows.size])
+    return run
+
+
+def _winning_counts(start, stop) -> np.ndarray:
+    """Numbers of samples each shape wins in each row, later shapes
+    winning, from the runs [start, stop) of shape (shapes, rows).  Between
+    two consecutive run ends every run covers all samples or none, so each
+    such segment goes whole to the last shape whose run covers it."""
+    ends = np.sort(np.concatenate([start, stop]), axis=0)
+    covers = (start[:, None] <= ends[:-1]) & (ends[:-1] < stop[:, None])
+    last = len(start) - 1 - np.argmax(covers[::-1], axis=0)
+    length = np.where(covers.any(axis=0), np.diff(ends, axis=0), 0)
+    return np.stack([np.sum(length, axis=0, where=last == s) for s in range(len(start))])
+
+
+def _cell_counts(reach, n, rows_of) -> np.ndarray:
+    """Numbers, of shape (shapes, cells), of the samples of each cell whose
+    last containing shape is each shape.
+
+    rows_of(s, hit) gives shape s's runs, of shape (2, hit.size, n): the
+    range [start, stop) of samples it contains along each of the n rows of
+    samples of each cell in hit, the cells it reaches (reach[s]), which
+    alone can hold its samples.  A row with more than one run, only
+    possible in a cell more than one shape reaches, is shared out by
+    _winning_counts.
+    """
+    counts = np.zeros(reach.shape, dtype=np.intp)
+    shared = np.count_nonzero(reach, axis=0) > 1
+    runs = np.zeros((2, len(reach), np.count_nonzero(shared), n), dtype=np.intp)
+    for s, reached in enumerate(reach):
+        hit = np.flatnonzero(reached)
+        if hit.size:
+            run = rows_of(s, hit)
+            counts[s, hit] = (run[1] - run[0]).sum(axis=1)
+            runs[:, s, reached[shared]] = run[:, shared[hit]]
+    if runs.size:
+        counts[:, shared] = _winning_counts(*runs.reshape(2, len(reach), -1)).reshape(
+            len(reach), -1, n).sum(axis=2)
+    return counts
+
+
+def _probe_counts(shapes, grid: Grid2D, reach, cells) -> np.ndarray:
+    """_cell_counts of the _PROBE_SAMPLES^2 probe samples, edges included,
+    of the cells where the mask cells is true; reach is _reach's.  Each
+    probe row is a line of its own, since the edge samples two cells share
+    need not be in order."""
+    x = grid.nodes
+    probe = np.linspace(-0.5, 0.5, _PROBE_SAMPLES) * grid.h
+    i, j = np.nonzero(cells)
+
+    def rows_of(s, hit):
+        x1, x2 = (x[j[hit]][:, None] + probe).ravel(), x[i[hit]].repeat(probe.size)
+        return _runs(shapes[s], x1, x2, probe).reshape(2, hit.size, probe.size)
+
+    return _cell_counts(reach[:, cells], probe.size, rows_of)
+
+
+def _quadrature_counts(shapes, grid: Grid2D, reach, cells) -> np.ndarray:
+    """_cell_counts of the _CELL_SAMPLES^2 midpoint samples of the cells where
+    the mask cells is true; reach is _reach's.  The midpoint samples of a
+    grid column increase in x2 across its cells, so a shape's run along an
+    x1-sample line of a column, sought once for each column of the cells it
+    reaches, is clipped to each of those cells' rows of samples."""
+    x = grid.nodes
+    n = _CELL_SAMPLES
+    sub = ((np.arange(n) + 0.5) / n - 0.5) * grid.h
+    column = (x[:, None] + sub).ravel()
+    i, j = np.nonzero(cells)
+
+    def rows_of(s, hit):
+        lines = np.flatnonzero(np.bincount(j[hit], minlength=x.size))
+        run = _runs(shapes[s], (x[lines][:, None] + sub).ravel(), np.zeros(lines.size * n), column)
+        run = run.reshape(2, lines.size, n)[:, np.searchsorted(lines, j[hit])] - (i[hit] * n)[:, None]
+        return np.minimum(np.maximum(run, 0), n)
+
+    return _cell_counts(reach[:, cells], n, rows_of)
 
 
 def _cell_averages(shapes, grid: Grid2D, values: np.ndarray, cells=None) -> np.ndarray:
@@ -311,38 +500,43 @@ def _cell_averages(shapes, grid: Grid2D, values: np.ndarray, cells=None) -> np.n
     Only the cells some shape reaches (_reach) are probed, on a 5x5 pattern
     that includes the cell's edges: every sample of any other cell lies
     outside every shape, so the cell is not cut and its mean is its node
-    value.  Only cells the interface cuts get the dense _CELL_SAMPLES^2
-    midpoint average.  Both passes go through their cells in blocks of at
-    most _RASTER_BLOCK sample points (_sample_cells), so the arrays stay the
-    same size however long the interface is, and each block stacks only the
-    shapes that reach one of its cells.  A skipped shape contains none of
-    the block's samples, so each cell's samples, membership tests and mean
-    are the same expressions and values as with every shape on every cell.
+    value.  A probed cell is cut when its samples hold more than one
+    distinct value, 0 where no shape holds; only cut cells get the
+    _CELL_SAMPLES^2 midpoint average.  Neither pass stores a sample: both
+    count the samples of each cell that each shape wins (_probe_counts,
+    _quadrature_counts), from runs the shapes' own contains decides sample
+    by sample, so the counts are those of testing every shape at every
+    sample.  The mean is the sum over the shapes, in order, of value *
+    (count / _CELL_SAMPLES^2).  For dyadic values such as the builtins'
+    every term and partial sum is exact, so it equals the float mean of the
+    stacked samples bit for bit.
     """
-    X1, X2 = grid.mesh()
     reach = _reach(shapes, grid)
     near = np.any(reach, axis=0)
     if cells is not None:
         near &= cells
-    probe = np.linspace(-0.5, 0.5, 5) * grid.h
+    value = np.array([float(shape.value) for shape in shapes])
+    counts = _probe_counts(shapes, grid, reach, near)
+    held = np.concatenate([counts > 0, counts.sum(axis=0, keepdims=True) < _PROBE_SAMPLES ** 2])
+    value0 = np.append(value, 0.0)[:, None]
     cut = np.zeros(values.shape, dtype=bool)
-    cut[near] = _sample_cells(shapes, reach[:, near], X1[near], X2[near], probe,
-                              lambda s: s.max(axis=(1, 2)) != s.min(axis=(1, 2)),
-                              np.empty(np.count_nonzero(near), dtype=bool))
+    cut[near] = (np.where(held, value0, -math.inf).max(axis=0)
+                 != np.where(held, value0, math.inf).min(axis=0))
     mean = values.astype(float)
-    sub = ((np.arange(_CELL_SAMPLES) + 0.5) / _CELL_SAMPLES - 0.5) * grid.h
-    mean[cut] = _sample_cells(shapes, reach[:, cut], X1[cut], X2[cut], sub,
-                              lambda s: s.mean(axis=(1, 2)), np.empty(np.count_nonzero(cut)))
+    total = np.zeros(np.count_nonzero(cut))
+    for v, count in zip(value, _quadrature_counts(shapes, grid, reach, cut)):
+        total += v * (count / _CELL_SAMPLES ** 2)
+    mean[cut] = total
     return mean
 
 
 def _rasterize(shapes, grid: Grid2D, cells=None):
-    """Node values and cell means of the shapes (_cell_averages, on every
-    cell or on the mask cells), checked against the synthetic-truth
-    contract: every shape's bounds meet the closed domain and its |value|
-    is at most _VALUE_MAX, both checked before any sampling, nonnegative
-    values, and no support on the domain boundary, neither at a boundary
-    node nor in the mean of its cell."""
+    """Node values and cell means of the shapes (_cell_averages, counted
+    on every cell or on the mask cells), checked against the
+    synthetic-truth contract: every shape's bounds meet the closed domain
+    and its |value| is at most _VALUE_MAX, both checked before any
+    sampling, nonnegative values, and no support on the domain boundary,
+    neither at a boundary node nor in the mean of its cell."""
     r = grid.half_width
     for i, shape in enumerate(shapes):
         lo, hi = shape.bounds()
@@ -370,8 +564,9 @@ def _rasterize(shapes, grid: Grid2D, cells=None):
 
 def rasterize(shapes, grid: Grid2D) -> Coefficient:
     """Sample shapes onto the grid by node-center membership, later shapes
-    winning, with every node's cell mean (_cell_averages) for the solver's
-    quadrature.
+    winning, with every node's cell mean (_cell_averages: the mean of
+    128 x 128 midpoint samples where an interface cuts the cell, counted
+    run by run) for the solver's quadrature.
 
     Enforces the synthetic-truth contract: nonnegative values and no support
     on the domain boundary.
@@ -694,7 +889,8 @@ def solve_forward(coeff: Coefficient, k: float, start=None, on_box=False) -> np.
         c = extension(x)
         return (u_in[box] + c[inner] - x).ravel()
 
-    in_norm = np.linalg.norm(u_in)
+    # u_in depends on x2 alone: its whole-grid norm is sqrt(n) times a column's
+    in_norm = math.sqrt(n) * np.linalg.norm(u_in[:, 0])
     try:
         u_box, iterations = _gmres(apply, u_in[box].ravel(), residual,
                                    None if start is None else start.ravel(),
@@ -827,11 +1023,11 @@ def _interpolation_residuals(coeff: Coefficient, ks: np.ndarray, fields: np.ndar
     grid or, on_box, the support box.
 
     As in solve_forward, the difference is taken over the window and the
-    norm of u_in over the whole grid.  The box-to-window products run in
-    chunks of wavenumbers, each from one Bessel table evaluation on the
-    offsets the window needs, one batch of circulants and one FFT pair
-    (_offset_product of a stacked table), with at most _CHUNK_ENTRIES
-    circulant entries per chunk.
+    norm of u_in over the whole grid, from one column.  The box-to-window
+    products run in chunks of wavenumbers, each from one Bessel table
+    evaluation on the offsets the window needs, one batch of circulants and
+    one FFT pair (_offset_product of a stacked table), with at most
+    _CHUNK_ENTRIES circulant entries per chunk.
     """
     grid = coeff.grid
     n = grid.n_nodes
@@ -850,7 +1046,7 @@ def _interpolation_residuals(coeff: Coefficient, ks: np.ndarray, fields: np.ndar
         u_in = IncidentWave.field(grid.nodes[:, None], k[:, None, None])
         c = extension(u[(Ellipsis,) + inner])
         resid[s:s + chunk] = (np.linalg.norm(u - c - u_in[:, window[0]], axis=(1, 2))
-                              / np.linalg.norm(np.broadcast_to(u_in, (k.size, n, n)), axis=(1, 2)))
+                              / (math.sqrt(n) * np.linalg.norm(u_in[..., 0], axis=1)))
     return resid
 
 

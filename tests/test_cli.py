@@ -326,19 +326,24 @@ def test_a_grid_too_wide_for_the_carleman_weight_is_an_input_error(sim_dir, tmp_
     assert not out.exists()
 
 
-@pytest.mark.parametrize("n_modes, message", [
-    (4, "psi_2 is numerically dependent on psi_1..psi_1 (residual 0.000e+00 vs norm 0.000e+00); "
-        "reduce n_modes"),
-    (1, "k_min = 1e-200 is too small for the log transform: 1/k^2 overflows at the lowest "
-        "midpoint k = 1.45e-200"),
-], ids=["basis", "log-transform"])
-def test_wavenumbers_at_the_edge_of_the_double_range_are_an_input_error(tmp_path, capsys,
-                                                                        n_modes, message):
+@pytest.mark.parametrize("k_min, k_max, n_modes, message", [
+    ("1.0e-200", "1.0e-199", 4, "psi_2 is numerically dependent on psi_1..psi_1 (residual "
+                                "0.000e+00 vs norm 0.000e+00); reduce n_modes"),
+    ("1.0e-200", "1.0e-199", 1, "k_min = 1e-200 is too small for the log transform: 1/k^2 "
+                                "overflows at the lowest midpoint k = 1.45e-200"),
+    ("1.0e-153", "1.0e-152", 1, "k_min = 1e-153 is too small for the log transform: the data's "
+                                "basis coefficients G0 are not finite"),
+], ids=["basis", "log-transform", "projection"])
+def test_wavenumbers_at_the_edge_of_the_double_range_are_an_input_error(tmp_path, capsys, k_min,
+                                                                        k_max, n_modes, message):
     # their squares underflow to 0: the basis refuses its second mode, and
-    # with one mode the log transform refuses the data; neither divides by 0
+    # with one mode the log transform refuses the data; neither divides by
+    # 0.  Just above that, 1/k^2 is finite but v = Log(p)/k^2 of the noisy
+    # data is about 1e304 and its projection is not finite: refused as
+    # input, not as a re-solve of a non-finite coefficient
     scene, sim, out = tmp_path / "tiny-k.yaml", tmp_path / "sim", tmp_path / "out"
     scene.write_text("shapes: [{type: disk, center: [0.0, 0.4], radius: 0.25, value: 1.5}]\n"
-                     "n_cells: 16\nn_k: 10\nk_min: 1.0e-200\nk_max: 1.0e-199\n")
+                     f"n_cells: 16\nn_k: 10\nk_min: {k_min}\nk_max: {k_max}\n")
     assert main(["simulate", "--scenario", str(scene), "--out", str(sim)]) == 0
     (tmp_path / "cfg.yaml").write_text(f"n_modes: {n_modes}\n")
     capsys.readouterr()
