@@ -59,16 +59,19 @@ Every product builds its kernel spectrum afresh, so a call keeps no state
 for the next one.
 
 rasterize gives each cell an interface cuts the mean of 128 x 128 midpoint
-samples, and it counts them instead of storing them.  Along a vertical line
-of samples a disk or a rectangle holds on one run, whose ends the chord's
-float estimate puts within a sample or two; the shape's own contains, on
-those very sample floats, settles each end (_runs).  The midpoint samples
-of a grid column increase across its cells, so one run per sample line of
-a column serves every cut cell in it, and a cell's count is its share of
-the runs.  The counts are those of testing every shape at every sample,
-later shapes winning, and the mean, value times count over 128^2 summed
-over the shapes, is the float mean of the samples bit for bit for dyadic
-values such as the builtins'.
+samples, and it counts them instead of storing them.  A cell is cut when
+the shapes, stacked on its 5 x 5 probe samples, hold more than one value
+there (_cut_cells).  Along a vertical line of samples a disk or a rectangle
+holds on one run: the chord's float ends, located by searchsorted, are its
+estimate, and the shape's own contains, on those very sample floats,
+accepts it with four tests or sends the line to a bisection from the
+sample next to the chord's mid (_runs).  The midpoint samples of a grid
+column increase across its cells, so one run per sample line of a column
+serves every cut cell in it, and a cell's count is its share of the runs.
+The counts are those of testing every shape at every sample, later shapes
+winning, and the mean, value times count over 128^2 summed over the
+shapes, is the float mean of the samples bit for bit for dyadic values
+such as the builtins'.
 """
 
 from __future__ import annotations
@@ -215,11 +218,11 @@ class Disk:
         """Float estimates, stacked as rows (lo, mid, hi), of where the
         vertical lines at the points of the 1-D x1 enter, cross the centre
         of and leave the disk: c2 -+ sqrt(r^2 - d1^2) around mid = c2.
-        contains decides; along a line it holds on one run of x2, which, if
-        not empty, holds the point next to mid from below or from above,
-        since d2^2 grows away from mid on either side.  The half chord of a
-        disk whose r^2 overflows is capped at sqrt(float max): finite, and
-        still wider than the domain."""
+        contains settles them; along a line it holds on one run of x2,
+        which, if not empty, holds the point next to mid from below or from
+        above, since d2^2 grows away from mid on either side.  The half
+        chord of a disk whose r^2 overflows is capped at sqrt(float max):
+        finite, and still wider than the domain."""
         d1 = np.asarray(x1) - self.center[0]
         squared = np.fmin(np.fmax(self.radius * self.radius - d1 * d1, 0.0), sys.float_info.max)
         return self.center[1] + np.sqrt(squared) * np.array([[-1.0], [0.0], [1.0]])
@@ -250,7 +253,7 @@ class Rectangle:
 
     def chord(self, x1):
         """Disk.chord for the rectangle: its x2 extent at each x1, which
-        contains decides, with mid = lo[1], the start of the run if any."""
+        contains settles, with mid = lo[1], the start of the run if any."""
         return np.array([[self.lo[1]], [self.lo[1]], [self.hi[1]]]) + np.zeros(np.shape(x1))
 
 
@@ -313,108 +316,57 @@ def _reach(shapes, grid: Grid2D) -> np.ndarray:
     return reach
 
 
-def _index(offsets, x):
-    """Estimate of the first index g with offsets[g] >= x, for each x, in
-    0..offsets.size, from the offsets' mean spacing."""
-    step = (offsets[-1] - offsets[0]) / (offsets.size - 1)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        g = np.ceil((x - offsets[0]) / step)
-    return np.fmin(np.fmax(g, 0), offsets.size).astype(np.intp)
-
-
-def _first(test, start, lo, hi):
+def _first(test, lo, hi):
     """Per row, the first index b in [lo, hi] at which test(rows, b) holds,
     or hi if there is none, for a test that is false and then true on
-    [lo, hi).  The search steps one index at a time from start, down while
-    the index below passes, then up while the index fails, testing only the
-    rows still moving, so a start d indices off costs about d + 2 tests of
-    its row."""
-    b = np.clip(start, lo, hi)
-    rows = np.flatnonzero(b > lo)
+    [lo, hi).  Bisection, testing only the rows still open: about
+    log2(hi - lo) tests of each row."""
+    lo, hi = lo.copy(), hi.copy()
+    rows = np.flatnonzero(lo < hi)
     while rows.size:
-        rows = rows[test(rows, b[rows] - 1)]
-        b[rows] -= 1
-        rows = rows[b[rows] > lo[rows]]
-    rows = np.flatnonzero(b < hi)
-    while rows.size:
-        rows = rows[~test(rows, b[rows])]
-        b[rows] += 1
-        rows = rows[b[rows] < hi[rows]]
-    return b
+        b = (lo[rows] + hi[rows]) // 2
+        held = test(rows, b)
+        hi[rows[held]] = b[held]
+        lo[rows[~held]] = b[~held] + 1
+        rows = rows[lo[rows] < hi[rows]]
+    return lo
 
 
-def _runs(shape, x1, x2, offsets):
-    """Index ranges [start, stop) of the samples (x1[r], x2[r] + offsets[g])
-    that shape contains, per line r, for offsets that increase evenly;
-    returned stacked, shape (2, lines).
+def _runs(shape, x1, column):
+    """Index ranges [start, stop) of the samples (x1[r], column[g]) that
+    shape contains, per line r, for an increasing column; returned stacked,
+    shape (2, lines).
 
     Along a line the shape holds on one run of samples, which, if not
-    empty, holds the sample next to the chord's mid (shape.chord) from
-    below or from above.  The chord's float estimates give each run's ends,
-    and shape.contains, on the very floats a dense evaluation of the
-    samples would test, settles most lines with four samples each; samples
-    off the line count as outside.  A line whose estimated run is not empty
-    has that run if the test holds at both of its ends and fails just
-    outside them.  Of the others, a line has the run that the two samples
-    next to mid hold, none or one or both, if the test fails just beyond
-    them: a line that misses the shape has none, one tangent to it a run of
-    one sample.  The lines left are searched (_seek_runs), so a wrong
-    estimate costs steps, not counts.
+    empty, holds column[split - 1] or column[split], the samples next to
+    the chord's mid (shape.chord), split = searchsorted(column, mid).  The
+    chord's float ends give the estimate, searchsorted of lo for the start
+    and of hi, side="right", for the stop; shape.contains, on the very
+    floats a dense evaluation of the line would test, accepts it if it
+    holds at both ends of the run and fails just outside them.  Of the
+    other lines, one whose two samples next to mid are both outside has no
+    run, and the rest are bisected from the one inside (_first), so a wrong
+    estimate costs tests, not counts.
     """
     chord = shape.chord(x1)
-    mid = chord[1]
-    n = offsets.size
-    run = _index(offsets, chord[::2] - x2)
+    n = column.size
+    run = np.stack([np.searchsorted(column, chord[0]),
+                    np.searchsorted(column, chord[2], side="right")])
     start, stop = run
-    g = run[[0, 1, 0, 1]]
-    g[1:3] -= 1
-    held = shape.contains(x1, x2 + offsets.take(g, mode="clip"))
+    held = shape.contains(x1, column.take([start, stop - 1, start - 1, stop], mode="clip"))
     rows = np.flatnonzero(~((start < stop) & held[0] & held[1] & ((start == 0) | ~held[2])
                             & ((stop == n) | ~held[3])))
-    above = _index(offsets, mid[rows] - x2[rows])
-    g = above + np.arange(-2, 2)[:, None]
-    at = x2[rows] + offsets.take(g, mode="clip")
-    held = shape.contains(x1[rows], at) & (g >= 0) & (g < n)
-    settled = (((above == 0) | (at[1] < mid[rows])) & ((above == n) | (at[2] >= mid[rows]))
-               & ~(held[0] & held[1]) & ~(held[2] & held[3]))
-    run[0, rows[settled]] = (above - held[1])[settled]
-    run[1, rows[settled]] = (above + held[2])[settled]
-    rows = rows[~settled]
+    run[:, rows] = 0
+    split = np.searchsorted(column, chord[1, rows]) + np.array([[-1], [0]])
+    held = shape.contains(x1[rows], column.take(split, mode="clip")) & (split >= 0) & (split < n)
+    inside = held.any(axis=0)
+    rows, seed = rows[inside], np.where(held[0], split[0], split[1])[inside]
     if rows.size:
-        run[:, rows] = _seek_runs(shape, x1[rows], x2[rows], offsets, mid[rows], run[:, rows],
-                                  above[~settled])
-    return run
-
-
-def _seek_runs(shape, x1, x2, offsets, mid, guess, above):
-    """_runs by search, from guesses of each line's start and stop (stacked
-    in guess) and of its first sample at or above mid.
-
-    The sample next to mid is found first; if the shape contains it, the
-    run's start is the first sample at or below it that the shape contains,
-    and its stop the first one above it that the shape does not (_first).
-    A line whose two samples next to mid are both outside has no run: start
-    = stop = 0.
-    """
-    n = offsets.size
-    none, every = np.zeros(x1.size, dtype=np.intp), np.full(x1.size, n)
-
-    def inside(rows, g):
-        return shape.contains(x1[rows], x2[rows] + offsets[g])
-
-    above = _first(lambda rows, g: x2[rows] + offsets[g] >= mid[rows], above, none, every)
-    below = np.maximum(above - 1, 0)
-    above = np.minimum(above, n - 1)
-    held = inside(slice(None), below)
-    seed = np.where(held, below, above)
-    rest = np.flatnonzero(~held)
-    held[rest] = inside(rest, above[rest])
-    rows = np.flatnonzero(held)
-    seed = seed[rows]
-    run = np.zeros((2, x1.size), dtype=np.intp)
-    run[0, rows] = _first(lambda r, g: inside(rows[r], g), guess[0, rows], none[:rows.size], seed)
-    run[1, rows] = _first(lambda r, g: ~inside(rows[r], g), guess[1, rows], seed + 1,
-                          every[:rows.size])
+        x1 = x1[rows]
+        run[0, rows] = _first(lambda r, g: shape.contains(x1[r], column[g]),
+                              np.zeros_like(seed), seed)
+        run[1, rows] = _first(lambda r, g: ~shape.contains(x1[r], column[g]), seed + 1,
+                              np.full_like(seed, n))
     return run
 
 
@@ -430,67 +382,59 @@ def _winning_counts(start, stop) -> np.ndarray:
     return np.stack([np.sum(length, axis=0, where=last == s) for s in range(len(start))])
 
 
-def _cell_counts(reach, n, rows_of) -> np.ndarray:
-    """Numbers, of shape (shapes, cells), of the samples of each cell whose
-    last containing shape is each shape.
-
-    rows_of(s, hit) gives shape s's runs, of shape (2, hit.size, n): the
-    range [start, stop) of samples it contains along each of the n rows of
-    samples of each cell in hit, the cells it reaches (reach[s]), which
-    alone can hold its samples.  A row with more than one run, only
-    possible in a cell more than one shape reaches, is shared out by
-    _winning_counts.
-    """
-    counts = np.zeros(reach.shape, dtype=np.intp)
-    shared = np.count_nonzero(reach, axis=0) > 1
-    runs = np.zeros((2, len(reach), np.count_nonzero(shared), n), dtype=np.intp)
-    for s, reached in enumerate(reach):
-        hit = np.flatnonzero(reached)
-        if hit.size:
-            run = rows_of(s, hit)
-            counts[s, hit] = (run[1] - run[0]).sum(axis=1)
-            runs[:, s, reached[shared]] = run[:, shared[hit]]
-    if runs.size:
-        counts[:, shared] = _winning_counts(*runs.reshape(2, len(reach), -1)).reshape(
-            len(reach), -1, n).sum(axis=2)
-    return counts
-
-
-def _probe_counts(shapes, grid: Grid2D, reach, cells) -> np.ndarray:
-    """_cell_counts of the _PROBE_SAMPLES^2 probe samples, edges included,
-    of the cells where the mask cells is true; reach is _reach's.  Each
-    probe row is a line of its own, since the edge samples two cells share
-    need not be in order."""
+def _cut_cells(shapes, grid: Grid2D, reach, cells) -> np.ndarray:
+    """Mask of the cut cells among those where the mask cells is true: the
+    cells whose _PROBE_SAMPLES^2 probe samples, edges included, hold more
+    than one value of the shapes stacked as _stack_values stacks them, 0
+    where no shape holds.  Each shape is tested on the probes of the cells
+    it reaches (reach, _reach's), which alone can hold its samples."""
     x = grid.nodes
     probe = np.linspace(-0.5, 0.5, _PROBE_SAMPLES) * grid.h
     i, j = np.nonzero(cells)
-
-    def rows_of(s, hit):
-        x1, x2 = (x[j[hit]][:, None] + probe).ravel(), x[i[hit]].repeat(probe.size)
-        return _runs(shapes[s], x1, x2, probe).reshape(2, hit.size, probe.size)
-
-    return _cell_counts(reach[:, cells], probe.size, rows_of)
+    probed = np.zeros((i.size, probe.size, probe.size))
+    for shape, reached in zip(shapes, reach[:, cells]):
+        hit = np.flatnonzero(reached)
+        held = shape.contains(x[j[hit], None, None] + probe[:, None], x[i[hit], None, None] + probe)
+        probed[hit] = np.where(held, shape.value, probed[hit])
+    cut = np.zeros(cells.shape, dtype=bool)
+    cut[cells] = probed.max(axis=(1, 2)) != probed.min(axis=(1, 2))
+    return cut
 
 
 def _quadrature_counts(shapes, grid: Grid2D, reach, cells) -> np.ndarray:
-    """_cell_counts of the _CELL_SAMPLES^2 midpoint samples of the cells where
-    the mask cells is true; reach is _reach's.  The midpoint samples of a
-    grid column increase in x2 across its cells, so a shape's run along an
-    x1-sample line of a column, sought once for each column of the cells it
-    reaches, is clipped to each of those cells' rows of samples."""
+    """Numbers, of shape (shapes, cells), of the _CELL_SAMPLES^2 midpoint
+    samples of each cell where the mask cells is true whose last containing
+    shape is each shape; reach is _reach's.
+
+    The midpoint samples of a grid column increase in x2 across its cells,
+    so a shape's run along an x1-sample line of a column (_runs), sought
+    once for each column of the cells it reaches, which alone can hold its
+    samples, is clipped to each of those cells' rows of samples.  A row
+    with more than one run, only possible in a cell more than one shape
+    reaches, is shared out by _winning_counts.
+    """
     x = grid.nodes
     n = _CELL_SAMPLES
     sub = ((np.arange(n) + 0.5) / n - 0.5) * grid.h
     column = (x[:, None] + sub).ravel()
     i, j = np.nonzero(cells)
-
-    def rows_of(s, hit):
-        lines = np.flatnonzero(np.bincount(j[hit], minlength=x.size))
-        run = _runs(shapes[s], (x[lines][:, None] + sub).ravel(), np.zeros(lines.size * n), column)
-        run = run.reshape(2, lines.size, n)[:, np.searchsorted(lines, j[hit])] - (i[hit] * n)[:, None]
-        return np.minimum(np.maximum(run, 0), n)
-
-    return _cell_counts(reach[:, cells], n, rows_of)
+    reach = reach[:, cells]
+    counts = np.zeros(reach.shape, dtype=np.intp)
+    shared = np.count_nonzero(reach, axis=0) > 1
+    runs = np.zeros((2, len(shapes), np.count_nonzero(shared), n), dtype=np.intp)
+    for s, (shape, reached) in enumerate(zip(shapes, reach)):
+        hit = np.flatnonzero(reached)
+        if hit.size:
+            lines = np.flatnonzero(np.bincount(j[hit], minlength=x.size))
+            run = _runs(shape, (x[lines][:, None] + sub).ravel(), column).reshape(2, lines.size, n)
+            run = run[:, np.searchsorted(lines, j[hit])] - (i[hit] * n)[:, None]
+            run = np.minimum(np.maximum(run, 0), n)
+            counts[s, hit] = (run[1] - run[0]).sum(axis=1)
+            runs[:, s, reached[shared]] = run[:, shared[hit]]
+    if runs.size:
+        counts[:, shared] = _winning_counts(*runs.reshape(2, len(shapes), -1)).reshape(
+            len(shapes), -1, n).sum(axis=2)
+    return counts
 
 
 def _cell_averages(shapes, grid: Grid2D, values: np.ndarray, cells=None) -> np.ndarray:
@@ -501,10 +445,10 @@ def _cell_averages(shapes, grid: Grid2D, values: np.ndarray, cells=None) -> np.n
     that includes the cell's edges: every sample of any other cell lies
     outside every shape, so the cell is not cut and its mean is its node
     value.  A probed cell is cut when its samples hold more than one
-    distinct value, 0 where no shape holds; only cut cells get the
-    _CELL_SAMPLES^2 midpoint average.  Neither pass stores a sample: both
-    count the samples of each cell that each shape wins (_probe_counts,
-    _quadrature_counts), from runs the shapes' own contains decides sample
+    distinct value, 0 where no shape holds (_cut_cells); only cut cells get
+    the _CELL_SAMPLES^2 midpoint average.  Its samples are not stored but
+    counted: the samples of each cell that each shape wins
+    (_quadrature_counts), from runs the shapes' own contains decides sample
     by sample, so the counts are those of testing every shape at every
     sample.  The mean is the sum over the shapes, in order, of value *
     (count / _CELL_SAMPLES^2).  For dyadic values such as the builtins'
@@ -515,17 +459,11 @@ def _cell_averages(shapes, grid: Grid2D, values: np.ndarray, cells=None) -> np.n
     near = np.any(reach, axis=0)
     if cells is not None:
         near &= cells
-    value = np.array([float(shape.value) for shape in shapes])
-    counts = _probe_counts(shapes, grid, reach, near)
-    held = np.concatenate([counts > 0, counts.sum(axis=0, keepdims=True) < _PROBE_SAMPLES ** 2])
-    value0 = np.append(value, 0.0)[:, None]
-    cut = np.zeros(values.shape, dtype=bool)
-    cut[near] = (np.where(held, value0, -math.inf).max(axis=0)
-                 != np.where(held, value0, math.inf).min(axis=0))
+    cut = _cut_cells(shapes, grid, reach, near)
     mean = values.astype(float)
     total = np.zeros(np.count_nonzero(cut))
-    for v, count in zip(value, _quadrature_counts(shapes, grid, reach, cut)):
-        total += v * (count / _CELL_SAMPLES ** 2)
+    for shape, count in zip(shapes, _quadrature_counts(shapes, grid, reach, cut)):
+        total += float(shape.value) * (count / _CELL_SAMPLES ** 2)
     mean[cut] = total
     return mean
 
@@ -565,8 +503,8 @@ def _rasterize(shapes, grid: Grid2D, cells=None):
 def rasterize(shapes, grid: Grid2D) -> Coefficient:
     """Sample shapes onto the grid by node-center membership, later shapes
     winning, with every node's cell mean (_cell_averages: the mean of
-    128 x 128 midpoint samples where an interface cuts the cell, counted
-    run by run) for the solver's quadrature.
+    128 x 128 midpoint samples where the 5 x 5 probe finds an interface in
+    the cell, counted run by run) for the solver's quadrature.
 
     Enforces the synthetic-truth contract: nonnegative values and no support
     on the domain boundary.

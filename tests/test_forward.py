@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.fft
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import gaussian_filter
 from scipy.special import hankel1, j0, j1, y0, y1
@@ -939,15 +939,13 @@ def test_sample_line_scenes_put_run_ends_on_samples():
 
 
 def _assert_counts_are_exact(shapes, grid):
-    # the counts the rasterizer reads off runs are the one-shot samples'
-    # membership counts, later shapes winning: the probe's on every cell,
-    # the midpoint samples' on every cut cell
+    # the rasterizer's cut cells are the one-shot probe's on every cell, and
+    # the counts it reads off runs are the one-shot midpoint samples'
+    # membership counts, later shapes winning, on every cut cell
     reach = forward._reach(shapes, grid)
     every = np.ones((grid.n_nodes, grid.n_nodes), dtype=bool)
-    probed = _membership_counts(shapes, _last_shape(shapes, *_probe_samples(grid)))
-    assert np.array_equal(forward._probe_counts(shapes, grid, reach, every),
-                          probed.reshape(len(shapes), grid.n_points))
     cut = _one_shot_cut(shapes, grid)
+    assert np.array_equal(forward._cut_cells(shapes, grid, reach, every), cut)
     sampled = _membership_counts(shapes, _last_shape(shapes, *_midpoint_samples(grid, cut)))
     assert np.array_equal(forward._quadrature_counts(shapes, grid, reach, cut), sampled)
 
@@ -962,6 +960,23 @@ _COUNT_SCENES = {
 @pytest.mark.parametrize("scene", sorted(_COUNT_SCENES))
 def test_run_counts_equal_the_dense_membership_counts(scene):
     _assert_counts_are_exact(*_COUNT_SCENES[scene])
+
+
+def test_every_builtin_and_edge_line_is_settled_by_its_estimate(monkeypatch):
+    # the chord's searchsorted ends, the stop's on side="right", are exact
+    # on every line of these scenes, rectangle edges on sample lines
+    # included: none reaches the bisection
+    bisected = []
+
+    def first(test, lo, hi):
+        bisected.append(lo.size)
+        return _first(test, lo, hi)
+
+    _first = forward._first
+    monkeypatch.setattr(forward, "_first", first)
+    for shapes, grid in _COUNT_SCENES.values():
+        rasterize(shapes, grid)
+    assert bisected == []
 
 
 def _assert_rasterize_is_unculled(shapes, grid):
@@ -1038,44 +1053,55 @@ def test_run_counts_equal_the_dense_membership_counts_on_drawn_scenes(scene):
     _assert_counts_are_exact(*scene)
 
 
+class _ShiftedChord:
+    # a shape whose chord puts each line's run ends off by whole sample
+    # spacings, its mid kept
+    def __init__(self, shape, off, spacing):
+        self.shape, self.off, self.spacing = shape, off, spacing
+
+    def contains(self, x1, x2):
+        return self.shape.contains(x1, x2)
+
+    def chord(self, x1):
+        chord = self.shape.chord(x1)
+        return chord + np.stack([self.off[0], np.zeros(x1.size), self.off[1]]) * self.spacing
+
+
+# a disk whose centre is 0.3 sample spacings above sample 1000 of a 16-cell
+# grid's column: its near-tangent line meets it in that sample alone, just
+# below mid, so the run's seed is the sample below mid
+_BELOW_MID_GRID = Grid2D(0.8, 16)
+_BELOW_MID_COLUMN = (_BELOW_MID_GRID.nodes[:, None]
+                     + ((np.arange(128) + 0.5) / 128 - 0.5) * _BELOW_MID_GRID.h).ravel()
+_BELOW_MID_DISK = Disk(center=(0.0, float(_BELOW_MID_COLUMN[1000] + 0.3 * _BELOW_MID_GRID.h / 128)),
+                       radius=0.1, value=1.0)
+
+
 @settings(max_examples=25, deadline=None)
 @given(scene=_scene(), seed=st.integers(0, 2 ** 32 - 1))
-def test_run_search_finds_each_run_from_guesses_off_by_a_few_samples(scene, seed):
-    # the search that settles the lines the chord estimate does not returns
-    # the run of a dense evaluation of each line, from guesses of its ends
-    # and of its first sample at or above mid up to 8 samples off
+@example(scene=((_BELOW_MID_DISK,), _BELOW_MID_GRID), seed=0)
+def test_runs_are_exact_from_chord_ends_off_by_a_few_samples(scene, seed):
+    # lines whose estimate fails are bisected to the run of a dense
+    # evaluation of each line: sample lines of the column, and for a disk
+    # the two lines whose half chord is half a sample spacing, which meet it
+    # in at most one sample, below or above mid
     shapes, grid = scene
     rng = np.random.default_rng(seed)
     column = (grid.nodes[:, None] + ((np.arange(128) + 0.5) / 128 - 0.5) * grid.h).ravel()
-    x1 = rng.choice(column, 64)
+    spacing = grid.h / 128
     for shape in shapes:
+        x1 = rng.choice(column, 64)
+        if isinstance(shape, Disk):
+            side = math.sqrt(shape.radius ** 2 - (0.5 * spacing) ** 2)
+            x1 = np.append(x1, [shape.center[0] - side, shape.center[0] + side])
         inside = shape.contains(x1[:, None], column[None, :])
         assert np.all(np.count_nonzero(np.diff(inside, axis=1), axis=1) <= 2)
-        any_in = inside.any(axis=1)
-        run = np.where(any_in, [np.argmax(inside, axis=1),
-                                column.size - np.argmax(inside[:, ::-1], axis=1)], 0)
-        mid = shape.chord(x1)[1]
-        above = np.searchsorted(column, mid)
-        off = rng.integers(-8, 9, (3, x1.size))
-        guess = np.clip(run + off[:2], 0, column.size)
-        found = forward._seek_runs(shape, x1, np.zeros(x1.size), column, mid, guess,
-                                   np.clip(above + off[2], 0, column.size))
-        assert np.array_equal(found, run)
-
-
-def test_run_search_finds_a_run_of_the_one_sample_below_mid():
-    # a line that meets the disk in sample k alone, just below the centre
-    # height: the search must seed the run at the sample below mid
-    grid = Grid2D(0.8, 16)
-    column = (grid.nodes[:, None] + ((np.arange(128) + 0.5) / 128 - 0.5) * grid.h).ravel()
-    k, spacing, radius = 1000, column[1001] - column[1000], 0.1
-    disk = Disk(center=(0.0, column[k] + 0.3 * spacing), radius=radius, value=1.0)
-    x1 = np.array([-math.sqrt(radius ** 2 - (0.5 * spacing) ** 2)])
-    assert np.array_equal(np.flatnonzero(disk.contains(x1[0], column)), [k])
-    for guess in ([[k - 3], [k + 4]], [[k + 3], [k - 2]]):
-        found = forward._seek_runs(disk, x1, np.zeros(1), column, disk.chord(x1)[1],
-                                   np.array(guess), np.array([k + 1]))
-        assert np.array_equal(found, [[k], [k + 1]])
+        run = np.where(inside.any(axis=1), [np.argmax(inside, axis=1),
+                                            column.size - np.argmax(inside[:, ::-1], axis=1)], 0)
+        off = rng.integers(-8, 9, (2, x1.size))
+        assert np.array_equal(forward._runs(_ShiftedChord(shape, off, spacing), x1, column), run)
+    if shapes == (_BELOW_MID_DISK,):
+        assert np.array_equal(run[:, -2], [1000, 1001])
 
 
 @settings(max_examples=50, deadline=None)
@@ -1114,9 +1140,10 @@ def test_coefficient_box_is_the_support_box_computed_once():
 def test_rasterize_memory_does_not_grow_with_the_interface():
     # example2b's two disks cut 448 cells at 224 cells per side; their
     # 128 x 128 samples all at once took about 140 MB.  Counting keeps a
-    # few integers per probe row and sample line instead: the peak is about
-    # 5.7 MB, most of it the probe rows of the cells the disks' boxes reach
-    # (numpy reports its arrays to tracemalloc)
+    # few integers per sample line instead: the peak is about 4.5 MB, most
+    # of it the 5 x 5 probe samples of the cells the disks' boxes reach,
+    # which grow with the boxes' area (numpy reports its arrays to
+    # tracemalloc)
     shapes = get_scenario("example2b").shapes
     tracemalloc.start()
     try:
