@@ -58,20 +58,12 @@ solved directly start from zero, so those fields equal solve_forward's.
 Every product builds its kernel spectrum afresh, so a call keeps no state
 for the next one.
 
-rasterize gives each cell an interface cuts the mean of 128 x 128 midpoint
-samples, and it counts them instead of storing them.  A cell is cut when
-the shapes, stacked on its 5 x 5 probe samples, hold more than one value
-there (_cut_cells).  Along a vertical line of samples a disk or a rectangle
-holds on one run: the chord's float ends, located by searchsorted, are its
-estimate, and the shape's own contains, on those very sample floats,
-accepts it with four tests or sends the line to a bisection from the
-sample next to the chord's mid (_runs).  The midpoint samples of a grid
-column increase across its cells, so one run per sample line of a column
-serves every cut cell in it, and a cell's count is its share of the runs.
-The counts are those of testing every shape at every sample, later shapes
-winning, and the mean, value times count over 128^2 summed over the
-shapes, is the float mean of the samples bit for bit for dyadic values
-such as the builtins'.
+rasterize gives each cell an interface cuts the float mean of the shapes,
+stacked later shapes winning as at the nodes, on its 32 x 32 midpoint
+samples.  A cell is cut when the same stack holds more than one value on
+its 5 x 5 probe samples, edges included.  Only the cells some shape's
+widened bounding box reaches are probed, in blocks of 512 cells, so the
+largest array is 4 MB however long the interface is.
 """
 
 from __future__ import annotations
@@ -125,9 +117,16 @@ K_LEVELS = (5, 10, 20, 40)
 # fields: 256 KB per complex array.
 _CHUNK_ENTRIES = 1 << 14
 # Samples per side of a cell in the rasterizer's probe, edges included, and
-# midpoint samples per side of a cut cell in its cell average.
+# midpoint samples per side of a cut cell in its cell average.  Against a
+# 128 x 128 mean, 32 moves the builtin disk scenes' data by at most 3e-5
+# and those with a rectangle, whose edges it places to 1/32 of a cell, by
+# 3.4e-4; 16 moves the disk scenes' by up to 1.8e-4, and 64 makes
+# rasterize about 3x slower.
 _PROBE_SAMPLES = 5
-_CELL_SAMPLES = 128
+_CELL_SAMPLES = 32
+# Cells per block of the rasterizer: a block's largest array, the stack on a
+# cut cell's midpoint samples, is at most 512 x 32^2 doubles, 4 MB.
+_RASTER_BLOCK = 512
 # Largest |value| of a shape: the cell average sums _CELL_SAMPLES^2 samples,
 # and that sum must stay finite.
 _VALUE_MAX = sys.float_info.max / _CELL_SAMPLES ** 2
@@ -213,20 +212,6 @@ class Disk:
         (c1, c2), r = self.center, self.radius
         return (c1 - r, c2 - r), (c1 + r, c2 + r)
 
-    @np.errstate(over="ignore", invalid="ignore")
-    def chord(self, x1):
-        """Float estimates, stacked as rows (lo, mid, hi), of where the
-        vertical lines at the points of the 1-D x1 enter, cross the centre
-        of and leave the disk: c2 -+ sqrt(r^2 - d1^2) around mid = c2.
-        contains settles them; along a line it holds on one run of x2,
-        which, if not empty, holds the point next to mid from below or from
-        above, since d2^2 grows away from mid on either side.  The half
-        chord of a disk whose r^2 overflows is capped at sqrt(float max):
-        finite, and still wider than the domain."""
-        d1 = np.asarray(x1) - self.center[0]
-        squared = np.fmin(np.fmax(self.radius * self.radius - d1 * d1, 0.0), sys.float_info.max)
-        return self.center[1] + np.sqrt(squared) * np.array([[-1.0], [0.0], [1.0]])
-
 
 @dataclass(frozen=True)
 class Rectangle:
@@ -250,11 +235,6 @@ class Rectangle:
     def bounds(self):
         """Corners (lo, hi) of the rectangle."""
         return self.lo, self.hi
-
-    def chord(self, x1):
-        """Disk.chord for the rectangle: its x2 extent at each x1, which
-        contains settles, with mid = lo[1], the start of the run if any."""
-        return np.array([[self.lo[1]], [self.lo[1]], [self.hi[1]]]) + np.zeros(np.shape(x1))
 
 
 @dataclass(frozen=True)
@@ -316,165 +296,45 @@ def _reach(shapes, grid: Grid2D) -> np.ndarray:
     return reach
 
 
-def _first(test, lo, hi):
-    """Per row, the first index b in [lo, hi] at which test(rows, b) holds,
-    or hi if there is none, for a test that is false and then true on
-    [lo, hi).  Bisection, testing only the rows still open: about
-    log2(hi - lo) tests of each row."""
-    lo, hi = lo.copy(), hi.copy()
-    rows = np.flatnonzero(lo < hi)
-    while rows.size:
-        b = (lo[rows] + hi[rows]) // 2
-        held = test(rows, b)
-        hi[rows[held]] = b[held]
-        lo[rows[~held]] = b[~held] + 1
-        rows = rows[lo[rows] < hi[rows]]
-    return lo
-
-
-def _runs(shape, x1, column):
-    """Index ranges [start, stop) of the samples (x1[r], column[g]) that
-    shape contains, per line r, for an increasing column; returned stacked,
-    shape (2, lines).
-
-    Along a line the shape holds on one run of samples, which, if not
-    empty, holds column[split - 1] or column[split], the samples next to
-    the chord's mid (shape.chord), split = searchsorted(column, mid).  The
-    chord's float ends give the estimate, searchsorted of lo for the start
-    and of hi, side="right", for the stop; shape.contains, on the very
-    floats a dense evaluation of the line would test, accepts it if it
-    holds at both ends of the run and fails just outside them.  Of the
-    other lines, one whose two samples next to mid are both outside has no
-    run, and the rest are bisected from the one inside (_first), so a wrong
-    estimate costs tests, not counts.
-    """
-    chord = shape.chord(x1)
-    n = column.size
-    run = np.stack([np.searchsorted(column, chord[0]),
-                    np.searchsorted(column, chord[2], side="right")])
-    start, stop = run
-    held = shape.contains(x1, column.take([start, stop - 1, start - 1, stop], mode="clip"))
-    rows = np.flatnonzero(~((start < stop) & held[0] & held[1] & ((start == 0) | ~held[2])
-                            & ((stop == n) | ~held[3])))
-    run[:, rows] = 0
-    split = np.searchsorted(column, chord[1, rows]) + np.array([[-1], [0]])
-    held = shape.contains(x1[rows], column.take(split, mode="clip")) & (split >= 0) & (split < n)
-    inside = held.any(axis=0)
-    rows, seed = rows[inside], np.where(held[0], split[0], split[1])[inside]
-    if rows.size:
-        x1 = x1[rows]
-        run[0, rows] = _first(lambda r, g: shape.contains(x1[r], column[g]),
-                              np.zeros_like(seed), seed)
-        run[1, rows] = _first(lambda r, g: ~shape.contains(x1[r], column[g]), seed + 1,
-                              np.full_like(seed, n))
-    return run
-
-
-def _winning_counts(start, stop) -> np.ndarray:
-    """Numbers of samples each shape wins in each row, later shapes
-    winning, from the runs [start, stop) of shape (shapes, rows).  Between
-    two consecutive run ends every run covers all samples or none, so each
-    such segment goes whole to the last shape whose run covers it."""
-    ends = np.sort(np.concatenate([start, stop]), axis=0)
-    covers = (start[:, None] <= ends[:-1]) & (ends[:-1] < stop[:, None])
-    last = len(start) - 1 - np.argmax(covers[::-1], axis=0)
-    length = np.where(covers.any(axis=0), np.diff(ends, axis=0), 0)
-    return np.stack([np.sum(length, axis=0, where=last == s) for s in range(len(start))])
-
-
-def _cut_cells(shapes, grid: Grid2D, reach, cells) -> np.ndarray:
-    """Mask of the cut cells among those where the mask cells is true: the
-    cells whose _PROBE_SAMPLES^2 probe samples, edges included, hold more
-    than one value of the shapes stacked as _stack_values stacks them, 0
-    where no shape holds.  Each shape is tested on the probes of the cells
-    it reaches (reach, _reach's), which alone can hold its samples."""
-    x = grid.nodes
-    probe = np.linspace(-0.5, 0.5, _PROBE_SAMPLES) * grid.h
-    i, j = np.nonzero(cells)
-    probed = np.zeros((i.size, probe.size, probe.size))
-    for shape, reached in zip(shapes, reach[:, cells]):
-        hit = np.flatnonzero(reached)
-        held = shape.contains(x[j[hit], None, None] + probe[:, None], x[i[hit], None, None] + probe)
-        probed[hit] = np.where(held, shape.value, probed[hit])
-    cut = np.zeros(cells.shape, dtype=bool)
-    cut[cells] = probed.max(axis=(1, 2)) != probed.min(axis=(1, 2))
-    return cut
-
-
-def _quadrature_counts(shapes, grid: Grid2D, reach, cells) -> np.ndarray:
-    """Numbers, of shape (shapes, cells), of the _CELL_SAMPLES^2 midpoint
-    samples of each cell where the mask cells is true whose last containing
-    shape is each shape; reach is _reach's.
-
-    The midpoint samples of a grid column increase in x2 across its cells,
-    so a shape's run along an x1-sample line of a column (_runs), sought
-    once for each column of the cells it reaches, which alone can hold its
-    samples, is clipped to each of those cells' rows of samples.  A row
-    with more than one run, only possible in a cell more than one shape
-    reaches, is shared out by _winning_counts.
-    """
-    x = grid.nodes
-    n = _CELL_SAMPLES
-    sub = ((np.arange(n) + 0.5) / n - 0.5) * grid.h
-    column = (x[:, None] + sub).ravel()
-    i, j = np.nonzero(cells)
-    reach = reach[:, cells]
-    counts = np.zeros(reach.shape, dtype=np.intp)
-    shared = np.count_nonzero(reach, axis=0) > 1
-    runs = np.zeros((2, len(shapes), np.count_nonzero(shared), n), dtype=np.intp)
-    for s, (shape, reached) in enumerate(zip(shapes, reach)):
-        hit = np.flatnonzero(reached)
-        if hit.size:
-            lines = np.flatnonzero(np.bincount(j[hit], minlength=x.size))
-            run = _runs(shape, (x[lines][:, None] + sub).ravel(), column).reshape(2, lines.size, n)
-            run = run[:, np.searchsorted(lines, j[hit])] - (i[hit] * n)[:, None]
-            run = np.minimum(np.maximum(run, 0), n)
-            counts[s, hit] = (run[1] - run[0]).sum(axis=1)
-            runs[:, s, reached[shared]] = run[:, shared[hit]]
-    if runs.size:
-        counts[:, shared] = _winning_counts(*runs.reshape(2, len(shapes), -1)).reshape(
-            len(shapes), -1, n).sum(axis=2)
-    return counts
-
-
 def _cell_averages(shapes, grid: Grid2D, values: np.ndarray, cells=None) -> np.ndarray:
     """Average each shape stack over the h x h cell of every node, or of the
     nodes where the mask cells is true; elsewhere the node value stands in.
 
-    Only the cells some shape reaches (_reach) are probed, on a 5x5 pattern
-    that includes the cell's edges: every sample of any other cell lies
-    outside every shape, so the cell is not cut and its mean is its node
-    value.  A probed cell is cut when its samples hold more than one
-    distinct value, 0 where no shape holds (_cut_cells); only cut cells get
-    the _CELL_SAMPLES^2 midpoint average.  Its samples are not stored but
-    counted: the samples of each cell that each shape wins
-    (_quadrature_counts), from runs the shapes' own contains decides sample
-    by sample, so the counts are those of testing every shape at every
-    sample.  The mean is the sum over the shapes, in order, of value *
-    (count / _CELL_SAMPLES^2).  For dyadic values such as the builtins'
-    every term and partial sum is exact, so it equals the float mean of the
-    stacked samples bit for bit.
+    Only the cells some shape reaches (_reach) are probed: every sample of
+    any other cell lies outside every shape, so the cell is not cut and its
+    mean is its node value.  They are taken in blocks of _RASTER_BLOCK
+    cells.  In each block every shape is stacked, later shapes winning, on
+    the 5 x 5 probe of each cell, edges included, and a cell is cut when
+    its probe samples hold more than one value, 0 where no shape holds.  A
+    cut cell gets the float mean of the same stack on its _CELL_SAMPLES^2
+    midpoint samples.  Each cell's samples and mean are the same floats as
+    with every cell sampled at once.
     """
-    reach = _reach(shapes, grid)
-    near = np.any(reach, axis=0)
+    near = np.any(_reach(shapes, grid), axis=0)
     if cells is not None:
         near &= cells
-    cut = _cut_cells(shapes, grid, reach, near)
+    x = grid.nodes
+    probe = np.linspace(-0.5, 0.5, _PROBE_SAMPLES) * grid.h
+    sub = ((np.arange(_CELL_SAMPLES) + 0.5) / _CELL_SAMPLES - 0.5) * grid.h
     mean = values.astype(float)
-    total = np.zeros(np.count_nonzero(cut))
-    for shape, count in zip(shapes, _quadrature_counts(shapes, grid, reach, cut)):
-        total += float(shape.value) * (count / _CELL_SAMPLES ** 2)
-    mean[cut] = total
+    i, j = np.nonzero(near)
+    for b in range(0, i.size, _RASTER_BLOCK):
+        bi, bj = i[b:b + _RASTER_BLOCK], j[b:b + _RASTER_BLOCK]
+        probed = _stack_values(shapes, x[bj, None, None] + probe[:, None], x[bi, None, None] + probe)
+        cut = probed.max(axis=(1, 2)) != probed.min(axis=(1, 2))
+        bi, bj = bi[cut], bj[cut]
+        mean[bi, bj] = _stack_values(shapes, x[bj, None, None] + sub[:, None],
+                                     x[bi, None, None] + sub).mean(axis=(1, 2))
     return mean
 
 
 def _rasterize(shapes, grid: Grid2D, cells=None):
-    """Node values and cell means of the shapes (_cell_averages, counted
-    on every cell or on the mask cells), checked against the
-    synthetic-truth contract: every shape's bounds meet the closed domain
-    and its |value| is at most _VALUE_MAX, both checked before any
-    sampling, nonnegative values, and no support on the domain boundary,
-    neither at a boundary node nor in the mean of its cell."""
+    """Node values and cell means of the shapes (_cell_averages, on every
+    cell or on the mask cells), checked against the synthetic-truth
+    contract: every shape's bounds meet the closed domain and its |value|
+    is at most _VALUE_MAX, both checked before any sampling, nonnegative
+    values, and no support on the domain boundary, neither at a boundary
+    node nor in the mean of its cell."""
     r = grid.half_width
     for i, shape in enumerate(shapes):
         lo, hi = shape.bounds()
@@ -503,8 +363,8 @@ def _rasterize(shapes, grid: Grid2D, cells=None):
 def rasterize(shapes, grid: Grid2D) -> Coefficient:
     """Sample shapes onto the grid by node-center membership, later shapes
     winning, with every node's cell mean (_cell_averages: the mean of
-    128 x 128 midpoint samples where the 5 x 5 probe finds an interface in
-    the cell, counted run by run) for the solver's quadrature.
+    32 x 32 midpoint samples where the 5 x 5 probe finds an interface in
+    the cell) for the solver's quadrature.
 
     Enforces the synthetic-truth contract: nonnegative values and no support
     on the domain boundary.

@@ -480,12 +480,12 @@ _DISK = "- {type: disk, center: [0.0, 0.4], radius: 0.2, value: 1.5}"
     (_DISK.replace("0.2", ".nan"), [], "shapes[0]: radius must be a finite number, got nan"),
     (_DISK.replace("1.5", ".inf"), [], "shapes[0]: value must be a finite number, got inf"),
     (_DISK.replace("0.2", str(10**400)), [], "shapes[0]: radius must be a finite number"),
-    # the cut-cell mean sums 128 x 128 samples of the value, which must not
+    # the cut-cell mean sums 32 x 32 samples of the value, which must not
     # overflow; refused before any sampling, so no numpy warning is raised
     (_DISK.replace("1.5", "1.0e+308"), [],
-     "shapes[0]: value must be at most 1.0972248137587376e+304 in magnitude, got 1e+308"),
+     "shapes[0]: value must be at most 1.7555597020139802e+305 in magnitude, got 1e+308"),
     (_DISK.replace("1.5", "-1.0e+308"), [],
-     "shapes[0]: value must be at most 1.0972248137587376e+304 in magnitude, got -1e+308"),
+     "shapes[0]: value must be at most 1.7555597020139802e+305 in magnitude, got -1e+308"),
     (f"{_DISK}\nn_k: 1000000000000000000", [], "n_k: Unable to allocate"),
     (_DISK.replace("0.2", "-0.2"), [], "shapes[0]: radius must be positive, got -0.2"),
     ("- {type: rectangle, lo: [0.3, 0.2], hi: [0.1, 0.4], value: 1.5}", [],

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.fft
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import gaussian_filter
 from scipy.special import hankel1, j0, j1, y0, y1
@@ -786,20 +786,6 @@ def _stack_every_shape(shapes, x1, x2):
     return vals
 
 
-def _last_shape(shapes, x1, x2):
-    # index of the last shape that contains each sample, -1 where none does
-    last = np.full(np.broadcast(x1, x2).shape, -1)
-    for s, shape in enumerate(shapes):
-        last[shape.contains(x1, x2)] = s
-    return last
-
-
-def _membership_counts(shapes, last):
-    # per shape, the samples of each cell (the leading axes) that it wins
-    return np.array([np.count_nonzero(last == s, axis=(-2, -1)) for s in range(len(shapes))],
-                    dtype=np.intp).reshape((len(shapes),) + last.shape[:-2])
-
-
 def _probe_samples(grid):
     # the 5x5 probe of every cell, its edges included
     X1, X2 = grid.mesh()
@@ -814,14 +800,14 @@ def _one_shot_cut(shapes, grid):
     return probed.max(axis=(2, 3)) != probed.min(axis=(2, 3))
 
 
-def _midpoint_samples(grid, cells, n_sub=128):
+def _midpoint_samples(grid, cells, n_sub=forward._CELL_SAMPLES):
     X1, X2 = grid.mesh()
     sub = (np.arange(n_sub) + 0.5) / n_sub - 0.5
     return (X1[cells][:, None, None] + (sub * grid.h)[None, :, None],
             X2[cells][:, None, None] + (sub * grid.h)[None, None, :])
 
 
-def _one_shot_cell_mean(shapes, grid, values, n_sub=128):
+def _one_shot_cell_mean(shapes, grid, values, n_sub=forward._CELL_SAMPLES):
     # the rasterizer's cut-cell quadrature over the whole grid at once: a
     # 5x5 probe of every cell, then the float mean of n_sub x n_sub midpoint
     # samples of every cut cell, every shape stacked on every sample, later
@@ -832,42 +818,10 @@ def _one_shot_cell_mean(shapes, grid, values, n_sub=128):
     return mean
 
 
-def _count_formula_mean(shapes, grid, values):
-    # the same quadrature from the one-shot samples' exact membership
-    # counts: the sum over the shapes, in order, of value * (count / 128^2)
-    cut = _one_shot_cut(shapes, grid)
-    counts = _membership_counts(shapes, _last_shape(shapes, *_midpoint_samples(grid, cut)))
-    total = np.zeros(np.count_nonzero(cut))
-    for shape, count in zip(shapes, counts):
-        total += shape.value * (count / 128 ** 2)
-    mean = values.astype(float).copy()
-    mean[cut] = total
-    return mean
-
-
-@pytest.mark.parametrize("refine", [1, 2])
-@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
-def test_counted_cell_mean_is_bit_identical_to_the_one_shot_quadrature(name, refine):
-    # the builtins' values are dyadic, so every term and partial sum of the
-    # count formula is exact and equals the float mean of the stacked
-    # samples: every builtin data file keeps its bits
-    sc = get_scenario(name)
-    grid = Grid2D(sc.half_width, sc.n_cells * refine)
-    coeff = rasterize(sc.shapes, grid)
-    reference = _one_shot_cell_mean(sc.shapes, grid, coeff.values)
-    assert coeff.cell_mean.tobytes() == reference.tobytes()
-
-
 def _probe_line(grid, node, point):
     # node coordinate plus the probe's point-th offset (0..4, 0 and 4 the
     # cell edges), in the float the rasterizer's probe computes
     return float(grid.nodes[node] + np.linspace(-0.5, 0.5, 5)[point] * grid.h)
-
-
-def _sample_line(grid, node, point):
-    # node coordinate plus the point-th of the 128 midpoint offsets, in the
-    # float the rasterizer's quadrature computes
-    return float(grid.nodes[node] + ((np.arange(128) + 0.5) / 128 - 0.5)[point] * grid.h)
 
 
 # On these grids x_n - h/2 + h/2 rounds below x_n for node n = 13 (28 cells)
@@ -878,24 +832,12 @@ def _sample_line(grid, node, point):
 EDGE_GRID = Grid2D(0.8, 28)
 EDGE_RECTANGLE = Rectangle(lo=(-0.3, _probe_line(EDGE_GRID, 10, 3)),
                            hi=(_probe_line(EDGE_GRID, 13, 0), 0.4), value=0.7)
-# A disk tangent from below to the bottom edge of cell (27, 13), over a
-# rectangle of a value whose 128 x 128-sample float mean is not the value
-# itself.
+# A disk tangent from below to the bottom edge of cell (27, 13), over a rectangle.
 FINE_GRID = Grid2D(0.8, 56)
 TANGENT_DISK = Disk(center=(float(FINE_GRID.nodes[13]), _probe_line(FINE_GRID, 27, 0) - 0.1),
                     radius=0.1, value=2.0)
 UNDER_TANGENT = Rectangle(lo=(_probe_line(FINE_GRID, 3, 3), _probe_line(FINE_GRID, 1, 3)),
                           hi=(_probe_line(FINE_GRID, 52, 1), 0.35), value=0.3)
-# A disk centred on a midpoint sample of cell (30, 20) whose radius is 448
-# sample spacings, so that its chords start and end on or next to sample
-# lines and the sample lines through its sides are tangent to it; and a
-# rectangle whose four edges are midpoint sample lines, each sample on an
-# edge inside.
-SAMPLE_DISK = Disk(center=(_sample_line(FINE_GRID, 20, 100), _sample_line(FINE_GRID, 30, 5)),
-                   radius=3.5 * FINE_GRID.h, value=0.7)
-SAMPLE_RECTANGLE = Rectangle(lo=(_sample_line(FINE_GRID, 10, 3), _sample_line(FINE_GRID, 12, 0)),
-                             hi=(_sample_line(FINE_GRID, 15, 127), _sample_line(FINE_GRID, 17, 64)),
-                             value=0.7)
 
 EDGE_SCENES = {
     # the later shape wins where both reach a cell, also in culled ones
@@ -903,8 +845,6 @@ EDGE_SCENES = {
                              Rectangle(lo=(-0.05, -0.1), hi=(0.4, 0.3), value=1.5)), EDGE_GRID),
     "rectangle-edge-on-probe-lines": ((EDGE_RECTANGLE,), EDGE_GRID),
     "disk-tangent-to-a-probe-line": ((UNDER_TANGENT, TANGENT_DISK), FINE_GRID),
-    "disk-on-sample-lines": ((SAMPLE_DISK,), FINE_GRID),
-    "rectangle-edges-on-sample-lines": ((SAMPLE_RECTANGLE, SAMPLE_DISK), FINE_GRID),
 }
 
 
@@ -915,100 +855,35 @@ def test_edge_scenes_touch_the_edge_that_an_unwidened_box_misses():
     disk_x2 = _probe_line(FINE_GRID, 27, 0)
     assert TANGENT_DISK.contains(FINE_GRID.nodes[13], disk_x2)
     assert not FINE_GRID.nodes[27] <= TANGENT_DISK.bounds()[1][1] + 0.5 * FINE_GRID.h
-    # the pairwise float mean of 128 x 128 samples of 0.3 is not 0.3, so a
-    # scene of such values pins the count formula, not the float mean
-    assert np.full((1, 128, 128), 0.3).mean(axis=(1, 2))[0] != 0.3
-
-
-def test_sample_line_scenes_put_run_ends_on_samples():
-    # the disk's centre and the rectangle's corners are midpoint samples;
-    # the vertical sample line through the disk's left side meets it in at
-    # most two samples, and the one through its centre has a run whose ends
-    # are within rounding of the disk's top and bottom
-    c1, c2 = SAMPLE_DISK.center
-    spacing = FINE_GRID.h / 128
-    assert SAMPLE_RECTANGLE.contains(*SAMPLE_RECTANGLE.lo)
-    assert SAMPLE_RECTANGLE.contains(*SAMPLE_RECTANGLE.hi)
-    column = (FINE_GRID.nodes[:, None] + ((np.arange(128) + 0.5) / 128 - 0.5) * FINE_GRID.h).ravel()
-    side = column[np.argmin(np.abs(column - (c1 - SAMPLE_DISK.radius)))]
-    assert abs(side - (c1 - SAMPLE_DISK.radius)) < 1e-12
-    assert np.count_nonzero(SAMPLE_DISK.contains(side, column)) <= 2
-    inside = column[SAMPLE_DISK.contains(c1, column)]
-    assert abs(inside[0] - (c2 - SAMPLE_DISK.radius)) < spacing
-    assert abs(inside[-1] - (c2 + SAMPLE_DISK.radius)) < spacing
-
-
-def _assert_counts_are_exact(shapes, grid):
-    # the rasterizer's cut cells are the one-shot probe's on every cell, and
-    # the counts it reads off runs are the one-shot midpoint samples'
-    # membership counts, later shapes winning, on every cut cell
-    reach = forward._reach(shapes, grid)
-    every = np.ones((grid.n_nodes, grid.n_nodes), dtype=bool)
-    cut = _one_shot_cut(shapes, grid)
-    assert np.array_equal(forward._cut_cells(shapes, grid, reach, every), cut)
-    sampled = _membership_counts(shapes, _last_shape(shapes, *_midpoint_samples(grid, cut)))
-    assert np.array_equal(forward._quadrature_counts(shapes, grid, reach, cut), sampled)
-
-
-_COUNT_SCENES = {
-    **EDGE_SCENES,
-    **{f"{name}-{n_cells}": (get_scenario(name).shapes, Grid2D(0.8, n_cells))
-       for name in sorted(BUILTIN_SCENARIOS) for n_cells in (28, 56, 112)},
-}
-
-
-@pytest.mark.parametrize("scene", sorted(_COUNT_SCENES))
-def test_run_counts_equal_the_dense_membership_counts(scene):
-    _assert_counts_are_exact(*_COUNT_SCENES[scene])
-
-
-def test_every_builtin_and_edge_line_is_settled_by_its_estimate(monkeypatch):
-    # the chord's searchsorted ends, the stop's on side="right", are exact
-    # on every line of these scenes, rectangle edges on sample lines
-    # included: none reaches the bisection
-    bisected = []
-
-    def first(test, lo, hi):
-        bisected.append(lo.size)
-        return _first(test, lo, hi)
-
-    _first = forward._first
-    monkeypatch.setattr(forward, "_first", first)
-    for shapes, grid in _COUNT_SCENES.values():
-        rasterize(shapes, grid)
-    assert bisected == []
 
 
 def _assert_rasterize_is_unculled(shapes, grid):
     # node values as every shape stacked on every node, and cell means as
-    # the count formula of the one-shot samples: 0.3 and 0.7 are not
-    # dyadic, so the float mean of the samples may differ in the last bits
+    # the one-shot quadrature of every cell
     coeff = rasterize(shapes, grid)
     X1, X2 = grid.mesh()
     values = _stack_every_shape(shapes, X1, X2)
     assert coeff.values.tobytes() == values.tobytes()
-    assert coeff.cell_mean.tobytes() == _count_formula_mean(shapes, grid, values).tobytes()
+    assert coeff.cell_mean.tobytes() == _one_shot_cell_mean(shapes, grid, values).tobytes()
 
 
 @pytest.mark.parametrize("n_cells", [28, 56, 112])
 @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
 def test_culled_rasterize_is_bit_identical_to_every_shape_on_every_cell(name, n_cells):
-    # the probe runs only on cells some shape's box reaches and a shape's
-    # runs are sought only on the lines of the cells its box reaches: the
-    # same counts and means as with no culling at all
+    # only the cells some shape's box reaches are probed and sampled, block
+    # by block: the same means as with no culling and no blocks at all
     _assert_rasterize_is_unculled(get_scenario(name).shapes, Grid2D(0.8, n_cells))
+
+
+def test_a_bit_identical_builtin_case_spans_several_blocks():
+    # so the block seams of the culled rasterizer are tested
+    reach = forward._reach(get_scenario("example2b").shapes, Grid2D(0.8, 112))
+    assert np.count_nonzero(reach.any(axis=0)) > 3 * forward._RASTER_BLOCK
 
 
 @pytest.mark.parametrize("scene", sorted(EDGE_SCENES))
 def test_culled_rasterize_is_bit_identical_on_edge_scenes(scene):
     _assert_rasterize_is_unculled(*EDGE_SCENES[scene])
-
-
-def test_counted_cell_mean_is_the_float_mean_on_a_dyadic_edge_scene():
-    # the CI scene of a rectangle over a disk (values 2.0 and 1.5)
-    shapes, grid = EDGE_SCENES["rectangle-over-disk"]
-    coeff = rasterize(shapes, grid)
-    assert coeff.cell_mean.tobytes() == _one_shot_cell_mean(shapes, grid, coeff.values).tobytes()
 
 
 # shapes clear of the boundary ring of a grid of at least 16 cells on
@@ -1047,63 +922,6 @@ def test_culled_rasterize_is_bit_identical_on_drawn_scenes(scene):
     _assert_rasterize_is_unculled(*scene)
 
 
-@settings(max_examples=25, deadline=None)
-@given(scene=_scene())
-def test_run_counts_equal_the_dense_membership_counts_on_drawn_scenes(scene):
-    _assert_counts_are_exact(*scene)
-
-
-class _ShiftedChord:
-    # a shape whose chord puts each line's run ends off by whole sample
-    # spacings, its mid kept
-    def __init__(self, shape, off, spacing):
-        self.shape, self.off, self.spacing = shape, off, spacing
-
-    def contains(self, x1, x2):
-        return self.shape.contains(x1, x2)
-
-    def chord(self, x1):
-        chord = self.shape.chord(x1)
-        return chord + np.stack([self.off[0], np.zeros(x1.size), self.off[1]]) * self.spacing
-
-
-# a disk whose centre is 0.3 sample spacings above sample 1000 of a 16-cell
-# grid's column: its near-tangent line meets it in that sample alone, just
-# below mid, so the run's seed is the sample below mid
-_BELOW_MID_GRID = Grid2D(0.8, 16)
-_BELOW_MID_COLUMN = (_BELOW_MID_GRID.nodes[:, None]
-                     + ((np.arange(128) + 0.5) / 128 - 0.5) * _BELOW_MID_GRID.h).ravel()
-_BELOW_MID_DISK = Disk(center=(0.0, float(_BELOW_MID_COLUMN[1000] + 0.3 * _BELOW_MID_GRID.h / 128)),
-                       radius=0.1, value=1.0)
-
-
-@settings(max_examples=25, deadline=None)
-@given(scene=_scene(), seed=st.integers(0, 2 ** 32 - 1))
-@example(scene=((_BELOW_MID_DISK,), _BELOW_MID_GRID), seed=0)
-def test_runs_are_exact_from_chord_ends_off_by_a_few_samples(scene, seed):
-    # lines whose estimate fails are bisected to the run of a dense
-    # evaluation of each line: sample lines of the column, and for a disk
-    # the two lines whose half chord is half a sample spacing, which meet it
-    # in at most one sample, below or above mid
-    shapes, grid = scene
-    rng = np.random.default_rng(seed)
-    column = (grid.nodes[:, None] + ((np.arange(128) + 0.5) / 128 - 0.5) * grid.h).ravel()
-    spacing = grid.h / 128
-    for shape in shapes:
-        x1 = rng.choice(column, 64)
-        if isinstance(shape, Disk):
-            side = math.sqrt(shape.radius ** 2 - (0.5 * spacing) ** 2)
-            x1 = np.append(x1, [shape.center[0] - side, shape.center[0] + side])
-        inside = shape.contains(x1[:, None], column[None, :])
-        assert np.all(np.count_nonzero(np.diff(inside, axis=1), axis=1) <= 2)
-        run = np.where(inside.any(axis=1), [np.argmax(inside, axis=1),
-                                            column.size - np.argmax(inside[:, ::-1], axis=1)], 0)
-        off = rng.integers(-8, 9, (2, x1.size))
-        assert np.array_equal(forward._runs(_ShiftedChord(shape, off, spacing), x1, column), run)
-    if shapes == (_BELOW_MID_DISK,):
-        assert np.array_equal(run[:, -2], [1000, 1001])
-
-
 @settings(max_examples=50, deadline=None)
 @given(scene=_scene())
 def test_a_shape_reaches_every_cell_where_it_contains_a_probe_sample(scene):
@@ -1138,12 +956,11 @@ def test_coefficient_box_is_the_support_box_computed_once():
 
 
 def test_rasterize_memory_does_not_grow_with_the_interface():
-    # example2b's two disks cut 448 cells at 224 cells per side; their
-    # 128 x 128 samples all at once took about 140 MB.  Counting keeps a
-    # few integers per sample line instead: the peak is about 4.5 MB, most
-    # of it the 5 x 5 probe samples of the cells the disks' boxes reach,
-    # which grow with the boxes' area (numpy reports its arrays to
-    # tracemalloc)
+    # example2b's two disks cut 448 cells at 224 cells per side.  The probe
+    # and the 32 x 32 samples are taken per block of _RASTER_BLOCK reached
+    # cells, so neither grows with the interface or the disks' boxes: the
+    # peak is about 3.3 MB, most of it the node-sized arrays (numpy reports
+    # its arrays to tracemalloc)
     shapes = get_scenario("example2b").shapes
     tracemalloc.start()
     try:
