@@ -824,6 +824,13 @@ def _probe_line(grid, node, point):
     return float(grid.nodes[node] + np.linspace(-0.5, 0.5, 5)[point] * grid.h)
 
 
+def _sample_line(grid, node, point):
+    # node coordinate plus the point-th of the _CELL_SAMPLES midpoint
+    # offsets, in the float the rasterizer's quadrature computes
+    n_sub = forward._CELL_SAMPLES
+    return float(grid.nodes[node] + ((np.arange(n_sub) + 0.5) / n_sub - 0.5)[point] * grid.h)
+
+
 # On these grids x_n - h/2 + h/2 rounds below x_n for node n = 13 (28 cells)
 # and n = 27 (56 cells), so a culling box that is not widened misses a shape
 # that reaches exactly that cell edge.  A rectangle whose right edge is the
@@ -838,6 +845,15 @@ TANGENT_DISK = Disk(center=(float(FINE_GRID.nodes[13]), _probe_line(FINE_GRID, 2
                     radius=0.1, value=2.0)
 UNDER_TANGENT = Rectangle(lo=(_probe_line(FINE_GRID, 3, 3), _probe_line(FINE_GRID, 1, 3)),
                           hi=(_probe_line(FINE_GRID, 52, 1), 0.35), value=0.3)
+# A disk centred on a midpoint sample of cell (30, 20) whose radius, 3.5
+# cells, is a whole number of sample spacings, so that the sample lines
+# through its sides are tangent to it; and a rectangle whose four edges are
+# midpoint sample lines, each sample on an edge inside.
+SAMPLE_DISK = Disk(center=(_sample_line(FINE_GRID, 20, 25), _sample_line(FINE_GRID, 30, 5)),
+                   radius=3.5 * FINE_GRID.h, value=0.7)
+SAMPLE_RECTANGLE = Rectangle(lo=(_sample_line(FINE_GRID, 10, 3), _sample_line(FINE_GRID, 12, 0)),
+                             hi=(_sample_line(FINE_GRID, 15, 31), _sample_line(FINE_GRID, 17, 16)),
+                             value=0.7)
 
 EDGE_SCENES = {
     # the later shape wins where both reach a cell, also in culled ones
@@ -845,6 +861,8 @@ EDGE_SCENES = {
                              Rectangle(lo=(-0.05, -0.1), hi=(0.4, 0.3), value=1.5)), EDGE_GRID),
     "rectangle-edge-on-probe-lines": ((EDGE_RECTANGLE,), EDGE_GRID),
     "disk-tangent-to-a-probe-line": ((UNDER_TANGENT, TANGENT_DISK), FINE_GRID),
+    "disk-on-sample-lines": ((SAMPLE_DISK,), FINE_GRID),
+    "rectangle-edges-on-sample-lines": ((SAMPLE_RECTANGLE, SAMPLE_DISK), FINE_GRID),
 }
 
 
@@ -855,6 +873,26 @@ def test_edge_scenes_touch_the_edge_that_an_unwidened_box_misses():
     disk_x2 = _probe_line(FINE_GRID, 27, 0)
     assert TANGENT_DISK.contains(FINE_GRID.nodes[13], disk_x2)
     assert not FINE_GRID.nodes[27] <= TANGENT_DISK.bounds()[1][1] + 0.5 * FINE_GRID.h
+
+
+def test_sample_line_scenes_put_shape_edges_on_samples():
+    # the disk's centre and the rectangle's corners are midpoint samples;
+    # the vertical sample line through the disk's left side meets it in at
+    # most two samples, and the one through its centre meets it from within
+    # a sample spacing of its bottom to within one of its top
+    c1, c2 = SAMPLE_DISK.center
+    n_sub = forward._CELL_SAMPLES
+    spacing = FINE_GRID.h / n_sub
+    assert SAMPLE_RECTANGLE.contains(*SAMPLE_RECTANGLE.lo)
+    assert SAMPLE_RECTANGLE.contains(*SAMPLE_RECTANGLE.hi)
+    column = (FINE_GRID.nodes[:, None]
+              + ((np.arange(n_sub) + 0.5) / n_sub - 0.5) * FINE_GRID.h).ravel()
+    side = column[np.argmin(np.abs(column - (c1 - SAMPLE_DISK.radius)))]
+    assert abs(side - (c1 - SAMPLE_DISK.radius)) < 1e-12
+    assert np.count_nonzero(SAMPLE_DISK.contains(side, column)) <= 2
+    inside = column[SAMPLE_DISK.contains(c1, column)]
+    assert abs(inside[0] - (c2 - SAMPLE_DISK.radius)) < spacing
+    assert abs(inside[-1] - (c2 + SAMPLE_DISK.radius)) < spacing
 
 
 def _assert_rasterize_is_unculled(shapes, grid):
@@ -884,6 +922,16 @@ def test_a_bit_identical_builtin_case_spans_several_blocks():
 @pytest.mark.parametrize("scene", sorted(EDGE_SCENES))
 def test_culled_rasterize_is_bit_identical_on_edge_scenes(scene):
     _assert_rasterize_is_unculled(*EDGE_SCENES[scene])
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+@pytest.mark.parametrize("block", [1, 7, 513])
+def test_blocks_of_any_size_give_the_one_shot_means(block, name, monkeypatch):
+    # one cell per block, so most blocks hold no cut cell; a block size
+    # that divides no run of cut cells; and one past the default, so the
+    # last block holds a single cell when the reach is a multiple of it
+    monkeypatch.setattr(forward, "_RASTER_BLOCK", block)
+    _assert_rasterize_is_unculled(get_scenario(name).shapes, Grid2D(0.8, 112))
 
 
 # shapes clear of the boundary ring of a grid of at least 16 cells on
@@ -920,6 +968,96 @@ def _scene(draw):
 @given(scene=_scene())
 def test_culled_rasterize_is_bit_identical_on_drawn_scenes(scene):
     _assert_rasterize_is_unculled(*scene)
+
+
+@settings(max_examples=25, deadline=None)
+@given(scene=_scene(), block=st.integers(1, 64))
+def test_blocks_of_any_size_give_the_one_shot_means_on_drawn_scenes(scene, block):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(forward, "_RASTER_BLOCK", block)
+        _assert_rasterize_is_unculled(*scene)
+
+
+def _section(shape, x1):
+    # the x2 interval [lo, hi] a disk or rectangle covers on each vertical
+    # line x1, empty (lo > hi) on the lines that miss it
+    if isinstance(shape, Disk):
+        (c1, c2), r = shape.center, shape.radius
+        on = np.abs(x1 - c1) <= r
+        half = np.sqrt(np.where(on, r * r - (x1 - c1) ** 2, 0.0))
+        return np.where(on, c2 - half, np.inf), np.where(on, c2 + half, -np.inf)
+    on = (x1 >= shape.lo[0]) & (x1 <= shape.hi[0])
+    return np.where(on, shape.lo[1], np.inf), np.where(on, shape.hi[1], -np.inf)
+
+
+def _reference_cell_mean(shapes, grid, n_lines=256):
+    # each cell's average of the stacked shapes, later shapes winning: exact
+    # along each of n_lines vertical lines of the cell, whose covered
+    # segments end where the shapes' sections do, and the midpoint rule
+    # across the lines.  A cell whose square misses every shape's bounds
+    # averages to 0
+    X1, X2 = grid.mesh()
+    near = np.zeros(X1.shape, dtype=bool)
+    for shape in shapes:
+        lo, hi = shape.bounds()
+        near |= ((np.abs(X1 - np.clip(X1, lo[0], hi[0])) <= 0.5 * grid.h)
+                 & (np.abs(X2 - np.clip(X2, lo[1], hi[1])) <= 0.5 * grid.h))
+    mean = np.zeros(X1.shape)
+    x1 = X1[near][:, None] + ((np.arange(n_lines) + 0.5) / n_lines - 0.5) * grid.h
+    bottom = np.broadcast_to(X2[near][:, None] - 0.5 * grid.h, x1.shape)
+    top = bottom + grid.h
+    sections = [_section(shape, x1) for shape in shapes]
+    ends = np.sort([bottom, top] + [np.clip(e, bottom, top) for sec in sections for e in sec],
+                   axis=0)
+    total = np.zeros(x1.shape)
+    for a, b in zip(ends[:-1], ends[1:]):
+        mid = 0.5 * (a + b)
+        value = np.zeros(x1.shape)
+        for shape, (lo, hi) in zip(shapes, sections):
+            value[(mid >= lo) & (mid <= hi)] = shape.value
+        total += (b - a) * value
+    mean[near] = total.mean(axis=1) / grid.h
+    return mean
+
+
+def _assert_cell_means_are_within_a_sample_line(shapes, grid):
+    # the S x S midpoint count of a cut cell is off by less than a sample
+    # line at each edge it meets, in x1 and in x2, plus the midpoint rule's
+    # error across the lines, so every cell mean is within 3 sum|value| / S
+    # of the cell's average; an uncut cell's mean misses at most a sliver
+    # between probe samples.  The builtins come within 0.35 max|value| / S
+    coeff = rasterize(shapes, grid)
+    bound = 3 * sum(abs(shape.value) for shape in shapes) / forward._CELL_SAMPLES
+    error = np.abs(coeff.cell_mean - _reference_cell_mean(shapes, grid))
+    assert error.max(initial=0.0) <= bound
+
+
+@pytest.mark.parametrize("n_cells", [28, 56, 112])
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_cell_means_are_within_a_sample_line_of_the_cell_averages(name, n_cells):
+    _assert_cell_means_are_within_a_sample_line(get_scenario(name).shapes, Grid2D(0.8, n_cells))
+
+
+@pytest.mark.parametrize("scene", sorted(EDGE_SCENES))
+def test_cell_means_are_within_a_sample_line_of_the_cell_averages_on_edge_scenes(scene):
+    _assert_cell_means_are_within_a_sample_line(*EDGE_SCENES[scene])
+
+
+@settings(max_examples=25, deadline=None)
+@given(scene=_scene())
+def test_cell_means_are_within_a_sample_line_of_the_cell_averages_on_drawn_scenes(scene):
+    _assert_cell_means_are_within_a_sample_line(*scene)
+
+
+def test_the_reference_cell_mean_is_the_area_of_a_disk_and_of_a_rectangle():
+    # the reference integrates a disk and a rectangle over the grid to their
+    # areas, the disk to the error of the midpoint rule across the lines
+    grid = Grid2D(0.8, 28)
+    disk = Disk(center=(0.01, 0.02), radius=0.3, value=2.0)
+    rect = Rectangle(lo=(-0.33, -0.21), hi=(0.17, 0.4), value=1.5)
+    assert abs(_reference_cell_mean([disk], grid).sum() * grid.h ** 2
+               - 2.0 * math.pi * 0.09) < 1e-5
+    assert abs(_reference_cell_mean([rect], grid).sum() * grid.h ** 2 - 1.5 * 0.5 * 0.61) < 1e-12
 
 
 @settings(max_examples=50, deadline=None)
