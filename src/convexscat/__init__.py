@@ -46,7 +46,6 @@ from .scenarios import (
     config_from_dict,
     get_scenario,
     load_scenario,
-    save_scenario,
     simulate_scenario,
 )
 from .io import (

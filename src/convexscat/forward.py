@@ -63,7 +63,9 @@ stacked later shapes winning as at the nodes, on its 32 x 32 midpoint
 samples.  A cell is cut when the same stack holds more than one value on
 its 5 x 5 probe samples, edges included.  Only the cells some shape's
 widened bounding box reaches are probed, in blocks of 512 cells, so the
-largest array is 4 MB however long the interface is.
+largest array is 4 MB however long the interface is.  It is the one
+rasterizer: a simulated scene's solve grid and its truth, which keeps only
+the node values, both come from it, checked by the same contract.
 """
 
 from __future__ import annotations
@@ -101,8 +103,9 @@ __all__ = [
 _EULER_GAMMA = float(np.euler_gamma)
 
 # GMRES iterations per solve and per restart cycle.  On the builtin scenes
-# simulate needs 5 to 8, invert 6 to 12 and the unweighted run up to 30
-# before its n = 2 re-solve stalls.  A solve whose average rate cannot reach
+# simulate needs 2 to 8, invert 3 to 12 (fewer for a node started from a
+# coarser level's interpolant) and the unweighted run up to 30 before its
+# n = 2 re-solve stalls.  A solve whose average rate cannot reach
 # RESIDUAL_BOUND within the 500 ends at a restart before the cap (_gmres).
 GMRES_MAX_ITER = 500
 GMRES_RESTART = 100
@@ -197,15 +200,18 @@ class Disk:
         if self.radius <= 0:
             raise ValueError(f"radius must be positive, got {self.radius!r}")
 
-    # d1 * d1 overflows to inf only more than 1e154 from the center, where
-    # the test then holds just when r * r is inf too: right up to rounding
-    # for a disk that meets the domain, the only kind _rasterize samples,
-    # since every domain point is within r + 2 sqrt(2) half_width of it.
+    # Compared in units of 2^e, e the radius's binary exponent, as d1 * d1
+    # leaves the double range for distances below 1e-154 or above 1e154.
+    # The scaling is exact, and 2^-e is capped at 2^1023 for a subnormal
+    # radius small enough to overflow it; a point whose scaled square
+    # overflows is outside.
     @np.errstate(over="ignore")
     def contains(self, x1, x2):
-        d1 = np.asarray(x1) - self.center[0]
-        d2 = np.asarray(x2) - self.center[1]
-        return d1 * d1 + d2 * d2 <= self.radius * self.radius
+        scale = math.ldexp(1.0, min(-math.frexp(self.radius)[1], 1023))
+        d1 = (np.asarray(x1) - self.center[0]) * scale
+        d2 = (np.asarray(x2) - self.center[1]) * scale
+        r = self.radius * scale
+        return d1 * d1 + d2 * d2 <= r * r
 
     def bounds(self):
         """Corners (lo, hi) of the axis-aligned box around the disk."""
@@ -296,9 +302,8 @@ def _reach(shapes, grid: Grid2D) -> np.ndarray:
     return reach
 
 
-def _cell_averages(shapes, grid: Grid2D, values: np.ndarray, cells=None) -> np.ndarray:
-    """Average each shape stack over the h x h cell of every node, or of the
-    nodes where the mask cells is true; elsewhere the node value stands in.
+def _cell_averages(shapes, grid: Grid2D, values: np.ndarray) -> np.ndarray:
+    """Average each shape stack over the h x h cell of every node.
 
     Only the cells some shape reaches (_reach) are probed: every sample of
     any other cell lies outside every shape, so the cell is not cut and its
@@ -311,8 +316,6 @@ def _cell_averages(shapes, grid: Grid2D, values: np.ndarray, cells=None) -> np.n
     with every cell sampled at once.
     """
     near = np.any(_reach(shapes, grid), axis=0)
-    if cells is not None:
-        near &= cells
     x = grid.nodes
     probe = np.linspace(-0.5, 0.5, _PROBE_SAMPLES) * grid.h
     sub = ((np.arange(_CELL_SAMPLES) + 0.5) / _CELL_SAMPLES - 0.5) * grid.h
@@ -328,13 +331,17 @@ def _cell_averages(shapes, grid: Grid2D, values: np.ndarray, cells=None) -> np.n
     return mean
 
 
-def _rasterize(shapes, grid: Grid2D, cells=None):
-    """Node values and cell means of the shapes (_cell_averages, on every
-    cell or on the mask cells), checked against the synthetic-truth
-    contract: every shape's bounds meet the closed domain and its |value|
-    is at most _VALUE_MAX, both checked before any sampling, nonnegative
-    values, and no support on the domain boundary, neither at a boundary
-    node nor in the mean of its cell."""
+def rasterize(shapes, grid: Grid2D) -> Coefficient:
+    """Sample shapes onto the grid by node-center membership, later shapes
+    winning, with every node's cell mean (_cell_averages: the mean of
+    32 x 32 midpoint samples where the 5 x 5 probe finds an interface in
+    the cell) for the solver's quadrature.
+
+    Enforces the synthetic-truth contract: every shape's bounds meet the
+    closed domain and its |value| is at most _VALUE_MAX, both checked
+    before any sampling, nonnegative values, and no support on the domain
+    boundary, neither at a boundary node nor in the mean of its cell.
+    """
     r = grid.half_width
     for i, shape in enumerate(shapes):
         lo, hi = shape.bounds()
@@ -346,7 +353,7 @@ def _rasterize(shapes, grid: Grid2D, cells=None):
                              f"got {shape.value!r}")
     X1, X2 = grid.mesh()
     values = _stack_values(shapes, X1, X2)
-    cell_mean = _cell_averages(shapes, grid, values, cells)
+    cell_mean = _cell_averages(shapes, grid, values)
     if np.any(values < 0):
         raise ValueError(f"synthetic coefficient must be nonnegative, got {float(values.min())!r}")
     bad = (values != 0) | (cell_mean != 0)
@@ -357,34 +364,7 @@ def _rasterize(shapes, grid: Grid2D, cells=None):
         raise ValueError(
             f"support touches the domain boundary at {ii.size} nodes, first at {where}"
         )
-    return values, cell_mean
-
-
-def rasterize(shapes, grid: Grid2D) -> Coefficient:
-    """Sample shapes onto the grid by node-center membership, later shapes
-    winning, with every node's cell mean (_cell_averages: the mean of
-    32 x 32 midpoint samples where the 5 x 5 probe finds an interface in
-    the cell) for the solver's quadrature.
-
-    Enforces the synthetic-truth contract: nonnegative values and no support
-    on the domain boundary.
-    """
-    values, cell_mean = _rasterize(shapes, grid)
     return Coefficient(grid=grid, values=values, cell_mean=cell_mean)
-
-
-def _rasterize_nodes(shapes, grid: Grid2D) -> Coefficient:
-    """rasterize's node values alone, without cell means: the truth a
-    reconstruction on the grid is compared with, which needs no quadrature.
-
-    The contract is checked as rasterize checks it, with the same message,
-    but cell means are computed only on the boundary ring, the only cells
-    the boundary check reads.
-    """
-    ring = np.ones((grid.n_nodes, grid.n_nodes), dtype=bool)
-    ring[1:-1, 1:-1] = False
-    values, _ = _rasterize(shapes, grid, ring)
-    return Coefficient(grid=grid, values=values)
 
 
 class IncidentWave:

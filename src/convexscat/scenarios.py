@@ -13,6 +13,7 @@ The YAML keys are the dataclass fields of Scenario and of each shape class
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from typing import ClassVar
 
@@ -21,10 +22,10 @@ import yaml
 from .basis import KGrid, _check_fields
 from .forward import (
     CauchyData,
+    Coefficient,
     Disk,
     Grid2D,
     Rectangle,
-    _rasterize_nodes,
     add_noise,
     rasterize,
     solve_forward_multi,
@@ -39,7 +40,6 @@ __all__ = [
     "get_scenario",
     "simulate_scenario",
     "load_scenario",
-    "save_scenario",
     "scenario_document",
 ]
 
@@ -123,18 +123,22 @@ def simulate_scenario(sc: Scenario):
     trace_cauchy reads the data by the representation formula.  The
     noise is drawn with sc.seed; replace(sc, seed=...) draws another.
 
-    Both grids are checked for support on the domain boundary, so
-    inclusions must stay clear of it on either.  The truth is
-    _rasterize_nodes on the reconstruction grid: node values, checked at
-    the boundary nodes and the means of their cells only, and before the
-    fine grid, so a scene that fails on both is reported with the
-    reconstruction grid's nodes.  The REFINE-times finer grid is
-    rasterized once, with the cell means its solves need.
+    Both grids are rasterized, the reconstruction grid first, so a scene
+    that touches the domain boundary on both is reported with the
+    reconstruction grid's nodes.  The truth keeps the node values only,
+    the fine grid also the cell means its solves need.  A scene whose
+    k^2 h^2 overflows on the fine grid at the largest wavenumber is refused
+    before either, as no solve could run on it.
     """
     grid = Grid2D(sc.half_width, sc.n_cells)
     kgrid = KGrid(sc.k_min, sc.k_max, sc.n_k)
-    truth = _rasterize_nodes(sc.shapes, grid)
-    fine = rasterize(sc.shapes, Grid2D(sc.half_width, sc.n_cells * REFINE))
+    fine_grid = Grid2D(sc.half_width, sc.n_cells * REFINE)
+    k, h = float(kgrid.midpoints[-1]), fine_grid.h
+    if not math.isfinite(h * h * k * k):
+        raise ValueError(f"half_width {sc.half_width!r} is too large for k_max {sc.k_max!r}: "
+                         f"k^2 h^2 overflows on the {fine_grid.n_cells}-cell solve grid")
+    truth = Coefficient(grid=grid, values=rasterize(sc.shapes, grid).values)
+    fine = rasterize(sc.shapes, fine_grid)
     cd_fine = trace_cauchy(solve_forward_multi(fine, kgrid, on_box=True), fine, kgrid)
     clean = CauchyData(
         grid=grid,
@@ -206,16 +210,11 @@ def config_from_dict(d) -> InversionConfig:
 
 def scenario_document(sc: Scenario) -> dict:
     """The scene as the plain mapping load_scenario reads: every Scenario
-    field in declaration order, the shapes as their YAML mappings.
-    save_scenario writes it as YAML and simulate records it as its
-    manifest's config."""
+    field in declaration order, the shapes as their YAML mappings.  Dumped
+    with yaml.safe_dump(..., sort_keys=False) it is a scene file, and
+    simulate records it as its manifest's config."""
     return {**{f.name: getattr(sc, f.name) for f in fields(Scenario)},
             "shapes": [_shape_to_dict(s) for s in sc.shapes]}
-
-
-def save_scenario(sc: Scenario, path) -> None:
-    with open(path, "w") as f:
-        yaml.safe_dump(scenario_document(sc), f, sort_keys=False)
 
 
 def read_yaml(path):

@@ -25,11 +25,11 @@ from convexscat import (
     read_cauchy,
     read_coefficient,
     read_history,
-    save_scenario,
     write_coefficient,
 )
 from convexscat import cli
 from convexscat.cli import main
+from convexscat.scenarios import scenario_document
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +43,7 @@ def scene_file(tmp_path_factory):
         n_k=10,
     )
     path = tmp_path_factory.mktemp("scene") / "small.yaml"
-    save_scenario(sc, path)
+    path.write_text(yaml.safe_dump(scenario_document(sc), sort_keys=False))
     return path
 
 
@@ -86,7 +86,7 @@ def test_simulate_outputs_and_manifest(sim_dir, scene_file):
     doc = _manifest(sim_dir)
     assert doc["command"] == "simulate"
     assert doc["seed"] == 1
-    # the config is the scene document: the YAML mapping save_scenario writes
+    # the config is the scene document, the mapping the scene file dumps
     assert doc["config"] == yaml.safe_load(scene_file.read_text())
     assert doc["config"]["name"] == "small-disk"
     assert doc["config"]["n_cells"] == 16 and doc["config"]["n_k"] == 10
@@ -471,7 +471,7 @@ _DISK = "- {type: disk, center: [0.0, 0.4], radius: 0.2, value: 1.5}"
     (f"{_DISK}\nhalf_width: -0.8", [], "half_width must be positive and finite, got -0.8"),
     (_DISK.replace("0.2", "0.5"), [], "support touches the domain boundary at"),
     # reaches into the reconstruction grid's edge cells but not the fine
-    # grid's, and touches no node: the truth's boundary-ring cell means see it
+    # grid's, and touches no node: the truth's edge-cell means see it
     ("- {type: disk, center: [0.0, 0.6], radius: 0.18, value: 1.0}", [],
      "support touches the domain boundary at"),
     (_DISK.replace("1.5", "-1.5"), [], "synthetic coefficient must be nonnegative, got -1.5"),
@@ -491,10 +491,14 @@ _DISK = "- {type: disk, center: [0.0, 0.4], radius: 0.2, value: 1.5}"
     ("- {type: rectangle, lo: [0.3, 0.2], hi: [0.1, 0.4], value: 1.5}", [],
      "shapes[0]: rectangle corners must satisfy lo < hi componentwise, "
      "got lo (0.3, 0.2), hi (0.1, 0.4)"),
+    # h^2 on the 56-cell solve grid overflows, which float ** raises on
+    ("- {type: rectangle, lo: [-1.0e+155, 1.0e+155], hi: [1.0e+155, 3.0e+155], value: 1.5}\n"
+     "half_width: 8.0e+155", [],
+     "half_width 8e+155 is too large for k_max 2.0: k^2 h^2 overflows on the 56-cell solve grid"),
 ], ids=["k_min-above-k_max", "negative-half_width", "disk-on-boundary", "band-disk",
         "negative-value", "negative-seed", "nan-center", "nan-radius", "inf-value",
         "huge-radius", "overflowing-value", "overflowing-negative-value", "huge-n_k",
-        "negative-radius", "inverted-rectangle"])
+        "negative-radius", "inverted-rectangle", "huge-domain"])
 def test_simulate_rejects_a_bad_scene_value_before_any_output(tmp_path, capsys, shapes, argv,
                                                                message):
     # a value fails the field or grid checks as the scene loads or where it

@@ -1134,6 +1134,41 @@ def test_rasterize_refuses_a_shape_outside_the_domain_before_sampling():
                 rasterize([shape], grid)
 
 
+def _scaled(shape, s):
+    if isinstance(shape, Disk):
+        return Disk(center=(shape.center[0] * s, shape.center[1] * s), radius=shape.radius * s,
+                    value=shape.value)
+    return Rectangle(lo=(shape.lo[0] * s, shape.lo[1] * s), hi=(shape.hi[0] * s, shape.hi[1] * s),
+                     value=shape.value)
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -600, 2.0 ** 560], ids=["2^-600", "2^560"])
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_rasterize_is_the_same_at_any_power_of_two_scale(name, scale):
+    # a disk's squared distances leave the double range at both scales, so
+    # its test must compare in units of its radius; scaling by a power of
+    # two is exact, and every sample and mean are the same floats
+    shapes = get_scenario(name).shapes
+    for n_cells in (28, 56):
+        coeff = rasterize(shapes, Grid2D(0.8, n_cells))
+        scaled = rasterize([_scaled(shape, scale) for shape in shapes],
+                           Grid2D(0.8 * scale, n_cells))
+        assert np.array_equal(scaled.values, coeff.values)
+        assert np.array_equal(scaled.cell_mean, coeff.cell_mean)
+
+
+def test_disk_contains_at_tiny_and_subnormal_radii():
+    # a disk of radius 0.3e-170 holds 57 of the 841 nodes of a 1e-170 domain
+    grid = Grid2D(1e-170, 28)
+    assert Disk(center=(0.0, 0.0), radius=0.3e-170, value=1.0).contains(*grid.mesh()).sum() == 57
+    # the radius's 2^-e would overflow for the smallest subnormal
+    tiny = Disk(center=(0.0, 0.0), radius=5e-324, value=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert tiny.contains([0.0, 5e-324, 1e-323, 1.0], 0.0).tolist() == [
+            True, True, False, False]
+
+
 def _small_cauchy():
     grid = Grid2D(0.8, 12)
     truth = rasterize([DISK], grid)

@@ -27,7 +27,6 @@ from convexscat import (
     get_scenario,
     load_scenario,
     rasterize,
-    save_scenario,
     simulate_scenario,
     solve_forward_multi,
     trace_cauchy,
@@ -35,6 +34,10 @@ from convexscat import (
 from convexscat.scenarios import BUILTIN_SCENARIOS, REFINE, scenario_document
 
 SMALL = InversionConfig(n_modes=2)
+
+
+def _save(sc, path):
+    path.write_text(yaml.safe_dump(scenario_document(sc), sort_keys=False))
 
 
 def _small_disk(noise=0.05, seed=1):
@@ -107,7 +110,7 @@ def test_every_number_field_refuses_a_value_that_is_not_a_finite_number(obj, nam
 def test_yaml_roundtrip_is_exact(name, tmp_path):
     sc = get_scenario(name)
     path = tmp_path / f"{name}.yaml"
-    save_scenario(sc, path)
+    _save(sc, path)
     assert load_scenario(path) == sc
 
 
@@ -127,7 +130,7 @@ def test_yaml_roundtrip_custom_fields(tmp_path):
         n_k=7,
     )
     path = tmp_path / "mixed.yaml"
-    save_scenario(sc, path)
+    _save(sc, path)
     loaded = load_scenario(path)
     assert loaded == sc
     assert loaded.seed is None
@@ -185,10 +188,10 @@ def test_config_from_dict():
         config_from_dict({"rho2": 1.0, "n_cell": 8})
 
 
-def test_save_rejects_unknown_shape_objects(tmp_path):
+def test_scenario_document_rejects_unknown_shape_objects():
     sc = Scenario("odd", (("not", "a", "shape"),))
     with pytest.raises(TypeError):
-        save_scenario(sc, tmp_path / "odd.yaml")
+        scenario_document(sc)
 
 
 def test_simulate_null_scene_is_zero_and_noise_free():
@@ -241,8 +244,8 @@ def test_simulate_traces_the_refined_solve():
 
 
 def test_simulate_truth_is_the_rasterized_node_values():
-    # the truth is checked and sampled without the solver's cell means,
-    # which it does not carry
+    # the truth is rasterize's node values on the reconstruction grid,
+    # without the cell means only the solver reads
     shapes = (Disk(center=(0.0, 0.1), radius=0.3, value=2.0),
               Rectangle(lo=(-0.05, -0.1), hi=(0.4, 0.3), value=1.5))
     sc = Scenario("truth", shapes, noise_level=0.0, n_cells=12, n_k=3)
