@@ -61,7 +61,8 @@ for the next one.
 rasterize gives each cell an interface cuts the float mean of the shapes,
 stacked later shapes winning as at the nodes, on its 32 x 32 midpoint
 samples.  A cell is cut when the same stack holds more than one value on
-its 5 x 5 probe samples, edges included.  Only the cells some shape's
+its 5 x 5 probe samples, edges included, or when a shape's edge crosses
+the cell's open square.  Only the cells some shape's
 widened bounding box reaches are probed, in blocks of 512 cells, so the
 largest array is 4 MB however long the interface is.  It is the one
 rasterizer: a simulated scene's solve grid and its truth, which keeps only
@@ -213,6 +214,19 @@ class Disk:
         r = self.radius * scale
         return d1 * d1 + d2 * d2 <= r * r
 
+    @np.errstate(over="ignore")
+    def crosses(self, lo1, hi1, lo2, hi2):
+        """Whether the circle meets the open square (lo1, hi1) x (lo2, hi2):
+        the square's nearest point is inside the radius and its farthest
+        corner outside, compared in the units of contains."""
+        scale = math.ldexp(1.0, min(-math.frexp(self.radius)[1], 1023))
+        (c1, c2), r = self.center, self.radius * scale
+        n1 = (c1 - np.clip(c1, lo1, hi1)) * scale
+        n2 = (c2 - np.clip(c2, lo2, hi2)) * scale
+        f1 = np.maximum(np.abs(lo1 - c1), np.abs(hi1 - c1)) * scale
+        f2 = np.maximum(np.abs(lo2 - c2), np.abs(hi2 - c2)) * scale
+        return (n1 * n1 + n2 * n2 < r * r) & (f1 * f1 + f2 * f2 > r * r)
+
     def bounds(self):
         """Corners (lo, hi) of the axis-aligned box around the disk."""
         (c1, c2), r = self.center, self.radius
@@ -237,6 +251,14 @@ class Rectangle:
         x1 = np.asarray(x1)
         x2 = np.asarray(x2)
         return (x1 >= self.lo[0]) & (x1 <= self.hi[0]) & (x2 >= self.lo[1]) & (x2 <= self.hi[1])
+
+    def crosses(self, lo1, hi1, lo2, hi2):
+        """Whether the rectangle's edge meets the open square (lo1, hi1) x
+        (lo2, hi2): the rectangle meets the square but does not cover it."""
+        (a1, a2), (b1, b2) = self.lo, self.hi
+        meets = (a1 < hi1) & (b1 > lo1) & (a2 < hi2) & (b2 > lo2)
+        covers = (a1 <= lo1) & (b1 >= hi1) & (a2 <= lo2) & (b2 >= hi2)
+        return meets & ~covers
 
     def bounds(self):
         """Corners (lo, hi) of the rectangle."""
@@ -310,10 +332,12 @@ def _cell_averages(shapes, grid: Grid2D, values: np.ndarray) -> np.ndarray:
     mean is its node value.  They are taken in blocks of _RASTER_BLOCK
     cells.  In each block every shape is stacked, later shapes winning, on
     the 5 x 5 probe of each cell, edges included, and a cell is cut when
-    its probe samples hold more than one value, 0 where no shape holds.  A
-    cut cell gets the float mean of the same stack on its _CELL_SAMPLES^2
-    midpoint samples.  Each cell's samples and mean are the same floats as
-    with every cell sampled at once.
+    its probe samples hold more than one value, 0 where no shape holds, or
+    when a shape's edge crosses the open square the probe spans (crosses),
+    which the probe misses where the shape or a gap between shapes is
+    thinner than its spacing.  A cut cell gets the float mean of the same
+    stack on its _CELL_SAMPLES^2 midpoint samples.  Each cell's samples and
+    mean are the same floats as with every cell sampled at once.
     """
     near = np.any(_reach(shapes, grid), axis=0)
     x = grid.nodes
@@ -325,6 +349,9 @@ def _cell_averages(shapes, grid: Grid2D, values: np.ndarray) -> np.ndarray:
         bi, bj = i[b:b + _RASTER_BLOCK], j[b:b + _RASTER_BLOCK]
         probed = _stack_values(shapes, x[bj, None, None] + probe[:, None], x[bi, None, None] + probe)
         cut = probed.max(axis=(1, 2)) != probed.min(axis=(1, 2))
+        square = x[bj] + probe[0], x[bj] + probe[-1], x[bi] + probe[0], x[bi] + probe[-1]
+        for shape in shapes:
+            cut |= shape.crosses(*square)
         bi, bj = bi[cut], bj[cut]
         mean[bi, bj] = _stack_values(shapes, x[bj, None, None] + sub[:, None],
                                      x[bi, None, None] + sub).mean(axis=(1, 2))
@@ -335,7 +362,7 @@ def rasterize(shapes, grid: Grid2D) -> Coefficient:
     """Sample shapes onto the grid by node-center membership, later shapes
     winning, with every node's cell mean (_cell_averages: the mean of
     32 x 32 midpoint samples where the 5 x 5 probe finds an interface in
-    the cell) for the solver's quadrature.
+    the cell or a shape's edge crosses it) for the solver's quadrature.
 
     Enforces the synthetic-truth contract: every shape's bounds meet the
     closed domain and its |value| is at most _VALUE_MAX, both checked

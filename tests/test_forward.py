@@ -795,9 +795,14 @@ def _probe_samples(grid):
 
 
 def _one_shot_cut(shapes, grid):
-    # a cell is cut when its probe samples hold more than one value
+    # a cell is cut when its probe samples hold more than one value or a
+    # shape's edge crosses the open square between its edge samples
     probed = _stack_every_shape(shapes, *_probe_samples(grid))
-    return probed.max(axis=(2, 3)) != probed.min(axis=(2, 3))
+    cut = probed.max(axis=(2, 3)) != probed.min(axis=(2, 3))
+    p1, p2 = _probe_samples(grid)
+    for shape in shapes:
+        cut |= shape.crosses(p1[..., 0, 0], p1[..., -1, 0], p2[..., 0, 0], p2[..., 0, -1])
+    return cut
 
 
 def _midpoint_samples(grid, cells, n_sub=forward._CELL_SAMPLES):
@@ -855,6 +860,16 @@ SAMPLE_RECTANGLE = Rectangle(lo=(_sample_line(FINE_GRID, 10, 3), _sample_line(FI
                              hi=(_sample_line(FINE_GRID, 15, 31), _sample_line(FINE_GRID, 17, 16)),
                              value=0.7)
 
+# On 16 cells node row 9 sits just below 0.1, so its probe line a quarter
+# cell up rounds just below 0.125: a strip from 0.125 to 0.140625 contains
+# no probe sample of the cells it crosses.  Two equal strips whose gap of
+# 0.023 lies between the probe lines at 0.075 and 0.1 hold 0.7 at every
+# probe sample of row 9.
+STRIP_GRID = Grid2D(0.8, 16)
+THIN_STRIP = Rectangle(lo=(0.0, 0.125), hi=(0.25, 0.140625), value=0.3)
+GAPPED_STRIPS = (Rectangle(lo=(-0.3, -0.3), hi=(0.3, 0.076), value=0.7),
+                 Rectangle(lo=(-0.3, 0.099), hi=(0.3, 0.3), value=0.7))
+
 EDGE_SCENES = {
     # the later shape wins where both reach a cell, also in culled ones
     "rectangle-over-disk": ((Disk(center=(0.0, 0.1), radius=0.3, value=2.0),
@@ -863,6 +878,8 @@ EDGE_SCENES = {
     "disk-tangent-to-a-probe-line": ((UNDER_TANGENT, TANGENT_DISK), FINE_GRID),
     "disk-on-sample-lines": ((SAMPLE_DISK,), FINE_GRID),
     "rectangle-edges-on-sample-lines": ((SAMPLE_RECTANGLE, SAMPLE_DISK), FINE_GRID),
+    "strip-between-probe-lines": ((THIN_STRIP,), STRIP_GRID),
+    "gap-between-probe-lines": (GAPPED_STRIPS, STRIP_GRID),
 }
 
 
@@ -1024,8 +1041,8 @@ def _assert_cell_means_are_within_a_sample_line(shapes, grid):
     # the S x S midpoint count of a cut cell is off by less than a sample
     # line at each edge it meets, in x1 and in x2, plus the midpoint rule's
     # error across the lines, so every cell mean is within 3 sum|value| / S
-    # of the cell's average; an uncut cell's mean misses at most a sliver
-    # between probe samples.  The builtins come within 0.35 max|value| / S
+    # of the cell's average; no shape's edge crosses an uncut cell, whose
+    # mean is exact.  The builtins come within 0.35 max|value| / S
     coeff = rasterize(shapes, grid)
     bound = 3 * sum(abs(shape.value) for shape in shapes) / forward._CELL_SAMPLES
     error = np.abs(coeff.cell_mean - _reference_cell_mean(shapes, grid))
@@ -1074,6 +1091,37 @@ def test_a_shape_reaches_every_cell_where_it_contains_a_probe_sample(scene):
     p2 = X2[..., None, None] + probe[None, None, None, :]
     for shape, reach in zip(shapes, forward._reach(shapes, grid)):
         assert np.all(reach[shape.contains(p1, p2).any(axis=(2, 3))])
+
+
+def test_the_strip_scenes_hide_from_the_probe():
+    # every probe sample of cell (9, 9), which both scenes cross, holds one
+    # value, and the 32 x 32 midpoint samples give the strip and the gap
+    # their area
+    X1, X2 = _probe_samples(STRIP_GRID)
+    for shapes, held in (((THIN_STRIP,), 0.0), (GAPPED_STRIPS, 0.7)):
+        assert np.all(_stack_every_shape(shapes, X1[9, 9], X2[9, 9]) == held)
+    h = STRIP_GRID.h
+    strip = rasterize([THIN_STRIP], STRIP_GRID).cell_mean
+    assert abs(strip.sum() * h * h - 0.3 * 0.25 * 0.015625) < 0.3 * 0.25 * h / 32
+    gapped = rasterize(GAPPED_STRIPS, STRIP_GRID).cell_mean
+    assert abs(gapped.sum() * h * h - 0.7 * 0.6 * 0.577) < 2 * 0.7 * 0.6 * h / 32
+
+
+@pytest.mark.parametrize("shape, square, crosses", [
+    (Rectangle(lo=(0.0, 0.0), hi=(1.0, 1.0), value=1.0), (0.2, 0.4, 0.2, 0.4), False),
+    (Rectangle(lo=(0.0, 0.0), hi=(1.0, 1.0), value=1.0), (0.0, 1.0, 0.0, 1.0), False),
+    (Rectangle(lo=(0.0, 0.0), hi=(1.0, 1.0), value=1.0), (1.0, 2.0, 0.2, 0.4), False),
+    (Rectangle(lo=(0.0, 0.0), hi=(1.0, 1.0), value=1.0), (0.9, 2.0, 0.2, 0.4), True),
+    (Rectangle(lo=(0.3, 0.3), hi=(0.4, 0.4), value=1.0), (0.0, 1.0, 0.0, 1.0), True),
+    (Disk(center=(0.0, 0.0), radius=1.0, value=1.0), (-0.5, 0.5, -0.5, 0.5), False),
+    (Disk(center=(0.0, 0.0), radius=1.0, value=1.0), (1.0, 2.0, -0.5, 0.5), False),
+    (Disk(center=(0.0, 0.0), radius=1.0, value=1.0), (0.5, 2.0, 0.5, 2.0), True),
+    (Disk(center=(0.0, 0.0), radius=0.1, value=1.0), (-0.5, 0.5, -0.5, 0.5), True),
+    (Disk(center=(0.0, 0.0), radius=0.5, value=1.0), (-0.5, 0.5, -0.5, 0.5), True),
+], ids=["inside", "equal", "touching", "across", "within", "covering", "tangent", "corner",
+        "small", "inscribed"])
+def test_a_shape_crosses_a_square_its_edge_meets_inside(shape, square, crosses):
+    assert bool(shape.crosses(*square)) is crosses
 
 
 def test_a_shape_reaches_the_cell_whose_edge_it_touches():
